@@ -1,9 +1,10 @@
 """Covering programs built from clique translates, and their exact solution.
 
 Given a verified clique C of a class-union graph, the automorphisms generated
-by two-sided translations (plus inversion and the diagonal/field outer maps)
-move C around the vertex set; each image is again a clique.  Collecting the
-distinct images as rows yields the packing system
+by two-sided translations, inversion, and those outer maps (diagonal PGL
+conjugation, field automorphisms) that fix the connection set move C around
+the vertex set; each image is again a clique.  Collecting the distinct images
+as rows yields the packing system
 
     maximize sum(v)   subject to   sum(v_t for t in row) <= 1,  v binary,
 
@@ -12,6 +13,13 @@ the graph lies inside some row (verified explicitly and recorded).  The
 EXACTLY_ONE sense instead asks for an independent set of a given size meeting
 every row precisely once, which is the regime of the equality case of the
 clique-coclique bound; its proven infeasibility refutes that size.
+
+Rows come in right-translation families {S t : t in T}, one per conjugate
+shape S of C.  Two families are equal or disjoint, so a shape that is already
+a row (S = S'' t0 for an earlier shape S'') adds no rows; it only repeats its
+family's partition entry.  Each new family is translated by one gather of
+multiplication-table rows, and every new row is still re-verified pair by
+pair against the connection set.
 
 The internal solver is a propagation-based exact branch-and-bound over binary
 choices (no floating point); the LP export provides the same model in a
@@ -23,8 +31,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_elements
+from .psl2 import PSL2, mask_elements, mask_from
 from .search import Budget, verify_clique
 
 AT_MOST_ONE = "AT_MOST_ONE"
@@ -113,74 +123,115 @@ def _diagonal_outer_perm(group: PSL2) -> list[int]:
     return out
 
 
-def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSystem:
-    """Distinct images of a verified clique under translations and outer maps."""
+def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:
+    """Vertex permutations that move the conjugate shapes of a base clique.
+
+    Conjugation by each generator and inversion fix every inverse-closed
+    union of classes; the outer maps (field automorphisms, diagonal PGL
+    conjugation) may permute classes, so each is kept only when it maps the
+    connection set onto itself.  Returns the permutations and the note that
+    names the maps used.
+    """
     group = graph.group
+    perms = []
+    for g in group.generators():
+        left = group.mul_rows([group.inv(g)])[0]          # x -> g^-1 x
+        perms.append(group.mul_column(left, g))            # x -> g^-1 x g
+    note = "two-sided translations, inversion"
+    conn = graph.connection_elements()
+    frob = _frobenius_perm(group)
+    outer = [(frob, ", field automorphisms")]
+    if group.q % 2:
+        outer.append((_diagonal_outer_perm(group), ", diagonal outer"))
+    for perm, name in outer:
+        if perm and mask_from(perm[s] for s in conn) == graph.connection:
+            perms.append(perm)
+            note += name
+    perms.append([group.inv(x) for x in range(group.order)])
+    return perms, note
+
+
+def _right_translates(group: PSL2, shape) -> list[int]:
+    """Masks of the distinct translates shape*t, in order of their first t."""
+    images = group.mul_rows(shape)            # images[i, t] = shape[i] * t
+    keys = np.sort(images, axis=0).T          # one sorted vertex list per t
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return [mask_from(images[:, t].tolist()) for t in sorted(first)]
+
+
+def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSystem:
+    """Distinct images of a verified clique under translations and outer maps.
+
+    The conjugate shapes of the base clique are translated on the right by
+    every group element, one family of rows per shape.  A shape that is
+    already a row is S''t0 for a shape S'' processed before it, so its
+    family equals that of S'': it adds no rows and repeats that family's
+    partition entry.  Only shapes that open a new family are translated, by
+    one gather of multiplication-table rows, and every new row is checked
+    pair by pair against the connection set before it is accepted.
+    """
+    group = graph.group
+    n = group.order
     base = tuple(sorted(clique))
     if not verify_clique(graph, base):
         raise ValueError("base set is not a clique of the graph")
-    gens = group.generators()
-    perms: list[list[int]] = []
-    frob = _frobenius_perm(group)
-    if frob:
-        perms.append(frob)
-    if group.q % 2:
-        perms.append(_diagonal_outer_perm(group))
-
-    def as_mask(verts) -> int:
-        m = 0
-        for v in verts:
-            m |= 1 << v
-        return m
+    perms, note = _automorphism_perms(graph)
 
     # conjugates of the base set (orbit under conjugation and outer maps)
     seen_shapes = {frozenset(base)}
-    shapes = [tuple(base)]
-    frontier = [tuple(base)]
+    shapes = [base]
+    frontier = [base]
     while frontier:
         new = []
         for shape in frontier:
-            images = []
-            for g in gens:
-                gi = group.inv(g)
-                images.append(tuple(group.mul(group.mul(gi, x), g) for x in shape))
             for perm in perms:
-                images.append(tuple(perm[x] for x in shape))
-            images.append(tuple(group.inv(x) for x in shape))
-            for img in images:
+                img = tuple(perm[x] for x in shape)
                 key = frozenset(img)
                 if key not in seen_shapes:
                     seen_shapes.add(key)
                     shapes.append(img)
                     new.append(img)
         frontier = new
-    # right translates of every conjugate shape
+
+    # right translates of every conjugate shape, one family per new shape
+    inv = np.array([group.inv(x) for x in range(n)])
+    conn = np.zeros(n, dtype=bool)
+    conn[graph.connection_elements()] = True
+    pairs = len(base) * (len(base) - 1)
     rows: list[int] = []
     row_index: dict[int, int] = {}
+    row_family: list[int] = []
+    families: list[tuple[list[int], bool]] = []   # (row indices, is a partition)
     partitions: list[list[int]] = []
-    n = group.order
     for shape in shapes:
-        group_rows_set = set()
-        for t in range(n):
-            img = [group.mul(x, t) for x in shape]
-            mask = as_mask(img)
-            ridx = row_index.get(mask)
-            if ridx is None:
-                if not verify_clique(graph, img):
-                    raise AssertionError("translate image failed clique re-verification")
-                ridx = len(rows)
-                row_index[mask] = ridx
-                rows.append(mask)
-            group_rows_set.add(ridx)
-        group_rows = sorted(group_rows_set)
-        union = 0
-        disjoint = True
-        for ridx in group_rows:
-            if rows[ridx] & union:
-                disjoint = False
-            union |= rows[ridx]
-        if disjoint and union == (1 << n) - 1:
-            partitions.append(group_rows)
+        ridx = row_index.get(mask_from(shape))
+        if ridx is not None:
+            family, is_partition = families[row_family[ridx]]
+        else:
+            family = []
+            for mask in _right_translates(group, shape):
+                ridx = row_index.get(mask)
+                if ridx is None:
+                    verts = mask_elements(mask)
+                    quotients = group.mul_rows(verts)[:, inv[verts]]  # u * v^-1
+                    if np.count_nonzero(conn[quotients]) != pairs:
+                        raise AssertionError("translate image failed clique re-verification")
+                    ridx = len(rows)
+                    row_index[mask] = ridx
+                    rows.append(mask)
+                    row_family.append(len(families))
+                family.append(ridx)
+            family.sort()
+            union = 0
+            disjoint = True
+            for ridx in family:
+                if rows[ridx] & union:
+                    disjoint = False
+                union |= rows[ridx]
+            is_partition = disjoint and union == (1 << n) - 1
+            families.append((family, is_partition))
+        if is_partition:
+            partitions.append(list(family))
     # edge coverage: within-row adjacency unioned per vertex
     cov = [0] * n
     for mask in rows:
@@ -188,9 +239,6 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
             cov[v] |= mask
     edges_covered = all(
         graph.neighbors(v) & ~cov[v] == 0 for v in range(n))
-    note = "two-sided translations, inversion" + \
-        (", field automorphisms" if frob else "") + \
-        (", diagonal outer" if group.q % 2 else "")
     return TranslateRowSystem(graph, base, rows, note, partitions,
                               edges_covered, translation_closed=True)
 

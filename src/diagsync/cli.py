@@ -172,11 +172,11 @@ def _dispatch(args) -> int:
     if cmd == "search":
         graph = build_graph(group, args.classes)
         if args.mode == "clique":
-            cert = max_clique(graph, _budget(args), args.seed)
+            cert = max_clique(graph, _budget(args), args.seed, args.threads)
             _emit(sealed(cert.payload()), args)
             return 0 if cert.exhaustive else 2
         if args.mode == "coclique":
-            cert = max_coclique(graph, _budget(args), args.seed)
+            cert = max_coclique(graph, _budget(args), args.seed, args.threads)
             _emit(sealed(cert.payload()), args)
             return 0 if cert.exhaustive else 2
         if args.size is None:

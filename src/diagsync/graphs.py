@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .psl2 import PSL2
+from .psl2 import PSL2, mask_from
 
 
 class InvalidClassSet(ValueError):
@@ -108,11 +108,8 @@ class ClassUnionGraph:
         """Neighborhood of v as a bitmask: {s*v : s in connection set}."""
         cached = self._neighbors.get(v)
         if cached is None:
-            g = self.group
-            mask = 0
-            for s in self.connection_elements():
-                mask |= 1 << g.mul(s, v)
-            self._neighbors[v] = cached = mask
+            cached = mask_from(self.group.mul_column(self.connection_elements(), v))
+            self._neighbors[v] = cached
         return cached
 
     def descriptor(self) -> dict:

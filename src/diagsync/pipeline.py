@@ -27,7 +27,7 @@ from .certify import (
 )
 from .feasibility import family_description, putative_table
 from .graphs import build_graph, complement_graph
-from .psl2 import build_group, PSL2
+from .psl2 import TABLE_LIMIT, PSL2, build_group
 from .scheme import rational_fusion_scheme
 from .search import (
     Budget,
@@ -537,23 +537,32 @@ class Analyzer:
 
     def run(self) -> GroupVerdict:
         if not self.witness_stage():
-            self.feasibility_stage()
-            self.realization_stage()
-            self.inference_pass()
-            self.nonexistence_pass(self.config.direct_search_secs)
-            self.direct_search_pass(min(60.0, self.config.direct_search_secs))
-            self.direct_search_pass(self.config.direct_search_secs)
-            self.csp_pass(self.config.budget_secs)
-            unresolved = [gv for gv in self.verdict.graphs if gv.status == UNRESOLVED]
-            if not unresolved:
-                self.verdict.separating = YES
+            if self.group.table_fits():
+                self.scheme_stages()
             else:
-                self.verdict.separating = UNKNOWN
                 self.verdict.notes.append(
-                    "unresolved graphs: " +
-                    "; ".join(",".join(gv.clique_classes) for gv in unresolved))
+                    f"group order {self.group.order} exceeds the multiplication "
+                    f"table limit {TABLE_LIMIT}: scheme stages skipped")
         self.spreading_stage()
         return self.verdict
+
+    def scheme_stages(self):
+        """Feasibility table, then searches and covering programs per row."""
+        self.feasibility_stage()
+        self.realization_stage()
+        self.inference_pass()
+        self.nonexistence_pass(self.config.direct_search_secs)
+        self.direct_search_pass(min(60.0, self.config.direct_search_secs))
+        self.direct_search_pass(self.config.direct_search_secs)
+        self.csp_pass(self.config.budget_secs)
+        unresolved = [gv for gv in self.verdict.graphs if gv.status == UNRESOLVED]
+        if not unresolved:
+            self.verdict.separating = YES
+        else:
+            self.verdict.separating = UNKNOWN
+            self.verdict.notes.append(
+                "unresolved graphs: " +
+                "; ".join(",".join(gv.clique_classes) for gv in unresolved))
 
 
 def analyze(q: int, config: PipelineConfig | None = None) -> tuple[GroupVerdict, dict]:

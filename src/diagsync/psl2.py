@@ -22,7 +22,7 @@ from .gf import field_for_order
 Mat = tuple[int, int, int, int]
 
 # full multiplication tables are built only below this group order
-_TABLE_LIMIT = 3000
+TABLE_LIMIT = 3000
 
 
 @dataclass
@@ -70,7 +70,7 @@ class PSL2:
         self._orders: list[int] | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._fusion: list[FusionOrbit] | None = None
-        self._neighbors_cache: dict[int, list[int]] = {}
+        self._row_arith: tuple | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -163,43 +163,68 @@ class PSL2:
             self._orders = orders
         return self._orders
 
+    def table_fits(self) -> bool:
+        """Whether the full multiplication table is affordable at this order."""
+        return self.order <= TABLE_LIMIT
+
     def mult_table(self) -> np.ndarray:
         """Full N x N multiplication table (built lazily; small q only)."""
         if self._table is None:
-            if self.order > _TABLE_LIMIT:
+            if not self.table_fits():
                 raise ValueError(f"group of order {self.order} exceeds table limit")
-            self._table = self._build_table()
+            table = np.empty((self.order, self.order), dtype=np.uint16)
+            for i in range(self.order):
+                table[i] = self._product_row(i)
+            self._table = table
         return self._table
 
-    def _build_table(self) -> np.ndarray:
-        f = self.field
+    def mul_rows(self, idx) -> np.ndarray:
+        """Products x*j for each x in idx and every j, one row per x.
+
+        Gathered from the multiplication table when it exists, else computed
+        row by row with the same arithmetic that builds the table.
+        """
+        if self._table is not None:
+            return self._table[np.asarray(idx, dtype=np.intp)]
+        return np.array([self._product_row(i) for i in idx])
+
+    def mul_column(self, idx, j: int) -> list[int]:
+        """Products x*j for each x in idx, read down column j of the table."""
+        if self._table is not None:
+            return self._table[idx, j].tolist()
+        return [self.mul(x, j) for x in idx]
+
+    def _product_row(self, i: int) -> np.ndarray:
+        """Indices of i*j for every j, by vectorized field arithmetic."""
+        if self._row_arith is None:
+            f = self.field
+            q = self.q
+            el = np.array(self.elements, dtype=np.int64)
+            add = np.array([[f.add(x, y) for y in range(q)] for x in range(q)],
+                           dtype=np.int64)
+            mul = np.array([[f.mul(x, y) for y in range(q)] for x in range(q)],
+                           dtype=np.int64)
+            neg = np.array([f.neg(x) for x in range(q)], dtype=np.int64)
+            pos = np.zeros(q, dtype=bool)
+            if self._pos is not None:
+                for z in self._pos:
+                    pos[z] = True
+            self._row_arith = (add, mul, neg, pos, el[:, 0], el[:, 1], el[:, 2], el[:, 3])
+        add, mul, neg, pos, A2, B2, C2, D2 = self._row_arith
         q = self.q
-        n = self.order
-        el = np.array(self.elements, dtype=np.int64)
-        add = np.array([[f.add(i, j) for j in range(q)] for i in range(q)], dtype=np.int64)
-        mul = np.array([[f.mul(i, j) for j in range(q)] for i in range(q)], dtype=np.int64)
-        neg = np.array([f.neg(i) for i in range(q)], dtype=np.int64)
-        pos = np.zeros(q, dtype=bool)
-        if self._pos is not None:
-            for z in self._pos:
-                pos[z] = True
-        A2, B2, C2, D2 = el[:, 0], el[:, 1], el[:, 2], el[:, 3]
-        table = np.empty((n, n), dtype=np.uint16)
-        for i in range(n):
-            a1, b1, c1, d1 = self.elements[i]
-            a = add[mul[a1, A2], mul[b1, C2]]
-            b = add[mul[a1, B2], mul[b1, D2]]
-            c = add[mul[c1, A2], mul[d1, C2]]
-            d = add[mul[c1, B2], mul[d1, D2]]
-            if self.q % 2:
-                first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
-                flip = ~pos[first]
-                a = np.where(flip, neg[a], a)
-                b = np.where(flip, neg[b], b)
-                c = np.where(flip, neg[c], c)
-                d = np.where(flip, neg[d], d)
-            table[i] = self._pack[((a * q + b) * q + c) * q + d]
-        return table
+        a1, b1, c1, d1 = self.elements[i]
+        a = add[mul[a1, A2], mul[b1, C2]]
+        b = add[mul[a1, B2], mul[b1, D2]]
+        c = add[mul[c1, A2], mul[d1, C2]]
+        d = add[mul[c1, B2], mul[d1, D2]]
+        if q % 2:
+            first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
+            flip = ~pos[first]
+            a = np.where(flip, neg[a], a)
+            b = np.where(flip, neg[b], b)
+            c = np.where(flip, neg[c], c)
+            d = np.where(flip, neg[d], d)
+        return self._pack[((a * q + b) * q + c) * q + d]
 
     # -- generators and conjugacy ---------------------------------------------
 
@@ -365,16 +390,6 @@ class PSL2:
 
     # -- misc -----------------------------------------------------------------
 
-    def neighbors_of(self, conn_mask: int, v: int) -> int:
-        """Bitmask of {s*v : s in conn}, i.e. the graph neighborhood of v."""
-        mask = 0
-        s = conn_mask
-        while s:
-            low = s & -s
-            mask |= 1 << self.mul(low.bit_length() - 1, v)
-            s ^= low
-        return mask
-
     def __repr__(self) -> str:
         return f"PSL(2,{self.q}) of order {self.order}"
 
@@ -389,7 +404,7 @@ def _gcd(a: int, b: int) -> int:
 def build_group(q: int) -> PSL2:
     """Construct PSL(2,q) with a full multiplication table when affordable."""
     group = PSL2(q)
-    if group.order <= _TABLE_LIMIT:
+    if group.table_fits():
         group.mult_table()
     return group
 

@@ -176,6 +176,7 @@ def test_criterion_3_feasibility_q17():
 # -- 4/5. exact searches, q=13 ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_cocliques_q13(an13):
     t0 = time.time()
     res_a = an13.cached_max_coclique(("6", "13"), 3600)
@@ -295,6 +296,7 @@ def test_criterion_9_non_spreading():
 # -- 10. end to end -------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end(cache_dir, capsys, tmp_path):
     t0 = time.time()
     report13 = tmp_path / "report13.json"

@@ -1,5 +1,6 @@
 import pytest
 
+from diagsync import certify
 from diagsync.certify import (
     AT_MOST_ONE,
     EXACTLY_ONE,
@@ -10,8 +11,8 @@ from diagsync.certify import (
     solve_cover_ilp,
 )
 from diagsync.graphs import build_graph
-from diagsync.psl2 import build_group, mask_elements, sylow_subgroup
-from diagsync.search import Budget, verify_coclique
+from diagsync.psl2 import PSL2, build_group, mask_elements, mask_from, sylow_subgroup
+from diagsync.search import Budget, algebraic_clique_seeds, verify_clique, verify_coclique
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +139,141 @@ def test_export_lp_toy_parse():
     terms = first.split(":")[1].split("=")[0].split("+")
     assert len(terms) == system.row_size
     assert " size: " in text
+
+
+# -- differential check of row generation -------------------------------------------
+
+
+def reference_rows(graph, clique):
+    """Every conjugate shape times every translate, each new image re-checked.
+
+    Plain reference for generate_translate_rows: group.mul per element, no
+    family reuse.  Returns (rows, partitions, edges_covered, shape count).
+    """
+    group = graph.group
+    n = group.order
+    conn = set(mask_elements(graph.connection))
+    base = tuple(sorted(clique))
+    gens = group.generators()
+    outer = [certify._frobenius_perm(group)]
+    if group.q % 2:
+        outer.append(certify._diagonal_outer_perm(group))
+    perms = [p for p in outer if p and {p[s] for s in conn} == conn]
+    seen = {frozenset(base)}
+    shapes = [base]
+    frontier = [base]
+    while frontier:
+        new = []
+        for shape in frontier:
+            images = [tuple(group.conj(x, g) for x in shape) for g in gens]
+            images += [tuple(p[x] for x in shape) for p in perms]
+            images.append(tuple(group.inv(x) for x in shape))
+            for img in images:
+                if frozenset(img) not in seen:
+                    seen.add(frozenset(img))
+                    shapes.append(img)
+                    new.append(img)
+        frontier = new
+    rows, row_index, partitions = [], {}, []
+    for shape in shapes:
+        family = set()
+        for t in range(n):
+            img = [group.mul(x, t) for x in shape]
+            mask = mask_from(img)
+            if mask not in row_index:
+                assert verify_clique(graph, img)
+                row_index[mask] = len(rows)
+                rows.append(mask)
+            family.add(row_index[mask])
+        family = sorted(family)
+        union = 0
+        disjoint = True
+        for ri in family:
+            disjoint = disjoint and not rows[ri] & union
+            union |= rows[ri]
+        if disjoint and union == (1 << n) - 1:
+            partitions.append(family)
+    cov = [0] * n
+    for mask in rows:
+        for v in mask_elements(mask):
+            cov[v] |= mask
+    edges_covered = all(
+        mask_from(group.mul(s, v) for s in conn) & ~cov[v] == 0 for v in range(n))
+    return rows, partitions, edges_covered, len(shapes)
+
+
+def _coset(group, sub_mask, a):
+    return [group.mul(h, a) for h in mask_elements(sub_mask)]
+
+
+def _spy_translates(monkeypatch) -> list:
+    """Record the shapes that generate_translate_rows translates."""
+    calls = []
+    real = certify._right_translates
+    monkeypatch.setattr(certify, "_right_translates",
+                        lambda group, shape: calls.append(shape) or real(group, shape))
+    return calls
+
+
+@pytest.mark.parametrize("q,labels,base_kind", [
+    (7, ["7"], "sylow"), (8, ["2"], "sylow"), (11, ["11"], "sylow"),
+    (7, ["3", "4"], "seed"), (8, ["3", "7"], "seed"), (11, ["2", "5"], "seed"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_rows_match_reference(q, labels, base_kind, monkeypatch):
+    g = build_group(q)
+    graph = build_graph(g, labels)
+    if base_kind == "sylow":
+        base = mask_elements(sylow_subgroup(g, g.field.p))
+    else:
+        base = list(algebraic_clique_seeds(graph)[0])
+    calls = _spy_translates(monkeypatch)
+    system = generate_translate_rows(graph, base)
+    rows, partitions, edges_covered, shapes = reference_rows(graph, base)
+    assert system.rows == rows
+    assert system.partitions == partitions
+    assert system.edges_covered == edges_covered
+    assert len(calls) <= shapes
+    # q=8 exercises the field automorphism, odd q the diagonal outer map
+    assert ("field automorphisms" in system.generator_note) == (q == 8)
+    assert ("diagonal outer" in system.generator_note) == (q % 2 == 1)
+
+
+def test_family_reuse_fires_on_a_coset_base(monkeypatch):
+    # the conjugates of a right coset Ha by the normaliser of H are right
+    # translates of Ha: those shapes reuse the family of Ha
+    g = build_group(7)
+    graph = build_graph(g, ["7"])
+    sylow = sylow_subgroup(g, 7)
+    a = next(x for x in range(g.order) if not (sylow >> x) & 1)
+    base = _coset(g, sylow, a)
+    calls = _spy_translates(monkeypatch)
+    system = generate_translate_rows(graph, base)
+    rows, partitions, _, shapes = reference_rows(graph, base)
+    # one family per Sylow 7-subgroup, each its 24 right cosets
+    assert len(calls) == 8 < shapes
+    assert system.rows == rows and len(rows) == 8 * 24
+    assert len(system.partitions) == shapes
+    assert system.partitions == partitions
+
+
+def test_rows_without_multiplication_table():
+    # a group built without its table computes product rows from field
+    # arithmetic; the rows must be the same
+    fresh = PSL2(7)
+    base = mask_elements(sylow_subgroup(fresh, 7))
+    system = generate_translate_rows(build_graph(fresh, ["7"]), base)
+    tabled = generate_translate_rows(build_graph(build_group(7), ["7"]), base)
+    assert fresh._table is None
+    assert system.rows == tabled.rows and system.partitions == tabled.partitions
+    assert system.edges_covered and len(system.rows) == 8 * 24
+
+
+def test_q9_unfused_class_rows_are_cliques():
+    # the diagonal outer map swaps 3A and 3B, so it must not act on G[3A]
+    g = build_group(9)
+    graph = build_graph(g, ["3A"])
+    base = algebraic_clique_seeds(graph)[0]
+    system = generate_translate_rows(graph, base)
+    assert "diagonal outer" not in system.generator_note
+    assert system.rows
+    assert all(verify_clique(graph, mask_elements(mask)) for mask in system.rows)

@@ -97,3 +97,31 @@ def test_analyze_and_verify_roundtrip(capsys, tmp_path):
     report_path.write_text(json.dumps(report))
     code, out = run_cli(capsys, "verify", str(report_path))
     assert code == 1 and not json.loads(out)["ok"]
+
+
+def test_search_threads_match_serial(capsys):
+    # G[3,7] at q=8 has enough pinned subproblems to fan out to workers
+    results = []
+    for threads in ("1", "2"):
+        code, out = run_cli(capsys, "search", "--q", "8", "--classes", "3,7",
+                            "--mode", "clique", "--threads", threads)
+        data = json.loads(out)
+        results.append((code, data["size"], data["exhaustive"]))
+    assert results[0] == results[1] == (0, 11, True)
+    assert data["method"] == "pinned-bb-x2"
+
+
+def test_analyze_beyond_table_limit_is_unknown(capsys, tmp_path):
+    # PSL(2,25) has no multiplication table: the scheme stages are skipped,
+    # and the spreading witness still proves non-spreading
+    report_path = tmp_path / "report25.json"
+    code = main(["analyze", "--q", "25", "--out", str(report_path)])
+    assert code == 2
+    report = json.loads(report_path.read_text())
+    verdict = report["verdict"]
+    assert verdict["separating"] == "UNKNOWN" and verdict["spreading"] == "NO"
+    assert "table limit" in verdict["notes"][0]
+    assert report["graphs"] == []
+    capsys.readouterr()
+    code, out = run_cli(capsys, "verify", str(report_path))
+    assert code == 0 and json.loads(out)["ok"]

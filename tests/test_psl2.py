@@ -53,6 +53,16 @@ def test_canonical_consistency_between_table_and_scalar():
         assert scalar == g.mul(a, b)
 
 
+@pytest.mark.parametrize("q", [8, 9])
+def test_product_rows_without_table_match_table(q):
+    fresh = PSL2(q)                      # no table built yet
+    table = build_group(q).mult_table()
+    idx = [0, 5, 17, fresh.order - 1]
+    assert (fresh.mul_rows(idx) == table[idx]).all()
+    assert fresh.mul_column(idx, 42) == table[idx, 42].tolist()
+    assert fresh._table is None
+
+
 def test_order_census_q13():
     g = build_group(13)
     # independent oracle: bucket elements by order computed from scratch

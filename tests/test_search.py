@@ -143,6 +143,7 @@ def test_parallel_matches_serial(g13):
     assert serial.size == parallel.size == 26
 
 
+@pytest.mark.slow
 def test_delsarte_product_bound_on_search_results():
     g = build_group(9)
     for labels in (("2",), ("4",), ("5",), ("2", "5")):
