@@ -23,7 +23,15 @@ pair against the connection set.
 
 The internal solver is a propagation-based exact branch-and-bound over binary
 choices (no floating point); the LP export provides the same model in a
-solver-neutral text format for external reproduction.
+solver-neutral text format for external reproduction.  The EXACTLY_ONE search
+keeps its state in arrays: the alive count and done flag of every row, the
+chosen vertices and the pair counts per label, beside the alive-vertex mask.
+Choosing a vertex removes its precomputed kill mask (itself, its neighbours
+and its rows) and subtracts one bincount over the vertex-row incidence of the
+removed vertices from the row counts; each branch is undone by restoring the
+snapshot taken at its node.  Branching is unchanged: the first not-done row of
+least alive count, its alive vertices in ascending order, after forcing every
+row left with one alive vertex.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_elements, mask_from
+from .psl2 import PSL2, mask_elements, mask_array, mask_from
 from .search import Budget, verify_clique
 
 AT_MOST_ONE = "AT_MOST_ONE"
@@ -311,150 +319,136 @@ class _CoverSolver:
         self.n = self.group.order
         self.rows = system.rows
         self.full = (1 << self.n) - 1
-        self.use_adjacency = True  # sound: EXACTLY_ONE enforces it by contract;
-        # for AT_MOST_ONE it is an inference only when rows cover all edges
+        # rows through each vertex, as lists and as one array padded with the
+        # out-of-range row index len(rows)
+        self.vrows: list[list[int]] = [[] for _ in range(self.n)]
+        for ri, mask in enumerate(self.rows):
+            for v in mask_elements(mask):
+                self.vrows[v].append(ri)
+        width = max(map(len, self.vrows))
+        self.incidence = np.full((self.n, width), len(self.rows), dtype=np.int32)
+        for v, through in enumerate(self.vrows):
+            self.incidence[v, :len(through)] = through
+        self._reach: list[int | None] = [None] * self.n
+        self._kill: list[int | None] = [None] * self.n
         self.pair_limits = None
         if pair_budget:
             fused = self.group.fusion_orbits()
             classes = self.group.conjugacy_classes()
-            label_of = [fused[classes[self.group.class_of(g)].fusion_orbit].label
-                        for g in range(self.n)]
-            self.label_of = label_of
-            self.pair_limits = dict(pair_budget)
+            self.label_id = np.array(
+                [classes[self.group.class_of(g)].fusion_orbit for g in range(self.n)],
+                dtype=np.int32)
+            # a label without a cap can never exceed n*n pairs
+            self.pair_limits = np.array(
+                [pair_budget.get(o.label, self.n * self.n) for o in fused], dtype=np.int32)
+
+    def reach(self, v: int) -> int:
+        """v and every row through it, as one mask (built on first use)."""
+        mask = self._reach[v]
+        if mask is None:
+            mask = 1 << v
+            for ri in self.vrows[v]:
+                mask |= self.rows[ri]
+            self._reach[v] = mask
+        return mask
+
+    def kill(self, v: int) -> int:
+        """reach(v) and v's neighbours: what choosing v removes under independence."""
+        mask = self._kill[v]
+        if mask is None:
+            mask = self.reach(v) | self.graph.neighbors(v)
+            self._kill[v] = mask
+        return mask
 
     # ---- exactly-one feasibility ----------------------------------------------
 
     def exactly_one(self, target: int, pin: bool):
+        """Depth-first search for an independent transversal of size target.
+
+        The state is the alive-vertex mask, the alive count and done flag of
+        every row, the chosen vertices and the pair counts per label; each
+        branch restores a snapshot of it taken at its node.
+        """
         rows = self.rows
         n_rows = len(rows)
+        n = self.n
         group = self.group
+        incidence = self.incidence
+        limits = self.pair_limits
+        closed = n + 1                       # sorts done rows after every open one
         alive = self.full
-        row_alive = [r.bit_count() for r in rows]
-        row_done = [False] * n_rows
-        vrows: list[list[int]] = [[] for _ in range(self.n)]
-        for ri, mask in enumerate(rows):
-            for v in mask_elements(mask):
-                vrows[v].append(ri)
+        row_alive = np.array([r.bit_count() for r in rows], dtype=np.int32)
+        row_done = np.zeros(n_rows, dtype=bool)
         chosen: list[int] = []
-        counts: dict[str, int] = {}
-        trail: list[tuple] = []
-
-        def eliminate(vmask: int):
-            nonlocal alive
-            vmask &= alive
-            alive &= ~vmask
-            removed = []
-            m = vmask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                for ri in vrows[v]:
-                    row_alive[ri] -= 1
-                removed.append(v)
-                m ^= low
-            trail.append(("elim", removed))
-            return removed
+        counts = np.zeros(0 if limits is None else len(limits), dtype=np.int32)
 
         def choose(v: int) -> bool:
             nonlocal alive
-            if self.pair_limits is not None:
-                inc: dict[str, int] = {}
-                for u in chosen:
-                    lab = self.label_of[group.mul(u, group.inv(v))]
-                    inc[lab] = inc.get(lab, 0) + 1
-                for lab, k in inc.items():
-                    limit = self.pair_limits.get(lab)
-                    if limit is not None and counts.get(lab, 0) + k > limit:
-                        trail.append(("noop",))
-                        return False
-                for lab, k in inc.items():
-                    counts[lab] = counts.get(lab, 0) + k
-                trail.append(("counts", inc))
-            else:
-                trail.append(("noop",))
+            if limits is not None and chosen:
+                quotients = group.mul_column(chosen, group.inv(v))   # u * v^-1
+                added = np.bincount(self.label_id[quotients], minlength=len(limits))
+                if (counts + added > limits).any():
+                    return False
+                counts[:] += added
             chosen.append(v)
-            trail.append(("chosen",))
-            done_now = []
-            kill = self.graph.neighbors(v)
-            for ri in vrows[v]:
-                if row_done[ri]:
-                    # two chosen in one row is impossible: v was alive
-                    raise AssertionError("row chosen twice")
-                row_done[ri] = True
-                done_now.append(ri)
-                kill |= rows[ri]
-            trail.append(("done", done_now))
-            eliminate(kill & ~(1 << v) & self.full)
-            eliminate(1 << v)
+            through = incidence[v, :len(self.vrows[v])]
+            if row_done[through].any():
+                # two chosen in one row is impossible: v was alive
+                raise AssertionError("row chosen twice")
+            row_done[through] = True
+            removed = self.kill(v) & alive
+            alive ^= removed
+            hits = incidence[mask_array(removed, n)].ravel()
+            row_alive[:] -= np.bincount(hits, minlength=n_rows + 1)[:n_rows]
             return True
 
-        def undo(mark: int):
-            nonlocal alive
-            while len(trail) > mark:
-                entry = trail.pop()
-                if entry[0] == "elim":
-                    for v in entry[1]:
-                        alive |= 1 << v
-                        for ri in vrows[v]:
-                            row_alive[ri] += 1
-                elif entry[0] == "done":
-                    for ri in entry[1]:
-                        row_done[ri] = False
-                elif entry[0] == "chosen":
-                    chosen.pop()
-                elif entry[0] == "counts":
-                    for lab, k in entry[1].items():
-                        counts[lab] -= k
+        def first_open_min() -> tuple[int, int]:
+            """The first not-done row of least alive count, and that count."""
+            open_counts = np.where(row_done, closed, row_alive)
+            ri = int(open_counts.argmin())
+            return ri, int(open_counts[ri])
+
+        def lowest_alive(ri: int) -> int:
+            m = rows[ri] & alive
+            return (m & -m).bit_length() - 1
 
         def propagate() -> bool:
             while True:
-                forced = None
-                for ri in range(n_rows):
-                    if row_done[ri]:
-                        continue
-                    c = row_alive[ri]
-                    if c == 0:
-                        return False
-                    if c == 1:
-                        forced = ri
-                        break
-                if forced is None:
+                ri, c = first_open_min()
+                if c == 0:
+                    return False
+                if c != 1:
                     return True
-                v = (rows[forced] & alive)
-                v = (v & -v).bit_length() - 1
-                if not choose(v):
+                if not choose(lowest_alive(ri)):
                     return False
 
         def search() -> str:
+            nonlocal alive
             if self.meter.tick():
                 return EXHAUSTED_LOCAL
             if len(chosen) == target:
-                if all(row_done):
+                if row_done.all():
                     return FOUND_LOCAL
                 return DEAD_LOCAL
-            best_ri, best_c = -1, None
-            for ri in range(n_rows):
-                if not row_done[ri]:
-                    c = row_alive[ri]
-                    if c == 0:
-                        return DEAD_LOCAL
-                    if best_c is None or c < best_c:
-                        best_ri, best_c = ri, c
-                        if c == 1:
-                            break
-            if best_ri < 0:
-                return DEAD_LOCAL  # all rows done but size short: nothing addable
+            best_ri, best_c = first_open_min()
+            if best_c in (0, closed):
+                return DEAD_LOCAL  # a dead row, or all rows done but size short
+            snapshot = (alive, row_alive.copy(), row_done.copy(), len(chosen),
+                        counts.copy())
             m = rows[best_ri] & alive
             while m:
                 low = m & -m
                 v = low.bit_length() - 1
                 m ^= low
-                mark = len(trail)
                 if choose(v) and propagate():
                     out = search()
                     if out in (FOUND_LOCAL, EXHAUSTED_LOCAL):
                         return out
-                undo(mark)
+                alive = snapshot[0]
+                row_alive[:] = snapshot[1]
+                row_done[:] = snapshot[2]
+                del chosen[snapshot[3]:]
+                counts[:] = snapshot[4]
             return DEAD_LOCAL
 
         if pin:
@@ -476,10 +470,6 @@ class _CoverSolver:
         greedy = self._greedy_packing()
         best = {"size": len(greedy), "set": tuple(greedy)}
         n_rows = len(rows)
-        vrows: list[list[int]] = [[] for _ in range(self.n)]
-        for ri, mask in enumerate(rows):
-            for v in mask_elements(mask):
-                vrows[v].append(ri)
         use_adj = system.edges_covered
 
         def bound(alive: int, used_rows: list[bool], size: int) -> int:
@@ -500,14 +490,10 @@ class _CoverSolver:
                 best["set"] = tuple(sorted(chosen))
 
         def branch(v: int, alive: int, restrict: int):
-            marks = [ri for ri in vrows[v] if not used[ri]]
+            marks = [ri for ri in self.vrows[v] if not used[ri]]
             for ri in marks:
                 used[ri] = True
-            kill = 0
-            for ri in vrows[v]:
-                kill |= rows[ri]
-            if use_adj:
-                kill |= self.graph.neighbors(v)
+            kill = self.kill(v) if use_adj else self.reach(v)
             chosen.append(v)
             search((alive & ~kill) & restrict)
             chosen.pop()
@@ -558,18 +544,13 @@ class _CoverSolver:
         return best["size"], best["set"], complete, upper
 
     def _greedy_packing(self) -> list[int]:
-        rows = self.rows
         taken: list[int] = []
         blocked = 0
         for v in range(self.n):
             if (blocked >> v) & 1:
                 continue
             taken.append(v)
-            for ri, mask in enumerate(rows):
-                if (mask >> v) & 1:
-                    blocked |= mask
-            if self.system.edges_covered:
-                blocked |= self.graph.neighbors(v)
+            blocked |= self.kill(v) if self.system.edges_covered else self.reach(v)
         return taken
 
 

@@ -133,8 +133,6 @@ class TableRow:
     alpha_target: int
     families: list[FeasiblePair]
     novel: bool = True            # False: families repeat earlier rows' (swapped)
-    omega_realized: bool | None = None
-    alpha_realized: bool | None = None
     notes: list[str] | None = None
 
 

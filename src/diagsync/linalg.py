@@ -35,11 +35,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
-def vec_mat(v: Vector, a: Matrix) -> Vector:
-    cols = len(a[0])
-    return [sum((v[i] * a[i][j] for i in range(len(v))), Fraction(0)) for j in range(cols)]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     m = [row[:] for row in m]

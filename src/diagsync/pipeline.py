@@ -50,7 +50,6 @@ from .witnesses import (
 
 ELIMINATED_FEASIBILITY = "ELIMINATED_FEASIBILITY"
 SEPARATING_BY_SEARCH = "SEPARATING_BY_SEARCH"
-SEPARATING_BY_ILP = "SEPARATING_BY_ILP"
 SEPARATING_BY_CSP = "SEPARATING_BY_CSP"
 SEPARATING_BY_INFERENCE = "SEPARATING_BY_INFERENCE"
 SEPARATING_BY_NONEXISTENCE = "SEPARATING_BY_NONEXISTENCE"
@@ -285,7 +284,7 @@ class Analyzer:
         return payload
 
     def cached_csp(self, labels, base_clique, target: int, pair_budget,
-                   secs: float | None = None, complement: bool = False) -> dict:
+                   secs: float | None = None) -> dict:
         if len(base_clique) * target != self.group.order:
             raise ValueError("exact-hit refutation requires |C| * target = |Omega|")
         key = {"op": "exact_hit_csp", "q": self.q, "classes": sorted(labels),
@@ -462,7 +461,7 @@ class Analyzer:
                 payload = self.cached_csp(gv.clique_classes, star["witness"],
                                           gv.alpha_target,
                                           self._pair_budget(gv, coclique_side=True),
-                                          secs, complement=False)
+                                          secs)
                 if payload["status"] == PROVEN_INFEASIBLE:
                     gv.status = SEPARATING_BY_CSP
                     gv.reason = (
@@ -480,7 +479,7 @@ class Analyzer:
                 payload = self.cached_csp(gv.coclique_classes, star["witness"],
                                           gv.omega_target,
                                           self._pair_budget(gv, coclique_side=False),
-                                          secs, complement=True)
+                                          secs)
                 if payload["status"] == PROVEN_INFEASIBLE:
                     gv.status = SEPARATING_BY_CSP
                     gv.reason = (

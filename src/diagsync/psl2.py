@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -159,7 +160,7 @@ class PSL2:
                 n = len(cyc) + 1
                 for k, y in enumerate(cyc, start=1):
                     if not orders[y]:
-                        orders[y] = n // _gcd(n, k)
+                        orders[y] = n // gcd(n, k)
             self._orders = orders
         return self._orders
 
@@ -311,7 +312,7 @@ class PSL2:
             power = x
             for k in range(2, n):
                 power = self.mul(power, x)
-                if _gcd(k, n) == 1:
+                if gcd(k, n) == 1:
                     a, b = find(c.id), find(self._class_of[power])
                     if a != b:
                         parent[max(a, b)] = min(a, b)
@@ -394,12 +395,6 @@ class PSL2:
         return f"PSL(2,{self.q}) of order {self.order}"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @lru_cache(maxsize=None)
 def build_group(q: int) -> PSL2:
     """Construct PSL(2,q) with a full multiplication table when affordable."""
@@ -425,6 +420,12 @@ def mask_elements(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def mask_array(mask: int, n: int) -> np.ndarray:
+    """A mask over n elements as a boolean array: entry i is bit i."""
+    data = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=n, bitorder="little").view(bool)
 
 
 def closure(group: PSL2, gens, limit: int | None = None) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -75,12 +76,6 @@ class AssociationScheme:
 
     def relation_of_element(self, g: int) -> int:
         return int(self._rel_of[g])
-
-    def relation_by_label(self, label: str) -> Relation:
-        for r in self.relations:
-            if r.label == label:
-                return r
-        raise KeyError(label)
 
     def labels(self) -> list[str]:
         return [r.label for r in self.relations]
@@ -360,7 +355,7 @@ def projection_matrices_scaled(scheme: AssociationScheme) -> tuple[list[np.ndarr
     denom = 1
     for j in range(n):
         for i in range(n):
-            denom = denom * qmat[j][i].denominator // _gcd(denom, qmat[j][i].denominator)
+            denom = denom * qmat[j][i].denominator // gcd(denom, qmat[j][i].denominator)
     scale = scheme.omega * denom
     adj = adjacency_matrices(scheme)
     mats = []
@@ -371,9 +366,3 @@ def projection_matrices_scaled(scheme: AssociationScheme) -> tuple[list[np.ndarr
             acc += int(coeff) * adj[j]
         mats.append(acc)
     return mats, scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

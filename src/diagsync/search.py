@@ -18,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graphs import ClassUnionGraph, complement_graph
 from .psl2 import (
     PSL2,
@@ -26,6 +28,7 @@ from .psl2 import (
     cyclic_subgroup,
     dihedral_subgroup,
     mask_elements,
+    mask_from,
     stabilizer_torus_element,
     sylow_subgroup,
     unipotent_subgroup,
@@ -193,65 +196,39 @@ def algebraic_clique_seeds(graph: ClassUnionGraph) -> list[tuple[int, ...]]:
         h = mask_elements(mask)
         if len(h) < 7 or group.order // len(h) > 120:
             continue
-        union = _best_coset_union(graph, h, mask)
+        union = _best_coset_union(graph, h)
         if union and len(union) > len(h):
             seeds.append(union)
     seeds.sort(key=len, reverse=True)
     return seeds
 
 
-def _best_coset_union(graph: ClassUnionGraph, h: list[int], hmask: int):
-    """Largest union of right cosets of H that forms a clique (exact, small)."""
+def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
+    """Largest union of right cosets of H that forms a clique (exact, small).
+
+    Cosets Hx and Hy are compatible when H(xy^-1)H lies in the connection
+    set; each coset is represented by its least element.  The connection set
+    is a union of conjugacy classes, so h1 z h2 lies in it exactly when its
+    conjugate z h2 h1 does: HzH lies in it exactly when zH does.
+    """
     group = graph.group
-    conn = graph.connection
-    idbit = 1 << group.identity
-    reps = []
-    seen = 0
-    for x in range(group.order):
-        if not (seen >> x) & 1:
-            coset = [group.mul(hh, x) for hh in h]
-            for y in coset:
-                seen |= 1 << y
-            reps.append(x)
-    ok_dcoset: dict[int, bool] = {}
-
-    def compatible(x: int, y: int) -> bool:
-        z = group.mul(x, group.inv(y))
-        hit = ok_dcoset.get(z)
-        if hit is None:
-            good = True
-            for h1 in h:
-                t = group.mul(h1, z)
-                for h2 in h:
-                    q = group.mul(t, h2)
-                    if not (conn >> q) & 1:
-                        good = False
-                        break
-                if not good:
-                    break
-            ok_dcoset[z] = good
-            hit = good
-        return hit
-
-    m = len(reps)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if compatible(reps[i], reps[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    n = group.order
+    conn = np.zeros(n, dtype=bool)
+    conn[graph.connection_elements()] = True
+    inv = np.array([group.inv(x) for x in range(n)])
+    left = group.mul_rows(h)                  # left[i, x] = h_i * x: column x is Hx
+    reps = np.flatnonzero(left.min(axis=0) == np.arange(n))
+    # column z runs over zH, as (h_i z^-1)^-1 = z h_i^-1
+    ok = conn[inv[left[:, inv]]].all(axis=0)   # ok[z]: HzH inside the connection set
+    quotients = group.mul_rows(reps)[:, inv[reps]]    # reps[i] * reps[j]^-1
+    # symmetric, as the connection set is inverse-closed, and false on the
+    # diagonal, as it misses the identity
+    adj = [mask_from(np.flatnonzero(line).tolist()) for line in ok[quotients]]
     meter = _Meter(200000, time.monotonic() + 5.0)
     best_size, best_mask, _ = _bb_max_clique(adj, 1, meter)
     if best_size <= 1:
         return None
-    out = []
-    bm = best_mask
-    while bm:
-        low = bm & -bm
-        x = reps[low.bit_length() - 1]
-        out.extend(group.mul(hh, x) for hh in h)
-        bm ^= low
-    out = tuple(sorted(out))
+    out = tuple(sorted(left[:, reps[mask_elements(best_mask)]].ravel().tolist()))
     return out if verify_clique(graph, out) else None
 
 

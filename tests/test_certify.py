@@ -11,6 +11,7 @@ from diagsync.certify import (
     solve_cover_ilp,
 )
 from diagsync.graphs import build_graph
+from diagsync.pipeline import Analyzer, PipelineConfig
 from diagsync.psl2 import PSL2, build_group, mask_elements, mask_from, sylow_subgroup
 from diagsync.search import Budget, algebraic_clique_seeds, verify_clique, verify_coclique
 
@@ -75,6 +76,7 @@ def test_exactly_one_84_proven_infeasible(sys13):
                           pair_budget=pair_budget)
     assert res.status == PROVEN_INFEASIBLE
     assert res.target == 84
+    assert res.nodes == 15390
 
 
 def test_exactly_one_feasible_small_case():
@@ -277,3 +279,205 @@ def test_q9_unfused_class_rows_are_cliques():
     assert "diagonal outer" not in system.generator_note
     assert system.rows
     assert all(verify_clique(graph, mask_elements(mask)) for mask in system.rows)
+
+
+# -- differential check of the exact-hit solver -------------------------------------
+
+
+def reference_exactly_one(system, target, pin, meter, pair_budget):
+    """Exact-hit search on a trail of undo entries, one vertex and row at a time.
+
+    Plain reference for _CoverSolver.exactly_one: same branching rule, same
+    propagation and pair budget.  Returns (status, witness, rejections), where
+    rejections counts the choices the pair budget refused.
+    """
+    graph = system.graph
+    group = graph.group
+    n = group.order
+    rows = system.rows
+    n_rows = len(rows)
+    label_of = limits = None
+    if pair_budget:
+        fused = group.fusion_orbits()
+        classes = group.conjugacy_classes()
+        label_of = [fused[classes[group.class_of(g)].fusion_orbit].label for g in range(n)]
+        limits = dict(pair_budget)
+    alive = (1 << n) - 1
+    row_alive = [r.bit_count() for r in rows]
+    row_done = [False] * n_rows
+    vrows = [[] for _ in range(n)]
+    for ri, mask in enumerate(rows):
+        for v in mask_elements(mask):
+            vrows[v].append(ri)
+    chosen, counts, trail = [], {}, []
+    rejections = 0
+
+    def eliminate(vmask):
+        nonlocal alive
+        vmask &= alive
+        alive &= ~vmask
+        removed = mask_elements(vmask)
+        for v in removed:
+            for ri in vrows[v]:
+                row_alive[ri] -= 1
+        trail.append(("elim", removed))
+
+    def choose(v):
+        nonlocal rejections
+        inc = {}
+        if limits is not None:
+            for u in chosen:
+                lab = label_of[group.mul(u, group.inv(v))]
+                inc[lab] = inc.get(lab, 0) + 1
+            for lab, k in inc.items():
+                if lab in limits and counts.get(lab, 0) + k > limits[lab]:
+                    rejections += 1
+                    return False
+            for lab, k in inc.items():
+                counts[lab] = counts.get(lab, 0) + k
+        trail.append(("counts", inc))
+        chosen.append(v)
+        trail.append(("chosen",))
+        kill = graph.neighbors(v)
+        for ri in vrows[v]:
+            assert not row_done[ri]
+            row_done[ri] = True
+            kill |= rows[ri]
+        trail.append(("done", list(vrows[v])))
+        eliminate(kill & ~(1 << v))
+        eliminate(1 << v)
+        return True
+
+    def undo(mark):
+        nonlocal alive
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry[0] == "elim":
+                for v in entry[1]:
+                    alive |= 1 << v
+                    for ri in vrows[v]:
+                        row_alive[ri] += 1
+            elif entry[0] == "done":
+                for ri in entry[1]:
+                    row_done[ri] = False
+            elif entry[0] == "chosen":
+                chosen.pop()
+            else:
+                for lab, k in entry[1].items():
+                    counts[lab] -= k
+
+    def propagate():
+        while True:
+            forced = None
+            for ri in range(n_rows):
+                if not row_done[ri]:
+                    if row_alive[ri] == 0:
+                        return False
+                    if row_alive[ri] == 1:
+                        forced = ri
+                        break
+            if forced is None:
+                return True
+            m = rows[forced] & alive
+            if not choose((m & -m).bit_length() - 1):
+                return False
+
+    def search():
+        if meter.tick():
+            return "exhausted"
+        if len(chosen) == target:
+            return "found" if all(row_done) else "dead"
+        best_ri, best_c = -1, None
+        for ri in range(n_rows):
+            if not row_done[ri]:
+                c = row_alive[ri]
+                if c == 0:
+                    return "dead"
+                if best_c is None or c < best_c:
+                    best_ri, best_c = ri, c
+                    if c == 1:
+                        break
+        if best_ri < 0:
+            return "dead"
+        for v in mask_elements(rows[best_ri] & alive):
+            mark = len(trail)
+            if choose(v) and propagate():
+                out = search()
+                if out != "dead":
+                    return out
+            undo(mark)
+        return "dead"
+
+    if pin and not (choose(group.identity) and propagate()):
+        return PROVEN_INFEASIBLE, (), rejections
+    out = search()
+    if out == "found":
+        return "FEASIBLE", tuple(sorted(chosen)), rejections
+    if out == "exhausted":
+        return certify.BRACKET, (), rejections
+    return PROVEN_INFEASIBLE, (), rejections
+
+
+def _sylow_system(q, labels):
+    g = build_group(q)
+    graph = build_graph(g, labels)
+    return generate_translate_rows(graph, mask_elements(sylow_subgroup(g, g.field.p)))
+
+
+@pytest.fixture(scope="module")
+def sys_6_13():
+    """The pipeline's covering program on G[6,13]: realized clique and pair budget."""
+    analyzer = Analyzer(13, PipelineConfig())
+    analyzer.feasibility_stage()
+    analyzer.realization_stage()
+    gv = next(gv for gv in analyzer.verdict.graphs if gv.clique_classes == ("6", "13"))
+    graph = build_graph(analyzer.group, gv.clique_classes)
+    system = generate_translate_rows(graph, gv.stars["omega"]["witness"])
+    return system, gv.alpha_target, analyzer._pair_budget(gv, coclique_side=True)
+
+
+def _differential(system, target, pin=True, nodes=10 ** 6, pair_budget=None):
+    res = solve_cover_ilp(system, EXACTLY_ONE, target_size=target,
+                          budget=Budget(max_nodes=nodes, max_seconds=3600),
+                          pair_budget=pair_budget, pin_first=pin)
+    meter = Budget(max_nodes=nodes, max_seconds=3600).start()
+    status, witness, rejections = reference_exactly_one(
+        system, target, pin and system.translation_closed, meter, pair_budget)
+    assert (res.status, res.witness, res.nodes) == (status, witness, meter.nodes)
+    return res, rejections
+
+
+@pytest.mark.parametrize("pair_budget,status", [
+    (None, "FEASIBLE"),
+    ({"2": 18}, "FEASIBLE"),             # the witness has 18 pairs of label 2
+    ({"2": 17}, PROVEN_INFEASIBLE),
+])
+def test_solver_matches_reference_q5(pair_budget, status):
+    res, _ = _differential(_sylow_system(5, ["5"]), 12, pair_budget=pair_budget)
+    assert res.status == status
+
+
+def test_solver_matches_reference_pair_budget(sys_6_13):
+    system, target, pair_budget = sys_6_13
+    res, rejections = _differential(system, target, pair_budget=pair_budget)
+    assert res.status == PROVEN_INFEASIBLE and res.nodes == 375
+    assert rejections > 0
+
+
+def test_solver_matches_reference_on_budget(sys13):
+    pair_budget = {"2": 294, "3": 588, "6": 588, "7": 2016, "13": 0}
+    res, _ = _differential(sys13, 84, nodes=500, pair_budget=pair_budget)
+    assert res.status == certify.BRACKET and res.nodes == 501
+
+
+@pytest.mark.parametrize("pin", [True, False])
+@pytest.mark.parametrize("q,labels,base_kind,nodes", [
+    (7, ["7"], "sylow", 10 ** 6), (8, ["2"], "sylow", 5000), (11, ["2", "5"], "seed", 10 ** 6),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_solver_matches_reference_small_q(q, labels, base_kind, nodes, pin):
+    if base_kind == "sylow":
+        system = _sylow_system(q, labels)
+    else:
+        graph = build_graph(build_group(q), labels)
+        system = generate_translate_rows(graph, algebraic_clique_seeds(graph)[0])
+    _differential(system, system.graph.vertex_count // system.row_size, pin=pin, nodes=nodes)

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from diagsync import search
 from diagsync.graphs import build_graph, complement_graph
 from diagsync.psl2 import build_group
 from diagsync.search import (
@@ -152,3 +154,65 @@ def test_delsarte_product_bound_on_search_results():
         co = max_coclique(graph, Budget(max_seconds=120))
         if cl.exhaustive and co.exhaustive:
             assert cl.size * co.size <= g.order
+
+
+# -- differential check of the coset-union seeds -------------------------------------
+
+
+def reference_best_coset_union(graph, h):
+    """Coset representatives and pairwise compatibility one group.mul at a time.
+
+    Plain reference for search._best_coset_union.
+    """
+    group = graph.group
+    conn = graph.connection
+    reps, seen = [], set()
+    for x in range(group.order):
+        if x not in seen:
+            seen.update(group.mul(hh, x) for hh in h)
+            reps.append(x)
+
+    def compatible(x, y):
+        z = group.mul(x, group.inv(y))
+        return all((conn >> group.mul(group.mul(h1, z), h2)) & 1 for h1 in h for h2 in h)
+
+    adj = [0] * len(reps)
+    for i, j in itertools.combinations(range(len(reps)), 2):
+        if compatible(reps[i], reps[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    best_size, best_mask, _ = search._bb_max_clique(
+        adj, 1, search._Meter(200000, float("inf")))
+    if best_size <= 1:
+        return None
+    out = tuple(sorted(group.mul(hh, reps[i]) for i in range(len(reps))
+                       if (best_mask >> i) & 1 for hh in h))
+    return out if verify_clique(graph, out) else None
+
+
+def _class_union_label_sets(group):
+    """Every proper class-union connection set, as unfused class labels."""
+    classes = group.conjugacy_classes()
+    units = {tuple(sorted({c.label, classes[c.inverse_class].label}))
+             for c in classes if c.element_order > 1}
+    units = sorted(units)
+    for k in range(1, len(units)):
+        for pick in itertools.combinations(units, k):
+            yield [label for unit in pick for label in unit]
+
+
+def _seed_cases():
+    for q in (7, 11):
+        for labels in _class_union_label_sets(build_group(q)):
+            yield q, labels
+    for labels in (["13"], ["6", "13"], ["3", "13"]):
+        yield 13, labels
+
+
+@pytest.mark.parametrize("q,labels", list(_seed_cases()),
+                         ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_seeds_match_reference(q, labels, monkeypatch):
+    graph = build_graph(build_group(q), labels)
+    seeds = algebraic_clique_seeds(graph)
+    monkeypatch.setattr(search, "_best_coset_union", reference_best_coset_union)
+    assert seeds == algebraic_clique_seeds(graph)
