@@ -92,6 +92,7 @@ class CoverBound:
     elapsed: float
     system: dict
     notes: list[str] = field(default_factory=list)
+    timed_out: bool = False        # stopped by the clock: not reproducible
 
     def payload(self) -> dict:
         return {
@@ -297,7 +298,7 @@ def solve_cover_ilp(system: TranslateRowSystem, sense: str,
             notes.append("rows do not cover all edges; independence enforced directly")
         return CoverBound(sense, status, lower, upper, target_size, witness,
                           meter.nodes, time.monotonic() - t0,
-                          system.descriptor(), notes)
+                          system.descriptor(), notes, meter.timed_out)
     best_size, best_set, complete, upper = solver.maximize(
         pin_first and system.translation_closed)
     status = PROVEN_OPTIMUM if complete else BRACKET
@@ -307,7 +308,7 @@ def solve_cover_ilp(system: TranslateRowSystem, sense: str,
     return CoverBound(AT_MOST_ONE, status, best_size,
                       best_size if complete else upper, None, best_set,
                       meter.nodes, time.monotonic() - t0,
-                      system.descriptor(), notes)
+                      system.descriptor(), notes, meter.timed_out)
 
 
 class _CoverSolver:

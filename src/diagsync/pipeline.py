@@ -16,10 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 from . import __version__
 from .certify import (
+    BRACKET,
     EXACTLY_ONE,
     PROVEN_INFEASIBLE,
     generate_translate_rows,
@@ -174,35 +176,56 @@ class FactBase:
 
 
 class Cache:
+    """Sealed payloads by key, in memory and, given a path, in files written
+    whole; a file that does not parse or fails its digest is a miss."""
+
     def __init__(self, path: str | None):
         self.path = path
+        self.memory: dict[str, dict] = {}
         if path:
             os.makedirs(path, exist_ok=True)
 
-    def _file(self, key: dict) -> str | None:
-        if not self.path:
-            return None
-        digest = hashlib.sha256(
-            json.dumps(key, sort_keys=True).encode()).hexdigest()[:24]
-        return os.path.join(self.path, digest + ".json")
-
     def get(self, key: dict):
-        f = self._file(key)
-        if f and os.path.exists(f):
-            with open(f) as fh:
-                return json.load(fh)
-        return None
+        name = json.dumps(key, sort_keys=True)
+        if name not in self.memory and self.path:
+            try:
+                with open(self._file(name)) as fh:
+                    hit = json.load(fh)
+            except (FileNotFoundError, ValueError):
+                hit = None
+            if _intact(hit):
+                self.memory[name] = hit
+        return self.memory.get(name)
 
     def put(self, key: dict, value: dict):
-        f = self._file(key)
-        if f:
-            with open(f, "w") as fh:
+        name = json.dumps(key, sort_keys=True)
+        self.memory[name] = value
+        if self.path:
+            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
                 json.dump(value, fh, sort_keys=True)
+            os.replace(tmp, self._file(name))
+
+    def _file(self, name: str) -> str:
+        digest = hashlib.sha256(name.encode()).hexdigest()[:24]
+        return os.path.join(self.path, digest + ".json")
 
 
 def certificate_digest(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _intact(payload) -> bool:
+    return isinstance(payload, dict) and payload.get("digest") == certificate_digest(
+        {k: v for k, v in payload.items() if k != "digest"})
+
+
+def _final(payload: dict) -> bool:
+    """Settled under any budget: exhaustive, FOUND/NONE, or a covering verdict."""
+    if "status" in payload:
+        return payload["status"] not in (EXHAUSTED, BRACKET)
+    return payload["exhaustive"]
 
 
 def sealed(payload: dict) -> dict:
@@ -244,63 +267,61 @@ class Analyzer:
         return Budget(max_nodes=self.config.budget_nodes,
                       max_seconds=secs if secs is not None else self.config.budget_secs)
 
-    def cached_max_coclique(self, labels, secs: float | None = None) -> dict:
-        key = {"op": "max_coclique", "q": self.q, "classes": sorted(labels)}
+    def _cached(self, op: str, labels, run, **params) -> dict:
+        """Cache-through for one budgeted search or covering program: run()
+        returns (payload, timed_out) and is called only on a miss.  A payload
+        the node cap stopped repeats exactly under the same cap, seed and
+        worker count (every meter starts from budget_nodes), so it is kept
+        under a key with those three; one the clock stopped is not kept."""
+        key = {"op": op, "q": self.q, "classes": sorted(labels), **params}
+        capped = dict(key, node_cap=self.config.budget_nodes,
+                      seed=self.config.seed, threads=self.config.threads)
         hit = self.cache.get(key)
-        if hit is not None and (hit["exhaustive"] or secs is None):
-            return hit
-        cert = max_coclique(build_graph(self.group, labels),
-                            self._search_budget(secs), self.config.seed,
-                            threads=self.config.threads)
-        payload = sealed(cert.payload())
-        if cert.exhaustive or hit is None:
-            self.cache.put(key, payload)
-        return payload
+        if hit is None or not _final(hit):
+            hit = self.cache.get(capped)
+        if hit is None:
+            hit, timed_out = run()
+            if _final(hit):
+                self.cache.put(key, hit)
+            elif not timed_out:
+                self.cache.put(capped, hit)
+        return hit
+
+    def _search(self, search, labels, secs):
+        cert = search(build_graph(self.group, labels), self._search_budget(secs),
+                      self.config.seed, threads=self.config.threads)
+        return sealed(cert.payload()), cert.timed_out
+
+    def cached_max_coclique(self, labels, secs: float | None = None) -> dict:
+        return self._cached("max_coclique", labels,
+                            lambda: self._search(max_coclique, labels, secs))
 
     def cached_max_clique(self, labels, secs: float | None = None) -> dict:
-        key = {"op": "max_clique", "q": self.q, "classes": sorted(labels)}
-        hit = self.cache.get(key)
-        if hit is not None and (hit["exhaustive"] or secs is None):
-            return hit
-        cert = max_clique(build_graph(self.group, labels),
-                          self._search_budget(secs), self.config.seed,
-                          threads=self.config.threads)
-        payload = sealed(cert.payload())
-        if cert.exhaustive or hit is None:
-            self.cache.put(key, payload)
-        return payload
+        return self._cached("max_clique", labels,
+                            lambda: self._search(max_clique, labels, secs))
 
     def cached_decision(self, labels, k: int, secs: float | None = None) -> dict:
-        key = {"op": "decision", "q": self.q, "classes": sorted(labels), "k": k}
-        hit = self.cache.get(key)
-        if hit is not None and hit["status"] != EXHAUSTED:
-            return hit
-        status, cert = find_clique_of_size(
-            build_graph(self.group, labels), k,
-            budget=self._search_budget(secs), seed=self.config.seed)
-        payload = sealed({"status": status, **cert.payload()})
-        if status != EXHAUSTED:
-            self.cache.put(key, payload)
-        return payload
+        def run():
+            status, cert = find_clique_of_size(
+                build_graph(self.group, labels), k,
+                budget=self._search_budget(secs), seed=self.config.seed)
+            return sealed({"status": status, **cert.payload()}), cert.timed_out
+        return self._cached("decision", labels, run, k=k)
 
     def cached_csp(self, labels, base_clique, target: int, pair_budget,
                    secs: float | None = None) -> dict:
         if len(base_clique) * target != self.group.order:
             raise ValueError("exact-hit refutation requires |C| * target = |Omega|")
-        key = {"op": "exact_hit_csp", "q": self.q, "classes": sorted(labels),
-               "base_size": len(base_clique), "target": target}
-        hit = self.cache.get(key)
-        if hit is not None and hit["status"] != "BUDGET_BRACKET":
-            return hit
-        graph = build_graph(self.group, labels)
-        system = generate_translate_rows(graph, base_clique)
-        res = solve_cover_ilp(system, EXACTLY_ONE, target_size=target,
-                              budget=self._search_budget(secs),
-                              pair_budget=pair_budget)
-        payload = sealed(res.payload())
-        if res.status != "BUDGET_BRACKET":
-            self.cache.put(key, payload)
-        return payload
+
+        def run():
+            system = generate_translate_rows(build_graph(self.group, labels),
+                                             base_clique)
+            res = solve_cover_ilp(system, EXACTLY_ONE, target_size=target,
+                                  budget=self._search_budget(secs),
+                                  pair_budget=pair_budget)
+            return sealed(res.payload()), res.timed_out
+        return self._cached("exact_hit_csp", labels, run,
+                            base=sorted(base_clique), target=target)
 
     # ---- stages -------------------------------------------------------------------
 
@@ -650,8 +671,7 @@ def verify_report(report: dict, deep: bool = False) -> tuple[bool, list[str]]:
 
 
 def _check_digest(cert: dict, problems: list[str]) -> bool:
-    body = {k: v for k, v in cert.items() if k != "digest"}
-    if certificate_digest(body) != cert.get("digest"):
+    if not _intact(cert):
         problems.append("digest mismatch (tampered certificate)")
         return False
     return True

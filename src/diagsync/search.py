@@ -50,12 +50,14 @@ class _Meter:
     deadline: float
     nodes: int = 0
     exhausted: bool = False
+    timed_out: bool = False        # the deadline, not the node cap, set exhausted
 
     def tick(self) -> bool:
         self.nodes += 1
-        if self.nodes > self.max_nodes or \
-                (self.nodes % 2048 == 0 and time.monotonic() > self.deadline):
+        if self.nodes > self.max_nodes:
             self.exhausted = True
+        elif self.nodes % 2048 == 0 and time.monotonic() > self.deadline:
+            self.exhausted = self.timed_out = True
         return self.exhausted
 
 
@@ -72,6 +74,7 @@ class SearchCertificate:
     method: str
     target: int | None = None      # decision searches only
     verified: bool = field(default=False)
+    timed_out: bool = False        # stopped by the clock: not reproducible
 
     def payload(self) -> dict:
         return {
@@ -179,8 +182,21 @@ def _pow_elt(group: PSL2, g: int, n: int) -> int:
     return out
 
 
-def algebraic_clique_seeds(graph: ClassUnionGraph) -> list[tuple[int, ...]]:
-    """Verified cliques from subgroups and unions of subgroup cosets."""
+def algebraic_clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
+    """Verified cliques from subgroups and unions of subgroup cosets, largest first.
+
+    Memoized per connection set on the group, like its subgroup library.
+    """
+    memo = getattr(graph.group, "_clique_seeds", None)
+    if memo is None:
+        memo = graph.group._clique_seeds = {}
+    seeds = memo.get(graph.connection)
+    if seeds is None:
+        seeds = memo[graph.connection] = _clique_seeds(graph)
+    return seeds
+
+
+def _clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     group = graph.group
     conn = graph.connection
     idbit = 1 << group.identity
@@ -200,7 +216,7 @@ def algebraic_clique_seeds(graph: ClassUnionGraph) -> list[tuple[int, ...]]:
         if union and len(union) > len(h):
             seeds.append(union)
     seeds.sort(key=len, reverse=True)
-    return seeds
+    return tuple(seeds)
 
 
 def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
@@ -448,7 +464,7 @@ def _pool_solve(args):
         low = m & -m
         found.append(verts[low.bit_length() - 1])
         m ^= low
-    return size, found, ok, meter.nodes
+    return size, found, ok, meter.nodes, meter.timed_out
 
 
 def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
@@ -514,9 +530,10 @@ def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
         args = [(rep, v, cand, best_size - 3, None, budget.max_nodes, remaining)
                 for rep, v, cand in pending[1:]]
         with ctx.Pool(processes=threads) as pool:
-            for (size, found, ok, nodes), (rep, v, _) in zip(
+            for (size, found, ok, nodes, timed_out), (rep, v, _) in zip(
                     pool.imap(_pool_solve, args), pending[1:]):
                 meter.nodes += nodes
+                meter.timed_out |= timed_out
                 complete = complete and ok
                 if size + 3 > best_size:
                     cand_best = tuple(sorted([group.identity, rep, v] + found))
@@ -528,7 +545,8 @@ def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
         kind="clique", graph=graph.descriptor(), vertices=tuple(sorted(best)),
         size=best_size, exhaustive=complete, nodes=meter.nodes,
         elapsed=time.monotonic() - t0, seed=seed,
-        method="pinned-bb" + (f"-x{threads}" if threads > 1 else ""))
+        method="pinned-bb" + (f"-x{threads}" if threads > 1 else ""),
+        timed_out=meter.timed_out)
     cert.verified = verify_clique(graph, cert.vertices)
     if not cert.verified:
         raise AssertionError("search produced an invalid clique witness")
@@ -542,7 +560,8 @@ def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None,
     out = SearchCertificate(
         kind="coclique", graph=graph.descriptor(), vertices=cert.vertices,
         size=cert.size, exhaustive=cert.exhaustive, nodes=cert.nodes,
-        elapsed=cert.elapsed, seed=seed, method=cert.method)
+        elapsed=cert.elapsed, seed=seed, method=cert.method,
+        timed_out=cert.timed_out)
     out.verified = verify_coclique(graph, out.vertices)
     if not out.verified:
         raise AssertionError("search produced an invalid coclique witness")
@@ -630,7 +649,7 @@ def _decision_cert(graph, vertices, exhaustive, meter, t0, seed, k):
         kind="clique", graph=graph.descriptor(), vertices=tuple(vertices),
         size=len(vertices), exhaustive=exhaustive, nodes=meter.nodes,
         elapsed=time.monotonic() - t0, seed=seed, method="pinned-bb-decision",
-        target=k)
+        target=k, timed_out=meter.timed_out)
     if vertices:
         cert.verified = verify_clique(graph, cert.vertices)
         if not cert.verified:

@@ -1,15 +1,22 @@
 import copy
+import json
+import time
+from collections import Counter
 
 import pytest
 
+from diagsync import pipeline, search
+from diagsync.graphs import build_graph
 from diagsync.pipeline import (
     Analyzer,
+    Cache,
     FactBase,
     NO,
     PipelineConfig,
     UNKNOWN,
     analyze,
     certificate_digest,
+    sealed,
     verify_report,
     write_report,
 )
@@ -126,3 +133,136 @@ def test_unknown_exit_code_when_unresolved():
     assert verdict.exit_code() == 2
     assert verdict.spreading == NO  # the multiset witness is cheap and exact
     assert report["verdict"]["exit_code"] == 2
+
+
+# -- cache-through reuse ------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, calls: Counter):
+    """Count every search, decision, row generation and covering solve."""
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            graph = getattr(args[0], "graph", args[0])    # a row system's graph
+            labels = graph.class_labels
+            calls[name, labels] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    for name in ("max_clique", "max_coclique", "find_clique_of_size",
+                 "generate_translate_rows", "solve_cover_ilp"):
+        counted(pipeline, name)
+    counted(search, "max_clique")         # the one max_coclique calls
+
+
+def _strip(report):
+    if isinstance(report, dict):
+        return {k: _strip(v) for k, v in report.items() if k not in ("elapsed", "digest")}
+    if isinstance(report, list):
+        return [_strip(v) for v in report]
+    return report
+
+
+def _budgeted(tmp_path, **overrides):
+    """The q13-budgeted benchmark config: 2000 nodes, seed 1, one worker."""
+    settings = dict(budget_secs=3600.0, budget_nodes=2000, direct_search_secs=3600.0,
+                    seed=1, threads=1, cache_dir=str(tmp_path))
+    return PipelineConfig(**{**settings, **overrides})
+
+
+def test_budgeted_analyze_reuses_every_capped_result(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    cfg = _budgeted(tmp_path)
+    _, cold = analyze(13, cfg)
+    # the second direct-search pass finds the first pass's capped {3,13} search
+    assert calls["max_coclique", ("3", "13")] == 1
+    assert max(calls.values()) == 1
+    calls.clear()
+    _, warm = analyze(13, cfg)
+    assert not calls
+    assert cold["verdict"]["separating"] == UNKNOWN
+    assert _strip(cold) == _strip(warm)
+    assert verify_report(warm)[0]
+
+
+def test_capped_entry_is_keyed_by_node_cap_seed_and_threads(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    labels = ("3", "13")
+    first = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_max_coclique(labels, 60)
+    assert not first["exhaustive"]
+    again = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_max_coclique(labels)
+    assert again == first and calls["max_coclique", labels] == 1
+    larger = Analyzer(13, _budgeted(tmp_path, budget_nodes=100)).cached_max_coclique(labels)
+    assert calls["max_coclique", labels] == 2 and larger["nodes"] > first["nodes"]
+    Analyzer(13, _budgeted(tmp_path, budget_nodes=50, seed=2)).cached_max_coclique(labels)
+    assert calls["max_coclique", labels] == 3
+    Analyzer(13, _budgeted(tmp_path, budget_nodes=50, threads=2)).cached_max_coclique(labels)
+    assert calls["max_coclique", labels] == 4
+
+
+def test_clock_stopped_result_is_not_stored(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    labels = ("3", "13")
+    an = Analyzer(13, _budgeted(tmp_path, budget_nodes=5000))
+    # a deadline already past stops the search at its first clock check
+    stopped = an.cached_max_coclique(labels, secs=-1.0)
+    assert not stopped["exhaustive"] and stopped["nodes"] <= 2048
+    assert not an.cache.memory and not list(tmp_path.iterdir())
+    capped = an.cached_max_coclique(labels)
+    assert calls["max_coclique", labels] == 2 and capped["nodes"] > 2048
+    assert an.cached_max_coclique(labels, secs=-1.0) == capped
+    assert calls["max_coclique", labels] == 2
+
+
+def test_meter_tells_the_clock_from_the_node_cap():
+    capped = search._Meter(5, time.monotonic() + 3600)
+    while not capped.tick():
+        pass
+    assert capped.exhausted and not capped.timed_out
+    late = search._Meter(10 ** 6, time.monotonic() - 1)
+    while not late.tick():
+        pass
+    assert late.nodes == 2048 and late.exhausted and late.timed_out
+
+
+def _cached_file(tmp_path):
+    [path] = tmp_path.glob("*.json")
+    return path
+
+
+def test_cache_treats_truncated_file_as_miss(tmp_path):
+    key = {"op": "max_clique", "q": 7, "classes": ["7"]}
+    Cache(str(tmp_path)).put(key, sealed({"size": 7, "exhaustive": True}))
+    assert not list(tmp_path.glob("*.tmp"))
+    path = _cached_file(tmp_path)
+    assert Cache(str(tmp_path)).get(key)["size"] == 7
+    path.write_text(path.read_text()[:10])
+    assert Cache(str(tmp_path)).get(key) is None
+
+
+def test_cache_treats_tampered_size_as_miss(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    cfg = PipelineConfig(cache_dir=str(tmp_path))
+    labels = ("3", "7")
+    honest = Analyzer(7, cfg).cached_max_clique(labels)
+    assert honest["exhaustive"] and calls["max_clique", labels] == 1
+    path = _cached_file(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["size"] += 1
+    path.write_text(json.dumps(payload))
+    rerun = Analyzer(7, cfg).cached_max_clique(labels)
+    assert calls["max_clique", labels] == 2 and _strip(rerun) == _strip(honest)
+    assert json.loads(path.read_text()) == rerun
+
+
+def test_covering_key_names_the_base_clique(tmp_path):
+    an = Analyzer(7, PipelineConfig(cache_dir=str(tmp_path)))
+    graph = build_graph(an.group, ["7"])
+    bases = [list(s) for s in search.algebraic_clique_seeds(graph) if len(s) == 7][:2]
+    assert len(bases) == 2
+    for base in bases:
+        assert an.cached_csp(("7",), base, 24, None)["system"]["base_clique"] == base

@@ -214,5 +214,19 @@ def _seed_cases():
 def test_seeds_match_reference(q, labels, monkeypatch):
     graph = build_graph(build_group(q), labels)
     seeds = algebraic_clique_seeds(graph)
+    # memoized on the group, per connection set, as an immutable value
+    assert algebraic_clique_seeds(build_graph(build_group(q), labels)) is seeds
+    assert isinstance(seeds, tuple) and all(isinstance(s, tuple) for s in seeds)
+    assert seeds == search._clique_seeds(graph)
     monkeypatch.setattr(search, "_best_coset_union", reference_best_coset_union)
-    assert seeds == algebraic_clique_seeds(graph)
+    assert seeds == search._clique_seeds(graph)
+
+
+def test_pool_solve_reports_a_clock_stop(g13, monkeypatch):
+    graph = complement_graph(build_graph(g13, ["3", "13"]))
+    rep, v, cand = max(search._pinned_tasks(graph, 0), key=lambda t: t[2].bit_count())
+    monkeypatch.setattr(search, "_POOL_GRAPH", graph)
+    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, None, 10 ** 6, -1.0))
+    assert not ok and timed_out and nodes == 2048
+    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, None, 100, 3600.0))
+    assert not ok and not timed_out and nodes == 101
