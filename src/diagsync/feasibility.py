@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import nullspace, rref
+from .psl2 import label_sort_key
 from .scheme import AssociationScheme
 
 Vec = tuple[Fraction, ...]
@@ -87,7 +88,7 @@ class SideFamily:
             for r in range(1, len(vec)):
                 if vec[r] != 0:
                     out.add(labels[r])
-        return tuple(sorted(out, key=_order_key))
+        return tuple(sorted(out, key=label_sort_key))
 
     def contains_vector(self, vec: Vec, region: str = "entry") -> bool:
         """Exact membership of a full distribution vector in a feasible region."""
@@ -136,14 +137,9 @@ class TableRow:
     notes: list[str] | None = None
 
 
-def _order_key(label: str):
-    digits = "".join(ch for ch in label if ch.isdigit())
-    return (int(digits), label)
-
-
 def candidate_class_sets(scheme: AssociationScheme) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All unordered complementary pairs of nonempty proper fused class sets."""
-    labels = sorted(scheme.nontrivial_labels(), key=_order_key)
+    labels = sorted(scheme.nontrivial_labels(), key=label_sort_key)
     pairs = []
     seen = set()
     for r in range(1, len(labels)):
@@ -156,7 +152,7 @@ def candidate_class_sets(scheme: AssociationScheme) -> list[tuple[tuple[str, ...
                 continue
             seen.add(key)
             pairs.append((combo, rest))
-    pairs.sort(key=lambda p: (len(p[0]), [_order_key(l) for l in p[0]]))
+    pairs.sort(key=lambda p: (len(p[0]), [label_sort_key(l) for l in p[0]]))
     return pairs
 
 
@@ -451,7 +447,7 @@ def putative_table(scheme: AssociationScheme) -> list[TableRow]:
     earlier rows refutes it too, but it still names a graph pair to resolve.
     """
     labels = scheme.labels()
-    nontrivial = sorted(scheme.nontrivial_labels(), key=_order_key)
+    nontrivial = sorted(scheme.nontrivial_labels(), key=label_sort_key)
     half = scheme.d // 2
     rows: list[TableRow] = []
     kept: list[FeasiblePair] = []
@@ -479,7 +475,7 @@ def putative_table(scheme: AssociationScheme) -> list[TableRow]:
                 rows.append(TableRow(combo, rest, om, al, group,
                                      novel=(om, al) in novel_targets, notes=note))
     rows.sort(key=lambda r: (len(r.clique_classes),
-                             [_order_key(l) for l in r.clique_classes]))
+                             [label_sort_key(l) for l in r.clique_classes]))
     return rows
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .psl2 import PSL2, mask_from
+from .psl2 import PSL2, label_sort_key, mask_elements, mask_from
 
 
 class InvalidClassSet(ValueError):
@@ -51,7 +51,7 @@ def resolve_classes(group: PSL2, labels) -> tuple[tuple[str, ...], int, tuple[in
     for c in ids:
         mask |= classes[c].members
     canonical = sorted({_canonical_label(group, c, ids) for c in ids},
-                       key=_label_sort_key)
+                       key=label_sort_key)
     return tuple(canonical), mask, tuple(sorted(ids))
 
 
@@ -60,11 +60,6 @@ def _canonical_label(group: PSL2, class_id: int, chosen: set[int]) -> str:
     if set(orbit.class_ids) <= chosen:
         return orbit.label
     return group.conjugacy_classes()[class_id].label
-
-
-def _label_sort_key(label: str):
-    digits = "".join(ch for ch in label if ch.isdigit())
-    return (int(digits), label)
 
 
 @dataclass
@@ -95,13 +90,7 @@ class ClassUnionGraph:
 
     def connection_elements(self) -> list[int]:
         if self._conn_elements is None:
-            out = []
-            m = self.connection
-            while m:
-                low = m & -m
-                out.append(low.bit_length() - 1)
-                m ^= low
-            self._conn_elements = out
+            self._conn_elements = mask_elements(self.connection)
         return self._conn_elements
 
     def neighbors(self, v: int) -> int:
@@ -134,7 +123,7 @@ def complement_classes(group: PSL2, labels) -> tuple[str, ...]:
     if not rest:
         raise InvalidClassSet("complement is empty")
     out = sorted({_canonical_label(group, c, set(rest)) for c in rest},
-                 key=_label_sort_key)
+                 key=label_sort_key)
     return tuple(out)
 
 
@@ -147,14 +136,8 @@ def export_dimacs(graph: ClassUnionGraph) -> bytes:
     n = graph.vertex_count
     lines = [f"c class-union Cayley graph on PSL(2,{graph.q}), classes "
              + ",".join(graph.class_labels)]
-    edges = []
-    for u in range(n):
-        mask = graph.neighbors(u)
-        m = mask >> (u + 1) << (u + 1)  # only v > u
-        while m:
-            low = m & -m
-            edges.append((u + 1, low.bit_length()))
-            m ^= low
+    edges = [(u + 1, v + 1) for u in range(n)
+             for v in mask_elements(graph.neighbors(u) >> (u + 1) << (u + 1))]  # v > u
     lines.append(f"p edge {n} {len(edges)}")
     lines.extend(f"e {u} {v}" for u, v in edges)
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -29,7 +29,7 @@ from .certify import (
 )
 from .feasibility import family_description, putative_table
 from .graphs import build_graph, complement_graph
-from .psl2 import TABLE_LIMIT, PSL2, build_group
+from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
 from .scheme import rational_fusion_scheme
 from .search import (
     Budget,
@@ -44,10 +44,13 @@ from .search import (
     verify_coclique,
 )
 from .witnesses import (
+    coset_action,
     find_exact_factorisation,
     find_sharply_transitive_set,
     index_six_subgroup,
     spreading_witness,
+    verify_exact_factorisation,
+    verify_sharply_transitive,
 )
 
 ELIMINATED_FEASIBILITY = "ELIMINATED_FEASIBILITY"
@@ -695,8 +698,6 @@ def _verify_certificate(group, gv, cert, problems, deep) -> bool:
         ok = verify_clique(graph, verts) if kind == "clique" \
             else verify_coclique(graph, verts)
         return ok and len(verts) == cert["size"]
-    if "sense" in cert:  # covering program result
-        return True
     return True
 
 
@@ -705,21 +706,16 @@ def _verify_witness(group, wit, problems) -> bool:
         return False
     kind = wit.get("kind")
     if kind == "exact_factorisation":
-        from .psl2 import mask_from
-        from .witnesses import verify_exact_factorisation
         fac = verify_exact_factorisation(
             group, mask_from(wit["A"]), mask_from(wit["B"]))
         return fac.verified
     if kind == "sharply_transitive":
-        from .psl2 import mask_from
-        from .witnesses import coset_action, verify_sharply_transitive
         sub = mask_from(wit["subgroup"])
         _, images = coset_action(group, sub)
         ok, _ = verify_sharply_transitive(
             [images[g] for g in wit["elements"]], wit["degree"])
         return ok
     if kind == "non_spreading_multiset":
-        from .witnesses import spreading_witness
         try:
             rebuilt = spreading_witness(group)
         except Exception:

@@ -48,6 +48,12 @@ class FusionOrbit:
     members: int
 
 
+def label_sort_key(label: str):
+    """Order class and orbit labels ("7A", "13", "7AB") by element order, then text."""
+    digits = "".join(ch for ch in label if ch.isdigit())
+    return (int(digits), label)
+
+
 class PSL2:
     """The group T = PSL(2,q) with the natural projective-line action."""
 
@@ -139,6 +145,16 @@ class PSL2:
     def conj(self, x: int, g: int) -> int:
         """g^-1 x g."""
         return self.mul(self.mul(self.inv(g), x), g)
+
+    def pow(self, g: int, n: int) -> int:
+        """g^n for n >= 0, by repeated squaring."""
+        out = self.identity
+        while n:
+            if n & 1:
+                out = self.mul(out, g)
+            g = self.mul(g, g)
+            n >>= 1
+        return out
 
     def element_order(self, i: int) -> int:
         return self.orders()[i]
@@ -518,8 +534,7 @@ def sylow_subgroup(group: PSL2, r: int) -> int | None:
         while m % (tr * r) == 0:
             tr *= r
         if tr == rpart:
-            g = element_of_order(group, m)
-            h = _power(group, g, m // tr)
+            h = group.pow(element_of_order(group, m), m // tr)
             return cyclic_subgroup(group, h)
     # 2-part split between a torus and the inverting involution
     assert r == 2
@@ -530,8 +545,7 @@ def sylow_subgroup(group: PSL2, r: int) -> int | None:
         while m % (tr * 2) == 0:
             tr *= 2
         if tr * 2 == rpart:
-            g = element_of_order(group, m)
-            h = _power(group, g, m // tr)
+            h = group.pow(element_of_order(group, m), m // tr)
             sub = _extend_by_inverting_involution(group, h, rpart)
             if sub is not None:
                 return sub
@@ -543,20 +557,9 @@ def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> int | N
     for j, o in enumerate(group.orders()):
         if o == 2 and group.conj(h, j) == hinv:
             sub = closure(group, [h, j], limit=4 * target)
-            if bin(sub).count("1") == target:
+            if sub.bit_count() == target:
                 return sub
     return None
-
-
-def _power(group: PSL2, g: int, n: int) -> int:
-    out = group.identity
-    x = g
-    while n:
-        if n & 1:
-            out = group.mul(out, x)
-        x = group.mul(x, x)
-        n >>= 1
-    return out
 
 
 def alternating_type_subgroup(group: PSL2, kind: str) -> int | None:
@@ -572,7 +575,7 @@ def alternating_type_subgroup(group: PSL2, kind: str) -> int | None:
                     sub = closure(group, [j, g], limit=2 * size)
                 except ValueError:
                     continue
-                if bin(sub).count("1") == size:
+                if sub.bit_count() == size:
                     return sub
     return None
 
@@ -590,3 +593,38 @@ def stabilizer_torus_element(group: PSL2) -> int:
         if group.element_order(i) == m1:
             return i
     raise AssertionError("Borel subgroup lacks a full torus element")
+
+
+def subgroup_library(group: PSL2) -> tuple[int, ...]:
+    """The subgroups behind the factorisation witnesses and the clique seeds.
+
+    The Borel subgroup, the unipotent subgroup extended by each power of a
+    torus element of the Borel, one Sylow subgroup per prime, one cyclic
+    subgroup per element order, one dihedral subgroup per element order > 2
+    and A4, S4, A5 where they exist; largest first, ties by mask.  Cached on
+    the group.
+    """
+    cached = getattr(group, "_subgroup_library", None)
+    if cached is not None:
+        return cached
+    subs = {borel_subgroup(group)}
+    torus = stabilizer_torus_element(group)
+    m1 = group.element_order(torus)
+    uni = mask_elements(unipotent_subgroup(group))
+    for k in range(1, m1 + 1):
+        if m1 % k == 0:
+            subs.add(closure(group, uni + [group.pow(torus, m1 // k)]))
+    n = group.order
+    for r in range(2, n + 1):
+        if n % r == 0:      # r is prime: every smaller prime is divided out
+            subs.add(sylow_subgroup(group, r))
+            while n % r == 0:
+                n //= r
+    for m in sorted(set(group.orders()) - {1}):
+        subs.add(cyclic_subgroup(group, element_of_order(group, m)))
+        if m > 2:
+            subs.add(dihedral_subgroup(group, m))
+    subs.update(alternating_type_subgroup(group, kind) for kind in ("A4", "S4", "A5"))
+    subs.discard(None)
+    group._subgroup_library = tuple(sorted(subs, key=lambda mask: (-mask.bit_count(), mask)))
+    return group._subgroup_library

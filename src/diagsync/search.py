@@ -5,8 +5,11 @@ transitivity is exploited twice: every search is pinned to cliques through
 the identity (any clique translates to one), and the second vertex ranges
 over one representative per conjugacy class of the connection set (the
 stabilizer of the identity vertex induces conjugation, and inversion is also
-an automorphism fixing the identity).  Algebraic seeds (subgroup cliques and
-unions of subgroup cosets) provide strong incumbents before any branching.
+an automorphism fixing the identity).  Algebraic seeds (cliques among the
+subgroups of ``psl2.subgroup_library`` and every cyclic subgroup, and unions
+of their cosets) provide strong incumbents before any branching.  Every
+pinned subproblem, serial or in a worker process, goes through
+``_solve_task``.
 
 Certificates record the witness and whether the search was exhaustive; an
 independent pairwise verifier re-checks every witness against the adjacency
@@ -21,18 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import (
-    PSL2,
-    alternating_type_subgroup,
-    borel_subgroup,
-    cyclic_subgroup,
-    dihedral_subgroup,
-    mask_elements,
-    mask_from,
-    stabilizer_torus_element,
-    sylow_subgroup,
-    unipotent_subgroup,
-)
+from .psl2 import PSL2, cyclic_subgroup, mask_elements, mask_from, subgroup_library
 
 
 @dataclass
@@ -110,76 +102,13 @@ def verify_coclique(graph: ClassUnionGraph, vertices) -> bool:
 # -- algebraic seeds --------------------------------------------------------------
 
 
-def _candidate_subgroups(group: PSL2) -> list[int]:
-    """A library of subgroups whose cliques tend to be extremal."""
+def _seed_subgroups(group: PSL2) -> list[int]:
+    """The subgroup library and every cyclic subgroup, by mask; cached on the group."""
     cached = getattr(group, "_seed_subgroups", None)
-    if cached is not None:
-        return cached
-    subs: set[int] = set()
-    seen_cyclic: set[int] = set()
-    for g in range(group.order):
-        if g == group.identity:
-            continue
-        mask = cyclic_subgroup(group, g)
-        if mask not in seen_cyclic:
-            seen_cyclic.add(mask)
-            subs.add(mask)
-    for m in sorted({group.element_order(g) for g in range(group.order)} - {1, 2}):
-        d = dihedral_subgroup(group, m)
-        if d:
-            subs.add(d)
-    n = group.order
-    r = 2
-    while r <= n:
-        if n % r == 0:
-            s = sylow_subgroup(group, r)
-            if s:
-                subs.add(s)
-            while n % r == 0:
-                n //= r
-        r += 1
-    borel = borel_subgroup(group)
-    subs.add(borel)
-    torus = stabilizer_torus_element(group)
-    m1 = group.element_order(torus)
-    uni = mask_elements(unipotent_subgroup(group))
-    for k in range(1, m1 + 1):
-        if m1 % k == 0:
-            step = _pow_elt(group, torus, m1 // k)
-            sub = set(uni)
-            frontier = list(uni)
-            gens = uni + [step]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for gg in gens:
-                        y = group.mul(x, gg)
-                        if y not in sub:
-                            sub.add(y)
-                            new.append(y)
-                frontier = new
-            m = 0
-            for x in sub:
-                m |= 1 << x
-            subs.add(m)
-    for kind in ("A4", "S4", "A5"):
-        a = alternating_type_subgroup(group, kind)
-        if a:
-            subs.add(a)
-    out = sorted(subs)
-    group._seed_subgroups = out
-    return out
-
-
-def _pow_elt(group: PSL2, g: int, n: int) -> int:
-    out = group.identity
-    x = g
-    while n:
-        if n & 1:
-            out = group.mul(out, x)
-        x = group.mul(x, x)
-        n >>= 1
-    return out
+    if cached is None:
+        cyclic = {cyclic_subgroup(group, g) for g in range(group.order) if g != group.identity}
+        cached = group._seed_subgroups = sorted(cyclic.union(subgroup_library(group)))
+    return cached
 
 
 def algebraic_clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
@@ -202,7 +131,7 @@ def _clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     idbit = 1 << group.identity
     seeds: list[tuple[int, ...]] = []
     subgroup_cliques: list[int] = []
-    for mask in _candidate_subgroups(group):
+    for mask in _seed_subgroups(group):
         if mask & ~(conn | idbit):
             continue
         subgroup_cliques.append(mask)
@@ -252,29 +181,22 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
 
 
 class _Hit(Exception):
-    def __init__(self, mask: int):
-        self.mask = mask
+    pass
 
 
 def _bb_max_clique(adj: list[int], lower: int, meter: _Meter,
                    target: int | None = None):
     """Max clique on a small graph given as local adjacency masks.
 
-    Returns (best_size, best_mask, complete).  With target set, stops as soon
-    as a clique of that size is found (best never rises above target).
+    Returns (best_size, best_mask, complete).  With target set, stops at the
+    first clique of at least that size, and complete is False.
     """
     n = len(adj)
     order = _degeneracy_order(adj)
     pos = {v: i for i, v in enumerate(order)}
     radj = [0] * n
     for v in range(n):
-        m = adj[v]
-        nm = 0
-        while m:
-            low = m & -m
-            nm |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        radj[pos[v]] = nm
+        radj[pos[v]] = mask_from(pos[u] for u in mask_elements(adj[v]))
     state = {"best": lower if target is None else min(lower, target - 1),
              "mask": 0, "complete": True}
     full = (1 << n) - 1
@@ -291,7 +213,7 @@ def _bb_max_clique(adj: list[int], lower: int, meter: _Meter,
                 state["best"] = rsize
                 state["mask"] = rmask
                 if target is not None and rsize >= target:
-                    raise _Hit(rmask)
+                    raise _Hit
             return
         adj_l = radj
         order_v = []
@@ -326,25 +248,13 @@ def _bb_max_clique(adj: list[int], lower: int, meter: _Meter,
                 state["best"] = rsize + 1
                 state["mask"] = rmask | bit
                 if target is not None and rsize + 1 >= target:
-                    raise _Hit(rmask | bit)
+                    raise _Hit
             p &= ~bit
     try:
         expand(0, 0, full)
-    except _Hit as hit:
-        local_mask = hit.mask
-        out = 0
-        m = local_mask
-        while m:
-            low = m & -m
-            out |= 1 << order[low.bit_length() - 1]
-            m ^= low
-        return target, out, False
-    out = 0
-    m = state["mask"]
-    while m:
-        low = m & -m
-        out |= 1 << order[low.bit_length() - 1]
-        m ^= low
+    except _Hit:
+        state["complete"] = False     # state already holds the hit
+    out = mask_from(order[i] for i in mask_elements(state["mask"]))
     return state["best"], out, state["complete"]
 
 
@@ -398,10 +308,7 @@ def _centralizer_orbits(group: PSL2, rep: int, cand_mask: int) -> list[tuple[int
     while remaining:
         low = remaining & -remaining
         v = low.bit_length() - 1
-        omask = 0
-        for c in cent:
-            omask |= 1 << group.mul(group.mul(group.inv(c), v), c)
-        omask &= cand_mask
+        omask = mask_from(group.conj(v, c) for c in cent) & cand_mask
         orbits.append((v, omask))
         remaining &= ~omask
     return orbits
@@ -410,15 +317,8 @@ def _centralizer_orbits(group: PSL2, rep: int, cand_mask: int) -> list[tuple[int
 def _localize(graph: ClassUnionGraph, cand_mask: int):
     verts = mask_elements(cand_mask)
     index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        m = graph.neighbors(v) & cand_mask
-        loc = 0
-        while m:
-            low = m & -m
-            loc |= 1 << index[low.bit_length() - 1]
-            m ^= low
-        adj[i] = loc
+    adj = [mask_from(index[u] for u in mask_elements(graph.neighbors(v) & cand_mask))
+           for v in verts]
     return verts, adj
 
 
@@ -450,100 +350,77 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
     return tasks
 
 
+def _solve_task(graph: ClassUnionGraph, rep: int, v: int, cand_mask: int, lower: int,
+                meter: _Meter, target: int | None = None):
+    """Search one pinned subproblem for a clique through the identity, rep and v.
+
+    Returns (witness, complete): the sorted clique when it has more than
+    lower + 3 vertices, else None.
+    """
+    verts, adj = _localize(graph, cand_mask)
+    size, mask, complete = _bb_max_clique(adj, lower, meter, target)
+    if size <= lower:
+        return None, complete
+    found = [graph.group.identity, rep, v] + [verts[i] for i in mask_elements(mask)]
+    return tuple(sorted(found)), complete
+
+
 _POOL_GRAPH: ClassUnionGraph | None = None
 
 
 def _pool_solve(args):
-    rep, v, cand_mask, lower, target, max_nodes, seconds = args
+    rep, v, cand_mask, lower, max_nodes, seconds = args
     meter = _Meter(max_nodes, time.monotonic() + seconds)
-    verts, adj = _localize(_POOL_GRAPH, cand_mask)
-    size, mask, ok = _bb_max_clique(adj, lower, meter, target=target)
-    found = []
-    m = mask
-    while m:
-        low = m & -m
-        found.append(verts[low.bit_length() - 1])
-        m ^= low
-    return size, found, ok, meter.nodes, meter.timed_out
+    witness, complete = _solve_task(_POOL_GRAPH, rep, v, cand_mask, lower, meter)
+    return witness, complete, meter.nodes, meter.timed_out
 
 
 def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
                seed: int = 0, threads: int = 1) -> SearchCertificate:
     """Exact maximum clique; exhaustive unless the budget runs out.
 
-    With threads > 1 the pinned subproblems run in worker processes; the
-    proven optimum does not depend on the worker count.
+    With threads > 1 and at least four pinned subproblems, the first runs
+    here to warm the incumbent and the rest run in worker processes, each
+    under the whole budget; the proven optimum does not depend on the worker
+    count.
     """
     budget = budget or Budget()
     t0 = time.monotonic()
     meter = budget.start()
     group = graph.group
     best = max(algebraic_clique_seeds(graph), key=len, default=(group.identity,))
-    best_size = len(best)
     complete = True
-    tasks = _pinned_tasks(graph, best_size)
-    pending = []
-    for rep, v, cand_mask in tasks:
-        if cand_mask.bit_count() + 3 <= best_size:
+    pending = [task for task in _pinned_tasks(graph, len(best))
+               if task[2].bit_count() + 3 > len(best)]
+    pooled = pending[1:] if threads > 1 and len(pending) >= 4 else []
+    for rep, v, cand_mask in pending[:len(pending) - len(pooled)]:
+        if cand_mask.bit_count() + 3 <= len(best):
             continue
-        pending.append((rep, v, cand_mask))
-    if threads <= 1 or len(pending) < 4:
-        for rep, v, cand_mask in pending:
-            if cand_mask.bit_count() + 3 <= best_size:
-                continue
-            verts, adj = _localize(graph, cand_mask)
-            size, mask, ok = _bb_max_clique(adj, best_size - 3, meter)
-            complete = complete and ok
-            if size + 3 > best_size:
-                found = [group.identity, rep, v]
-                m = mask
-                while m:
-                    low = m & -m
-                    found.append(verts[low.bit_length() - 1])
-                    m ^= low
-                best = tuple(sorted(found))
-                best_size = len(best)
-            if meter.exhausted:
-                complete = False
-                break
-    else:
-        # warm the incumbent on the first subproblem, then fan out
+        witness, ok = _solve_task(graph, rep, v, cand_mask, len(best) - 3, meter)
+        complete = complete and ok
+        best = witness or best
+        if meter.exhausted:
+            complete = False
+            break
+    if pooled:
         import multiprocessing as mp
-        rep0, v0, cand0 = pending[0]
-        verts, adj = _localize(graph, cand0)
-        size, mask, ok = _bb_max_clique(adj, best_size - 3, meter)
-        complete = ok
-        if size + 3 > best_size:
-            found = [group.identity, rep0, v0]
-            m = mask
-            while m:
-                low = m & -m
-                found.append(verts[low.bit_length() - 1])
-                m ^= low
-            best = tuple(sorted(found))
-            best_size = len(best)
         remaining = max(5.0, budget.max_seconds - (time.monotonic() - t0))
         global _POOL_GRAPH
         _POOL_GRAPH = graph
         graph.neighbors(group.identity)  # ensure caches exist before fork
-        ctx = mp.get_context("fork")
-        args = [(rep, v, cand, best_size - 3, None, budget.max_nodes, remaining)
-                for rep, v, cand in pending[1:]]
-        with ctx.Pool(processes=threads) as pool:
-            for (size, found, ok, nodes, timed_out), (rep, v, _) in zip(
-                    pool.imap(_pool_solve, args), pending[1:]):
+        args = [(rep, v, cand, len(best) - 3, budget.max_nodes, remaining)
+                for rep, v, cand in pooled]
+        with mp.get_context("fork").Pool(processes=threads) as pool:
+            for witness, ok, nodes, timed_out in pool.imap(_pool_solve, args):
                 meter.nodes += nodes
                 meter.timed_out |= timed_out
                 complete = complete and ok
-                if size + 3 > best_size:
-                    cand_best = tuple(sorted([group.identity, rep, v] + found))
-                    if verify_clique(graph, cand_best):
-                        best = cand_best
-                        best_size = len(best)
+                if witness and len(witness) > len(best) and verify_clique(graph, witness):
+                    best = witness
         _POOL_GRAPH = None
     cert = SearchCertificate(
         kind="clique", graph=graph.descriptor(), vertices=tuple(sorted(best)),
-        size=best_size, exhaustive=complete, nodes=meter.nodes,
+        size=len(best), exhaustive=complete, nodes=meter.nodes,
         elapsed=time.monotonic() - t0, seed=seed,
         method="pinned-bb" + (f"-x{threads}" if threads > 1 else ""),
         timed_out=meter.timed_out)
@@ -607,16 +484,8 @@ def find_clique_of_size(graph: ClassUnionGraph, k: int,
             continue
         if cand_mask.bit_count() + 3 < k:
             continue
-        verts, adj = _localize(graph, cand_mask)
-        size, mask, ok = _bb_max_clique(adj, k - 4, meter, target=k - 3)
-        if size == k - 3 and mask:
-            found = [group.identity, rep, v]
-            m = mask
-            while m:
-                low = m & -m
-                found.append(verts[low.bit_length() - 1])
-                m ^= low
-            witness = tuple(sorted(found))
+        witness, ok = _solve_task(graph, rep, v, cand_mask, k - 4, meter, target=k - 3)
+        if witness:
             if _matches(graph, witness, distribution):
                 return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
             complete = False  # witness rejected by distribution: not exhaustive

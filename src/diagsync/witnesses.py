@@ -1,6 +1,7 @@
 """Group-theoretic witnesses for the negative directions.
 
-Exact factorisations T = AB and sharply transitive sets give non-synchronising
+Exact factorisations T = AB, searched among the subgroups of
+``psl2.subgroup_library``, and sharply transitive sets give non-synchronising
 witnesses for the diagonal action.  The non-spreading witness is a weighted
 multiset: weight 2 on the squares of a point stabilizer, weight 1 outside the
 stabilizer, which meets every translate of the stabilizer in a constant total.
@@ -16,15 +17,10 @@ from dataclasses import dataclass, field
 from .psl2 import (
     PSL2,
     alternating_type_subgroup,
-    borel_subgroup,
-    closure,
-    cyclic_subgroup,
-    dihedral_subgroup,
     is_subgroup,
     mask_elements,
-    stabilizer_torus_element,
-    sylow_subgroup,
-    unipotent_subgroup,
+    mask_from,
+    subgroup_library,
 )
 
 
@@ -104,63 +100,13 @@ def verify_exact_factorisation(group: PSL2, a_mask: int, b_mask: int) -> ExactFa
     return ExactFactorisation(group.q, tuple(a), tuple(b), ok, checks)
 
 
-def _candidate_factors(group: PSL2) -> list[int]:
-    out: set[int] = set()
-    out.add(borel_subgroup(group))
-    out.add(unipotent_subgroup(group))
-    torus = stabilizer_torus_element(group)
-    m1 = group.element_order(torus)
-    uni = mask_elements(unipotent_subgroup(group))
-    for k in range(1, m1 + 1):
-        if m1 % k:
-            continue
-        step = _pow(group, torus, m1 // k)
-        out.add(closure(group, uni + [step]))
-    n = group.order
-    r = 2
-    while r <= n:
-        if n % r == 0:
-            s = sylow_subgroup(group, r)
-            if s:
-                out.add(s)
-            while n % r == 0:
-                n //= r
-        r += 1
-    for m in sorted({group.element_order(g) for g in range(group.order)} - {1}):
-        out.add(cyclic_subgroup(group, _first_of_order(group, m)))
-        if m > 2:
-            d = dihedral_subgroup(group, m)
-            if d:
-                out.add(d)
-    for kind in ("A4", "S4", "A5"):
-        a = alternating_type_subgroup(group, kind)
-        if a:
-            out.add(a)
-    return sorted(out, key=lambda mask: -mask.bit_count())
-
-
-def _first_of_order(group: PSL2, m: int) -> int:
-    for i, o in enumerate(group.orders()):
-        if o == m:
-            return i
-    raise ValueError(f"no element of order {m}")
-
-
-def _pow(group: PSL2, g: int, k: int) -> int:
-    out = group.identity
-    x = g
-    while k:
-        if k & 1:
-            out = group.mul(out, x)
-        x = group.mul(x, x)
-        k >>= 1
-    return out
-
-
 def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
-    """Targeted search; returns a verified factorisation or None within budget."""
+    """Targeted search over the subgroup library, largest first.
+
+    Returns a verified factorisation, or None within budget.
+    """
     idbit = 1 << group.identity
-    cands = _candidate_factors(group)
+    cands = subgroup_library(group)
     orders = {mask: mask.bit_count() for mask in cands}
     rng = random.Random(group.q)
     for a_mask in cands:
@@ -181,10 +127,7 @@ def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
                         return fac
                     break
                 g = rng.randrange(group.order)
-                gi = group.inv(g)
-                trial = 0
-                for x in mask_elements(b_mask):
-                    trial |= 1 << group.mul(group.mul(gi, x), g)
+                trial = mask_from(group.conj(x, g) for x in mask_elements(b_mask))
     return None
 
 

@@ -199,3 +199,16 @@ def test_closure_and_cyclic():
     for i in range(0, g.order, 37):
         sub = cyclic_subgroup(g, i)
         assert bin(sub).count("1") == g.element_order(i)
+
+
+@pytest.mark.parametrize("q", [7, 8, 13, 16])
+def test_pow_matches_repeated_mul(q):
+    g = build_group(q)
+    for x in range(0, g.order, 29):
+        n = g.element_order(x)
+        for k in (0, 1, n, n + 1):
+            expected = g.identity
+            for _ in range(k):
+                expected = g.mul(expected, x)
+            assert g.pow(x, k) == expected
+        assert g.pow(x, n) == g.identity and g.pow(x, n + 1) == x

@@ -1,13 +1,25 @@
 import itertools
+import multiprocessing
 import random
 
 import pytest
 
 from diagsync import search
 from diagsync.graphs import build_graph, complement_graph
-from diagsync.psl2 import build_group
+from diagsync.psl2 import (
+    alternating_type_subgroup,
+    borel_subgroup,
+    build_group,
+    cyclic_subgroup,
+    dihedral_subgroup,
+    mask_elements,
+    stabilizer_torus_element,
+    sylow_subgroup,
+    unipotent_subgroup,
+)
 from diagsync.search import (
     Budget,
+    EXHAUSTED,
     FOUND,
     NONE,
     algebraic_clique_seeds,
@@ -137,12 +149,25 @@ def test_monotonicity_on_computed_values():
     assert values[("2",)] <= values[("2", "4")] <= values[("2", "4", "5")]
 
 
-def test_parallel_matches_serial(g13):
-    graph = build_graph(g13, ["2", "13"])
-    serial = max_clique(graph, Budget(max_seconds=300), threads=1)
-    parallel = max_clique(graph, Budget(max_seconds=300), threads=2)
-    assert serial.exhaustive and parallel.exhaustive
-    assert serial.size == parallel.size == 26
+def test_parallel_matches_serial(g13, monkeypatch):
+    # G[2,13] has a single pinned task after its seeds, too few for the pool;
+    # G[3,13] has 8 and G[7] 55
+    pools = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: pools.append(method) or get_context(method))
+    for labels, size, pooled_nodes in ((["3", "13"], 39, 8), (["7"], 9, 386)):
+        graph = build_graph(g13, labels)
+        serial = max_clique(graph, Budget(max_seconds=300), threads=1)
+        assert not pools
+        parallel = max_clique(graph, Budget(max_seconds=300), threads=2)
+        assert pools == ["fork"]
+        pools.clear()
+        assert serial.exhaustive and parallel.exhaustive
+        assert serial.size == parallel.size == size
+        # the workers start from the incumbent of the first task, so their
+        # node count is fixed too
+        assert parallel.vertices == serial.vertices and parallel.nodes == pooled_nodes
 
 
 @pytest.mark.slow
@@ -226,7 +251,134 @@ def test_pool_solve_reports_a_clock_stop(g13, monkeypatch):
     graph = complement_graph(build_graph(g13, ["3", "13"]))
     rep, v, cand = max(search._pinned_tasks(graph, 0), key=lambda t: t[2].bit_count())
     monkeypatch.setattr(search, "_POOL_GRAPH", graph)
-    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, None, 10 ** 6, -1.0))
+    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, 10 ** 6, -1.0))
     assert not ok and timed_out and nodes == 2048
-    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, None, 100, 3600.0))
+    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, 100, 3600.0))
     assert not ok and not timed_out and nodes == 101
+
+
+# -- the seed subgroups against the library they replaced -----------------------------
+
+
+def reference_candidate_subgroups(group):
+    """The seed subgroup list before psl2.subgroup_library, without its cache."""
+    def _pow_elt(group, g, n):
+        out = group.identity
+        x = g
+        while n:
+            if n & 1:
+                out = group.mul(out, x)
+            x = group.mul(x, x)
+            n >>= 1
+        return out
+
+    subs = set()
+    seen_cyclic = set()
+    for g in range(group.order):
+        if g == group.identity:
+            continue
+        mask = cyclic_subgroup(group, g)
+        if mask not in seen_cyclic:
+            seen_cyclic.add(mask)
+            subs.add(mask)
+    for m in sorted({group.element_order(g) for g in range(group.order)} - {1, 2}):
+        d = dihedral_subgroup(group, m)
+        if d:
+            subs.add(d)
+    n = group.order
+    r = 2
+    while r <= n:
+        if n % r == 0:
+            s = sylow_subgroup(group, r)
+            if s:
+                subs.add(s)
+            while n % r == 0:
+                n //= r
+        r += 1
+    borel = borel_subgroup(group)
+    subs.add(borel)
+    torus = stabilizer_torus_element(group)
+    m1 = group.element_order(torus)
+    uni = mask_elements(unipotent_subgroup(group))
+    for k in range(1, m1 + 1):
+        if m1 % k == 0:
+            step = _pow_elt(group, torus, m1 // k)
+            sub = set(uni)
+            frontier = list(uni)
+            gens = uni + [step]
+            while frontier:
+                new = []
+                for x in frontier:
+                    for gg in gens:
+                        y = group.mul(x, gg)
+                        if y not in sub:
+                            sub.add(y)
+                            new.append(y)
+                frontier = new
+            m = 0
+            for x in sub:
+                m |= 1 << x
+            subs.add(m)
+    for kind in ("A4", "S4", "A5"):
+        a = alternating_type_subgroup(group, kind)
+        if a:
+            subs.add(a)
+    return sorted(subs)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17])
+def test_seed_subgroups_are_the_old_library(q):
+    group = build_group(q)
+    seeds = search._seed_subgroups(group)
+    assert set(seeds) == set(reference_candidate_subgroups(group))
+    assert seeds == sorted(seeds)
+    assert search._seed_subgroups(group) is seeds
+
+
+# -- golden certificates of the pinned searches ----------------------------------------
+
+# (size, vertices, nodes, exhaustive), and the status for decisions, recorded
+# before the serial loop, the pool workers and the decision search shared one
+# pinned-task solver; a change to the branching or the task order moves them
+GOLDEN = [
+    ("clique", 7, ("2", "4", "7"), 5000, None,
+     (12, (0, 2, 21, 29, 31, 41, 43, 53, 55, 56, 148, 153), 281, True)),
+    ("clique", 11, ("3", "5"), 5000, None,
+     (22, (1, 12, 41, 47, 55, 96, 125, 181, 187, 255, 271, 311, 357, 376, 418, 443,
+           455, 483, 540, 559, 588, 638), 415, True)),
+    ("clique", 11, ("11", "3", "6"), 300, None,
+     (12, (1, 2, 55, 147, 191, 394, 432, 464, 472, 521, 524, 652), 301, False)),
+    ("clique", 13, ("7",), 3000, None,
+     (9, (3, 78, 92, 214, 357, 385, 747, 877, 1048), 384, True)),
+    ("coclique", 11, ("11", "3", "6"), 5000, None,
+     (17, (0, 11, 30, 55, 159, 175, 180, 264, 280, 296, 389, 505, 526, 546, 572, 602,
+           608), 217, True)),
+    ("coclique", 13, ("3", "13"), 300, None,
+     (22, (0, 13, 78, 98, 240, 283, 337, 339, 393, 605, 659, 693, 747, 816, 843, 847,
+           874, 923, 942, 986, 1042, 1086), 301, False)),
+    ("decision", 7, ("3", "4"), 5000, 13, (NONE, 0, (), 96, True)),
+    ("decision", 11, ("5", "6"), 5000, 14,
+     (FOUND, 14, (3, 14, 36, 52, 55, 113, 276, 350, 449, 472, 476, 597, 612, 635),
+      106, False)),
+    ("decision", 11, ("2", "5", "6"), 5000, 25,
+     (FOUND, 25, (0, 11, 28, 55, 71, 131, 157, 171, 194, 215, 245, 350, 376, 436, 442,
+                  457, 463, 487, 555, 569, 592, 595, 618, 631, 655), 2555, False)),
+    ("decision", 11, ("11", "2", "3", "6"), 300, 16, (EXHAUSTED, 0, (), 301, False)),
+    ("decision", 13, ("7",), 3000, 14, (NONE, 0, (), 61, True)),
+]
+
+
+@pytest.mark.parametrize("kind,q,labels,cap,k,expected", GOLDEN,
+                         ids=[f"{case[0]}-{case[1]}-{','.join(case[2])}-{case[3]}"
+                              for case in GOLDEN])
+def test_search_certificates_are_golden(kind, q, labels, cap, k, expected):
+    graph = build_graph(build_group(q), labels)
+    budget = Budget(max_nodes=cap)
+    if kind == "decision":
+        status, cert = find_clique_of_size(graph, k, budget=budget)
+        got = (status, cert.size, cert.vertices, cert.nodes, cert.exhaustive)
+    else:
+        cert = (max_clique if kind == "clique" else max_coclique)(graph, budget)
+        got = (cert.size, cert.vertices, cert.nodes, cert.exhaustive)
+    assert got == expected
+

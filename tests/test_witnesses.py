@@ -1,6 +1,21 @@
 import pytest
 
-from diagsync.psl2 import PSL2, build_group, mask_from, mask_elements, sylow_subgroup
+from diagsync.psl2 import (
+    PSL2,
+    alternating_type_subgroup,
+    borel_subgroup,
+    build_group,
+    closure,
+    cyclic_subgroup,
+    dihedral_subgroup,
+    is_subgroup,
+    mask_elements,
+    mask_from,
+    stabilizer_torus_element,
+    subgroup_library,
+    sylow_subgroup,
+    unipotent_subgroup,
+)
 from diagsync.witnesses import (
     WitnessError,
     coset_action,
@@ -128,3 +143,69 @@ def test_sylow_counts_sanity():
     members = mask_elements(syl)
     assert len(members) == 13
     assert all(g.element_order(x) in (1, 13) for x in members)
+
+
+# -- the subgroup library against the factor list it replaced -------------------------
+
+
+def reference_candidate_factors(group):
+    """The factor list the factorisation search used before psl2.subgroup_library."""
+    def _first_of_order(group, m):
+        for i, o in enumerate(group.orders()):
+            if o == m:
+                return i
+        raise ValueError(f"no element of order {m}")
+
+    def _pow(group, g, k):
+        out = group.identity
+        x = g
+        while k:
+            if k & 1:
+                out = group.mul(out, x)
+            x = group.mul(x, x)
+            k >>= 1
+        return out
+
+    out = set()
+    out.add(borel_subgroup(group))
+    out.add(unipotent_subgroup(group))
+    torus = stabilizer_torus_element(group)
+    m1 = group.element_order(torus)
+    uni = mask_elements(unipotent_subgroup(group))
+    for k in range(1, m1 + 1):
+        if m1 % k:
+            continue
+        step = _pow(group, torus, m1 // k)
+        out.add(closure(group, uni + [step]))
+    n = group.order
+    r = 2
+    while r <= n:
+        if n % r == 0:
+            s = sylow_subgroup(group, r)
+            if s:
+                out.add(s)
+            while n % r == 0:
+                n //= r
+        r += 1
+    for m in sorted({group.element_order(g) for g in range(group.order)} - {1}):
+        out.add(cyclic_subgroup(group, _first_of_order(group, m)))
+        if m > 2:
+            d = dihedral_subgroup(group, m)
+            if d:
+                out.add(d)
+    for kind in ("A4", "S4", "A5"):
+        a = alternating_type_subgroup(group, kind)
+        if a:
+            out.add(a)
+    return sorted(out, key=lambda mask: -mask.bit_count())
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17])
+def test_subgroup_library_is_the_old_factor_list(q):
+    group = build_group(q)
+    library = subgroup_library(group)
+    assert set(library) == set(reference_candidate_factors(group))
+    # largest first, ties in ascending mask order; cached on the group
+    assert list(library) == sorted(library, key=lambda mask: (-mask.bit_count(), mask))
+    assert subgroup_library(group) is library
+    assert all(is_subgroup(group, mask) for mask in library)
