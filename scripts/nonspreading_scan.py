@@ -14,7 +14,7 @@ from diagsync.witnesses import spreading_witness
 
 
 def main() -> int:
-    limit = int(sys.argv[1]) if len(sys.argv) > 1 else 29
+    limit = int(sys.argv[1]) if len(sys.argv) > 1 else 49
     for q in range(5, limit + 1):
         if q % 4 != 1 or factor_prime_power(q) is None:
             continue

@@ -156,7 +156,7 @@ def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:
         if perm and mask_from(perm[s] for s in conn) == graph.connection:
             perms.append(perm)
             note += name
-    perms.append([group.inv(x) for x in range(group.order)])
+    perms.append(group.inverses().tolist())
     return perms, note
 
 
@@ -203,7 +203,7 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
         frontier = new
 
     # right translates of every conjugate shape, one family per new shape
-    inv = np.array([group.inv(x) for x in range(n)])
+    inv = group.inverses()
     conn = np.zeros(n, dtype=bool)
     conn[graph.connection_elements()] = True
     pairs = len(base) * (len(base) - 1)

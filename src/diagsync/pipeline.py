@@ -45,12 +45,14 @@ from .search import (
 )
 from .witnesses import (
     coset_action,
+    coset_halving_check,
     find_exact_factorisation,
     find_sharply_transitive_set,
     index_six_subgroup,
     spreading_witness,
     verify_exact_factorisation,
     verify_sharply_transitive,
+    verify_spreading_multiset,
 )
 
 ELIMINATED_FEASIBILITY = "ELIMINATED_FEASIBILITY"
@@ -716,9 +718,13 @@ def _verify_witness(group, wit, problems) -> bool:
             [images[g] for g in wit["elements"]], wit["degree"])
         return ok
     if kind == "non_spreading_multiset":
+        # re-check the report's own multiset, not a freshly built one
         try:
-            rebuilt = spreading_witness(group)
-        except Exception:
+            halving, _, _ = coset_halving_check(group)
+            rebuilt = verify_spreading_multiset(
+                group, wit["stabilizer_point"], wit["squares"])
+        except Exception as exc:
+            problems.append(f"witness non_spreading_multiset: {exc}")
             return False
-        return rebuilt.lam == wit["lambda"] and rebuilt.total == wit["total"]
+        return halving and sealed(rebuilt.payload()) == wit
     return True

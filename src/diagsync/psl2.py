@@ -24,6 +24,8 @@ Mat = tuple[int, int, int, int]
 
 # full multiplication tables are built only below this group order
 TABLE_LIMIT = 3000
+# products per block of an outer product, so temporaries stay small
+_BLOCK = 1 << 15
 
 
 @dataclass
@@ -74,10 +76,11 @@ class PSL2:
         self._pack = self._build_pack()
         self._table: np.ndarray | None = None
         self._inv: list[int] | None = None
+        self._inverses: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._fusion: list[FusionOrbit] | None = None
-        self._row_arith: tuple | None = None
+        self._arith_arrays: tuple | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -109,10 +112,20 @@ class PSL2:
         raise ValueError("zero matrix is not a group element")
 
     def _build_pack(self) -> np.ndarray:
+        """Element index by matrix key ((a*q + b)*q + c)*q + d.
+
+        Both M and -M map to the index, so vectorized products need no sign
+        canonicalization; other keys hold a value past the last index.
+        """
         q = self.q
-        pack = np.full(q ** 4, -1, dtype=np.int32)
-        for i, (a, b, c, d) in enumerate(self.elements):
-            pack[((a * q + b) * q + c) * q + d] = i
+        dtype = np.uint16 if self.order < 1 << 16 else np.int32
+        pack = np.full(q ** 4, np.iinfo(dtype).max, dtype=dtype)
+        el = np.array(self.elements, dtype=np.int64).T
+        idx = np.arange(self.order, dtype=dtype)
+        pack[((el[0] * q + el[1]) * q + el[2]) * q + el[3]] = idx
+        if q % 2:
+            neg = np.array([self.field.neg(x) for x in range(q)])[el]
+            pack[((neg[0] * q + neg[1]) * q + neg[2]) * q + neg[3]] = idx
         return pack
 
     # -- arithmetic ----------------------------------------------------------
@@ -133,14 +146,17 @@ class PSL2:
 
     def inv(self, i: int) -> int:
         if self._inv is None:
-            f = self.field
-            q = self.q
-            inv = []
-            for a, b, c, d in self.elements:
-                m = self.canonical((d, f.neg(b), f.neg(c), a))
-                inv.append(int(self._pack[((m[0] * q + m[1]) * q + m[2]) * q + m[3]]))
-            self._inv = inv
+            self._inv = self.inverses().tolist()
         return self._inv[i]
+
+    def inverses(self) -> np.ndarray:
+        """Index of the inverse of every element: [[a, b], [c, d]] -> [[d, -b], [-c, a]]."""
+        if self._inverses is None:
+            q = self.q
+            a, b, c, d = np.array(self.elements, dtype=np.int64).T
+            neg = np.array([self.field.neg(x) for x in range(q)])
+            self._inverses = self._pack[((d * q + neg[b]) * q + neg[c]) * q + a]
+        return self._inverses
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 x g."""
@@ -189,59 +205,75 @@ class PSL2:
         if self._table is None:
             if not self.table_fits():
                 raise ValueError(f"group of order {self.order} exceeds table limit")
-            table = np.empty((self.order, self.order), dtype=np.uint16)
-            for i in range(self.order):
-                table[i] = self._product_row(i)
-            self._table = table
+            every = np.arange(self.order)
+            self._table = self.mul_outer(every, every)
         return self._table
 
-    def mul_rows(self, idx) -> np.ndarray:
-        """Products x*j for each x in idx and every j, one row per x.
+    def _arith(self) -> tuple:
+        """Arrays behind the vectorized products and the point action.
+
+        dot[((x1*q + y1)*q + x2)*q + y2] = x1*x2 + y1*y2 in GF(q).  For every
+        element [[a, b], [c, d]] the offsets of its rows (a, b), (c, d) as a
+        left factor and of its columns (a, c), (b, d) as a right factor add
+        up to the dot-table index of each entry of a product.
+        """
+        if self._arith_arrays is None:
+            f, q = self.field, self.q
+            narrow = np.min_scalar_type(q - 1)
+            add = np.array([[f.add(x, y) for y in range(q)] for x in range(q)], dtype=narrow)
+            mul = np.array([[f.mul(x, y) for y in range(q)] for x in range(q)], dtype=narrow)
+            dot = add[mul[:, None, :, None], mul[None, :, None, :]].ravel()
+            a, b, c, d = np.array(self.elements, dtype=np.int64).T
+            wide = np.int32 if q ** 4 < 1 << 31 else np.int64
+            left = (((a * q + b) * q * q).astype(wide), ((c * q + d) * q * q).astype(wide))
+            right = ((a * q + c).astype(wide), (b * q + d).astype(wide))
+            finv = np.array([f.inv(x) if x else 0 for x in range(q)], dtype=wide)
+            self._arith_arrays = (dot, left, right, finv)
+        return self._arith_arrays
+
+    def mul_pairs(self, i, j) -> np.ndarray:
+        """Products i[k] * j[k] over two broadcast index arrays.
 
         Gathered from the multiplication table when it exists, else computed
-        row by row with the same arithmetic that builds the table.
+        by vectorized field arithmetic (see _arith).
         """
         if self._table is not None:
+            return self._table[i, j]
+        dot, (ab, cd), (ac, bd), _ = self._arith()
+        q = self.q
+        ab, cd, ac, bd = ab[i], cd[i], ac[j], bd[j]
+        key = dot[ab + ac].astype(ac.dtype)
+        key = (key * q + dot[ab + bd]) * q + dot[cd + ac]
+        return self._pack[key * q + dot[cd + bd]]
+
+    def product_blocks(self, xs, ys):
+        """The products x*y for x in xs and y in ys, in blocks of whole rows.
+
+        Yields (start, block) with block[r, k] = xs[start + r] * ys[k]; a block
+        holds about _BLOCK products, so no temporary grows with len(xs).
+        """
+        xs = np.asarray(xs, dtype=np.intp)
+        ys = np.asarray(ys, dtype=np.intp)
+        step = max(1, _BLOCK // max(1, len(ys)))
+        for start in range(0, len(xs), step):
+            yield start, self.mul_pairs(xs[start:start + step, None], ys[None, :])
+
+    def mul_outer(self, xs, ys) -> np.ndarray:
+        """The array of products x*y, one row per x in xs, one column per y in ys."""
+        out = np.empty((len(xs), len(ys)), dtype=self._pack.dtype)
+        for start, block in self.product_blocks(xs, ys):
+            out[start:start + len(block)] = block
+        return out
+
+    def mul_rows(self, idx) -> np.ndarray:
+        """Products x*j for each x in idx and every j, one row per x."""
+        if self._table is not None:
             return self._table[np.asarray(idx, dtype=np.intp)]
-        return np.array([self._product_row(i) for i in idx])
+        return self.mul_outer(idx, np.arange(self.order))
 
     def mul_column(self, idx, j: int) -> list[int]:
-        """Products x*j for each x in idx, read down column j of the table."""
-        if self._table is not None:
-            return self._table[idx, j].tolist()
-        return [self.mul(x, j) for x in idx]
-
-    def _product_row(self, i: int) -> np.ndarray:
-        """Indices of i*j for every j, by vectorized field arithmetic."""
-        if self._row_arith is None:
-            f = self.field
-            q = self.q
-            el = np.array(self.elements, dtype=np.int64)
-            add = np.array([[f.add(x, y) for y in range(q)] for x in range(q)],
-                           dtype=np.int64)
-            mul = np.array([[f.mul(x, y) for y in range(q)] for x in range(q)],
-                           dtype=np.int64)
-            neg = np.array([f.neg(x) for x in range(q)], dtype=np.int64)
-            pos = np.zeros(q, dtype=bool)
-            if self._pos is not None:
-                for z in self._pos:
-                    pos[z] = True
-            self._row_arith = (add, mul, neg, pos, el[:, 0], el[:, 1], el[:, 2], el[:, 3])
-        add, mul, neg, pos, A2, B2, C2, D2 = self._row_arith
-        q = self.q
-        a1, b1, c1, d1 = self.elements[i]
-        a = add[mul[a1, A2], mul[b1, C2]]
-        b = add[mul[a1, B2], mul[b1, D2]]
-        c = add[mul[c1, A2], mul[d1, C2]]
-        d = add[mul[c1, B2], mul[d1, D2]]
-        if q % 2:
-            first = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
-            flip = ~pos[first]
-            a = np.where(flip, neg[a], a)
-            b = np.where(flip, neg[b], b)
-            c = np.where(flip, neg[c], c)
-            d = np.where(flip, neg[d], d)
-        return self._pack[((a * q + b) * q + c) * q + d]
+        """Products x*j for each x in idx."""
+        return self.mul_pairs(np.asarray(idx, dtype=np.intp), j).tolist()
 
     # -- generators and conjugacy ---------------------------------------------
 
@@ -397,13 +429,21 @@ class PSL2:
             return self.q
         return f.mul(z, f.inv(w))
 
+    def act_points(self, pt_idx: int) -> np.ndarray:
+        """The image of the point under every element, by vectorized arithmetic."""
+        dot, _, (ac, bd), finv = self._arith()
+        q = self.q
+        u, v = (1, 0) if pt_idx == q else (pt_idx, 1)
+        row = (u * q + v) * q * q
+        z = dot[row + ac].astype(ac.dtype)          # u*a + v*c
+        w = dot[row + bd]                           # u*b + v*d
+        image = dot[z * q ** 3 + finv[w] * q].astype(ac.dtype)     # z / w
+        image[w == 0] = q
+        return image
+
     def point_stabilizer(self, pt_idx: int) -> int:
         """Bitmask of the stabilizer of a projective point."""
-        mask = 0
-        for i in range(self.order):
-            if self.act_point(i, pt_idx) == pt_idx:
-                mask |= 1 << i
-        return mask
+        return mask_of(self.act_points(pt_idx) == pt_idx)
 
     # -- misc -----------------------------------------------------------------
 
@@ -438,6 +478,11 @@ def mask_elements(mask: int) -> list[int]:
     return out
 
 
+def mask_of(flags: np.ndarray) -> int:
+    """A boolean array as a mask: bit i is entry i (the inverse of mask_array)."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def mask_array(mask: int, n: int) -> np.ndarray:
     """A mask over n elements as a boolean array: entry i is bit i."""
     data = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -446,35 +491,33 @@ def mask_array(mask: int, n: int) -> np.ndarray:
 
 def closure(group: PSL2, gens, limit: int | None = None) -> int:
     """Subgroup generated by gens, as a bitmask.  Aborts past limit."""
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if limit is not None and len(seen) > limit:
-                        raise ValueError("closure exceeded limit")
-        frontier = new
-    return mask_from(seen)
+    gens = np.asarray(list(gens), dtype=np.intp)
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    count = 1
+    while len(frontier):
+        new = np.unique(group.mul_outer(frontier, gens))
+        frontier = new[~seen[new]]
+        seen[frontier] = True
+        count += len(frontier)
+        if limit is not None and count > limit:
+            raise ValueError("closure exceeded limit")
+    return mask_of(seen)
 
 
 def is_subgroup(group: PSL2, mask: int) -> bool:
-    els = mask_elements(mask)
-    if group.identity not in els:
+    """Whether the mask holds the identity, every inverse and every product."""
+    n = group.order
+    if mask >> n:
         return False
-    els_set = set(els)
-    for a in els:
-        if group.inv(a) not in els_set:
-            return False
-        for b in els:
-            if group.mul(a, b) not in els_set:
-                return False
-    return True
+    member = mask_array(mask, n)
+    if not member[group.identity]:
+        return False
+    els = np.flatnonzero(member)
+    if not member[group.inverses()[els]].all():
+        return False
+    return all(member[block].all() for _, block in group.product_blocks(els, els))
 
 
 def cyclic_subgroup(group: PSL2, g: int) -> int:
@@ -510,11 +553,15 @@ def dihedral_subgroup(group: PSL2, n: int) -> int | None:
     h = element_of_order(group, n)
     if h is None:
         return None
-    hinv = group.inv(h)
-    for j, o in enumerate(group.orders()):
-        if o == 2 and group.conj(h, j) == hinv:
-            return closure(group, [h, j], limit=4 * n)
-    return None
+    js = _inverting_involutions(group, h)
+    return closure(group, [h, int(js[0])], limit=4 * n) if len(js) else None
+
+
+def _inverting_involutions(group: PSL2, h: int) -> np.ndarray:
+    """The involutions j with j^-1 h j = h^-1, ascending."""
+    js = np.flatnonzero(np.array(group.orders()) == 2)
+    conj = group.mul_pairs(group.mul_pairs(group.inverses()[js], h), js)
+    return js[conj == group.inv(h)]
 
 
 def sylow_subgroup(group: PSL2, r: int) -> int | None:
@@ -553,30 +600,27 @@ def sylow_subgroup(group: PSL2, r: int) -> int | None:
 
 
 def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> int | None:
-    hinv = group.inv(h)
-    for j, o in enumerate(group.orders()):
-        if o == 2 and group.conj(h, j) == hinv:
-            sub = closure(group, [h, j], limit=4 * target)
-            if sub.bit_count() == target:
-                return sub
+    for j in _inverting_involutions(group, h).tolist():
+        sub = closure(group, [h, j], limit=4 * target)
+        if sub.bit_count() == target:
+            return sub
     return None
 
 
 def alternating_type_subgroup(group: PSL2, kind: str) -> int | None:
     """Search a subgroup isomorphic to A4, S4 or A5 via (2,3,k) generation."""
     target_k, size = {"A4": (3, 12), "S4": (4, 24), "A5": (5, 60)}[kind]
-    orders = group.orders()
-    involutions = [i for i, o in enumerate(orders) if o == 2]
-    threes = [i for i, o in enumerate(orders) if o == 3]
-    for j in involutions[:60]:
-        for g in threes[:200]:
-            if orders[group.mul(j, g)] == target_k:
-                try:
-                    sub = closure(group, [j, g], limit=2 * size)
-                except ValueError:
-                    continue
-                if sub.bit_count() == size:
-                    return sub
+    orders = np.array(group.orders())
+    involutions = np.flatnonzero(orders == 2)[:60]
+    threes = np.flatnonzero(orders == 3)[:200]
+    for j in involutions.tolist():
+        for g in threes[orders[group.mul_pairs(j, threes)] == target_k].tolist():
+            try:
+                sub = closure(group, [j, g], limit=2 * size)
+            except ValueError:
+                continue
+            if sub.bit_count() == size:
+                return sub
     return None
 
 

@@ -126,7 +126,7 @@ def _intersection_numbers(group: PSL2, rels: list[Relation], rel_of: np.ndarray,
                           check_fusion: bool) -> list[list[list[int]]]:
     n = len(rels)
     table = group.mult_table()
-    inv = np.array([group.inv(i) for i in range(group.order)], dtype=np.int32)
+    inv = group.inverses()
     j_vec = rel_of
     p = [[[0] * n for _ in range(n)] for _ in range(n)]
     classes = group.conjugacy_classes()
@@ -341,7 +341,7 @@ def design_orthogonal(c1, c2, scheme: AssociationScheme) -> bool:
 def adjacency_matrices(scheme: AssociationScheme) -> list[np.ndarray]:
     group = scheme.group
     table = group.mult_table()
-    inv = np.array([group.inv(i) for i in range(group.order)], dtype=np.int32)
+    inv = group.inverses()
     rel = scheme._rel_of[np.asarray(table)[:, inv]]
     return [(rel == r.id).astype(np.int64) for r in scheme.relations]
 

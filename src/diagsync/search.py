@@ -160,7 +160,7 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     n = group.order
     conn = np.zeros(n, dtype=bool)
     conn[graph.connection_elements()] = True
-    inv = np.array([group.inv(x) for x in range(n)])
+    inv = group.inverses()
     left = group.mul_rows(h)                  # left[i, x] = h_i * x: column x is Hx
     reps = np.flatnonzero(left.min(axis=0) == np.arange(n))
     # column z runs over zH, as (h_i z^-1)^-1 = z h_i^-1

@@ -14,10 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .psl2 import (
     PSL2,
     alternating_type_subgroup,
     is_subgroup,
+    mask_array,
     mask_elements,
     mask_from,
     subgroup_library,
@@ -88,12 +91,11 @@ def verify_exact_factorisation(group: PSL2, a_mask: int, b_mask: int) -> ExactFa
                                    1 < len(b) < group.order)
     checks["order_product"] = len(a) * len(b) == group.order
     checks["trivial_intersection"] = (a_mask & b_mask) == idbit
-    products = set()
     if all(checks.values()):
-        for x in a:
-            for y in b:
-                products.add(group.mul(x, y))
-        checks["product_bijection"] = len(products) == group.order
+        hit = np.zeros(group.order, dtype=bool)
+        for _, block in group.product_blocks(a, b):
+            hit[block] = True
+        checks["product_bijection"] = bool(hit.all())
     else:
         checks["product_bijection"] = False
     ok = all(checks.values())
@@ -109,6 +111,7 @@ def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
     cands = subgroup_library(group)
     orders = {mask: mask.bit_count() for mask in cands}
     rng = random.Random(group.q)
+    inverses = group.inverses()
     for a_mask in cands:
         na = orders[a_mask]
         if na <= 1 or na >= group.order:
@@ -119,6 +122,7 @@ def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
         for b_mask in cands:
             if orders[b_mask] != need or need <= 1:
                 continue
+            b = np.array(mask_elements(b_mask))
             trial = b_mask
             for attempt in range(max_conjugates):
                 if (a_mask & trial) == idbit:
@@ -127,7 +131,7 @@ def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
                         return fac
                     break
                 g = rng.randrange(group.order)
-                trial = mask_from(group.conj(x, g) for x in mask_elements(b_mask))
+                trial = mask_from(group.mul_pairs(group.mul_pairs(inverses[g], b), g).tolist())
     return None
 
 
@@ -139,21 +143,16 @@ def coset_action(group: PSL2, subgroup_mask: int):
 
     images[g] is the tuple of coset indices (H x)^g = H (x g).
     """
-    h = mask_elements(subgroup_mask)
     n = group.order
-    coset_of = [-1] * n
+    h = np.flatnonzero(mask_array(subgroup_mask, n))
+    coset_of = np.full(n, -1)
     reps: list[int] = []
     for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for hh in h:
-            coset_of[group.mul(hh, x)] = idx
-    images = []
-    for g in range(n):
-        images.append(tuple(coset_of[group.mul(reps[c], g)] for c in range(len(reps))))
-    return reps, images
+        if coset_of[x] < 0:
+            coset_of[group.mul_pairs(h, x)] = len(reps)
+            reps.append(x)
+    images = coset_of[group.mul_rows(reps)].T.tolist()
+    return reps, [tuple(row) for row in images]
 
 
 def verify_sharply_transitive(images: list[tuple[int, ...]], degree: int):
@@ -235,9 +234,8 @@ def squares_of_stabilizer(group: PSL2, stab_mask: int) -> int:
     """The set {t^2 : t in the stabilizer}; verified to be an index-2 subgroup."""
     if group.q % 4 != 1:
         raise WitnessError("square-set construction requires q = 1 mod 4")
-    sq = 0
-    for t in mask_elements(stab_mask):
-        sq |= 1 << group.mul(t, t)
+    stab = np.flatnonzero(mask_array(stab_mask, group.order))
+    sq = mask_from(group.mul_pairs(stab, stab).tolist())
     if not is_subgroup(group, sq):
         raise WitnessError("squares of the stabilizer do not form a subgroup")
     if 2 * sq.bit_count() != stab_mask.bit_count():
@@ -254,24 +252,85 @@ def coset_halving_check(group: PSL2):
     q = group.q
     if q % 4 != 1:
         raise WitnessError("check requires q = 1 mod 4")
+    n = group.order
     t1 = group.point_stabilizer(q)      # infinity
     t2 = group.point_stabilizer(0)
     sq = squares_of_stabilizer(group, t1)
-    n = group.order
-    counts = [0] * n
-    counts_sq = [0] * n
-    t2_elems = mask_elements(t2)
-    for h1 in mask_elements(t1):
-        weight_sq = (sq >> h1) & 1
-        for h2 in t2_elems:
-            t = group.mul(group.inv(h2), h1)
-            counts[t] += 1
-            counts_sq[t] += weight_sq
+    h1 = np.flatnonzero(mask_array(t1, n))
+    h1_square = mask_array(sq, n)[h1]
+    h2_inv = group.inverses()[np.flatnonzero(mask_array(t2, n))]
+    counts = np.zeros(n, dtype=np.int64)
+    counts_sq = np.zeros(n, dtype=np.int64)
+    for _, block in group.product_blocks(h2_inv, h1):     # t = h2^-1 h1
+        counts += np.bincount(block.ravel(), minlength=n)
+        counts_sq += np.bincount(block[:, h1_square].ravel(), minlength=n)
     big = (q - 1) // 2
-    for t in range(n):
-        if 2 * counts_sq[t] != counts[t] or counts[t] not in (0, big):
-            return False, t, {"count": counts[t], "squares": counts_sq[t]}
+    bad = np.flatnonzero((2 * counts_sq != counts) | ((counts != 0) & (counts != big)))
+    if len(bad):
+        t = int(bad[0])
+        return False, t, {"count": int(counts[t]), "squares": int(counts_sq[t])}
     return True, None, {"value_set": [0, big], "square_value_set": [0, big // 2]}
+
+
+def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares,
+                              rng_seed: int = 0) -> SpreadingWitness:
+    """Exhaustively verify a weight-2/weight-1 multiset and return its witness.
+
+    The multiset has weight 2 on squares, which must be an index-2 subgroup of
+    the stabilizer of stabilizer_point, and weight 1 outside that stabilizer.
+    Every right translate of every point stabilizer must meet it in lambda,
+    the stabilizer order: for each point the stabilizer times one element per
+    coset must partition the group, and each coset's weights must sum to
+    lambda.  Twenty random two-sided translates are checked on top.
+    """
+    q, n = group.q, group.order
+    if not 0 <= stabilizer_point <= q:
+        raise WitnessError(f"{stabilizer_point} is not a projective point")
+    if not all(0 <= x < n for x in squares):
+        raise WitnessError("a square is not a group element")
+    stab = group.point_stabilizer(stabilizer_point)
+    sq = mask_from(squares)
+    if sq & ~stab or 2 * sq.bit_count() != stab.bit_count() or not is_subgroup(group, sq):
+        raise WitnessError("the squares are not an index-2 subgroup of the stabilizer")
+    weights = np.ones(n, dtype=np.int8)
+    weights[mask_array(stab, n)] = 0
+    weights[mask_array(sq, n)] = 2
+    total = int(weights.sum())
+    if total != n:
+        raise WitnessError("multiset size differs from the vertex count")
+    lam = stab.bit_count()
+    images = 0
+    for pt in range(q + 1):
+        image = group.act_points(pt)
+        # the least element of each right coset of the stabilizer of pt
+        reps = np.sort(np.unique(image, return_index=True)[1])
+        cover = np.zeros(n, dtype=np.int64)
+        sums = np.zeros(len(reps), dtype=np.int64)
+        for _, block in group.product_blocks(np.flatnonzero(image == pt), reps):
+            cover += np.bincount(block.ravel(), minlength=n)
+            sums += weights[block].sum(axis=0)
+        if (cover != 1).any():
+            raise WitnessError(f"stabilizer translates do not partition the group at point {pt}")
+        bad = np.flatnonzero(sums != lam)
+        if len(bad):
+            k = bad[0]
+            raise WitnessError(
+                f"image sum {sums[k]} != lambda {lam} at point {pt}, rep {reps[k]}")
+        images += len(reps)
+    expected_images = (q + 1) ** 2
+    if images != expected_images:
+        raise WitnessError(f"found {images} distinct images, expected {expected_images}")
+    # spot-check random two-sided images against the deduplicated enumeration
+    rng = random.Random(rng_seed)
+    stab_elems = np.flatnonzero(mask_array(stab, n))
+    inverses = group.inverses()
+    for _ in range(20):
+        x, y = rng.randrange(n), rng.randrange(n)
+        s = int(weights[group.mul_pairs(group.mul_pairs(inverses[x], stab_elems), y)].sum())
+        if s != lam:
+            raise WitnessError(f"random image sum {s} != lambda {lam}")
+    return SpreadingWitness(q, lam, total, stabilizer_point, tuple(mask_elements(sq)),
+                            images, True)
 
 
 def spreading_witness(group: PSL2, rng_seed: int = 0) -> SpreadingWitness:
@@ -280,47 +339,5 @@ def spreading_witness(group: PSL2, rng_seed: int = 0) -> SpreadingWitness:
     ok, bad_t, _ = coset_halving_check(group)
     if not ok:
         raise WitnessError(f"stabilizer-coset halving fails at t={bad_t}")
-    t1 = group.point_stabilizer(q)
-    sq = squares_of_stabilizer(group, t1)
-    n = group.order
-    weights = [0] * n
-    for t in range(n):
-        if (sq >> t) & 1:
-            weights[t] = 2
-        elif not (t1 >> t) & 1:
-            weights[t] = 1
-    total = sum(weights)
-    if total != n:
-        raise WitnessError("multiset size differs from the vertex count")
-    lam = t1.bit_count()
-    images = 0
-    for pt in range(q + 1):
-        stab = group.point_stabilizer(pt) if pt != q else t1
-        stab_elems = mask_elements(stab)
-        seen = 0
-        for t in range(n):
-            if (seen >> t) & 1:
-                continue
-            total_w = 0
-            for h in stab_elems:
-                x = group.mul(h, t)
-                seen |= 1 << x
-                total_w += weights[x]
-            if total_w != lam:
-                raise WitnessError(
-                    f"image sum {total_w} != lambda {lam} at point {pt}, rep {t}")
-            images += 1
-    expected_images = (q + 1) ** 2
-    if images != expected_images:
-        raise WitnessError(f"found {images} distinct images, expected {expected_images}")
-    # spot-check random two-sided images against the deduplicated enumeration
-    rng = random.Random(rng_seed)
-    t1_elems = mask_elements(t1)
-    for _ in range(20):
-        x, y = rng.randrange(n), rng.randrange(n)
-        xi = group.inv(x)
-        s = sum(weights[group.mul(group.mul(xi, h), y)] for h in t1_elems)
-        if s != lam:
-            raise WitnessError(f"random image sum {s} != lambda {lam}")
-    return SpreadingWitness(q, lam, total, q, tuple(mask_elements(sq)),
-                            images, True)
+    sq = squares_of_stabilizer(group, group.point_stabilizer(q))
+    return verify_spreading_multiset(group, q, mask_elements(sq), rng_seed)

@@ -7,6 +7,7 @@ import pytest
 
 from diagsync import pipeline, search
 from diagsync.graphs import build_graph
+from diagsync.psl2 import build_group
 from diagsync.pipeline import (
     Analyzer,
     Cache,
@@ -69,6 +70,40 @@ def test_report_replay_and_tamper_rejection(tmp_path):
     bad2["witnesses"][0]["degree"] = 7
     ok, problems = verify_report(bad2)
     assert not ok
+
+
+def _resealed_multiset(report, edit):
+    """The report with its multiset witness edited and its digest recomputed."""
+    bad = copy.deepcopy(report)
+    k = next(i for i, w in enumerate(bad["witnesses"])
+             if w["kind"] == "non_spreading_multiset")
+    wit = {key: v for key, v in bad["witnesses"][k].items() if key != "digest"}
+    edit(wit)
+    bad["witnesses"][k] = sealed(wit)
+    return bad
+
+
+def _move_a_square(wit):
+    # swap one square for the least non-square element of the stabilizer
+    group = build_group(wit["q"])
+    stab = group.point_stabilizer(wit["stabilizer_point"])
+    other = next(x for x in range(group.order)
+                 if (stab >> x) & 1 and x not in wit["squares"])
+    wit["squares"] = sorted(wit["squares"][1:] + [other])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: w.update(squares=w["squares"][:5]),
+    lambda w: w.update(stabilizer_point=0),
+    _move_a_square,
+    lambda w: w.update(distinct_images=w["distinct_images"] + 1),
+    lambda w: w.update(total=w["total"] - 1),
+], ids=["cut_squares", "other_point", "moved_square", "images", "total"])
+def test_resealed_multiset_edit_fails_replay(edit):
+    _, report = analyze(9, PipelineConfig())
+    assert verify_report(_resealed_multiset(report, lambda w: None))[0]
+    ok, problems = verify_report(_resealed_multiset(report, edit))
+    assert not ok and problems
 
 
 def test_report_determinism(tmp_path):

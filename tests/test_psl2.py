@@ -1,8 +1,11 @@
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagsync import psl2
 from diagsync.psl2 import (
     PSL2,
     alternating_type_subgroup,
@@ -212,3 +215,80 @@ def test_pow_matches_repeated_mul(q):
                 expected = g.mul(expected, x)
             assert g.pow(x, k) == expected
         assert g.pow(x, n) == g.identity and g.pow(x, n + 1) == x
+
+
+# -- the vectorized product kernel against the scalar arithmetic ------------------------
+
+KERNEL_QS = [5, 8, 9, 13, 16, 25, 27]     # table groups first, then table-free ones
+
+
+@lru_cache(maxsize=None)
+def scalar_group(q):
+    """A group that never builds a table, so mul and act_point use field arithmetic."""
+    return PSL2(q)
+
+
+@given(st.sampled_from(KERNEL_QS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_mul_pairs_matches_scalar_mul(q, seed):
+    oracle = scalar_group(q)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, oracle.order, (7, 1))
+    j = rng.integers(0, oracle.order, (1, 11))
+    expected = [[oracle.mul(int(x), int(y)) for y in j[0]] for x in i[:, 0]]
+    # build_group gathers from its table up to q = 13; the oracle never does
+    for group in (build_group(q), oracle):
+        assert group.mul_pairs(i, j).tolist() == expected
+        assert group.mul_pairs(i[:, 0], j[0, 3]).tolist() == [row[3] for row in expected]
+    assert oracle._table is None
+
+
+@given(st.sampled_from(KERNEL_QS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_act_points_matches_act_point(q, seed):
+    g = scalar_group(q)
+    rng = np.random.default_rng(seed)
+    sample = rng.integers(0, g.order, 50)
+    for pt in range(q + 1):
+        images = g.act_points(pt)
+        assert images[sample].tolist() == [g.act_point(int(x), pt) for x in sample]
+    stab = g.point_stabilizer(int(rng.integers(0, q + 1)))
+    assert stab.bit_count() == g.order // (q + 1)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_inverses_match_scalar_mul(q):
+    g = scalar_group(q)
+    inverses = g.inverses()
+    for x in range(0, g.order, 7):
+        assert g.mul(x, int(inverses[x])) == g.identity == g.mul(int(inverses[x]), x)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_blocked_table_equals_scalar_products(q):
+    oracle = scalar_group(q)
+    table = build_group(q).mult_table()
+    assert (table.size > psl2._BLOCK) == (q in (8, 9))     # built in several blocks
+    expected = [[oracle.mul(x, y) for y in range(oracle.order)] for x in range(oracle.order)]
+    assert table.tolist() == expected
+
+
+def test_mul_outer_blocks_match_row_by_row():
+    g = scalar_group(16)
+    xs = np.arange(0, g.order, 3)
+    every = np.arange(g.order)
+    rows = g.mul_outer(xs, every)
+    assert len(xs) * g.order > psl2._BLOCK
+    assert (rows == np.stack([g.mul_pairs(x, every) for x in xs])).all()
+    sample = [(0, 0), (17, 4079), (len(xs) - 1, 123)]
+    assert [int(rows[r, c]) for r, c in sample] == [g.mul(int(xs[r]), c) for r, c in sample]
+
+
+def test_closure_limit():
+    g = build_group(9)
+    borel = borel_subgroup(g)
+    gens = [x for x in range(g.order) if (borel >> x) & 1 and g.element_order(x) > 2]
+    assert closure(g, gens) == borel
+    assert closure(g, gens, limit=borel.bit_count()) == borel
+    with pytest.raises(ValueError):
+        closure(g, gens, limit=borel.bit_count() - 1)

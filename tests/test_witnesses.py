@@ -1,5 +1,7 @@
 import pytest
 
+from diagsync import witnesses
+from diagsync.pipeline import certificate_digest
 from diagsync.psl2 import (
     PSL2,
     alternating_type_subgroup,
@@ -27,6 +29,7 @@ from diagsync.witnesses import (
     squares_of_stabilizer,
     verify_exact_factorisation,
     verify_sharply_transitive,
+    verify_spreading_multiset,
 )
 
 
@@ -209,3 +212,119 @@ def test_subgroup_library_is_the_old_factor_list(q):
     assert list(library) == sorted(library, key=lambda mask: (-mask.bit_count(), mask))
     assert subgroup_library(group) is library
     assert all(is_subgroup(group, mask) for mask in library)
+
+
+# -- the vectorized checks: rejections and pinned payloads -------------------------------
+
+
+def test_is_subgroup_rejections():
+    g = build_group(7)
+    borel = borel_subgroup(g)
+    assert is_subgroup(g, borel)
+    assert not is_subgroup(g, borel & ~(1 << g.identity))         # no identity
+    three = next(x for x in range(g.order) if g.element_order(x) == 3)
+    assert not is_subgroup(g, (1 << g.identity) | (1 << three))   # no inverse
+    four = next(x for x in range(g.order) if g.element_order(x) == 4)
+    mask = (1 << g.identity) | (1 << four) | (1 << g.inv(four))
+    assert not is_subgroup(g, mask)                              # g^2 missing
+    assert not is_subgroup(g, cyclic_subgroup(g, four) | 1 << g.order)   # past the group
+
+
+def test_is_subgroup_without_table():
+    g = PSL2(16)
+    assert g._table is None
+    borel = borel_subgroup(g)
+    assert is_subgroup(g, borel)
+    dropped = next(x for x in mask_elements(borel) if x != g.identity)
+    assert not is_subgroup(g, borel & ~(1 << dropped))
+
+
+def test_factorisation_rejects_colliding_products(monkeypatch):
+    # only a non-subgroup factor can collide; pass the subgroup checks to
+    # reach the product count
+    g = build_group(7)
+    fac = find_exact_factorisation(g)
+    big, small = sorted((fac.a_elements, fac.b_elements), key=len, reverse=True)
+    a_mask = mask_from(big)
+    outside = [x for x in range(g.order) if not (a_mask >> x) & 1]
+    z, a = outside[0], big[-1]
+    b = [g.identity, z, g.mul(a, z)]            # a * z == 1 * (a z)
+    b += [x for x in outside if x not in b][:len(small) - len(b)]
+    monkeypatch.setattr(witnesses, "is_subgroup", lambda group, mask: True)
+    bad = verify_exact_factorisation(g, a_mask, mask_from(b))
+    assert not bad.verified
+    assert not bad.checks["product_bijection"]
+    assert all(v for k, v in bad.checks.items() if k != "product_bijection")
+
+
+def _moved_square(g):
+    stab = g.point_stabilizer(g.q)
+    sq = mask_elements(squares_of_stabilizer(g, stab))
+    other = next(x for x in mask_elements(stab) if x not in sq)
+    return sq[:-1] + [other]
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_multiset_check_accepts_the_squares(q):
+    g = build_group(q)
+    sq = mask_elements(squares_of_stabilizer(g, g.point_stabilizer(q)))
+    wit = verify_spreading_multiset(g, q, sq)
+    assert wit.payload() == spreading_witness(g).payload()
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_multiset_check_rejects_a_moved_square(q, monkeypatch):
+    g = build_group(q)
+    moved = _moved_square(g)
+    with pytest.raises(WitnessError, match="index-2 subgroup"):
+        verify_spreading_multiset(g, q, moved)
+    # the translate sums catch it on their own
+    monkeypatch.setattr(witnesses, "is_subgroup", lambda group, mask: True)
+    with pytest.raises(WitnessError, match="image sum"):
+        verify_spreading_multiset(g, q, moved)
+
+
+def test_multiset_check_rejects_bad_inputs():
+    g = build_group(13)
+    sq = mask_elements(squares_of_stabilizer(g, g.point_stabilizer(13)))
+    with pytest.raises(WitnessError, match="index-2 subgroup"):
+        verify_spreading_multiset(g, 0, sq)                # another point
+    with pytest.raises(WitnessError, match="index-2 subgroup"):
+        verify_spreading_multiset(g, 13, sq[:5])
+    with pytest.raises(WitnessError, match="projective point"):
+        verify_spreading_multiset(g, 14, sq)
+    with pytest.raises(WitnessError, match="group element"):
+        verify_spreading_multiset(g, 13, sq + [g.order])
+
+
+# sealed digests of the witnesses as the scalar implementation produced them
+PINNED_DIGESTS = {
+    5: ["f47ee63d6c774196f3c37e054bd1c37f34e067a440ff80c4714d20fcdb5f26fa",
+        "c26451c124fea7956e59984080e8a0078154c56039b4af4144de598db18b09dd"],
+    9: ["594cbc9d2b1a4ef43e77a1d1b905352519ba734b00c2da472851eed697af3bf3",
+        "b9e02ba7dc938845a5debdaf12e5305ad1999ec3cd98c0a548ebbc55a9781ecb"],
+    13: ["d09c49addaef5fa06d4da303bc801a3a10703f5aa8ba1dc8d9700a15a575c472"],
+    29: ["313d08525cb6a64bdf887fa93187ef66c254bbc094bdfaf908d770ab104be099",
+         "07fd1dd19b393d70d75268bf3426a353779beca8928de100db66a82d326fdac7"],
+    31: ["e1a7b29b9e9f2a293b5f1c84452dacd62eb07c7506127b2cdfdc832cec6d4102"],
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_DIGESTS))
+def test_witness_payloads_are_pinned(q):
+    g = build_group(q)
+    found = [find_exact_factorisation(g)]
+    if found[0] is None:
+        six = index_six_subgroup(g)
+        found = [find_sharply_transitive_set(g, six)] if six else []
+    if q % 4 == 1:
+        found.append(spreading_witness(g, rng_seed=1))
+    assert [certificate_digest(w.payload()) for w in found] == PINNED_DIGESTS[q]
+
+
+@pytest.mark.slow
+def test_spreading_witness_q37():
+    g = build_group(37)
+    wit = spreading_witness(g)
+    assert wit.verified and wit.lam == 666
+    assert wit.distinct_images == 38 ** 2
