@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .psl2 import PSL2, label_sort_key, mask_elements, mask_from
+import numpy as np
+
+from .psl2 import PSL2, label_sort_key, mask_array, mask_elements, mask_of
 
 
 class InvalidClassSet(ValueError):
@@ -69,7 +71,7 @@ class ClassUnionGraph:
     connection: int
     class_ids: tuple[int, ...]
     _neighbors: dict[int, int] = field(default_factory=dict, repr=False)
-    _conn_elements: list[int] | None = field(default=None, repr=False)
+    _conn_elements: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -88,17 +90,18 @@ class ClassUnionGraph:
             return False
         return bool((self.connection >> self.group.mul(u, self.group.inv(v))) & 1)
 
-    def connection_elements(self) -> list[int]:
+    def connection_elements(self) -> np.ndarray:
         if self._conn_elements is None:
-            self._conn_elements = mask_elements(self.connection)
+            self._conn_elements = np.flatnonzero(mask_array(self.connection, self.group.order))
         return self._conn_elements
 
     def neighbors(self, v: int) -> int:
         """Neighborhood of v as a bitmask: {s*v : s in connection set}."""
         cached = self._neighbors.get(v)
         if cached is None:
-            cached = mask_from(self.group.mul_column(self.connection_elements(), v))
-            self._neighbors[v] = cached
+            flags = np.zeros(self.group.order, dtype=bool)
+            flags[self.group.mul_pairs(self.connection_elements(), v)] = True
+            cached = self._neighbors[v] = mask_of(flags)
         return cached
 
     def descriptor(self) -> dict:

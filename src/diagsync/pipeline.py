@@ -351,7 +351,10 @@ class Analyzer:
         return False
 
     def feasibility_stage(self) -> list[GraphVerdict]:
-        rows = putative_table(self.scheme)
+        # it depends only on the group: cached on it, like its subgroup library
+        rows = getattr(self.group, "_putative_table", None)
+        if rows is None:
+            rows = self.group._putative_table = tuple(putative_table(self.scheme))
         verdicts = []
         for row in rows:
             gv = GraphVerdict(row.clique_classes, row.coclique_classes,

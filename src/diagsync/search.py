@@ -9,11 +9,15 @@ an automorphism fixing the identity).  Algebraic seeds (cliques among the
 subgroups of ``psl2.subgroup_library`` and every cyclic subgroup, and unions
 of their cosets) provide strong incumbents before any branching.  Every
 pinned subproblem, serial or in a worker process, goes through
-``_solve_task``.
+``_solve_task``.  Its local graph is one boolean matrix, built by a single
+product gather (u ~ v exactly when u*v^-1 lies in the connection set); the
+degeneracy order comes from a degree vector over that matrix, and the
+relabelled rows are packed once into the bitsets the branching works on.
 
 Certificates record the witness and whether the search was exhaustive; an
-independent pairwise verifier re-checks every witness against the adjacency
-oracle, so a defective search can never produce an accepted certificate.
+independent pairwise verifier re-checks every witness by the same gather
+over all its pairs, so a defective search can never produce an accepted
+certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import PSL2, cyclic_subgroup, mask_elements, mask_from, subgroup_library
+from .psl2 import (PSL2, cyclic_subgroup, mask_array, mask_elements, mask_from, mask_of,
+                   subgroup_library)
 
 
 @dataclass
@@ -83,20 +88,33 @@ NONE = "NONE"
 EXHAUSTED = "BUDGET_EXHAUSTED"
 
 
-def verify_clique(graph: ClassUnionGraph, vertices) -> bool:
+def _local_adjacency(graph: ClassUnionGraph, verts: np.ndarray) -> np.ndarray:
+    """adj[i, j]: verts[i] ~ verts[j], that is verts[i] * verts[j]^-1 lies in
+    the connection set; one product gather, false on the diagonal."""
+    group = graph.group
+    conn = mask_array(graph.connection, group.order)
+    return conn[group.mul_outer(verts, group.inverses()[verts])]
+
+
+def _pairwise(graph: ClassUnionGraph, vertices, adjacent: bool) -> bool:
+    """Whether the vertices are distinct group elements, every two of them
+    adjacent (or, with adjacent False, every two non-adjacent)."""
     verts = list(vertices)
-    if len(set(verts)) != len(verts):
-        return False
-    return all(graph.adjacent(u, v)
-               for i, u in enumerate(verts) for v in verts[i + 1:])
+    n = graph.vertex_count
+    if len(set(verts)) != len(verts) or not all(
+            isinstance(u, (int, np.integer)) and 0 <= u < n for u in verts):
+        return False            # checked first: numpy wraps negative indices
+    pairs = _local_adjacency(graph, np.array(verts, dtype=np.intp))
+    np.fill_diagonal(pairs, adjacent)
+    return bool(pairs.all()) if adjacent else not pairs.any()
+
+
+def verify_clique(graph: ClassUnionGraph, vertices) -> bool:
+    return _pairwise(graph, vertices, True)
 
 
 def verify_coclique(graph: ClassUnionGraph, vertices) -> bool:
-    verts = list(vertices)
-    if len(set(verts)) != len(verts):
-        return False
-    return all(not graph.adjacent(u, v)
-               for i, u in enumerate(verts) for v in verts[i + 1:])
+    return _pairwise(graph, vertices, False)
 
 
 # -- algebraic seeds --------------------------------------------------------------
@@ -158,8 +176,7 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     """
     group = graph.group
     n = group.order
-    conn = np.zeros(n, dtype=bool)
-    conn[graph.connection_elements()] = True
+    conn = mask_array(graph.connection, n)
     inv = group.inverses()
     left = group.mul_rows(h)                  # left[i, x] = h_i * x: column x is Hx
     reps = np.flatnonzero(left.min(axis=0) == np.arange(n))
@@ -168,12 +185,11 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     quotients = group.mul_rows(reps)[:, inv[reps]]    # reps[i] * reps[j]^-1
     # symmetric, as the connection set is inverse-closed, and false on the
     # diagonal, as it misses the identity
-    adj = [mask_from(np.flatnonzero(line).tolist()) for line in ok[quotients]]
     meter = _Meter(200000, time.monotonic() + 5.0)
-    best_size, best_mask, _ = _bb_max_clique(adj, 1, meter)
+    best_size, members, _ = _bb_max_clique(ok[quotients], 1, meter)
     if best_size <= 1:
         return None
-    out = tuple(sorted(left[:, reps[mask_elements(best_mask)]].ravel().tolist()))
+    out = tuple(sorted(left[:, reps[members]].ravel().tolist()))
     return out if verify_clique(graph, out) else None
 
 
@@ -184,19 +200,17 @@ class _Hit(Exception):
     pass
 
 
-def _bb_max_clique(adj: list[int], lower: int, meter: _Meter,
+def _bb_max_clique(adj: np.ndarray, lower: int, meter: _Meter,
                    target: int | None = None):
-    """Max clique on a small graph given as local adjacency masks.
+    """Max clique on a small graph given as a symmetric boolean matrix.
 
-    Returns (best_size, best_mask, complete).  With target set, stops at the
-    first clique of at least that size, and complete is False.
+    Returns (best_size, members, complete), members the sorted matrix indices
+    of the best clique found.  With target set, stops at the first clique of
+    at least that size, and complete is False.
     """
     n = len(adj)
     order = _degeneracy_order(adj)
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * n
-    for v in range(n):
-        radj[pos[v]] = mask_from(pos[u] for u in mask_elements(adj[v]))
+    radj = [mask_of(row) for row in adj[np.ix_(order, order)]]
     state = {"best": lower if target is None else min(lower, target - 1),
              "mask": 0, "complete": True}
     full = (1 << n) - 1
@@ -254,27 +268,21 @@ def _bb_max_clique(adj: list[int], lower: int, meter: _Meter,
         expand(0, 0, full)
     except _Hit:
         state["complete"] = False     # state already holds the hit
-    out = mask_from(order[i] for i in mask_elements(state["mask"]))
-    return state["best"], out, state["complete"]
+    members = np.sort(order[np.flatnonzero(mask_array(state["mask"], n))])
+    return state["best"], members, state["complete"]
 
 
-def _degeneracy_order(adj: list[int]) -> list[int]:
+def _degeneracy_order(adj: np.ndarray) -> np.ndarray:
+    """Vertices by repeatedly removing one of least remaining degree, the
+    lowest index among ties."""
     n = len(adj)
-    alive = (1 << n) - 1
-    deg = [adj[v].bit_count() for v in range(n)]
-    order = []
-    for _ in range(n):
-        best_v, best_d = -1, None
-        m = alive
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            d = (adj[v] & alive).bit_count()
-            if best_d is None or d < best_d:
-                best_v, best_d = v, d
-            m ^= low
-        order.append(best_v)
-        alive &= ~(1 << best_v)
+    deg = adj.sum(axis=1, dtype=np.int64)
+    order = np.empty(n, dtype=np.intp)
+    for k in range(n):
+        v = int(deg.argmin())
+        order[k] = v
+        deg -= adj[v]
+        deg[v] = 2 * n      # a removed vertex loses at most n - 1 more
     return order
 
 
@@ -315,11 +323,9 @@ def _centralizer_orbits(group: PSL2, rep: int, cand_mask: int) -> list[tuple[int
 
 
 def _localize(graph: ClassUnionGraph, cand_mask: int):
-    verts = mask_elements(cand_mask)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [mask_from(index[u] for u in mask_elements(graph.neighbors(v) & cand_mask))
-           for v in verts]
-    return verts, adj
+    """The candidates in increasing order and the subgraph they induce."""
+    verts = np.flatnonzero(mask_array(cand_mask, graph.vertex_count))
+    return verts, _local_adjacency(graph, verts)
 
 
 def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
@@ -358,10 +364,10 @@ def _solve_task(graph: ClassUnionGraph, rep: int, v: int, cand_mask: int, lower:
     lower + 3 vertices, else None.
     """
     verts, adj = _localize(graph, cand_mask)
-    size, mask, complete = _bb_max_clique(adj, lower, meter, target)
+    size, members, complete = _bb_max_clique(adj, lower, meter, target)
     if size <= lower:
         return None, complete
-    found = [graph.group.identity, rep, v] + [verts[i] for i in mask_elements(mask)]
+    found = [graph.group.identity, rep, v] + verts[members].tolist()
     return tuple(sorted(found)), complete
 
 
@@ -369,8 +375,8 @@ _POOL_GRAPH: ClassUnionGraph | None = None
 
 
 def _pool_solve(args):
-    rep, v, cand_mask, lower, max_nodes, seconds = args
-    meter = _Meter(max_nodes, time.monotonic() + seconds)
+    rep, v, cand_mask, lower, max_nodes, deadline = args
+    meter = _Meter(max_nodes, deadline)
     witness, complete = _solve_task(_POOL_GRAPH, rep, v, cand_mask, lower, meter)
     return witness, complete, meter.nodes, meter.timed_out
 
@@ -380,9 +386,10 @@ def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
     """Exact maximum clique; exhaustive unless the budget runs out.
 
     With threads > 1 and at least four pinned subproblems, the first runs
-    here to warm the incumbent and the rest run in worker processes, each
-    under the whole budget; the proven optimum does not depend on the worker
-    count.
+    here to warm the incumbent and the rest run in worker processes.  Each
+    worker task gets an equal share of the nodes the first left and the
+    caller's deadline, so a capped result repeats under one (cap, seed,
+    threads); the proven optimum does not depend on the worker count.
     """
     budget = budget or Budget()
     t0 = time.monotonic()
@@ -402,13 +409,13 @@ def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
         if meter.exhausted:
             complete = False
             break
-    if pooled:
+    if pooled and not meter.exhausted:
         import multiprocessing as mp
-        remaining = max(5.0, budget.max_seconds - (time.monotonic() - t0))
+        share = (meter.max_nodes - meter.nodes) // len(pooled)
         global _POOL_GRAPH
         _POOL_GRAPH = graph
-        graph.neighbors(group.identity)  # ensure caches exist before fork
-        args = [(rep, v, cand, len(best) - 3, budget.max_nodes, remaining)
+        group.inverses()            # built once here, not in every worker
+        args = [(rep, v, cand, len(best) - 3, share, meter.deadline)
                 for rep, v, cand in pooled]
         with mp.get_context("fork").Pool(processes=threads) as pool:
             for witness, ok, nodes, timed_out in pool.imap(_pool_solve, args):

@@ -221,6 +221,24 @@ def test_budgeted_analyze_reuses_every_capped_result(tmp_path, monkeypatch):
     assert verify_report(warm)[0]
 
 
+def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
+    group = build_group(13)
+    monkeypatch.delattr(group, "_putative_table", raising=False)
+    tables = []
+    real = pipeline.putative_table
+    monkeypatch.setattr(pipeline, "putative_table",
+                        lambda scheme: tables.append(scheme) or real(scheme))
+    cfg = _budgeted(tmp_path, budget_nodes=100)
+    _, cold = analyze(13, cfg)
+    assert len(tables) == 1
+    memo = group._putative_table
+    assert isinstance(memo, tuple) and len(memo) == len(cold["feasibility"])
+    _, warm = analyze(13, cfg)
+    assert len(tables) == 1 and group._putative_table is memo
+    assert warm["feasibility"] == cold["feasibility"]
+    assert _strip(cold) == _strip(warm)
+
+
 def test_capped_entry_is_keyed_by_node_cap_seed_and_threads(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)

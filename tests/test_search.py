@@ -1,7 +1,9 @@
 import itertools
 import multiprocessing
 import random
+import time
 
+import numpy as np
 import pytest
 
 from diagsync import search
@@ -13,6 +15,7 @@ from diagsync.psl2 import (
     cyclic_subgroup,
     dihedral_subgroup,
     mask_elements,
+    mask_of,
     stabilizer_torus_element,
     sylow_subgroup,
     unipotent_subgroup,
@@ -201,17 +204,15 @@ def reference_best_coset_union(graph, h):
         z = group.mul(x, group.inv(y))
         return all((conn >> group.mul(group.mul(h1, z), h2)) & 1 for h1 in h for h2 in h)
 
-    adj = [0] * len(reps)
+    adj = np.zeros((len(reps), len(reps)), dtype=bool)
     for i, j in itertools.combinations(range(len(reps)), 2):
         if compatible(reps[i], reps[j]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    best_size, best_mask, _ = search._bb_max_clique(
+            adj[i, j] = adj[j, i] = True
+    best_size, members, _ = search._bb_max_clique(
         adj, 1, search._Meter(200000, float("inf")))
     if best_size <= 1:
         return None
-    out = tuple(sorted(group.mul(hh, reps[i]) for i in range(len(reps))
-                       if (best_mask >> i) & 1 for hh in h))
+    out = tuple(sorted(group.mul(hh, reps[i]) for i in members.tolist() for hh in h))
     return out if verify_clique(graph, out) else None
 
 
@@ -251,10 +252,41 @@ def test_pool_solve_reports_a_clock_stop(g13, monkeypatch):
     graph = complement_graph(build_graph(g13, ["3", "13"]))
     rep, v, cand = max(search._pinned_tasks(graph, 0), key=lambda t: t[2].bit_count())
     monkeypatch.setattr(search, "_POOL_GRAPH", graph)
+    # the last argument is an absolute deadline on the monotonic clock
     *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, 10 ** 6, -1.0))
     assert not ok and timed_out and nodes == 2048
-    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, 100, 3600.0))
+    *_, ok, nodes, timed_out = search._pool_solve(
+        (rep, v, cand, 0, 100, time.monotonic() + 3600.0))
     assert not ok and not timed_out and nodes == 101
+
+
+@pytest.mark.parametrize("kind,labels,cap,pool_runs", [
+    # the warm-up task alone spends the cap: no pool (64,529 nodes when every
+    # worker had the whole cap)
+    ("coclique", ["13"], 300, False),
+    # the pool splits what the warm-up left among its 55 tasks
+    ("clique", ["7"], 200, True),
+])
+def test_node_cap_bounds_a_parallel_search(g13, monkeypatch, kind, labels, cap, pool_runs):
+    pools = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: pools.append(method) or get_context(method))
+    graph = build_graph(g13, labels)
+    searched = graph if kind == "clique" else complement_graph(graph)
+    best = max(algebraic_clique_seeds(searched), key=len)
+    pending = [t for t in search._pinned_tasks(searched, len(best))
+               if t[2].bit_count() + 3 > len(best)]
+    pooled = len(pending) - 1
+    assert pooled >= 3
+    run = max_clique if kind == "clique" else max_coclique
+    certs = [run(graph, Budget(max_nodes=cap), threads=2) for _ in range(2)]
+    assert bool(pools) == pool_runs
+    cert = certs[0]
+    assert not cert.exhaustive and not cert.timed_out and cert.verified
+    assert cert.nodes <= cap + pooled
+    # a capped result repeats under one (cap, seed, threads)
+    assert (certs[1].vertices, certs[1].nodes) == (cert.vertices, cert.nodes)
 
 
 # -- the seed subgroups against the library they replaced -----------------------------
@@ -382,3 +414,132 @@ def test_search_certificates_are_golden(kind, q, labels, cap, k, expected):
         got = (cert.size, cert.vertices, cert.nodes, cert.exhaustive)
     assert got == expected
 
+
+# -- array-native task set-up against the bit loops it replaced -----------------------
+
+
+def reference_degeneracy_order(adj):
+    """The degeneracy order one bit at a time, over adjacency masks.
+
+    Plain reference for search._degeneracy_order.
+    """
+    n = len(adj)
+    alive = (1 << n) - 1
+    order = []
+    for _ in range(n):
+        best_v, best_d = -1, None
+        m = alive
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            d = (adj[v] & alive).bit_count()
+            if best_d is None or d < best_d:
+                best_v, best_d = v, d
+            m ^= low
+        order.append(best_v)
+        alive &= ~(1 << best_v)
+    return order
+
+
+def _random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    return upper | upper.T
+
+
+def test_degeneracy_order_matches_bit_loop():
+    rng = np.random.default_rng(3)
+    graphs = [np.zeros((0, 0), dtype=bool), np.zeros((9, 9), dtype=bool),
+              ~np.eye(9, dtype=bool)]
+    # few vertices and mid densities give many equal degrees
+    graphs += [_random_graph(rng, n, density) for n in (1, 2, 5, 12, 40, 90)
+               for density in (0.1, 0.5, 0.9)]
+    for adj in graphs:
+        got = search._degeneracy_order(adj)
+        assert got.tolist() == reference_degeneracy_order([mask_of(row) for row in adj])
+
+
+def reference_localize(graph, cand_mask):
+    """The candidates and their local adjacency masks from the neighbour masks."""
+    verts = mask_elements(cand_mask)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = []
+    for v in verts:
+        local = 0
+        for u in mask_elements(graph.neighbors(v) & cand_mask):
+            local |= 1 << index[u]
+        adj.append(local)
+    return verts, adj
+
+
+_LOCAL_CASES = [(7, ["3", "4"]), (11, ["5", "6"]), (13, ["7"]), (13, ["2", "3", "13"]),
+                (19, ["9", "19"])]
+
+
+@pytest.mark.parametrize("q,labels", _LOCAL_CASES, ids=lambda v: str(v))
+def test_localize_matches_neighbour_masks(q, labels):
+    graph = build_graph(build_group(q), labels)
+    n = graph.vertex_count
+    rng = random.Random(q)
+    masks = [0, 1 << (n - 1), graph.neighbors(0), graph.neighbors(0) & graph.neighbors(5)]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
+    masks += [sum(1 << v for v in rng.sample(range(n), min(n, 150))) for _ in range(2)]
+    for cand in masks:
+        verts, adj = search._localize(graph, cand)
+        ref_verts, ref_adj = reference_localize(graph, cand)
+        assert verts.tolist() == ref_verts
+        assert adj.shape == (len(ref_verts), len(ref_verts)) and adj.dtype == bool
+        assert [mask_of(row) for row in adj] == ref_adj
+
+
+def reference_pairwise(graph, vertices, adjacent):
+    """verify_clique / verify_coclique by the scalar adjacency oracle."""
+    verts = list(vertices)
+    if len(set(verts)) != len(verts) or any(not 0 <= v < graph.vertex_count for v in verts):
+        return False
+    return all(graph.adjacent(u, v) == adjacent for u, v in itertools.combinations(verts, 2))
+
+
+def _greedy_clique(graph, rng, adjacent):
+    """A random maximal-ish clique (or coclique) grown by the scalar oracle."""
+    n = graph.vertex_count
+    out = [rng.randrange(n)]
+    for v in rng.sample(range(n), min(n, 400)):
+        if v not in out and all(graph.adjacent(u, v) == adjacent for u in out):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("q,labels", _LOCAL_CASES, ids=lambda v: str(v))
+def test_verify_by_gather_matches_scalar_oracle(q, labels):
+    graph = build_graph(build_group(q), labels)
+    n = graph.vertex_count
+    rng = random.Random(7 * q)
+    for adjacent, check in ((True, verify_clique), (False, verify_coclique)):
+        lists = [[], [0], [0, 0], [-1], [n], [0, n + 3]]
+        for _ in range(6):
+            found = _greedy_clique(graph, rng, adjacent)
+            assert len(found) >= 2 and check(graph, found) and check(graph, tuple(found))
+            lists += [found, found[::-1], found + [found[0]], found[:-1] + [n],
+                      found[:-1] + [-found[-1] or -1], found + [rng.randrange(n)]]
+            lists.append(rng.sample(range(n), rng.randrange(2, 12)))    # a non-clique, mostly
+        for verts in lists:
+            assert check(graph, verts) == reference_pairwise(graph, verts, adjacent), verts
+
+
+def test_task_setup_makes_no_per_vertex_mask_loops(g13, monkeypatch):
+    # the bit-loop codec serves only cold paths: here one orbit mask per task
+    from diagsync import graphs, psl2
+    graph = build_graph(g13, ["7"])
+    algebraic_clique_seeds(graph)           # memoized on the group before counting
+    tasks = len(search._pinned_tasks(graph, 0))
+    assert tasks >= 50
+    calls = []
+    for name in ("mask_elements", "mask_from"):
+        real = getattr(psl2, name)
+        for module in (psl2, graphs, search):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name,
+                                    lambda *a, real=real: calls.append(1) or real(*a))
+    cert = max_clique(graph, Budget(max_seconds=300))
+    assert cert.exhaustive and cert.size == 9
+    assert len(calls) <= 2 * tasks, (len(calls), tasks)
