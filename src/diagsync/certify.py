@@ -1,18 +1,13 @@
-"""Covering programs built from clique translates, and their exact solution.
+"""Exact-hit covering programs built from clique translates.
 
 Given a verified clique C of a class-union graph, the automorphisms generated
 by two-sided translations, inversion, and those outer maps (diagonal PGL
 conjugation, field automorphisms) that fix the connection set move C around
-the vertex set; each image is again a clique.  Collecting the distinct images
-as rows yields the packing system
-
-    maximize sum(v)   subject to   sum(v_t for t in row) <= 1,  v binary,
-
-whose optimum bounds the coclique number from above whenever every edge of
-the graph lies inside some row (verified explicitly and recorded).  The
-EXACTLY_ONE sense instead asks for an independent set of a given size meeting
-every row precisely once, which is the regime of the equality case of the
-clique-coclique bound; its proven infeasibility refutes that size.
+the vertex set; each image is again a clique and becomes a row.  In the
+equality case of the clique-coclique bound a coclique of size |T|/|C| meets
+every row exactly once, so the program asks one question: is there an
+independent set of the target size that hits every row exactly once?  Its
+proven infeasibility refutes that size.
 
 Rows come in right-translation families {S t : t in T}, one per conjugate
 shape S of C.  Two families are equal or disjoint, so a shape that is already
@@ -21,17 +16,19 @@ family's partition entry.  Each new family is translated by one gather of
 multiplication-table rows, and every new row is still re-verified pair by
 pair against the connection set.
 
-The internal solver is a propagation-based exact branch-and-bound over binary
-choices (no floating point); the LP export provides the same model in a
-solver-neutral text format for external reproduction.  The EXACTLY_ONE search
-keeps its state in arrays: the alive count and done flag of every row, the
-chosen vertices and the pair counts per label, beside the alive-vertex mask.
-Choosing a vertex removes its precomputed kill mask (itself, its neighbours
-and its rows) and subtracts one bincount over the vertex-row incidence of the
-removed vertices from the row counts; each branch is undone by restoring the
-snapshot taken at its node.  Branching is unchanged: the first not-done row of
-least alive count, its alive vertices in ascending order, after forcing every
-row left with one alive vertex.
+The solver is a propagation-based exact branch-and-bound over binary choices
+(no floating point).  The row system is closed under right translation, which
+preserves adjacency and pair labels, so every solution has a translate through
+the identity and the search pins it first.  The state lives in arrays: the
+alive count and done flag of every row, the chosen vertices and the pair
+counts per label, beside the alive-vertex mask.  Choosing a vertex removes its
+precomputed kill mask (itself, its neighbours and its rows) and subtracts one
+bincount over the vertex-row incidence of the removed vertices from the row
+counts; each branch is undone by restoring the snapshot taken at its node.
+Branching takes the first not-done row of least alive count, its alive
+vertices in ascending order, after forcing every row left with one alive
+vertex.  A returned witness is re-checked as a coclique that hits every row
+exactly once.
 """
 
 from __future__ import annotations
@@ -43,12 +40,10 @@ import numpy as np
 
 from .graphs import ClassUnionGraph
 from .psl2 import PSL2, mask_elements, mask_array, mask_from
-from .search import Budget, verify_clique
+from .search import Budget, verify_clique, verify_coclique
 
-AT_MOST_ONE = "AT_MOST_ONE"
-EXACTLY_ONE = "EXACTLY_ONE"
+EXACTLY_ONE = "EXACTLY_ONE"            # the one sense, named in every payload
 
-PROVEN_OPTIMUM = "PROVEN_OPTIMUM"
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
 FEASIBLE = "FEASIBLE"
 BRACKET = "BUDGET_BRACKET"
@@ -62,7 +57,6 @@ class TranslateRowSystem:
     generator_note: str
     partitions: list[list[int]]          # row-index families partitioning the vertices
     edges_covered: bool
-    translation_closed: bool
 
     @property
     def row_size(self) -> int:
@@ -82,11 +76,8 @@ class TranslateRowSystem:
 
 @dataclass
 class CoverBound:
-    sense: str
     status: str
-    lower: int                  # size of the best verified packing found
-    upper: int | None           # proven upper bound for the optimum (AT_MOST_ONE)
-    target: int | None
+    target: int
     witness: tuple[int, ...]
     nodes: int
     elapsed: float
@@ -96,8 +87,8 @@ class CoverBound:
 
     def payload(self) -> dict:
         return {
-            "sense": self.sense, "status": self.status, "lower": self.lower,
-            "upper": self.upper, "target": self.target,
+            "sense": EXACTLY_ONE, "status": self.status, "lower": len(self.witness),
+            "upper": None, "target": self.target,
             "witness": list(self.witness), "nodes": self.nodes,
             "elapsed": round(self.elapsed, 3), "system": self.system,
             "notes": self.notes,
@@ -248,78 +239,49 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
             cov[v] |= mask
     edges_covered = all(
         graph.neighbors(v) & ~cov[v] == 0 for v in range(n))
-    return TranslateRowSystem(graph, base, rows, note, partitions,
-                              edges_covered, translation_closed=True)
+    return TranslateRowSystem(graph, base, rows, note, partitions, edges_covered)
 
 
 # -- exact solving ------------------------------------------------------------------
 
 
-def solve_cover_ilp(system: TranslateRowSystem, sense: str,
-                    target_size: int | None = None,
+def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
                     budget: Budget | None = None,
-                    pair_budget: dict[str, int] | None = None,
-                    pin_first: bool = True) -> CoverBound:
-    """Exact optimum / feasibility for the covering program.
+                    pair_budget: dict[str, int] | None = None) -> CoverBound:
+    """Decide whether an independent set of target_size meets every row exactly once.
 
-    AT_MOST_ONE maximizes the packing size; EXACTLY_ONE decides whether an
-    independent set of size target_size can meet every row exactly once.
     Budget exhaustion yields a BRACKET status, never a silent answer.
     """
-    if sense not in (AT_MOST_ONE, EXACTLY_ONE):
-        raise ValueError(sense)
-    if sense == EXACTLY_ONE and target_size is None:
-        raise ValueError("EXACTLY_ONE requires a target size")
     budget = budget or Budget()
     t0 = time.monotonic()
     meter = budget.start()
     solver = _CoverSolver(system, meter, pair_budget)
-    if sense == EXACTLY_ONE:
-        status, witness = solver.exactly_one(target_size,
-                                             pin_first and system.translation_closed)
-        if status == FEASIBLE:
-            # independent re-verification of the returned transversal
-            wset = set(witness)
-            for mask in system.rows:
-                if sum(1 for v in witness if (mask >> v) & 1) != 1:
-                    raise AssertionError("solver returned a non-transversal witness")
-            for i, u in enumerate(witness):
-                for v in witness[i + 1:]:
-                    if system.graph.adjacent(u, v):
-                        raise AssertionError("solver returned a dependent witness")
-            assert len(wset) == target_size
-        lower = len(witness)
-        upper = None
-        notes = []
-        if status == PROVEN_INFEASIBLE and system.partitions:
-            notes.append(f"partition bound caps packings at {len(system.partitions[0])}; "
-                         f"size {target_size} proven infeasible")
-        if not system.edges_covered:
-            notes.append("rows do not cover all edges; independence enforced directly")
-        return CoverBound(sense, status, lower, upper, target_size, witness,
-                          meter.nodes, time.monotonic() - t0,
-                          system.descriptor(), notes, meter.timed_out)
-    best_size, best_set, complete, upper = solver.maximize(
-        pin_first and system.translation_closed)
-    status = PROVEN_OPTIMUM if complete else BRACKET
+    status, witness = solver.exactly_one(target_size)
+    if status == FEASIBLE:
+        # independent re-verification of the returned transversal
+        hits = np.bincount(solver.incidence[list(witness)].ravel(),
+                           minlength=len(system.rows) + 1)[:-1]
+        if (len(witness) != target_size or not verify_coclique(system.graph, witness)
+                or (hits != 1).any()):
+            raise AssertionError("solver returned an invalid exact-hit witness")
     notes = []
-    if system.edges_covered:
-        notes.append("rows cover every edge: packing optimum equals the coclique number")
-    return CoverBound(AT_MOST_ONE, status, best_size,
-                      best_size if complete else upper, None, best_set,
-                      meter.nodes, time.monotonic() - t0,
-                      system.descriptor(), notes, meter.timed_out)
+    if status == PROVEN_INFEASIBLE and system.partitions:
+        notes.append(f"partition bound caps packings at {len(system.partitions[0])}; "
+                     f"size {target_size} proven infeasible")
+    if not system.edges_covered:
+        notes.append("rows do not cover all edges; independence enforced directly")
+    return CoverBound(status, target_size, witness, meter.nodes,
+                      time.monotonic() - t0, system.descriptor(), notes,
+                      meter.timed_out)
 
 
 class _CoverSolver:
     def __init__(self, system: TranslateRowSystem, meter, pair_budget):
-        self.system = system
         self.graph = system.graph
         self.group = system.graph.group
         self.meter = meter
         self.n = self.group.order
         self.rows = system.rows
-        self.full = (1 << self.n) - 1
         # rows through each vertex, as lists and as one array padded with the
         # out-of-range row index len(rows)
         self.vrows: list[list[int]] = [[] for _ in range(self.n)]
@@ -330,7 +292,6 @@ class _CoverSolver:
         self.incidence = np.full((self.n, width), len(self.rows), dtype=np.int32)
         for v, through in enumerate(self.vrows):
             self.incidence[v, :len(through)] = through
-        self._reach: list[int | None] = [None] * self.n
         self._kill: list[int | None] = [None] * self.n
         self.pair_limits = None
         if pair_budget:
@@ -343,28 +304,21 @@ class _CoverSolver:
             self.pair_limits = np.array(
                 [pair_budget.get(o.label, self.n * self.n) for o in fused], dtype=np.int32)
 
-    def reach(self, v: int) -> int:
-        """v and every row through it, as one mask (built on first use)."""
-        mask = self._reach[v]
-        if mask is None:
-            mask = 1 << v
-            for ri in self.vrows[v]:
-                mask |= self.rows[ri]
-            self._reach[v] = mask
-        return mask
-
     def kill(self, v: int) -> int:
-        """reach(v) and v's neighbours: what choosing v removes under independence."""
+        """v, its rows and its neighbours: what choosing v removes (built on first use)."""
         mask = self._kill[v]
         if mask is None:
-            mask = self.reach(v) | self.graph.neighbors(v)
+            mask = (1 << v) | self.graph.neighbors(v)
+            for ri in self.vrows[v]:
+                mask |= self.rows[ri]
             self._kill[v] = mask
         return mask
 
-    # ---- exactly-one feasibility ----------------------------------------------
-
-    def exactly_one(self, target: int, pin: bool):
+    def exactly_one(self, target: int):
         """Depth-first search for an independent transversal of size target.
+
+        The identity is chosen first: the rows are closed under right
+        translation, so some translate of any solution contains it.
 
         The state is the alive-vertex mask, the alive count and done flag of
         every row, the chosen vertices and the pair counts per label; each
@@ -377,7 +331,7 @@ class _CoverSolver:
         incidence = self.incidence
         limits = self.pair_limits
         closed = n + 1                       # sorts done rows after every open one
-        alive = self.full
+        alive = (1 << n) - 1
         row_alive = np.array([r.bit_count() for r in rows], dtype=np.int32)
         row_done = np.zeros(n_rows, dtype=bool)
         chosen: list[int] = []
@@ -452,9 +406,8 @@ class _CoverSolver:
                 counts[:] = snapshot[4]
             return DEAD_LOCAL
 
-        if pin:
-            if not choose(self.group.identity) or not propagate():
-                return PROVEN_INFEASIBLE, ()
+        if not choose(self.group.identity) or not propagate():
+            return PROVEN_INFEASIBLE, ()
         out = search()
         if out == FOUND_LOCAL:
             return FEASIBLE, tuple(sorted(chosen))
@@ -462,130 +415,7 @@ class _CoverSolver:
             return BRACKET, ()
         return PROVEN_INFEASIBLE, ()
 
-    # ---- at-most-one maximization -----------------------------------------------
-
-    def maximize(self, pin: bool):
-        rows = self.rows
-        system = self.system
-        partition = system.partitions[0] if system.partitions else None
-        greedy = self._greedy_packing()
-        best = {"size": len(greedy), "set": tuple(greedy)}
-        n_rows = len(rows)
-        use_adj = system.edges_covered
-
-        def bound(alive: int, used_rows: list[bool], size: int) -> int:
-            if partition is None:
-                return size + alive.bit_count()
-            open_blocks = 0
-            for ri in partition:
-                if not used_rows[ri] and rows[ri] & alive:
-                    open_blocks += 1
-            return size + open_blocks
-
-        used = [False] * n_rows
-        chosen: list[int] = []
-
-        def record():
-            if len(chosen) > best["size"]:
-                best["size"] = len(chosen)
-                best["set"] = tuple(sorted(chosen))
-
-        def branch(v: int, alive: int, restrict: int):
-            marks = [ri for ri in self.vrows[v] if not used[ri]]
-            for ri in marks:
-                used[ri] = True
-            kill = self.kill(v) if use_adj else self.reach(v)
-            chosen.append(v)
-            search((alive & ~kill) & restrict)
-            chosen.pop()
-            for ri in marks:
-                used[ri] = False
-
-        def search(alive: int):
-            if self.meter.tick():
-                return
-            record()
-            if bound(alive, used, len(chosen)) <= best["size"]:
-                return
-            if partition is not None:
-                # open block with fewest candidates
-                pick, best_c = None, None
-                for ri in partition:
-                    if not used[ri]:
-                        m = rows[ri] & alive
-                        if m:
-                            c = m.bit_count()
-                            if best_c is None or c < best_c:
-                                best_c, pick = c, m
-                if pick is None:
-                    return
-                m = pick
-                while m:
-                    low = m & -m
-                    branch(low.bit_length() - 1, alive, self.full)
-                    m ^= low
-                    if self.meter.exhausted:
-                        return
-                search(alive & ~pick)  # the block stays empty
-                return
-            # no partition: ordered branching over the remaining vertices
-            m = alive
-            while m:
-                low = m & -m
-                branch(low.bit_length() - 1, alive, ~((low << 1) - 1))
-                m ^= low
-                if self.meter.exhausted:
-                    return
-
-        search(self.full)
-        complete = not self.meter.exhausted
-        upper = None
-        if partition is not None:
-            upper = len(partition)
-        return best["size"], best["set"], complete, upper
-
-    def _greedy_packing(self) -> list[int]:
-        taken: list[int] = []
-        blocked = 0
-        for v in range(self.n):
-            if (blocked >> v) & 1:
-                continue
-            taken.append(v)
-            blocked |= self.kill(v) if self.system.edges_covered else self.reach(v)
-        return taken
-
 
 FOUND_LOCAL = "found"
 DEAD_LOCAL = "dead"
 EXHAUSTED_LOCAL = "exhausted"
-
-
-# -- LP export ----------------------------------------------------------------------
-
-
-def export_lp(system: TranslateRowSystem, sense: str = AT_MOST_ONE,
-              target_size: int | None = None) -> bytes:
-    """Deterministic LP-format text of the covering program."""
-    lines = [
-        "\\ covering program from clique translates",
-        f"\\ graph: {system.graph.label()} on {system.graph.vertex_count} vertices",
-        f"\\ rows: {len(system.rows)} of size {system.row_size} "
-        f"({system.generator_note})",
-        "\\ independence cuts are enforced by the internal solver and omitted here",
-        "Maximize",
-    ]
-    n = system.graph.vertex_count
-    obj_terms = " + ".join(f"v{i}" for i in range(n))
-    lines.append(" obj: " + obj_terms)
-    lines.append("Subject To")
-    op = "<=" if sense == AT_MOST_ONE else "="
-    for ri, mask in enumerate(system.rows):
-        terms = " + ".join(f"v{v}" for v in mask_elements(mask))
-        lines.append(f" r{ri}: {terms} {op} 1")
-    if target_size is not None:
-        lines.append(f" size: {obj_terms} = {target_size}")
-    lines.append("Binary")
-    for i in range(n):
-        lines.append(f" v{i}")
-    lines.append("End")
-    return ("\n".join(lines) + "\n").encode("ascii")

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .certify import AT_MOST_ONE, EXACTLY_ONE, export_lp, generate_translate_rows, solve_cover_ilp
+from .certify import BRACKET, generate_translate_rows, solve_cover_ilp
 from .feasibility import enumerate_feasible_pairs, family_description, putative_table
 from .graphs import build_graph, complement_classes, export_dimacs
 from .pipeline import (
@@ -85,15 +85,11 @@ def main(argv=None) -> int:
                    default="clique")
     p.add_argument("--size", type=int, help="target size for decide mode")
 
-    p = sub.add_parser("certify", help="covering program from clique translates")
+    p = sub.add_parser("certify", help="exact-hit covering program from clique translates")
     _add_common(p)
     p.add_argument("--classes", type=_classes_arg, required=True)
     p.add_argument("--base-clique", choices=["from-search", "sylow", "dihedral"],
                    default="from-search")
-    p.add_argument("--sense", choices=["atmost", "exact"], default="atmost")
-    p.add_argument("--target", type=int)
-    p.add_argument("--export-lp", dest="export_lp_path",
-                   help="write the LP file instead of solving")
 
     p = sub.add_parser("witness", help="group-theoretic witnesses")
     _add_common(p, budget_secs=300.0)
@@ -201,19 +197,16 @@ def _dispatch(args) -> int:
         if not base:
             print("no base clique available", file=sys.stderr)
             return 1
+        # the equality case: a coclique of size |T|/|C| meets every row once
+        target, rest = divmod(group.order, len(base))
+        if rest:
+            print(f"base clique size {len(base)} does not divide the group order "
+                  f"{group.order}", file=sys.stderr)
+            return 1
         system = generate_translate_rows(graph, base)
-        if args.export_lp_path:
-            sense = AT_MOST_ONE if args.sense == "atmost" else EXACTLY_ONE
-            with open(args.export_lp_path, "wb") as fh:
-                fh.write(export_lp(system, sense, args.target))
-            print(json.dumps({"rows": len(system.rows),
-                              "lp": args.export_lp_path}))
-            return 0
-        sense = AT_MOST_ONE if args.sense == "atmost" else EXACTLY_ONE
-        result = solve_cover_ilp(system, sense, target_size=args.target,
-                                 budget=_budget(args))
+        result = solve_cover_ilp(system, target, budget=_budget(args))
         _emit(sealed(result.payload()), args)
-        return 0 if result.status != "BUDGET_BRACKET" else 2
+        return 2 if result.status == BRACKET else 0
 
     if cmd == "witness":
         if args.kind == "factorisation":

@@ -4,7 +4,8 @@ A graph here is determined by a set I of class labels (fused orbit labels
 such as "13", or unfused class labels such as "7A"): vertices are the group
 elements, and u ~ v iff u*v^-1 lies in the union of the selected classes.
 Adjacency is answered from the connection-set bitmap; per-vertex neighbor
-bitmaps are materialized lazily and cached.
+bitmaps are materialized lazily and cached on the group per connection set,
+so every graph build_graph makes on that set shares them.
 """
 
 from __future__ import annotations
@@ -113,8 +114,15 @@ class ClassUnionGraph:
 
 
 def build_graph(group: PSL2, labels) -> ClassUnionGraph:
+    """A graph on the class set; all graphs on one connection set share neighbor masks.
+
+    The masks are kept on the group, keyed by connection set.  The group does
+    not keep the graphs: a graph refers to its group, and that cycle would
+    hold a dropped group in memory until a full garbage collection.
+    """
     canonical, mask, ids = resolve_classes(group, labels)
-    return ClassUnionGraph(group, canonical, mask, ids)
+    shared = group.__dict__.setdefault("_neighbor_masks", {}).setdefault(mask, {})
+    return ClassUnionGraph(group, canonical, mask, ids, _neighbors=shared)
 
 
 def complement_classes(group: PSL2, labels) -> tuple[str, ...]:

@@ -20,13 +20,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from . import __version__
-from .certify import (
-    BRACKET,
-    EXACTLY_ONE,
-    PROVEN_INFEASIBLE,
-    generate_translate_rows,
-    solve_cover_ilp,
-)
+from .certify import BRACKET, PROVEN_INFEASIBLE, generate_translate_rows, solve_cover_ilp
 from .feasibility import family_description, putative_table
 from .graphs import build_graph, complement_graph
 from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
@@ -321,8 +315,7 @@ class Analyzer:
         def run():
             system = generate_translate_rows(build_graph(self.group, labels),
                                              base_clique)
-            res = solve_cover_ilp(system, EXACTLY_ONE, target_size=target,
-                                  budget=self._search_budget(secs),
+            res = solve_cover_ilp(system, target, budget=self._search_budget(secs),
                                   pair_budget=pair_budget)
             return sealed(res.payload()), res.timed_out
         return self._cached("exact_hit_csp", labels, run,

@@ -405,13 +405,6 @@ class PSL2:
 
     # -- projective line -------------------------------------------------------
 
-    def points(self) -> list[tuple[int, int]]:
-        return [(x, 1) for x in range(self.q)] + [(1, 0)]
-
-    def point_index(self, pt: tuple[int, int]) -> int:
-        x, y = pt
-        return self.q if y == 0 else x
-
     def act_point(self, i: int, pt_idx: int) -> int:
         """Right action on the projective line: the image of the point under i.
 

@@ -453,14 +453,8 @@ def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None,
 
 
 def find_clique_of_size(graph: ClassUnionGraph, k: int,
-                        distribution: dict[str, int] | None = None,
                         budget: Budget | None = None, seed: int = 0):
-    """Decision search: a clique of size exactly k, a proven NONE, or EXHAUSTED.
-
-    distribution, when given, maps class labels to the exact number of
-    unordered within-clique pairs whose quotient lies in that class; found
-    witnesses are filtered against it.
-    """
+    """Decision search: a clique of size exactly k, a proven NONE, or EXHAUSTED."""
     budget = budget or Budget()
     t0 = time.monotonic()
     meter = budget.start()
@@ -471,10 +465,8 @@ def find_clique_of_size(graph: ClassUnionGraph, k: int,
         cert = _decision_cert(graph, (group.identity,), True, meter, t0, seed, k)
         return FOUND, cert
     for seed_clique in algebraic_clique_seeds(graph):
-        if len(seed_clique) >= k:
-            for sub in (seed_clique[:k],):
-                if verify_clique(graph, sub) and _matches(graph, sub, distribution):
-                    return FOUND, _decision_cert(graph, sub, False, meter, t0, seed, k)
+        if len(seed_clique) >= k and verify_clique(graph, seed_clique[:k]):
+            return FOUND, _decision_cert(graph, seed_clique[:k], False, meter, t0, seed, k)
     if k == 2:
         reps = _class_reps_in_connection(graph)
         if reps:
@@ -485,17 +477,12 @@ def find_clique_of_size(graph: ClassUnionGraph, k: int,
     for rep, v, cand_mask in _pinned_tasks(graph, k - 1 if k > 3 else 2):
         if k == 3:
             witness = tuple(sorted((group.identity, rep, v)))
-            if _matches(graph, witness, distribution):
-                return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
-            complete = False
-            continue
+            return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
         if cand_mask.bit_count() + 3 < k:
             continue
         witness, ok = _solve_task(graph, rep, v, cand_mask, k - 4, meter, target=k - 3)
         if witness:
-            if _matches(graph, witness, distribution):
-                return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
-            complete = False  # witness rejected by distribution: not exhaustive
+            return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
         complete = complete and ok
         if meter.exhausted:
             complete = False
@@ -503,21 +490,6 @@ def find_clique_of_size(graph: ClassUnionGraph, k: int,
     if complete:
         return NONE, _decision_cert(graph, (), True, meter, t0, seed, k)
     return EXHAUSTED, _decision_cert(graph, (), False, meter, t0, seed, k)
-
-
-def _matches(graph: ClassUnionGraph, vertices, distribution) -> bool:
-    if distribution is None:
-        return True
-    group = graph.group
-    fused = group.fusion_orbits()
-    counts: dict[str, int] = {}
-    verts = list(vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            lab = fused[group.conjugacy_classes()[
-                group.class_of(group.mul(u, group.inv(v)))].fusion_orbit].label
-            counts[lab] = counts.get(lab, 0) + 1
-    return counts == {k: v for k, v in distribution.items() if v}
 
 
 def _decision_cert(graph, vertices, exhaustive, meter, t0, seed, k):

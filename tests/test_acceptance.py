@@ -12,13 +12,7 @@ import time
 
 import pytest
 
-from diagsync.certify import (
-    AT_MOST_ONE,
-    EXACTLY_ONE,
-    PROVEN_INFEASIBLE,
-    generate_translate_rows,
-    solve_cover_ilp,
-)
+from diagsync.certify import PROVEN_INFEASIBLE, generate_translate_rows, solve_cover_ilp
 from diagsync.cli import main as cli_main
 from diagsync.feasibility import putative_table
 from diagsync.graphs import build_graph, complement_graph
@@ -215,12 +209,7 @@ def test_criterion_6_cover_program_q13(an13, cache_dir):
                           {"2": 294, "3": 588, "6": 588, "7": 2016, "13": 0},
                           14400)
     assert res["status"] == PROVEN_INFEASIBLE
-    # bracket run of the packing maximization (never silently exact)
-    bracket = solve_cover_ilp(system, AT_MOST_ONE,
-                              budget=Budget(max_nodes=2 * 10 ** 6, max_seconds=120))
-    assert bracket.upper in (84, bracket.lower)
     optimum_upper = 83  # = 84 (partition bound) refined by the infeasibility proof
-    assert bracket.lower <= optimum_upper
     # the separation conclusion: alpha(G_13) * 13 != 1092
     assert optimum_upper * 13 != 1092 and 84 * 13 == 1092
     _report("6 (covering program, q=13)",
@@ -400,8 +389,7 @@ def test_criterion_11c_equality_pairs_meet_once():
     graph = build_graph(g, ["5"])
     base = mask_elements(sylow_subgroup(g, 5))
     system = generate_translate_rows(graph, base)
-    res = solve_cover_ilp(system, EXACTLY_ONE, target_size=12,
-                          budget=Budget(max_seconds=120))
+    res = solve_cover_ilp(system, 12, budget=Budget(max_seconds=120))
     assert res.status == "FEASIBLE"
     clique, coclique = list(base), list(res.witness)
     assert len(clique) * len(coclique) == g.order

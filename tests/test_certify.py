@@ -1,15 +1,7 @@
 import pytest
 
 from diagsync import certify
-from diagsync.certify import (
-    AT_MOST_ONE,
-    EXACTLY_ONE,
-    PROVEN_INFEASIBLE,
-    PROVEN_OPTIMUM,
-    export_lp,
-    generate_translate_rows,
-    solve_cover_ilp,
-)
+from diagsync.certify import PROVEN_INFEASIBLE, generate_translate_rows, solve_cover_ilp
 from diagsync.graphs import build_graph
 from diagsync.pipeline import Analyzer, PipelineConfig
 from diagsync.psl2 import PSL2, build_group, mask_elements, mask_from, sylow_subgroup
@@ -57,21 +49,9 @@ def test_partitions_partition(sys13):
         assert union == (1 << n) - 1 and total == n
 
 
-def test_trivial_system_single_row():
-    g = build_group(13)
-    graph = build_graph(g, ["13"])
-    base = mask_elements(sylow_subgroup(g, 13))
-    sys_small = generate_translate_rows(graph, base)
-    # packing one vertex per row, verified as a coclique where applicable
-    res = solve_cover_ilp(sys_small, AT_MOST_ONE,
-                          budget=Budget(max_nodes=30000, max_seconds=30))
-    assert res.lower >= 1
-    assert res.upper is None or res.lower <= res.upper <= 84
-
-
 def test_exactly_one_84_proven_infeasible(sys13):
     pair_budget = {"2": 294, "3": 588, "6": 588, "7": 2016, "13": 0}
-    res = solve_cover_ilp(sys13, EXACTLY_ONE, target_size=84,
+    res = solve_cover_ilp(sys13, 84,
                           budget=Budget(max_nodes=10 ** 8, max_seconds=600),
                           pair_budget=pair_budget)
     assert res.status == PROVEN_INFEASIBLE
@@ -87,60 +67,11 @@ def test_exactly_one_feasible_small_case():
     base = mask_elements(sylow_subgroup(g, 5))
     system = generate_translate_rows(graph, base)
     assert system.partitions
-    res = solve_cover_ilp(system, EXACTLY_ONE, target_size=12,
+    res = solve_cover_ilp(system, 12,
                           budget=Budget(max_nodes=10 ** 7, max_seconds=120))
     assert res.status == "FEASIBLE"
     assert len(res.witness) == 12
     assert verify_coclique(graph, res.witness)
-
-
-def test_single_row_system_pure_packing():
-    # with one row and no edge coverage, the packing optimum is everything
-    # outside the row plus one vertex inside it
-    from diagsync.certify import TranslateRowSystem
-    g = build_group(5)
-    graph = build_graph(g, ["5"])
-    base = tuple(mask_elements(sylow_subgroup(g, 5)))
-    mask = 0
-    for v in base:
-        mask |= 1 << v
-    system = TranslateRowSystem(graph, base, [mask], "single row", [],
-                                edges_covered=False, translation_closed=False)
-    res = solve_cover_ilp(system, AT_MOST_ONE, budget=Budget(max_seconds=60),
-                          pin_first=False)
-    assert res.status == PROVEN_OPTIMUM
-    assert res.lower == g.order - len(base) + 1
-
-
-def test_export_lp_roundtrip(sys13):
-    data = export_lp(sys13, AT_MOST_ONE).decode()
-    lines = data.splitlines()
-    assert lines[4] == "Maximize"
-    assert sum(1 for ln in lines if ln.startswith(" r")) == 1176
-    assert "Binary" in lines and lines[-1] == "End"
-    # determinism
-    assert data == export_lp(sys13, AT_MOST_ONE).decode()
-    # one binary declaration per group element
-    binary_at = lines.index("Binary")
-    decls = lines[binary_at + 1:-1]
-    assert decls == [f" v{i}" for i in range(1092)]
-
-
-def test_export_lp_toy_parse():
-    g = build_group(9)
-    graph = build_graph(g, ["5"])
-    from diagsync.search import algebraic_clique_seeds
-    base = algebraic_clique_seeds(graph)[0]
-    system = generate_translate_rows(graph, base)
-    text = export_lp(system, EXACTLY_ONE, target_size=4).decode()
-    # parse back constraints and check counts line up
-    cons = [ln for ln in text.splitlines() if ln.startswith(" r")]
-    assert len(cons) == len(system.rows)
-    first = cons[0]
-    assert first.endswith("= 1")
-    terms = first.split(":")[1].split("=")[0].split("+")
-    assert len(terms) == system.row_size
-    assert " size: " in text
 
 
 # -- differential check of row generation -------------------------------------------
@@ -281,10 +212,19 @@ def test_q9_unfused_class_rows_are_cliques():
     assert all(verify_clique(graph, mask_elements(mask)) for mask in system.rows)
 
 
+def test_q9_seed_rows_are_cliques():
+    g = build_group(9)
+    graph = build_graph(g, ["5"])
+    system = generate_translate_rows(graph, algebraic_clique_seeds(graph)[0])
+    assert system.rows
+    assert all(mask.bit_count() == system.row_size
+               and verify_clique(graph, mask_elements(mask)) for mask in system.rows)
+
+
 # -- differential check of the exact-hit solver -------------------------------------
 
 
-def reference_exactly_one(system, target, pin, meter, pair_budget):
+def reference_exactly_one(system, target, meter, pair_budget):
     """Exact-hit search on a trail of undo entries, one vertex and row at a time.
 
     Plain reference for _CoverSolver.exactly_one: same branching rule, same
@@ -408,7 +348,7 @@ def reference_exactly_one(system, target, pin, meter, pair_budget):
             undo(mark)
         return "dead"
 
-    if pin and not (choose(group.identity) and propagate()):
+    if not (choose(group.identity) and propagate()):
         return PROVEN_INFEASIBLE, (), rejections
     out = search()
     if out == "found":
@@ -436,15 +376,31 @@ def sys_6_13():
     return system, gv.alpha_target, analyzer._pair_budget(gv, coclique_side=True)
 
 
-def _differential(system, target, pin=True, nodes=10 ** 6, pair_budget=None):
-    res = solve_cover_ilp(system, EXACTLY_ONE, target_size=target,
-                          budget=Budget(max_nodes=nodes, max_seconds=3600),
-                          pair_budget=pair_budget, pin_first=pin)
+def _differential(system, target, nodes=10 ** 6, pair_budget=None):
+    res = solve_cover_ilp(system, target, budget=Budget(max_nodes=nodes, max_seconds=3600),
+                          pair_budget=pair_budget)
     meter = Budget(max_nodes=nodes, max_seconds=3600).start()
-    status, witness, rejections = reference_exactly_one(
-        system, target, pin and system.translation_closed, meter, pair_budget)
+    status, witness, rejections = reference_exactly_one(system, target, meter, pair_budget)
     assert (res.status, res.witness, res.nodes) == (status, witness, meter.nodes)
     return res, rejections
+
+
+def test_invalid_witness_is_rejected(monkeypatch):
+    system = _sylow_system(5, ["5"])
+    good = solve_cover_ilp(system, 12).witness
+    dependent = (mask_elements(system.graph.neighbors(good[1]))[0],) + good[1:]
+    # the A4 witness also meets every row of G[2,5] once, but there its
+    # involutions make edges that no row covers
+    wider = _sylow_system(5, ["2", "5"])
+    assert not wider.edges_covered
+    # too short to hit every row, a dependent set, a repeated vertex, and a
+    # dependent set that hits every row once
+    for system, target, bad in ((system, 11, good[:11]), (system, 12, dependent),
+                                (system, 12, good[1:2] + good[1:]), (wider, 12, good)):
+        monkeypatch.setattr(certify._CoverSolver, "exactly_one",
+                            lambda self, size, bad=bad: ("FEASIBLE", bad))
+        with pytest.raises(AssertionError):
+            solve_cover_ilp(system, target)
 
 
 @pytest.mark.parametrize("pair_budget,status", [
@@ -470,14 +426,13 @@ def test_solver_matches_reference_on_budget(sys13):
     assert res.status == certify.BRACKET and res.nodes == 501
 
 
-@pytest.mark.parametrize("pin", [True, False])
 @pytest.mark.parametrize("q,labels,base_kind,nodes", [
     (7, ["7"], "sylow", 10 ** 6), (8, ["2"], "sylow", 5000), (11, ["2", "5"], "seed", 10 ** 6),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
-def test_solver_matches_reference_small_q(q, labels, base_kind, nodes, pin):
+def test_solver_matches_reference_small_q(q, labels, base_kind, nodes):
     if base_kind == "sylow":
         system = _sylow_system(q, labels)
     else:
         graph = build_graph(build_group(q), labels)
         system = generate_translate_rows(graph, algebraic_clique_seeds(graph)[0])
-    _differential(system, system.graph.vertex_count // system.row_size, pin=pin, nodes=nodes)
+    _differential(system, system.graph.vertex_count // system.row_size, nodes=nodes)

@@ -1,5 +1,6 @@
 import json
 
+from diagsync import cli
 from diagsync.cli import main
 
 
@@ -73,15 +74,27 @@ def test_witness_subcommand(capsys):
     assert code == 0 and data["lambda"] == 78
 
 
-def test_certify_lp_export(capsys, tmp_path):
-    path = tmp_path / "model.lp"
+def test_certify_exact_hit_feasible(capsys):
+    # PSL(2,5) = A4 * C5: the target is 60/5 = 12 and an A4 meets every coset
+    code, out = run_cli(capsys, "certify", "--q", "5", "--classes", "5",
+                        "--base-clique", "sylow")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "FEASIBLE" and data["sense"] == "EXACTLY_ONE"
+    assert data["target"] == 12 and len(data["witness"]) == 12 and data["upper"] is None
+
+
+def test_certify_exact_hit_on_budget(capsys):
     code, out = run_cli(capsys, "certify", "--q", "13", "--classes", "13",
-                        "--base-clique", "sylow", "--sense", "atmost",
-                        "--export-lp", str(path))
-    assert code == 0
-    text = path.read_text()
-    assert text.count("<= 1") == 1176
-    assert json.loads(out)["rows"] == 1176
+                        "--base-clique", "sylow", "--budget-nodes", "50")
+    data = json.loads(out)
+    assert code == 2 and data["status"] == "BUDGET_BRACKET"
+    assert data["target"] == 84 and data["nodes"] == 51
+
+
+def test_certify_rejects_a_base_that_does_not_divide(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "algebraic_clique_seeds", lambda graph: [tuple(range(7))])
+    code = main(["certify", "--q", "5", "--classes", "5"])
+    assert code == 1 and "does not divide" in capsys.readouterr().err
 
 
 def test_analyze_and_verify_roundtrip(capsys, tmp_path):

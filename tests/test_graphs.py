@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -9,7 +11,7 @@ from diagsync.graphs import (
     complement_graph,
     export_dimacs,
 )
-from diagsync.psl2 import build_group
+from diagsync.psl2 import PSL2, build_group
 
 
 def test_build_graph_q13_order13():
@@ -79,6 +81,32 @@ def test_graph_and_complement_partition_pairs():
         u, v = rng.sample(range(g.order), 2)
         assert gr.adjacent(u, v) != co.adjacent(u, v)
     assert gr.degree + co.degree == g.order - 1
+
+
+def test_graphs_on_one_connection_set_share_neighbor_masks():
+    g = build_group(13)
+    gr = build_graph(g, ["13"])
+    nbrs = gr.neighbors(g.identity)
+    again = build_graph(g, ("13",))
+    assert again._neighbors is gr._neighbors and again._neighbors[g.identity] == nbrs
+    # the complement goes through build_graph too, in either direction
+    co = complement_graph(gr)
+    assert co._neighbors is build_graph(g, complement_classes(g, ["13"]))._neighbors
+    assert complement_graph(co)._neighbors is gr._neighbors
+    assert build_graph(g, ["3", "13"])._neighbors is not gr._neighbors
+
+
+def test_dropped_group_is_freed_without_a_cycle_collection():
+    # the group keeps masks, not graphs: a graph-group cycle would keep it
+    group = PSL2(5)
+    build_graph(group, ["5"]).neighbors(group.identity)
+    ref = weakref.ref(group)
+    gc.disable()
+    try:
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_regularity():

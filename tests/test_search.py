@@ -124,15 +124,10 @@ def test_decision_search_trivial_and_found(g13):
     assert status == FOUND and cert.size == 13 and cert.verified
     status, cert = find_clique_of_size(graph, 14, budget=Budget(max_seconds=300))
     assert status == NONE  # the order-13 graph has no 14-clique
-
-
-def test_decision_with_distribution(g13):
-    graph = build_graph(g13, ["2", "13"])
-    # the dihedral witness has 169 involution pairs and 156 order-13 pairs
-    dist = {"2": 169, "13": 156, "3": 0, "6": 0, "7": 0}
-    status, cert = find_clique_of_size(graph, 26, distribution=dist,
+    # G[2,13] holds the dihedral subgroup of order 26
+    status, cert = find_clique_of_size(build_graph(g13, ["2", "13"]), 26,
                                        budget=Budget(max_seconds=120))
-    assert status == FOUND and cert.size == 26
+    assert status == FOUND and cert.size == 26 and cert.verified
 
 
 def test_budget_exhaustion_is_flagged(g13):
