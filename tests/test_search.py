@@ -124,9 +124,13 @@ def test_decision_search_trivial_and_found(g13):
     assert status == FOUND and cert.size == 13 and cert.verified
     status, cert = find_clique_of_size(graph, 14, budget=Budget(max_seconds=300))
     assert status == NONE  # the order-13 graph has no 14-clique
-    # G[2,13] holds the dihedral subgroup of order 26
-    status, cert = find_clique_of_size(build_graph(g13, ["2", "13"]), 26,
-                                       budget=Budget(max_seconds=120))
+
+
+def test_decision_with_distribution(g13):
+    graph = build_graph(g13, ["2", "13"])
+    # the dihedral witness of order 26 has 169 involution pairs and 156
+    # order-13 pairs; the decision search finds it without being told so
+    status, cert = find_clique_of_size(graph, 26, budget=Budget(max_seconds=120))
     assert status == FOUND and cert.size == 26 and cert.verified
 
 
