@@ -20,11 +20,11 @@ The solver is a propagation-based exact branch-and-bound over binary choices
 (no floating point).  The row system is closed under right translation, which
 preserves adjacency and pair labels, so every solution has a translate through
 the identity and the search pins it first.  The state lives in arrays: the
-alive count and done flag of every row, the chosen vertices and the pair
-counts per label, beside the alive-vertex mask.  Choosing a vertex removes its
-precomputed kill mask (itself, its neighbours and its rows) and subtracts one
-bincount over the vertex-row incidence of the removed vertices from the row
-counts; each branch is undone by restoring the snapshot taken at its node.
+alive count and done flag of every row and the chosen vertices, beside the
+alive-vertex mask.  Choosing a vertex removes its precomputed kill mask
+(itself, its neighbours and its rows) and subtracts one bincount over the
+vertex-row incidence of the removed vertices from the row counts; each
+branch is undone by restoring the snapshot taken at its node.
 Branching takes the first not-done row of least alive count, its alive
 vertices in ascending order, after forcing every row left with one alive
 vertex.  A returned witness is re-checked as a coclique that hits every row
@@ -246,8 +246,7 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
 
 
 def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
-                    budget: Budget | None = None,
-                    pair_budget: dict[str, int] | None = None) -> CoverBound:
+                    budget: Budget | None = None) -> CoverBound:
     """Decide whether an independent set of target_size meets every row exactly once.
 
     Budget exhaustion yields a BRACKET status, never a silent answer.
@@ -255,7 +254,7 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
     budget = budget or Budget()
     t0 = time.monotonic()
     meter = budget.start()
-    solver = _CoverSolver(system, meter, pair_budget)
+    solver = _CoverSolver(system, meter)
     status, witness = solver.exactly_one(target_size)
     if status == FEASIBLE:
         # independent re-verification of the returned transversal
@@ -276,7 +275,15 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
 
 
 class _CoverSolver:
-    def __init__(self, system: TranslateRowSystem, meter, pair_budget):
+    """Depth-first search for an independent transversal of the rows.
+
+    The state is the alive-vertex mask, the alive count and done flag of
+    every row and the chosen vertices; each branch restores a snapshot of it
+    taken at its node.  The search is made of methods, not nested closures,
+    so a finished solver holds no reference cycle and is freed at once.
+    """
+
+    def __init__(self, system: TranslateRowSystem, meter):
         self.graph = system.graph
         self.group = system.graph.group
         self.meter = meter
@@ -293,16 +300,11 @@ class _CoverSolver:
         for v, through in enumerate(self.vrows):
             self.incidence[v, :len(through)] = through
         self._kill: list[int | None] = [None] * self.n
-        self.pair_limits = None
-        if pair_budget:
-            fused = self.group.fusion_orbits()
-            classes = self.group.conjugacy_classes()
-            self.label_id = np.array(
-                [classes[self.group.class_of(g)].fusion_orbit for g in range(self.n)],
-                dtype=np.int32)
-            # a label without a cap can never exceed n*n pairs
-            self.pair_limits = np.array(
-                [pair_budget.get(o.label, self.n * self.n) for o in fused], dtype=np.int32)
+        self.closed = self.n + 1             # sorts done rows after every open one
+        self.alive = (1 << self.n) - 1
+        self.row_alive = np.array([r.bit_count() for r in self.rows], dtype=np.int32)
+        self.row_done = np.zeros(len(self.rows), dtype=bool)
+        self.chosen: list[int] = []
 
     def kill(self, v: int) -> int:
         """v, its rows and its neighbours: what choosing v removes (built on first use)."""
@@ -314,103 +316,73 @@ class _CoverSolver:
             self._kill[v] = mask
         return mask
 
+    def choose(self, v: int):
+        self.chosen.append(v)
+        through = self.incidence[v, :len(self.vrows[v])]
+        if self.row_done[through].any():
+            # two chosen in one row is impossible: v was alive
+            raise AssertionError("row chosen twice")
+        self.row_done[through] = True
+        removed = self.kill(v) & self.alive
+        self.alive ^= removed
+        hits = self.incidence[mask_array(removed, self.n)].ravel()
+        n_rows = len(self.rows)
+        self.row_alive -= np.bincount(hits, minlength=n_rows + 1)[:n_rows]
+
+    def first_open_min(self) -> tuple[int, int]:
+        """The first not-done row of least alive count, and that count."""
+        open_counts = np.where(self.row_done, self.closed, self.row_alive)
+        ri = int(open_counts.argmin())
+        return ri, int(open_counts[ri])
+
+    def propagate(self) -> bool:
+        """Choose the last alive vertex of every row left with one; False on a dead row."""
+        while True:
+            ri, c = self.first_open_min()
+            if c == 0:
+                return False
+            if c != 1:
+                return True
+            m = self.rows[ri] & self.alive
+            self.choose((m & -m).bit_length() - 1)
+
+    def search(self, target: int) -> str:
+        if self.meter.tick():
+            return EXHAUSTED_LOCAL
+        if len(self.chosen) == target:
+            return FOUND_LOCAL if self.row_done.all() else DEAD_LOCAL
+        best_ri, best_c = self.first_open_min()
+        if best_c in (0, self.closed):
+            return DEAD_LOCAL  # a dead row, or all rows done but size short
+        snapshot = (self.alive, self.row_alive.copy(), self.row_done.copy(),
+                    len(self.chosen))
+        m = self.rows[best_ri] & self.alive
+        while m:
+            low = m & -m
+            m ^= low
+            self.choose(low.bit_length() - 1)
+            if self.propagate():
+                out = self.search(target)
+                if out in (FOUND_LOCAL, EXHAUSTED_LOCAL):
+                    return out
+            self.alive = snapshot[0]
+            self.row_alive[:] = snapshot[1]
+            self.row_done[:] = snapshot[2]
+            del self.chosen[snapshot[3]:]
+        return DEAD_LOCAL
+
     def exactly_one(self, target: int):
-        """Depth-first search for an independent transversal of size target.
+        """Search for an independent transversal of size target.
 
         The identity is chosen first: the rows are closed under right
         translation, so some translate of any solution contains it.
-
-        The state is the alive-vertex mask, the alive count and done flag of
-        every row, the chosen vertices and the pair counts per label; each
-        branch restores a snapshot of it taken at its node.
         """
-        rows = self.rows
-        n_rows = len(rows)
-        n = self.n
-        group = self.group
-        incidence = self.incidence
-        limits = self.pair_limits
-        closed = n + 1                       # sorts done rows after every open one
-        alive = (1 << n) - 1
-        row_alive = np.array([r.bit_count() for r in rows], dtype=np.int32)
-        row_done = np.zeros(n_rows, dtype=bool)
-        chosen: list[int] = []
-        counts = np.zeros(0 if limits is None else len(limits), dtype=np.int32)
-
-        def choose(v: int) -> bool:
-            nonlocal alive
-            if limits is not None and chosen:
-                quotients = group.mul_column(chosen, group.inv(v))   # u * v^-1
-                added = np.bincount(self.label_id[quotients], minlength=len(limits))
-                if (counts + added > limits).any():
-                    return False
-                counts[:] += added
-            chosen.append(v)
-            through = incidence[v, :len(self.vrows[v])]
-            if row_done[through].any():
-                # two chosen in one row is impossible: v was alive
-                raise AssertionError("row chosen twice")
-            row_done[through] = True
-            removed = self.kill(v) & alive
-            alive ^= removed
-            hits = incidence[mask_array(removed, n)].ravel()
-            row_alive[:] -= np.bincount(hits, minlength=n_rows + 1)[:n_rows]
-            return True
-
-        def first_open_min() -> tuple[int, int]:
-            """The first not-done row of least alive count, and that count."""
-            open_counts = np.where(row_done, closed, row_alive)
-            ri = int(open_counts.argmin())
-            return ri, int(open_counts[ri])
-
-        def lowest_alive(ri: int) -> int:
-            m = rows[ri] & alive
-            return (m & -m).bit_length() - 1
-
-        def propagate() -> bool:
-            while True:
-                ri, c = first_open_min()
-                if c == 0:
-                    return False
-                if c != 1:
-                    return True
-                if not choose(lowest_alive(ri)):
-                    return False
-
-        def search() -> str:
-            nonlocal alive
-            if self.meter.tick():
-                return EXHAUSTED_LOCAL
-            if len(chosen) == target:
-                if row_done.all():
-                    return FOUND_LOCAL
-                return DEAD_LOCAL
-            best_ri, best_c = first_open_min()
-            if best_c in (0, closed):
-                return DEAD_LOCAL  # a dead row, or all rows done but size short
-            snapshot = (alive, row_alive.copy(), row_done.copy(), len(chosen),
-                        counts.copy())
-            m = rows[best_ri] & alive
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                if choose(v) and propagate():
-                    out = search()
-                    if out in (FOUND_LOCAL, EXHAUSTED_LOCAL):
-                        return out
-                alive = snapshot[0]
-                row_alive[:] = snapshot[1]
-                row_done[:] = snapshot[2]
-                del chosen[snapshot[3]:]
-                counts[:] = snapshot[4]
-            return DEAD_LOCAL
-
-        if not choose(self.group.identity) or not propagate():
+        self.choose(self.group.identity)
+        if not self.propagate():
             return PROVEN_INFEASIBLE, ()
-        out = search()
+        out = self.search(target)
         if out == FOUND_LOCAL:
-            return FEASIBLE, tuple(sorted(chosen))
+            return FEASIBLE, tuple(sorted(self.chosen))
         if out == EXHAUSTED_LOCAL:
             return BRACKET, ()
         return PROVEN_INFEASIBLE, ()

@@ -103,7 +103,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="replay the certificates of a report")
     p.add_argument("report")
-    p.add_argument("--deep", action="store_true")
 
     args = parser.parse_args(argv)
     try:
@@ -117,7 +116,7 @@ def _dispatch(args) -> int:
     if cmd == "verify":
         with open(args.report) as fh:
             report = json.load(fh)
-        ok, problems = verify_report(report, deep=args.deep)
+        ok, problems = verify_report(report)
         print(json.dumps({"ok": ok, "problems": problems}, indent=1))
         return 0 if ok else 1
 

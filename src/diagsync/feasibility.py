@@ -253,14 +253,12 @@ def _point_ok(rows) -> bool:
     return all(c0 >= 0 for c0, _ in rows)
 
 
-def _make_family(scheme, base, dirs, side_ids,
-                 require_psd: bool = True) -> SideFamily | None:
+def _make_family(scheme, base, dirs, side_ids) -> SideFamily | None:
     """Family over the entrywise-feasible region, or None when infeasible.
 
-    With require_psd (the default, and what actual subsets demand) the family
-    must contain a point with nonnegative MacWilliams transform.  The reported
-    parameter range is always the entrywise one; the psd-refined subrange is
-    carried alongside.
+    As actual subsets demand, the family must contain a point with
+    nonnegative MacWilliams transform.  The reported parameter range is
+    always the entrywise one; the psd-refined subrange is carried alongside.
     """
     entry_rows = _constraints(scheme, base, dirs, side_ids, include_transform=False)
     valid_rows = _constraints(scheme, base, dirs, side_ids, include_transform=True)
@@ -271,17 +269,16 @@ def _make_family(scheme, base, dirs, side_ids,
     if not dirs:
         if not _point_ok(entry_rows):
             return None
-        psd = _point_ok(valid_rows)
-        if require_psd and not psd:
+        if not _point_ok(valid_rows):
             return None
         return SideFamily(tuple(base), (), size, None, None, (), (),
-                          tuple(entry_rows), tuple(valid_rows), psd)
+                          tuple(entry_rows), tuple(valid_rows), True)
     if len(dirs) == 1:
         entry = _interval(entry_rows)
         if entry is None:
             return None
         valid = _interval(valid_rows)
-        if require_psd and valid is None:
+        if valid is None:
             return None
         d = dirs[0]
         lead = next(r for r in range(len(d)) if d[r] != 0)
@@ -292,29 +289,25 @@ def _make_family(scheme, base, dirs, side_ids,
         if lo_e == hi_e:
             point_rows_e = _constraints(scheme, list(shifted), [], side_ids, False)
             point_rows_v = _constraints(scheme, list(shifted), [], side_ids, True)
-            psd = _point_ok(point_rows_v)
-            if require_psd and not psd:
+            if not _point_ok(point_rows_v):
                 return None
             return SideFamily(shifted, (), size, None, None, (), (),
-                              tuple(point_rows_e), tuple(point_rows_v), psd)
+                              tuple(point_rows_e), tuple(point_rows_v), True)
         rows_e = _constraints(scheme, list(shifted), [list(d)], side_ids, False)
         rows_v = _constraints(scheme, list(shifted), [list(d)], side_ids, True)
-        vr = None
-        if valid is not None:
-            lo_v, hi_v = sorted((valid[0] * scale, valid[1] * scale))
-            vr = (lo_v - lo_e, hi_v - lo_e)
+        lo_v, hi_v = sorted((valid[0] * scale, valid[1] * scale))
         return SideFamily(shifted, (d,), size,
-                          (Fraction(0), hi_e - lo_e), vr,
-                          (), (), tuple(rows_e), tuple(rows_v), vr is not None)
+                          (Fraction(0), hi_e - lo_e), (lo_v - lo_e, hi_v - lo_e),
+                          (), (), tuple(rows_e), tuple(rows_v), True)
     entry_verts = _vertices(entry_rows, len(dirs))
     if not entry_verts:
         return None
     valid_verts = _vertices(valid_rows, len(dirs))
-    if require_psd and not valid_verts:
+    if not valid_verts:
         return None
     return SideFamily(tuple(base), tuple(tuple(d) for d in dirs), size,
                       None, None, tuple(entry_verts), tuple(valid_verts),
-                      tuple(entry_rows), tuple(valid_rows), bool(valid_verts))
+                      tuple(entry_rows), tuple(valid_rows), True)
 
 
 def _sigma_span(base, dirs) -> Fraction | None:
@@ -328,8 +321,7 @@ def _divisor_splits(omega: int):
 
 
 def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels,
-                             divisibility_filter: bool = True,
-                             require_psd: bool = True) -> list[FeasiblePair]:
+                             divisibility_filter: bool = True) -> list[FeasiblePair]:
     """All maximal feasible (clique, coclique) families for one class-set pair.
 
     clique_labels designates the side whose graph the clique lives in; the
@@ -368,13 +360,13 @@ def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels,
             a_sys = _solve_side(scheme, a_ids, zero_a, sa)
             if a_sys is None:
                 continue
-            a_fam = _make_family(scheme, *a_sys, a_ids, require_psd)
+            a_fam = _make_family(scheme, *a_sys, a_ids)
             if a_fam is None:
                 continue
             b_sys = _solve_side(scheme, b_ids, zero_b, sb)
             if b_sys is None:
                 continue
-            b_fam = _make_family(scheme, *b_sys, b_ids, require_psd)
+            b_fam = _make_family(scheme, *b_sys, b_ids)
             if b_fam is None:
                 continue
             out.append(FeasiblePair(a_fam, b_fam))

@@ -214,9 +214,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b] if self._small else self._add_slow(a, b)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def neg(self, a: int) -> int:
         return self.neg_table[a] if self._small else self._neg_slow(a)
 

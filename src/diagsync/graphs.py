@@ -109,9 +109,6 @@ class ClassUnionGraph:
         return {"q": self.q, "classes": list(self.class_labels),
                 "degree": self.degree, "vertexCount": self.vertex_count}
 
-    def label(self) -> str:
-        return "G[" + ",".join(self.class_labels) + "]"
-
 
 def build_graph(group: PSL2, labels) -> ClassUnionGraph:
     """A graph on the class set; all graphs on one connection set share neighbor masks.

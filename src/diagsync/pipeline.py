@@ -63,7 +63,6 @@ YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 class PipelineConfig:
     budget_secs: float = 3600.0          # per heavy sub-task
     budget_nodes: int = 10 ** 9
-    witness_secs: float = 300.0
     direct_search_secs: float = 900.0    # slice for one exhaustive search attempt
     seed: int = 0
     threads: int = 1
@@ -307,7 +306,7 @@ class Analyzer:
             return sealed({"status": status, **cert.payload()}), cert.timed_out
         return self._cached("decision", labels, run, k=k)
 
-    def cached_csp(self, labels, base_clique, target: int, pair_budget,
+    def cached_csp(self, labels, base_clique, target: int,
                    secs: float | None = None) -> dict:
         if len(base_clique) * target != self.group.order:
             raise ValueError("exact-hit refutation requires |C| * target = |Omega|")
@@ -315,8 +314,7 @@ class Analyzer:
         def run():
             system = generate_translate_rows(build_graph(self.group, labels),
                                              base_clique)
-            res = solve_cover_ilp(system, target, budget=self._search_budget(secs),
-                                  pair_budget=pair_budget)
+            res = solve_cover_ilp(system, target, budget=self._search_budget(secs))
             return sealed(res.payload()), res.timed_out
         return self._cached("exact_hit_csp", labels, run,
                             base=sorted(base_clique), target=target)
@@ -481,9 +479,7 @@ class Analyzer:
             star = gv.stars.get("omega")
             if star:
                 payload = self.cached_csp(gv.clique_classes, star["witness"],
-                                          gv.alpha_target,
-                                          self._pair_budget(gv, coclique_side=True),
-                                          secs)
+                                          gv.alpha_target, secs)
                 if payload["status"] == PROVEN_INFEASIBLE:
                     gv.status = SEPARATING_BY_CSP
                     gv.reason = (
@@ -499,9 +495,7 @@ class Analyzer:
             star = gv.stars.get("alpha")
             if star and gv.status == UNRESOLVED:
                 payload = self.cached_csp(gv.coclique_classes, star["witness"],
-                                          gv.omega_target,
-                                          self._pair_budget(gv, coclique_side=False),
-                                          secs)
+                                          gv.omega_target, secs)
                 if payload["status"] == PROVEN_INFEASIBLE:
                     gv.status = SEPARATING_BY_CSP
                     gv.reason = (
@@ -513,33 +507,6 @@ class Analyzer:
                             gv.clique_classes, gv.omega_target - 1,
                             "covering refutation (rows span all edges)")
                     self.inference_pass()
-
-    def _pair_budget(self, gv: GraphVerdict, coclique_side: bool = True) -> dict[str, int] | None:
-        """Per-class caps on within-set pair counts, from the feasible families.
-
-        A set of size s with inner distribution b has exactly s*b_i/2 unordered
-        pairs of quotient class i; the cap is the maximum over the families.
-        """
-        rows = [r for r in self._table_rows
-                if r.clique_classes == gv.clique_classes
-                and (r.omega_target, r.alpha_target) == (gv.omega_target, gv.alpha_target)]
-        if not rows:
-            return None
-        labels = self.scheme.labels()
-        caps: dict[str, int] = {}
-        target = gv.alpha_target if coclique_side else gv.omega_target
-        for row in rows:
-            for fam in row.families:
-                side = fam.coclique if coclique_side else fam.clique
-                for vec in (side.entry_corner_vectors() or [side.base]):
-                    for rid in range(1, len(vec)):
-                        pairs_f = vec[rid] * target / 2
-                        pairs = -(-pairs_f.numerator // pairs_f.denominator)  # ceil
-                        lab = labels[rid]
-                        caps[lab] = max(caps.get(lab, 0), pairs)
-        for lab in labels[1:]:
-            caps.setdefault(lab, 0)
-        return caps
 
     def spreading_stage(self):
         if self.q % 4 == 1:
@@ -651,14 +618,14 @@ def write_report(report: dict, path: str):
 # -- replay / verification ---------------------------------------------------------------
 
 
-def verify_report(report: dict, deep: bool = False) -> tuple[bool, list[str]]:
+def verify_report(report: dict) -> tuple[bool, list[str]]:
     """Re-verify every certificate in a report; returns (ok, problems)."""
     problems: list[str] = []
     q = report["meta"]["q"]
     group = build_group(q)
     for gv in report["graphs"]:
         for cert in gv["certificates"]:
-            if not _verify_certificate(group, gv, cert, problems, deep):
+            if not _verify_certificate(group, gv, cert, problems):
                 problems.append(f"graph {gv['clique_classes']}: certificate failed")
     for wit in report["witnesses"]:
         if not _verify_witness(group, wit, problems):
@@ -678,7 +645,7 @@ def _check_digest(cert: dict, problems: list[str]) -> bool:
     return True
 
 
-def _verify_certificate(group, gv, cert, problems, deep) -> bool:
+def _verify_certificate(group, gv, cert, problems) -> bool:
     if not _check_digest(cert, problems):
         return False
     kind = cert.get("kind")

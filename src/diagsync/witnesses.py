@@ -26,6 +26,8 @@ from .psl2 import (
     subgroup_library,
 )
 
+MAX_CONJUGATES = 40      # random conjugates of B tried per pair before moving on
+
 
 class WitnessError(Exception):
     pass
@@ -102,7 +104,7 @@ def verify_exact_factorisation(group: PSL2, a_mask: int, b_mask: int) -> ExactFa
     return ExactFactorisation(group.q, tuple(a), tuple(b), ok, checks)
 
 
-def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
+def find_exact_factorisation(group: PSL2):
     """Targeted search over the subgroup library, largest first.
 
     Returns a verified factorisation, or None within budget.
@@ -124,7 +126,7 @@ def find_exact_factorisation(group: PSL2, max_conjugates: int = 40):
                 continue
             b = np.array(mask_elements(b_mask))
             trial = b_mask
-            for attempt in range(max_conjugates):
+            for attempt in range(MAX_CONJUGATES):
                 if (a_mask & trial) == idbit:
                     fac = verify_exact_factorisation(group, a_mask, trial)
                     if fac.verified:

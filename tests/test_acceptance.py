@@ -205,9 +205,7 @@ def test_criterion_6_cover_program_q13(an13, cache_dir):
     assert system.partitions and len(system.partitions[0]) == 84
     # proven optimum <= 83: the partition caps packings at 84 and size 84 is
     # proven infeasible by the exact-hit search
-    res = an13.cached_csp(("13",), base, 84,
-                          {"2": 294, "3": 588, "6": 588, "7": 2016, "13": 0},
-                          14400)
+    res = an13.cached_csp(("13",), base, 84, 14400)
     assert res["status"] == PROVEN_INFEASIBLE
     optimum_upper = 83  # = 84 (partition bound) refined by the infeasibility proof
     # the separation conclusion: alpha(G_13) * 13 != 1092

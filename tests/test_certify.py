@@ -50,10 +50,7 @@ def test_partitions_partition(sys13):
 
 
 def test_exactly_one_84_proven_infeasible(sys13):
-    pair_budget = {"2": 294, "3": 588, "6": 588, "7": 2016, "13": 0}
-    res = solve_cover_ilp(sys13, 84,
-                          budget=Budget(max_nodes=10 ** 8, max_seconds=600),
-                          pair_budget=pair_budget)
+    res = solve_cover_ilp(sys13, 84, budget=Budget(max_nodes=10 ** 8, max_seconds=600))
     assert res.status == PROVEN_INFEASIBLE
     assert res.target == 84
     assert res.nodes == 15390
@@ -224,24 +221,17 @@ def test_q9_seed_rows_are_cliques():
 # -- differential check of the exact-hit solver -------------------------------------
 
 
-def reference_exactly_one(system, target, meter, pair_budget):
+def reference_exactly_one(system, target, meter):
     """Exact-hit search on a trail of undo entries, one vertex and row at a time.
 
     Plain reference for _CoverSolver.exactly_one: same branching rule, same
-    propagation and pair budget.  Returns (status, witness, rejections), where
-    rejections counts the choices the pair budget refused.
+    propagation.  Returns (status, witness).
     """
     graph = system.graph
     group = graph.group
     n = group.order
     rows = system.rows
     n_rows = len(rows)
-    label_of = limits = None
-    if pair_budget:
-        fused = group.fusion_orbits()
-        classes = group.conjugacy_classes()
-        label_of = [fused[classes[group.class_of(g)].fusion_orbit].label for g in range(n)]
-        limits = dict(pair_budget)
     alive = (1 << n) - 1
     row_alive = [r.bit_count() for r in rows]
     row_done = [False] * n_rows
@@ -249,8 +239,7 @@ def reference_exactly_one(system, target, meter, pair_budget):
     for ri, mask in enumerate(rows):
         for v in mask_elements(mask):
             vrows[v].append(ri)
-    chosen, counts, trail = [], {}, []
-    rejections = 0
+    chosen, trail = [], []
 
     def eliminate(vmask):
         nonlocal alive
@@ -263,19 +252,6 @@ def reference_exactly_one(system, target, meter, pair_budget):
         trail.append(("elim", removed))
 
     def choose(v):
-        nonlocal rejections
-        inc = {}
-        if limits is not None:
-            for u in chosen:
-                lab = label_of[group.mul(u, group.inv(v))]
-                inc[lab] = inc.get(lab, 0) + 1
-            for lab, k in inc.items():
-                if lab in limits and counts.get(lab, 0) + k > limits[lab]:
-                    rejections += 1
-                    return False
-            for lab, k in inc.items():
-                counts[lab] = counts.get(lab, 0) + k
-        trail.append(("counts", inc))
         chosen.append(v)
         trail.append(("chosen",))
         kill = graph.neighbors(v)
@@ -286,7 +262,6 @@ def reference_exactly_one(system, target, meter, pair_budget):
         trail.append(("done", list(vrows[v])))
         eliminate(kill & ~(1 << v))
         eliminate(1 << v)
-        return True
 
     def undo(mark):
         nonlocal alive
@@ -300,11 +275,8 @@ def reference_exactly_one(system, target, meter, pair_budget):
             elif entry[0] == "done":
                 for ri in entry[1]:
                     row_done[ri] = False
-            elif entry[0] == "chosen":
-                chosen.pop()
             else:
-                for lab, k in entry[1].items():
-                    counts[lab] -= k
+                chosen.pop()
 
     def propagate():
         while True:
@@ -319,8 +291,7 @@ def reference_exactly_one(system, target, meter, pair_budget):
             if forced is None:
                 return True
             m = rows[forced] & alive
-            if not choose((m & -m).bit_length() - 1):
-                return False
+            choose((m & -m).bit_length() - 1)
 
     def search():
         if meter.tick():
@@ -341,21 +312,23 @@ def reference_exactly_one(system, target, meter, pair_budget):
             return "dead"
         for v in mask_elements(rows[best_ri] & alive):
             mark = len(trail)
-            if choose(v) and propagate():
+            choose(v)
+            if propagate():
                 out = search()
                 if out != "dead":
                     return out
             undo(mark)
         return "dead"
 
-    if not (choose(group.identity) and propagate()):
-        return PROVEN_INFEASIBLE, (), rejections
+    choose(group.identity)
+    if not propagate():
+        return PROVEN_INFEASIBLE, ()
     out = search()
     if out == "found":
-        return "FEASIBLE", tuple(sorted(chosen)), rejections
+        return "FEASIBLE", tuple(sorted(chosen))
     if out == "exhausted":
-        return certify.BRACKET, (), rejections
-    return PROVEN_INFEASIBLE, (), rejections
+        return certify.BRACKET, ()
+    return PROVEN_INFEASIBLE, ()
 
 
 def _sylow_system(q, labels):
@@ -366,23 +339,22 @@ def _sylow_system(q, labels):
 
 @pytest.fixture(scope="module")
 def sys_6_13():
-    """The pipeline's covering program on G[6,13]: realized clique and pair budget."""
+    """The pipeline's covering program on G[6,13], on its realized clique."""
     analyzer = Analyzer(13, PipelineConfig())
     analyzer.feasibility_stage()
     analyzer.realization_stage()
     gv = next(gv for gv in analyzer.verdict.graphs if gv.clique_classes == ("6", "13"))
     graph = build_graph(analyzer.group, gv.clique_classes)
     system = generate_translate_rows(graph, gv.stars["omega"]["witness"])
-    return system, gv.alpha_target, analyzer._pair_budget(gv, coclique_side=True)
+    return system, gv.alpha_target
 
 
-def _differential(system, target, nodes=10 ** 6, pair_budget=None):
-    res = solve_cover_ilp(system, target, budget=Budget(max_nodes=nodes, max_seconds=3600),
-                          pair_budget=pair_budget)
+def _differential(system, target, nodes=10 ** 6):
+    res = solve_cover_ilp(system, target, budget=Budget(max_nodes=nodes, max_seconds=3600))
     meter = Budget(max_nodes=nodes, max_seconds=3600).start()
-    status, witness, rejections = reference_exactly_one(system, target, meter, pair_budget)
+    status, witness = reference_exactly_one(system, target, meter)
     assert (res.status, res.witness, res.nodes) == (status, witness, meter.nodes)
-    return res, rejections
+    return res
 
 
 def test_invalid_witness_is_rejected(monkeypatch):
@@ -403,26 +375,18 @@ def test_invalid_witness_is_rejected(monkeypatch):
             solve_cover_ilp(system, target)
 
 
-@pytest.mark.parametrize("pair_budget,status", [
-    (None, "FEASIBLE"),
-    ({"2": 18}, "FEASIBLE"),             # the witness has 18 pairs of label 2
-    ({"2": 17}, PROVEN_INFEASIBLE),
-])
-def test_solver_matches_reference_q5(pair_budget, status):
-    res, _ = _differential(_sylow_system(5, ["5"]), 12, pair_budget=pair_budget)
-    assert res.status == status
+def test_solver_matches_reference_q5():
+    res = _differential(_sylow_system(5, ["5"]), 12)
+    assert res.status == "FEASIBLE"
 
 
-def test_solver_matches_reference_pair_budget(sys_6_13):
-    system, target, pair_budget = sys_6_13
-    res, rejections = _differential(system, target, pair_budget=pair_budget)
+def test_solver_matches_reference_g6_13(sys_6_13):
+    res = _differential(*sys_6_13)
     assert res.status == PROVEN_INFEASIBLE and res.nodes == 375
-    assert rejections > 0
 
 
 def test_solver_matches_reference_on_budget(sys13):
-    pair_budget = {"2": 294, "3": 588, "6": 588, "7": 2016, "13": 0}
-    res, _ = _differential(sys13, 84, nodes=500, pair_budget=pair_budget)
+    res = _differential(sys13, 84, nodes=500)
     assert res.status == certify.BRACKET and res.nodes == 501
 
 

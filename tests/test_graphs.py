@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from diagsync.certify import generate_translate_rows, solve_cover_ilp
 from diagsync.graphs import (
     InvalidClassSet,
     build_graph,
@@ -11,7 +12,7 @@ from diagsync.graphs import (
     complement_graph,
     export_dimacs,
 )
-from diagsync.psl2 import PSL2, build_group
+from diagsync.psl2 import PSL2, build_group, mask_elements, sylow_subgroup
 
 
 def test_build_graph_q13_order13():
@@ -97,13 +98,18 @@ def test_graphs_on_one_connection_set_share_neighbor_masks():
 
 
 def test_dropped_group_is_freed_without_a_cycle_collection():
-    # the group keeps masks, not graphs: a graph-group cycle would keep it
-    group = PSL2(5)
-    build_graph(group, ["5"]).neighbors(group.identity)
-    ref = weakref.ref(group)
+    # the group keeps masks, not graphs: a graph-group cycle would keep it;
+    # the exact-hit solver reaches the group through its graph, so a cycle
+    # in the solver would keep it too
     gc.disable()
     try:
-        del group
+        group = PSL2(5)
+        graph = build_graph(group, ["5"])
+        graph.neighbors(group.identity)
+        system = generate_translate_rows(graph, mask_elements(sylow_subgroup(group, 5)))
+        assert solve_cover_ilp(system, 12).status == "FEASIBLE"
+        ref = weakref.ref(group)
+        del group, graph, system
         assert ref() is None
     finally:
         gc.enable()

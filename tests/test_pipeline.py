@@ -161,8 +161,7 @@ def test_inference_resolves_rows_from_planted_facts():
 
 @pytest.mark.slow
 def test_unknown_exit_code_when_unresolved():
-    cfg = PipelineConfig(budget_secs=0.5, direct_search_secs=0.5, witness_secs=0.5,
-                         budget_nodes=100)
+    cfg = PipelineConfig(budget_secs=0.5, direct_search_secs=0.5, budget_nodes=100)
     verdict, report = analyze(17, cfg)
     assert verdict.separating == UNKNOWN
     assert verdict.exit_code() == 2
@@ -318,4 +317,4 @@ def test_covering_key_names_the_base_clique(tmp_path):
     bases = [list(s) for s in search.algebraic_clique_seeds(graph) if len(s) == 7][:2]
     assert len(bases) == 2
     for base in bases:
-        assert an.cached_csp(("7",), base, 24, None)["system"]["base_clique"] == base
+        assert an.cached_csp(("7",), base, 24)["system"]["base_clique"] == base
