@@ -48,16 +48,20 @@ def _emit(data, args):
         print(text)
 
 
-def _add_common(p, budget_secs=1800.0):
+def _add_common(p, budget=False, seed=False, threads=False):
+    """--q and --out, and the run-control flags the subcommand reads."""
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget-secs", type=float, default=budget_secs)
-    p.add_argument("--budget-nodes", type=int, default=10 ** 9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    if budget:
+        p.add_argument("--budget-secs", type=float, default=1800.0)
+        p.add_argument("--budget-nodes", type=int, default=10 ** 9)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if threads:
+        p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagsync",
         description="synchronisation analysis of the diagonal action of "
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full pipeline with certified verdict")
-    _add_common(p)
+    _add_common(p, budget=True, seed=True, threads=True)
     p.add_argument("--direct-search-secs", type=float, default=900.0)
     p.add_argument("--cache-dir")
 
@@ -79,20 +83,20 @@ def main(argv=None) -> int:
                    help="clique-side class set, e.g. 3,7 (default: full table)")
 
     p = sub.add_parser("search", help="exact clique/coclique computations")
-    _add_common(p)
+    _add_common(p, budget=True, seed=True, threads=True)
     p.add_argument("--classes", type=_classes_arg, required=True)
     p.add_argument("--mode", choices=["clique", "coclique", "decide"],
                    default="clique")
     p.add_argument("--size", type=int, help="target size for decide mode")
 
     p = sub.add_parser("certify", help="exact-hit covering program from clique translates")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.add_argument("--classes", type=_classes_arg, required=True)
     p.add_argument("--base-clique", choices=["from-search", "sylow", "dihedral"],
                    default="from-search")
 
     p = sub.add_parser("witness", help="group-theoretic witnesses")
-    _add_common(p, budget_secs=300.0)
+    _add_common(p, seed=True)
     p.add_argument("--kind", choices=["factorisation", "sharp", "spreading"],
                    required=True)
 
@@ -103,8 +107,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="replay the certificates of a report")
     p.add_argument("report")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except BrokenPipeError:
@@ -121,7 +128,7 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd == "analyze":
-        config = PipelineConfig.from_env(
+        config = PipelineConfig(
             budget_secs=args.budget_secs, budget_nodes=args.budget_nodes,
             direct_search_secs=args.direct_search_secs, seed=args.seed,
             threads=args.threads, cache_dir=args.cache_dir)
@@ -212,7 +219,7 @@ def _dispatch(args) -> int:
             fac = find_exact_factorisation(group)
             if fac is None:
                 _emit({"q": args.q, "found": False,
-                       "note": "no exact factorisation found within budget"}, args)
+                       "note": "no exact factorisation found"}, args)
                 return 2
             _emit(sealed(fac.payload()), args)
             return 0

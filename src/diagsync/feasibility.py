@@ -15,12 +15,14 @@ the rationals, intersects with the nonnegativity constraints, keeps solutions
 whose sizes divide |Omega|, and merges the survivors into maximal affine
 families.  Every step is exact; no tolerance is involved.
 
-Each family records two feasible regions for its parameters: the ``entry``
-region is cut out by the support equalities and entrywise nonnegativity
-alone, while the ``valid`` region additionally enforces nonnegativity of the
-MacWilliams transform.  Membership in the latter is what actual subsets must
-satisfy; the former is the conventional way one-parameter families are
-displayed.
+Each family is an affine map from a parameter polytope into distribution
+space, stored by its base point, directions, the affine rows cutting out the
+``entry`` region (support equalities and entrywise nonnegativity alone) and
+the parameter-space vertex lists of two regions: the ``entry`` region and
+the ``valid`` region, which also enforces nonnegativity of the MacWilliams
+transform.  Membership in the latter is what actual subsets must satisfy; the
+former is the conventional way one-parameter families are displayed.  A
+single point is the family of dimension 0, whose one vertex is ``()``.
 """
 
 from __future__ import annotations
@@ -41,17 +43,22 @@ class SideFamily:
     base: Vec                       # vector over relations at parameter 0
     dirs: tuple[Vec, ...]           # affine directions; () for a single point
     size: int
-    entry_range: tuple[Fraction, Fraction] | None   # dim-1 families only
-    valid_range: tuple[Fraction, Fraction] | None   # None when psd-empty
-    entry_vertices: tuple[Vec, ...]  # parameter-space vertices (dim >= 2) or ()
-    valid_vertices: tuple[Vec, ...]
     entry_rows: tuple[tuple[Fraction, Vec], ...]    # affine constraints >= 0
-    valid_rows: tuple[tuple[Fraction, Vec], ...]
-    psd_feasible: bool
+    entry_vertices: tuple[Vec, ...]  # sorted parameter-space vertices of the
+    valid_vertices: tuple[Vec, ...]  # entry and of the valid region
 
     @property
     def dim(self) -> int:
         return len(self.dirs)
+
+    @property
+    def entry_range(self) -> tuple[Fraction, Fraction]:
+        """Parameter interval of a one-parameter family's entry region."""
+        return self.entry_vertices[0][0], self.entry_vertices[-1][0]
+
+    @property
+    def valid_range(self) -> tuple[Fraction, Fraction]:
+        return self.valid_vertices[0][0], self.valid_vertices[-1][0]
 
     def vector(self, params) -> Vec:
         if not isinstance(params, (tuple, list)):
@@ -63,24 +70,7 @@ class SideFamily:
         return tuple(out)
 
     def entry_corner_vectors(self) -> list[Vec]:
-        if self.dim == 0:
-            return [self.base]
-        if self.dim == 1:
-            lo, hi = self.entry_range
-            pts = [self.vector((lo,)), self.vector((hi,))]
-            return pts if pts[0] != pts[1] else pts[:1]
         return [self.vector(v) for v in self.entry_vertices]
-
-    def valid_corner_vectors(self) -> list[Vec]:
-        if not self.psd_feasible:
-            return []
-        if self.dim == 0:
-            return [self.base]
-        if self.dim == 1:
-            lo, hi = self.valid_range
-            pts = [self.vector((lo,)), self.vector((hi,))]
-            return pts if pts[0] != pts[1] else pts[:1]
-        return [self.vector(v) for v in self.valid_vertices]
 
     def support(self, labels: list[str]) -> tuple[str, ...]:
         out = set()
@@ -90,11 +80,10 @@ class SideFamily:
                     out.add(labels[r])
         return tuple(sorted(out, key=label_sort_key))
 
-    def contains_vector(self, vec: Vec, region: str = "entry") -> bool:
-        """Exact membership of a full distribution vector in a feasible region."""
-        rows = self.entry_rows if region == "entry" else self.valid_rows
+    def contains_vector(self, vec: Vec) -> bool:
+        """Exact membership of a full distribution vector in the entry region."""
         if self.dim == 0:
-            return self.base == vec and (region == "entry" or self.psd_feasible)
+            return self.base == vec
         diff = [v - b for v, b in zip(vec, self.base)]
         cols = [list(d) for d in self.dirs]
         aug = [[cols[j][i] for j in range(self.dim)] + [diff[i]]
@@ -109,7 +98,7 @@ class SideFamily:
             if red[r][self.dim] != 0:
                 return False
         return all(c0 + sum(c * t for c, t in zip(coeffs, params)) >= 0
-                   for c0, coeffs in rows)
+                   for c0, coeffs in self.entry_rows)
 
 
 @dataclass(frozen=True)
@@ -134,26 +123,6 @@ class TableRow:
     alpha_target: int
     families: list[FeasiblePair]
     novel: bool = True            # False: families repeat earlier rows' (swapped)
-    notes: list[str] | None = None
-
-
-def candidate_class_sets(scheme: AssociationScheme) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """All unordered complementary pairs of nonempty proper fused class sets."""
-    labels = sorted(scheme.nontrivial_labels(), key=label_sort_key)
-    pairs = []
-    seen = set()
-    for r in range(1, len(labels)):
-        for combo in itertools.combinations(labels, r):
-            rest = tuple(l for l in labels if l not in combo)
-            if not rest:
-                continue
-            key = frozenset((frozenset(combo), frozenset(rest)))
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((combo, rest))
-    pairs.sort(key=lambda p: (len(p[0]), [label_sort_key(l) for l in p[0]]))
-    return pairs
 
 
 # -- one-sided affine systems ----------------------------------------------------
@@ -214,24 +183,6 @@ def _constraints(scheme, base, dirs, side_ids, include_transform):
     return rows
 
 
-def _interval(rows) -> tuple[Fraction, Fraction] | None:
-    lo, hi = None, None
-    for c0, coeffs in rows:
-        c1 = coeffs[0]
-        if c1 == 0:
-            if c0 < 0:
-                return None
-        elif c1 > 0:
-            bound = -c0 / c1
-            lo = bound if lo is None or bound > lo else lo
-        else:
-            bound = -c0 / c1
-            hi = bound if hi is None or bound < hi else hi
-    if lo is None or hi is None or lo > hi:
-        return None
-    return (lo, hi)
-
-
 def _vertices(rows, dim: int) -> list[Vec]:
     """Vertices of {t : row(t) >= 0} in R^dim (bounded polytopes only)."""
     verts: set[Vec] = set()
@@ -249,65 +200,46 @@ def _vertices(rows, dim: int) -> list[Vec]:
     return sorted(verts)
 
 
-def _point_ok(rows) -> bool:
-    return all(c0 >= 0 for c0, _ in rows)
-
-
 def _make_family(scheme, base, dirs, side_ids) -> SideFamily | None:
     """Family over the entrywise-feasible region, or None when infeasible.
 
     As actual subsets demand, the family must contain a point with
-    nonnegative MacWilliams transform.  The reported parameter range is
-    always the entrywise one; the psd-refined subrange is carried alongside.
+    nonnegative MacWilliams transform: its valid region is nonempty.
     """
-    entry_rows = _constraints(scheme, base, dirs, side_ids, include_transform=False)
-    valid_rows = _constraints(scheme, base, dirs, side_ids, include_transform=True)
     size = sum(base[1:], Fraction(1))
     if size.denominator != 1:
         return None
-    size = int(size)
-    if not dirs:
-        if not _point_ok(entry_rows):
-            return None
-        if not _point_ok(valid_rows):
-            return None
-        return SideFamily(tuple(base), (), size, None, None, (), (),
-                          tuple(entry_rows), tuple(valid_rows), True)
-    if len(dirs) == 1:
-        entry = _interval(entry_rows)
-        if entry is None:
-            return None
-        valid = _interval(valid_rows)
-        if valid is None:
-            return None
-        d = dirs[0]
-        lead = next(r for r in range(len(d)) if d[r] != 0)
-        scale = d[lead]
-        d = tuple(x / scale for x in d)
-        lo_e, hi_e = sorted((entry[0] * scale, entry[1] * scale))
-        shifted = tuple(b + lo_e * x for b, x in zip(base, d))
-        if lo_e == hi_e:
-            point_rows_e = _constraints(scheme, list(shifted), [], side_ids, False)
-            point_rows_v = _constraints(scheme, list(shifted), [], side_ids, True)
-            if not _point_ok(point_rows_v):
-                return None
-            return SideFamily(shifted, (), size, None, None, (), (),
-                              tuple(point_rows_e), tuple(point_rows_v), True)
-        rows_e = _constraints(scheme, list(shifted), [list(d)], side_ids, False)
-        rows_v = _constraints(scheme, list(shifted), [list(d)], side_ids, True)
-        lo_v, hi_v = sorted((valid[0] * scale, valid[1] * scale))
-        return SideFamily(shifted, (d,), size,
-                          (Fraction(0), hi_e - lo_e), (lo_v - lo_e, hi_v - lo_e),
-                          (), (), tuple(rows_e), tuple(rows_v), True)
-    entry_verts = _vertices(entry_rows, len(dirs))
-    if not entry_verts:
+    entry_rows = _constraints(scheme, base, dirs, side_ids, include_transform=False)
+    entry = _vertices(entry_rows, len(dirs))
+    if not entry:
         return None
-    valid_verts = _vertices(valid_rows, len(dirs))
-    if not valid_verts:
+    valid = _vertices(_constraints(scheme, base, dirs, side_ids, include_transform=True),
+                      len(dirs))
+    if not valid:
         return None
-    return SideFamily(tuple(base), tuple(tuple(d) for d in dirs), size,
-                      None, None, tuple(entry_verts), tuple(valid_verts),
-                      tuple(entry_rows), tuple(valid_rows), True)
+    fam = SideFamily(tuple(base), tuple(map(tuple, dirs)), int(size),
+                     tuple(entry_rows), tuple(entry), tuple(valid))
+    return _unit_lead(fam) if fam.dim == 1 else fam
+
+
+def _unit_lead(fam: SideFamily) -> SideFamily:
+    """A one-parameter family in display form: unit lead coefficient and an
+    entry range starting at 0; over a single point, that point."""
+    (d,) = fam.dirs
+    scale = next(x for x in d if x != 0)
+    # the parameter t becomes (t - shift) * scale, 0 at the low end of the range
+    shift = fam.entry_vertices[0 if scale > 0 else -1][0]
+    base = tuple(b + shift * x for b, x in zip(fam.base, d))
+    if len(fam.entry_vertices) == 1:
+        rows = tuple((c0 + c1 * shift, ()) for c0, (c1,) in fam.entry_rows)
+        return SideFamily(base, (), fam.size, rows, ((),), ((),))
+    rows = tuple((c0 + c1 * shift, (c1 / scale,)) for c0, (c1,) in fam.entry_rows)
+
+    def params(verts):
+        return tuple(sorted(((t - shift) * scale,) for (t,) in verts))
+
+    return SideFamily(base, (tuple(x / scale for x in d),), fam.size, rows,
+                      params(fam.entry_vertices), params(fam.valid_vertices))
 
 
 def _sigma_span(base, dirs) -> Fraction | None:
@@ -320,8 +252,7 @@ def _divisor_splits(omega: int):
     return [(s, omega // s) for s in range(2, omega // 2 + 1) if omega % s == 0]
 
 
-def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels,
-                             divisibility_filter: bool = True) -> list[FeasiblePair]:
+def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels) -> list[FeasiblePair]:
     """All maximal feasible (clique, coclique) families for one class-set pair.
 
     clique_labels designates the side whose graph the clique lives in; the
@@ -337,7 +268,6 @@ def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels,
     omega = scheme.omega
     d = scheme.d
     out: list[FeasiblePair] = []
-    relaxed: list[FeasiblePair] = []
     for bits in range(1 << d):
         zero_a = [m + 1 for m in range(d) if bits >> m & 1]
         zero_b = [m + 1 for m in range(d) if not bits >> m & 1]
@@ -346,12 +276,8 @@ def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels,
             continue
         sigma_a = _sigma_span(*a_free)
         if sigma_a is not None:
-            bad = (sigma_a.denominator != 1 or not 2 <= sigma_a <= omega // 2
-                   or omega % int(sigma_a))
-            if bad:
-                if not divisibility_filter:
-                    _collect_relaxed(scheme, a_ids, b_ids, zero_a, zero_b,
-                                     sigma_a, omega, relaxed)
+            if (sigma_a.denominator != 1 or not 2 <= sigma_a <= omega // 2
+                    or omega % int(sigma_a)):
                 continue
             splits = [(int(sigma_a), omega // int(sigma_a))]
         else:
@@ -370,34 +296,7 @@ def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels,
             if b_fam is None:
                 continue
             out.append(FeasiblePair(a_fam, b_fam))
-    result = _dedupe(out)
-    if not divisibility_filter:
-        result = result + relaxed
-    return result
-
-
-def _collect_relaxed(scheme, a_ids, b_ids, zero_a, zero_b, sigma_a, omega, sink):
-    """Solutions admitted only because size integrality/divisibility is waived."""
-    if sigma_a is None or sigma_a <= 1:
-        return
-    base_a, dirs_a = _solve_side(scheme, a_ids, zero_a, None)
-    rows_a = _constraints(scheme, base_a, dirs_a, a_ids, include_transform=True)
-    if dirs_a:
-        if len(dirs_a) == 1 and _interval(rows_a) is None:
-            return
-    elif not _point_ok(rows_a):
-        return
-    sigma_b = Fraction(omega) / sigma_a
-    b_sys = _solve_side(scheme, b_ids, zero_b, None)
-    if b_sys is None:
-        return
-    base_b, dirs_b = b_sys
-    forced_b = _sigma_span(base_b, dirs_b)
-    if forced_b is not None and forced_b != sigma_b:
-        return
-    fam_a = SideFamily(tuple(base_a), (), -1, None, None, (), (), (), (), False)
-    fam_b = SideFamily(tuple(base_b), (), -1, None, None, (), (), (), (), False)
-    sink.append(FeasiblePair(fam_a, fam_b))
+    return _dedupe(out)
 
 
 def _dedupe(pairs: list[FeasiblePair]) -> list[FeasiblePair]:
@@ -420,8 +319,7 @@ def _pair_contains(big: FeasiblePair, small: FeasiblePair) -> bool:
 
 
 def _side_contains(big: SideFamily, small: SideFamily) -> bool:
-    return all(big.contains_vector(v, region="entry")
-               for v in small.entry_corner_vectors())
+    return all(big.contains_vector(v) for v in small.entry_corner_vectors())
 
 
 # -- the putative table -----------------------------------------------------------
@@ -462,10 +360,8 @@ def putative_table(scheme: AssociationScheme) -> list[TableRow]:
                 by_target.setdefault((f.omega_target, f.alpha_target), []).append(f)
             novel_targets = {(f.omega_target, f.alpha_target) for f in novel_fams}
             for (om, al), group in sorted(by_target.items()):
-                note = None if (om, al) in novel_targets else \
-                    ["families repeat earlier rows with clique and coclique swapped"]
                 rows.append(TableRow(combo, rest, om, al, group,
-                                     novel=(om, al) in novel_targets, notes=note))
+                                     novel=(om, al) in novel_targets))
     rows.sort(key=lambda r: (len(r.clique_classes),
                              [label_sort_key(l) for l in r.clique_classes]))
     return rows
@@ -502,13 +398,11 @@ def family_description(pair: FeasiblePair, labels: list[str]) -> dict:
             "size": fam.size,
             "support": list(fam.support(labels)),
             "base": [str(x) for x in fam.base],
-            "psd_feasible": fam.psd_feasible,
         }
         if fam.dim == 1:
             data["direction"] = [str(x) for x in fam.dirs[0]]
-            data["entry_range"] = [str(fam.entry_range[0]), str(fam.entry_range[1])]
-            if fam.valid_range is not None:
-                data["valid_range"] = [str(fam.valid_range[0]), str(fam.valid_range[1])]
+            data["entry_range"] = [str(x) for x in fam.entry_range]
+            data["valid_range"] = [str(x) for x in fam.valid_range]
         elif fam.dim >= 2:
             data["directions"] = [[str(x) for x in d] for d in fam.dirs]
             data["entry_vertices"] = [[str(x) for x in v] for v in fam.entry_vertices]

@@ -68,17 +68,6 @@ class PipelineConfig:
     threads: int = 1
     cache_dir: str | None = None
 
-    @classmethod
-    def from_env(cls, **overrides) -> "PipelineConfig":
-        cfg = cls(**overrides)
-        env_secs = os.environ.get("DIAGSYNC_BUDGET_SECS")
-        if env_secs:
-            cfg.budget_secs = float(env_secs)
-        env_nodes = os.environ.get("DIAGSYNC_BUDGET_NODES")
-        if env_nodes:
-            cfg.budget_nodes = int(env_nodes)
-        return cfg
-
 
 @dataclass
 class GraphVerdict:

@@ -22,6 +22,7 @@ certificate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -185,7 +186,9 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     quotients = group.mul_rows(reps)[:, inv[reps]]    # reps[i] * reps[j]^-1
     # symmetric, as the connection set is inverse-closed, and false on the
     # diagonal, as it misses the identity
-    meter = _Meter(200000, time.monotonic() + 5.0)
+    # no clock: the seeds, and the capped searches they start, must not
+    # depend on the machine's speed
+    meter = _Meter(200000, math.inf)
     best_size, members, _ = _bb_max_clique(ok[quotients], 1, meter)
     if best_size <= 1:
         return None

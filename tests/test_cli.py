@@ -1,7 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 from diagsync import cli
 from diagsync.cli import main
+from diagsync.pipeline import GroupVerdict
 
 
 def run_cli(capsys, *argv):
@@ -138,3 +144,42 @@ def test_analyze_beyond_table_limit_is_unknown(capsys, tmp_path):
     capsys.readouterr()
     code, out = run_cli(capsys, "verify", str(report_path))
     assert code == 0 and json.loads(out)["ok"]
+
+
+def test_analyze_budget_flag_beats_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGSYNC_BUDGET_SECS", "1")
+    monkeypatch.setenv("DIAGSYNC_BUDGET_NODES", "1")
+    seen = []
+
+    def fake_analyze(q, config):
+        seen.append(config)
+        return GroupVerdict(q), {"verdict": {}}
+
+    monkeypatch.setattr(cli, "analyze", fake_analyze)
+    main(["analyze", "--q", "13", "--budget-secs", "7"])
+    assert seen[0].budget_secs == 7 and seen[0].budget_nodes == 10 ** 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "--q", "13", "--threads", "2"],
+    ["feasibility", "--q", "13", "--seed", "1"],
+    ["graph", "--q", "13", "--classes", "13", "--budget-secs", "5"],
+    ["witness", "--q", "7", "--kind", "sharp", "--budget-nodes", "5"],
+    ["certify", "--q", "5", "--classes", "5", "--seed", "1"],
+    ["certify", "--q", "5", "--classes", "5", "--threads", "2"],
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.split("#")[0] for line in readme.splitlines()
+             if line.startswith("diagsync ")]
+    assert len(lines) >= 10
+    for line in lines:
+        # an optional [--flag value] is parsed both without and with it
+        for text in (re.sub(r"\[[^]]*\]", "", line), re.sub(r"[][]", "", line)):
+            cli._parser().parse_args(shlex.split(text)[1:])

@@ -1,13 +1,18 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from diagsync.feasibility import (
-    candidate_class_sets,
+    SideFamily,
+    _unit_lead,
     enumerate_feasible_pairs,
+    family_description,
     putative_table,
 )
-from diagsync.psl2 import build_group
+from diagsync.psl2 import build_group, label_sort_key
 from diagsync.scheme import macwilliams_transform, rational_fusion_scheme
 
 
@@ -21,13 +26,13 @@ def s17():
     return rational_fusion_scheme(build_group(17))
 
 
+@pytest.fixture(scope="module")
+def t17(s17):
+    return putative_table(s17)     # about 8 s: built once for the module
+
+
 def frac(values):
     return tuple(Fraction(v) for v in values)
-
-
-def test_candidate_pair_counts(s13, s17):
-    assert len(candidate_class_sets(s13)) == 15
-    assert len(candidate_class_sets(s17)) == 31
 
 
 def test_pair_13_unique_solution(s13):
@@ -59,32 +64,22 @@ def test_pair_2_eliminated(s13):
 
 
 def test_all_solutions_satisfy_system(s13):
-    # soundness: both Schur-product conditions and the size product, exactly
-    for clique_side, _ in candidate_class_sets(s13):
-        for f in enumerate_feasible_pairs(s13, clique_side):
-            assert f.omega_target * f.alpha_target == s13.omega
-            for va in f.clique.valid_corner_vectors():
-                for vb in f.coclique.valid_corner_vectors():
-                    assert all(x * y == 0 for x, y in zip(va[1:], vb[1:]))
-                    ta = macwilliams_transform(va, s13)
-                    tb = macwilliams_transform(vb, s13)
-                    assert all(x >= 0 for x in ta) and all(x >= 0 for x in tb)
-                    assert ta[0] * tb[0] == s13.omega
-                    assert all(x * y == 0 for x, y in zip(ta[1:], tb[1:]))
-                    assert all(x >= 0 for x in va) and all(x >= 0 for x in vb)
-
-
-def test_divisibility_filter_regression(s13):
-    # with the filter disabled, the extra solutions all have sizes that are
-    # non-integral or fail to divide the vertex count; none is fully valid
-    for clique_side in [("2",), ("3",), ("6",), ("2", "3"), ("3", "6"), ("2", "6")]:
-        strict = enumerate_feasible_pairs(s13, clique_side)
-        loose = enumerate_feasible_pairs(s13, clique_side, divisibility_filter=False)
-        extra = [f for f in loose if f.omega_target == -1]
-        assert len(loose) == len(strict) + len(extra)
-        for f in extra:
-            size = sum(f.clique.base[1:], Fraction(1))
-            assert size.denominator != 1 or s13.omega % int(size) != 0 or size < 2
+    # soundness at every vertex of every valid region: both Schur-product
+    # conditions and the size product, exactly
+    labels = sorted(s13.nontrivial_labels(), key=label_sort_key)
+    for size in range(1, len(labels)):
+        for clique_side in itertools.combinations(labels, size):
+            for f in enumerate_feasible_pairs(s13, clique_side):
+                assert f.omega_target * f.alpha_target == s13.omega
+                for va in map(f.clique.vector, f.clique.valid_vertices):
+                    for vb in map(f.coclique.vector, f.coclique.valid_vertices):
+                        assert all(x * y == 0 for x, y in zip(va[1:], vb[1:]))
+                        ta = macwilliams_transform(va, s13)
+                        tb = macwilliams_transform(vb, s13)
+                        assert all(x >= 0 for x in ta) and all(x >= 0 for x in tb)
+                        assert ta[0] * tb[0] == s13.omega
+                        assert all(x * y == 0 for x, y in zip(ta[1:], tb[1:]))
+                        assert all(x >= 0 for x in va) and all(x >= 0 for x in vb)
 
 
 def test_putative_table_q13(s13):
@@ -118,8 +113,8 @@ def test_putative_table_q13_ranges(s13):
     assert rows[("2", "7")].families[0].coclique.valid_range == (Fraction(13, 2), 26)
 
 
-def test_putative_table_q17(s17):
-    rows = putative_table(s17)
+def test_putative_table_q17(t17):
+    rows = t17
     assert len(rows) == 23
     assert sum(r.novel for r in rows) == 20
     # spot rows, including one listed from the complementary side
@@ -129,3 +124,50 @@ def test_putative_table_q17(s17):
     assert by_key[frozenset(["17"])] == (17, 144)
     assert by_key[frozenset(["2", "3", "9"])] == (36, 68)
     assert by_key[frozenset(["4", "8", "9"])] == (72, 34)
+
+
+def _table_digest(rows, labels) -> str:
+    data = [{"clique_classes": list(r.clique_classes),
+             "coclique_classes": list(r.coclique_classes),
+             "omega_target": r.omega_target, "alpha_target": r.alpha_target,
+             "novel": r.novel,
+             "families": [family_description(f, labels) for f in r.families]}
+            for r in rows]
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the canonical JSON of every table row; q=11 has the only
+# two-parameter families, q=9 and q=13 the one-parameter ones
+GOLDEN_TABLES = {
+    4: "9e3352581c6a64ee01c9575a1db3671bf12711c98e6f949156ec201f1061787d",
+    5: "9e3352581c6a64ee01c9575a1db3671bf12711c98e6f949156ec201f1061787d",
+    7: "0973f4d84277bb26f5cc400fe06cd127394c1290249373369f5fad0ca84aba9e",
+    8: "bdf6fccb56836e35212bcc2e2b510633db3600564ddc7f24cdf66bed078bf376",
+    9: "1f733681e00bcc1ac5019e273b73346e2f8bca8cb421ddbfa8501c0b5a5e2dc2",
+    11: "01c9e11e5235f9882b8c89d983a19b0322dfdc0427068987bda17375d7435305",
+    13: "991d483ad63bed5dcd7fb69a8a677dc78c29887438e9d8b671b7f182f682b16c",
+    17: "c0e07fb616927ea3207b02f5130045fe5ffc2cb047786db4401258142c7678da",
+}
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_putative_table_is_golden(q):
+    scheme = rational_fusion_scheme(build_group(q))
+    assert _table_digest(putative_table(scheme), scheme.labels()) == GOLDEN_TABLES[q]
+
+
+def test_putative_table_q17_is_golden(s17, t17):
+    assert _table_digest(t17, s17.labels()) == GOLDEN_TABLES[17]
+
+
+def test_one_parameter_family_over_a_point_collapses():
+    # entries 1 - 2t and -1 + 2t are both nonnegative only at t = 1/2
+    fam = SideFamily(frac([1, 1, -1]), (frac([0, -2, 2]),), 1,
+                     ((Fraction(1), frac([-2])), (Fraction(-1), frac([2]))),
+                     (frac([Fraction(1, 2)]),), (frac([Fraction(1, 2)]),))
+    point = _unit_lead(fam)
+    assert point.dim == 0 and point.base == frac([1, 0, 0])
+    assert point.entry_vertices == point.valid_vertices == ((),)
+    assert point.contains_vector(frac([1, 0, 0]))
+    assert not point.contains_vector(frac([1, 1, -1]))

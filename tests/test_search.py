@@ -2,6 +2,7 @@ import itertools
 import multiprocessing
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -542,3 +543,15 @@ def test_task_setup_makes_no_per_vertex_mask_loops(g13, monkeypatch):
     cert = max_clique(graph, Budget(max_seconds=300))
     assert cert.exhaustive and cert.size == 9
     assert len(calls) <= 2 * tasks, (len(calls), tasks)
+
+
+@pytest.mark.parametrize("labels", [["13"], ["2", "3", "7", "13"], ["2", "3", "6", "7"]])
+def test_seeds_do_not_depend_on_the_clock(g13, labels, monkeypatch):
+    graph = build_graph(g13, labels)
+    seeds = search._clique_seeds(graph)
+    start = time.monotonic()
+    calls = itertools.count(1)
+    # every reading of the clock is an hour later than the one before
+    monkeypatch.setattr(search, "time", SimpleNamespace(
+        monotonic=lambda: start + 3600.0 * next(calls)))
+    assert search._clique_seeds(graph) == seeds
