@@ -11,10 +11,10 @@ proven infeasibility refutes that size.
 
 Rows come in right-translation families {S t : t in T}, one per conjugate
 shape S of C.  Two families are equal or disjoint, so a shape that is already
-a row (S = S'' t0 for an earlier shape S'') adds no rows; it only repeats its
-family's partition entry.  Each new family is translated by one gather of
-multiplication-table rows, and every new row is still re-verified pair by
-pair against the connection set.
+a row (S = S'' t0 for an earlier shape S'') adds no rows and is skipped.
+Each new family is translated by one gather of multiplication-table rows,
+and every new row is still re-verified pair by pair against the connection
+set.
 
 The solver is a propagation-based exact branch-and-bound over binary choices
 (no floating point).  The row system is closed under right translation, which
@@ -33,7 +33,6 @@ exactly once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +40,6 @@ import numpy as np
 from .graphs import ClassUnionGraph
 from .psl2 import PSL2, mask_elements, mask_array, mask_from
 from .search import Budget, verify_clique, verify_coclique
-
-EXACTLY_ONE = "EXACTLY_ONE"            # the one sense, named in every payload
 
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
 FEASIBLE = "FEASIBLE"
@@ -55,7 +52,6 @@ class TranslateRowSystem:
     base_clique: tuple[int, ...]
     rows: list[int]                      # bitmask per row
     generator_note: str
-    partitions: list[list[int]]          # row-index families partitioning the vertices
     edges_covered: bool
 
     @property
@@ -68,7 +64,6 @@ class TranslateRowSystem:
             "base_clique": list(self.base_clique),
             "rows": len(self.rows),
             "row_size": self.row_size,
-            "partitions": len(self.partitions),
             "edges_covered": self.edges_covered,
             "generators": self.generator_note,
         }
@@ -80,18 +75,15 @@ class CoverBound:
     target: int
     witness: tuple[int, ...]
     nodes: int
-    elapsed: float
     system: dict
     notes: list[str] = field(default_factory=list)
     timed_out: bool = False        # stopped by the clock: not reproducible
 
     def payload(self) -> dict:
         return {
-            "sense": EXACTLY_ONE, "status": self.status, "lower": len(self.witness),
-            "upper": None, "target": self.target,
+            "kind": "exact_hit", "status": self.status, "target": self.target,
             "witness": list(self.witness), "nodes": self.nodes,
-            "elapsed": round(self.elapsed, 3), "system": self.system,
-            "notes": self.notes,
+            "system": self.system, "notes": self.notes,
         }
 
 
@@ -154,9 +146,11 @@ def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:
 def _right_translates(group: PSL2, shape) -> list[int]:
     """Masks of the distinct translates shape*t, in order of their first t."""
     images = group.mul_rows(shape)            # images[i, t] = shape[i] * t
-    keys = np.sort(images, axis=0).T          # one sorted vertex list per t
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return [mask_from(images[:, t].tolist()) for t in sorted(first)]
+    keys = np.sort(images.T, axis=1)          # one sorted vertex list per t
+    first: dict[bytes, int] = {}
+    for t, key in enumerate(keys):
+        first.setdefault(key.tobytes(), t)
+    return [mask_from(images[:, t].tolist()) for t in first.values()]
 
 
 def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSystem:
@@ -165,10 +159,10 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
     The conjugate shapes of the base clique are translated on the right by
     every group element, one family of rows per shape.  A shape that is
     already a row is S''t0 for a shape S'' processed before it, so its
-    family equals that of S'': it adds no rows and repeats that family's
-    partition entry.  Only shapes that open a new family are translated, by
-    one gather of multiplication-table rows, and every new row is checked
-    pair by pair against the connection set before it is accepted.
+    family equals that of S'' and it is skipped.  Only shapes that open a
+    new family are translated, by one gather of multiplication-table rows,
+    and every new row is checked pair by pair against the connection set
+    before it is accepted.
     """
     group = graph.group
     n = group.order
@@ -199,39 +193,18 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
     conn[graph.connection_elements()] = True
     pairs = len(base) * (len(base) - 1)
     rows: list[int] = []
-    row_index: dict[int, int] = {}
-    row_family: list[int] = []
-    families: list[tuple[list[int], bool]] = []   # (row indices, is a partition)
-    partitions: list[list[int]] = []
+    known: set[int] = set()
     for shape in shapes:
-        ridx = row_index.get(mask_from(shape))
-        if ridx is not None:
-            family, is_partition = families[row_family[ridx]]
-        else:
-            family = []
-            for mask in _right_translates(group, shape):
-                ridx = row_index.get(mask)
-                if ridx is None:
-                    verts = mask_elements(mask)
-                    quotients = group.mul_rows(verts)[:, inv[verts]]  # u * v^-1
-                    if np.count_nonzero(conn[quotients]) != pairs:
-                        raise AssertionError("translate image failed clique re-verification")
-                    ridx = len(rows)
-                    row_index[mask] = ridx
-                    rows.append(mask)
-                    row_family.append(len(families))
-                family.append(ridx)
-            family.sort()
-            union = 0
-            disjoint = True
-            for ridx in family:
-                if rows[ridx] & union:
-                    disjoint = False
-                union |= rows[ridx]
-            is_partition = disjoint and union == (1 << n) - 1
-            families.append((family, is_partition))
-        if is_partition:
-            partitions.append(list(family))
+        if mask_from(shape) in known:
+            continue
+        family = _right_translates(group, shape)
+        for mask in family:
+            verts = mask_elements(mask)
+            quotients = group.mul_rows(verts)[:, inv[verts]]  # u * v^-1
+            if np.count_nonzero(conn[quotients]) != pairs:
+                raise AssertionError("translate image failed clique re-verification")
+        rows += family
+        known.update(family)
     # edge coverage: within-row adjacency unioned per vertex
     cov = [0] * n
     for mask in rows:
@@ -239,7 +212,7 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
             cov[v] |= mask
     edges_covered = all(
         graph.neighbors(v) & ~cov[v] == 0 for v in range(n))
-    return TranslateRowSystem(graph, base, rows, note, partitions, edges_covered)
+    return TranslateRowSystem(graph, base, rows, note, edges_covered)
 
 
 # -- exact solving ------------------------------------------------------------------
@@ -252,7 +225,6 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
     Budget exhaustion yields a BRACKET status, never a silent answer.
     """
     budget = budget or Budget()
-    t0 = time.monotonic()
     meter = budget.start()
     solver = _CoverSolver(system, meter)
     status, witness = solver.exactly_one(target_size)
@@ -264,14 +236,10 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
                 or (hits != 1).any()):
             raise AssertionError("solver returned an invalid exact-hit witness")
     notes = []
-    if status == PROVEN_INFEASIBLE and system.partitions:
-        notes.append(f"partition bound caps packings at {len(system.partitions[0])}; "
-                     f"size {target_size} proven infeasible")
     if not system.edges_covered:
         notes.append("rows do not cover all edges; independence enforced directly")
-    return CoverBound(status, target_size, witness, meter.nodes,
-                      time.monotonic() - t0, system.descriptor(), notes,
-                      meter.timed_out)
+    return CoverBound(status, target_size, witness, meter.nodes, system.descriptor(),
+                      notes, meter.timed_out)
 
 
 class _CoverSolver:

@@ -83,7 +83,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="clique-side class set, e.g. 3,7 (default: full table)")
 
     p = sub.add_parser("search", help="exact clique/coclique computations")
-    _add_common(p, budget=True, seed=True, threads=True)
+    _add_common(p, budget=True, threads=True)
     p.add_argument("--classes", type=_classes_arg, required=True)
     p.add_argument("--mode", choices=["clique", "coclique", "decide"],
                    default="clique")
@@ -174,18 +174,17 @@ def _dispatch(args) -> int:
     if cmd == "search":
         graph = build_graph(group, args.classes)
         if args.mode == "clique":
-            cert = max_clique(graph, _budget(args), args.seed, args.threads)
+            cert = max_clique(graph, _budget(args), args.threads)
             _emit(sealed(cert.payload()), args)
             return 0 if cert.exhaustive else 2
         if args.mode == "coclique":
-            cert = max_coclique(graph, _budget(args), args.seed, args.threads)
+            cert = max_coclique(graph, _budget(args), args.threads)
             _emit(sealed(cert.payload()), args)
             return 0 if cert.exhaustive else 2
         if args.size is None:
             print("decide mode requires --size", file=sys.stderr)
             return 1
-        status, cert = find_clique_of_size(graph, args.size,
-                                           budget=_budget(args), seed=args.seed)
+        status, cert = find_clique_of_size(graph, args.size, budget=_budget(args))
         _emit(sealed({"status": status, **cert.payload()}), args)
         return 0 if status != "BUDGET_EXHAUSTED" else 2
 

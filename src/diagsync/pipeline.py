@@ -20,7 +20,8 @@ import tempfile
 from dataclasses import dataclass, field
 
 from . import __version__
-from .certify import BRACKET, PROVEN_INFEASIBLE, generate_translate_rows, solve_cover_ilp
+from .certify import (BRACKET, FEASIBLE, PROVEN_INFEASIBLE, generate_translate_rows,
+                      solve_cover_ilp)
 from .feasibility import family_description, putative_table
 from .graphs import build_graph, complement_graph
 from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
@@ -256,13 +257,15 @@ class Analyzer:
 
     def _cached(self, op: str, labels, run, **params) -> dict:
         """Cache-through for one budgeted search or covering program: run()
-        returns (payload, timed_out) and is called only on a miss.  A payload
-        the node cap stopped repeats exactly under the same cap, seed and
+        returns (payload, timed_out) and is called only on a miss.  Every key
+        names the format version, so an entry of another format is a miss.
+        A payload the node cap stopped repeats exactly under the same cap and
         worker count (every meter starts from budget_nodes), so it is kept
-        under a key with those three; one the clock stopped is not kept."""
-        key = {"op": op, "q": self.q, "classes": sorted(labels), **params}
+        under a key with those two; one the clock stopped is not kept."""
+        key = {"op": op, "q": self.q, "classes": sorted(labels),
+               "version": __version__, **params}
         capped = dict(key, node_cap=self.config.budget_nodes,
-                      seed=self.config.seed, threads=self.config.threads)
+                      threads=self.config.threads)
         hit = self.cache.get(key)
         if hit is None or not _final(hit):
             hit = self.cache.get(capped)
@@ -276,7 +279,7 @@ class Analyzer:
 
     def _search(self, search, labels, secs):
         cert = search(build_graph(self.group, labels), self._search_budget(secs),
-                      self.config.seed, threads=self.config.threads)
+                      threads=self.config.threads)
         return sealed(cert.payload()), cert.timed_out
 
     def cached_max_coclique(self, labels, secs: float | None = None) -> dict:
@@ -290,8 +293,7 @@ class Analyzer:
     def cached_decision(self, labels, k: int, secs: float | None = None) -> dict:
         def run():
             status, cert = find_clique_of_size(
-                build_graph(self.group, labels), k,
-                budget=self._search_budget(secs), seed=self.config.seed)
+                build_graph(self.group, labels), k, budget=self._search_budget(secs))
             return sealed({"status": status, **cert.payload()}), cert.timed_out
         return self._cached("decision", labels, run, k=k)
 
@@ -609,6 +611,10 @@ def write_report(report: dict, path: str):
 
 def verify_report(report: dict) -> tuple[bool, list[str]]:
     """Re-verify every certificate in a report; returns (ok, problems)."""
+    version = report["meta"].get("version")
+    if version != __version__:
+        return False, [f"report format version {version}; this verifier reads "
+                       f"version {__version__}"]
     problems: list[str] = []
     q = report["meta"]["q"]
     group = build_group(q)
@@ -648,11 +654,23 @@ def _verify_certificate(group, gv, cert, problems) -> bool:
         graph = build_graph(group, cert["graph"]["classes"])
         verts = cert["vertices"]
         if cert.get("status") == NONE or not verts:
-            return True  # exhaustion claims are covered by the digest + replay
+            return True  # a NONE claim rests on the digest alone
+        # the witness is re-checked; an exhaustive claim rests on the digest
         ok = verify_clique(graph, verts) if kind == "clique" \
             else verify_coclique(graph, verts)
         return ok and len(verts) == cert["size"]
-    return True
+    if kind == "exact_hit":
+        system = cert["system"]
+        graph = build_graph(group, system["graph"]["classes"])
+        base = system["base_clique"]
+        if not verify_clique(graph, base) or len(base) * cert["target"] != group.order:
+            return False
+        if cert["status"] == FEASIBLE:
+            witness = cert["witness"]
+            return len(witness) == cert["target"] and verify_coclique(graph, witness)
+        return True  # a PROVEN_INFEASIBLE claim rests on the digest alone
+    problems.append(f"certificate of unknown kind {kind!r}")
+    return False
 
 
 def _verify_witness(group, wit, problems) -> bool:
@@ -679,4 +697,5 @@ def _verify_witness(group, wit, problems) -> bool:
             problems.append(f"witness non_spreading_multiset: {exc}")
             return False
         return halving and sealed(rebuilt.payload()) == wit
-    return True
+    problems.append(f"witness of unknown kind {kind!r}")
+    return False

@@ -67,8 +67,6 @@ class SearchCertificate:
     size: int
     exhaustive: bool
     nodes: int
-    elapsed: float
-    seed: int
     method: str
     target: int | None = None      # decision searches only
     verified: bool = field(default=False)
@@ -79,7 +77,6 @@ class SearchCertificate:
             "kind": self.kind, "graph": self.graph,
             "vertices": list(self.vertices), "size": self.size,
             "exhaustive": self.exhaustive, "nodes": self.nodes,
-            "elapsed": round(self.elapsed, 3), "seed": self.seed,
             "method": self.method, "target": self.target,
         }
 
@@ -385,17 +382,16 @@ def _pool_solve(args):
 
 
 def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
-               seed: int = 0, threads: int = 1) -> SearchCertificate:
+               threads: int = 1) -> SearchCertificate:
     """Exact maximum clique; exhaustive unless the budget runs out.
 
     With threads > 1 and at least four pinned subproblems, the first runs
     here to warm the incumbent and the rest run in worker processes.  Each
     worker task gets an equal share of the nodes the first left and the
-    caller's deadline, so a capped result repeats under one (cap, seed,
-    threads); the proven optimum does not depend on the worker count.
+    caller's deadline, so a capped result repeats under one (cap, threads);
+    the proven optimum does not depend on the worker count.
     """
     budget = budget or Budget()
-    t0 = time.monotonic()
     meter = budget.start()
     group = graph.group
     best = max(algebraic_clique_seeds(graph), key=len, default=(group.identity,))
@@ -431,7 +427,6 @@ def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
     cert = SearchCertificate(
         kind="clique", graph=graph.descriptor(), vertices=tuple(sorted(best)),
         size=len(best), exhaustive=complete, nodes=meter.nodes,
-        elapsed=time.monotonic() - t0, seed=seed,
         method="pinned-bb" + (f"-x{threads}" if threads > 1 else ""),
         timed_out=meter.timed_out)
     cert.verified = verify_clique(graph, cert.vertices)
@@ -441,14 +436,13 @@ def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
 
 
 def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None,
-                 seed: int = 0, threads: int = 1) -> SearchCertificate:
+                 threads: int = 1) -> SearchCertificate:
     """Exact maximum coclique via the complement graph's cliques."""
-    cert = max_clique(complement_graph(graph), budget, seed, threads)
+    cert = max_clique(complement_graph(graph), budget, threads)
     out = SearchCertificate(
         kind="coclique", graph=graph.descriptor(), vertices=cert.vertices,
         size=cert.size, exhaustive=cert.exhaustive, nodes=cert.nodes,
-        elapsed=cert.elapsed, seed=seed, method=cert.method,
-        timed_out=cert.timed_out)
+        method=cert.method, timed_out=cert.timed_out)
     out.verified = verify_coclique(graph, out.vertices)
     if not out.verified:
         raise AssertionError("search produced an invalid coclique witness")
@@ -456,51 +450,47 @@ def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None,
 
 
 def find_clique_of_size(graph: ClassUnionGraph, k: int,
-                        budget: Budget | None = None, seed: int = 0):
+                        budget: Budget | None = None):
     """Decision search: a clique of size exactly k, a proven NONE, or EXHAUSTED."""
     budget = budget or Budget()
-    t0 = time.monotonic()
     meter = budget.start()
     group = graph.group
     if k <= 0 or k > graph.vertex_count:
         raise ValueError("clique size out of range")
     if k == 1:
-        cert = _decision_cert(graph, (group.identity,), True, meter, t0, seed, k)
-        return FOUND, cert
+        return FOUND, _decision_cert(graph, (group.identity,), True, meter, k)
     for seed_clique in algebraic_clique_seeds(graph):
         if len(seed_clique) >= k and verify_clique(graph, seed_clique[:k]):
-            return FOUND, _decision_cert(graph, seed_clique[:k], False, meter, t0, seed, k)
+            return FOUND, _decision_cert(graph, seed_clique[:k], False, meter, k)
     if k == 2:
         reps = _class_reps_in_connection(graph)
         if reps:
-            return FOUND, _decision_cert(graph, (group.identity, reps[0]), False,
-                                         meter, t0, seed, k)
-        return NONE, _decision_cert(graph, (), True, meter, t0, seed, k)
+            return FOUND, _decision_cert(graph, (group.identity, reps[0]), False, meter, k)
+        return NONE, _decision_cert(graph, (), True, meter, k)
     complete = True
     for rep, v, cand_mask in _pinned_tasks(graph, k - 1 if k > 3 else 2):
         if k == 3:
             witness = tuple(sorted((group.identity, rep, v)))
-            return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
+            return FOUND, _decision_cert(graph, witness, False, meter, k)
         if cand_mask.bit_count() + 3 < k:
             continue
         witness, ok = _solve_task(graph, rep, v, cand_mask, k - 4, meter, target=k - 3)
         if witness:
-            return FOUND, _decision_cert(graph, witness, False, meter, t0, seed, k)
+            return FOUND, _decision_cert(graph, witness, False, meter, k)
         complete = complete and ok
         if meter.exhausted:
             complete = False
             break
     if complete:
-        return NONE, _decision_cert(graph, (), True, meter, t0, seed, k)
-    return EXHAUSTED, _decision_cert(graph, (), False, meter, t0, seed, k)
+        return NONE, _decision_cert(graph, (), True, meter, k)
+    return EXHAUSTED, _decision_cert(graph, (), False, meter, k)
 
 
-def _decision_cert(graph, vertices, exhaustive, meter, t0, seed, k):
+def _decision_cert(graph, vertices, exhaustive, meter, k):
     cert = SearchCertificate(
         kind="clique", graph=graph.descriptor(), vertices=tuple(vertices),
         size=len(vertices), exhaustive=exhaustive, nodes=meter.nodes,
-        elapsed=time.monotonic() - t0, seed=seed, method="pinned-bb-decision",
-        target=k, timed_out=meter.timed_out)
+        method="pinned-bb-decision", target=k, timed_out=meter.timed_out)
     if vertices:
         cert.verified = verify_clique(graph, cert.vertices)
         if not cert.verified:

@@ -9,6 +9,8 @@ import itertools
 import json
 import random
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -17,7 +19,7 @@ from diagsync.cli import main as cli_main
 from diagsync.feasibility import putative_table
 from diagsync.graphs import build_graph, complement_graph
 from diagsync.pipeline import Analyzer, PipelineConfig, analyze, verify_report
-from diagsync.psl2 import build_group, mask_elements, sylow_subgroup
+from diagsync.psl2 import build_group, mask_elements, mask_from, sylow_subgroup
 from diagsync.scheme import (
     adjacency_matrices,
     design_orthogonal,
@@ -202,7 +204,11 @@ def test_criterion_6_cover_program_q13(an13, cache_dir):
     base = mask_elements(sylow_subgroup(g, 13))
     system = generate_translate_rows(graph, base)
     assert len(system.rows) == 1176 and system.edges_covered
-    assert system.partitions and len(system.partitions[0]) == 84
+    # the 84 right cosets of the base are rows and partition G
+    cosets = {mask_from(g.mul(h, t) for h in base) for t in range(g.order)}
+    assert len(cosets) == 84 and cosets <= set(system.rows)
+    assert sum(m.bit_count() for m in cosets) == g.order
+    assert reduce(or_, cosets) == (1 << g.order) - 1
     # proven optimum <= 83: the partition caps packings at 84 and size 84 is
     # proven infeasible by the exact-hit search
     res = an13.cached_csp(("13",), base, 84, 14400)

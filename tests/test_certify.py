@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from diagsync import certify
@@ -16,10 +19,37 @@ def sys13():
     return generate_translate_rows(graph, base)
 
 
+def _families(system) -> list[list[int]]:
+    """The rows grouped into right-translation families {R t}.
+
+    R and R t have the same translates through the identity, the columns
+    R v^-1 (v in R) of the quotient matrix, so the least of them names the
+    family of R.
+    """
+    group = system.graph.group
+    inv = group.inverses()
+    families: dict[tuple, list[int]] = {}
+    for mask in system.rows:
+        verts = mask_elements(mask)
+        quotients = group.mul_rows(verts)[:, inv[verts]]    # u * v^-1
+        key = min(tuple(sorted(col)) for col in quotients.T.tolist())
+        families.setdefault(key, []).append(mask)
+    return list(families.values())
+
+
+def _partitions_of_g(system) -> list[list[int]]:
+    """The families whose rows partition the vertex set."""
+    n = system.graph.vertex_count
+    return [family for family in _families(system)
+            if sum(mask.bit_count() for mask in family) == n
+            and reduce(or_, family) == (1 << n) - 1]
+
+
 def test_row_generation_structure(sys13):
     # 14 conjugate subgroups, 84 cosets each, all verified cliques
     assert len(sys13.rows) == 1176
-    assert len(sys13.partitions) == 14
+    families = _families(sys13)
+    assert len(families) == 14 and all(len(family) == 84 for family in families)
     assert sys13.edges_covered
     assert all(mask.bit_count() == 13 for mask in sys13.rows)
     base_mask = 0
@@ -39,14 +69,8 @@ def test_row_generation_rejects_non_clique():
 
 
 def test_partitions_partition(sys13):
-    n = sys13.graph.vertex_count
-    for part in sys13.partitions:
-        total = 0
-        union = 0
-        for ri in part:
-            union |= sys13.rows[ri]
-            total += sys13.rows[ri].bit_count()
-        assert union == (1 << n) - 1 and total == n
+    # the cosets of each Sylow 13-subgroup partition G
+    assert len(_partitions_of_g(sys13)) == 14
 
 
 def test_exactly_one_84_proven_infeasible(sys13):
@@ -63,7 +87,7 @@ def test_exactly_one_feasible_small_case():
     graph = build_graph(g, ["5"])
     base = mask_elements(sylow_subgroup(g, 5))
     system = generate_translate_rows(graph, base)
-    assert system.partitions
+    assert len(_partitions_of_g(system)) == 6          # one per Sylow 5-subgroup
     res = solve_cover_ilp(system, 12,
                           budget=Budget(max_nodes=10 ** 7, max_seconds=120))
     assert res.status == "FEASIBLE"
@@ -78,7 +102,7 @@ def reference_rows(graph, clique):
     """Every conjugate shape times every translate, each new image re-checked.
 
     Plain reference for generate_translate_rows: group.mul per element, no
-    family reuse.  Returns (rows, partitions, edges_covered, shape count).
+    family reuse.  Returns (rows, edges_covered, shape count).
     """
     group = graph.group
     n = group.order
@@ -104,32 +128,22 @@ def reference_rows(graph, clique):
                     shapes.append(img)
                     new.append(img)
         frontier = new
-    rows, row_index, partitions = [], {}, []
+    rows, known = [], set()
     for shape in shapes:
-        family = set()
         for t in range(n):
             img = [group.mul(x, t) for x in shape]
             mask = mask_from(img)
-            if mask not in row_index:
+            if mask not in known:
                 assert verify_clique(graph, img)
-                row_index[mask] = len(rows)
+                known.add(mask)
                 rows.append(mask)
-            family.add(row_index[mask])
-        family = sorted(family)
-        union = 0
-        disjoint = True
-        for ri in family:
-            disjoint = disjoint and not rows[ri] & union
-            union |= rows[ri]
-        if disjoint and union == (1 << n) - 1:
-            partitions.append(family)
     cov = [0] * n
     for mask in rows:
         for v in mask_elements(mask):
             cov[v] |= mask
     edges_covered = all(
         mask_from(group.mul(s, v) for s in conn) & ~cov[v] == 0 for v in range(n))
-    return rows, partitions, edges_covered, len(shapes)
+    return rows, edges_covered, len(shapes)
 
 
 def _coset(group, sub_mask, a):
@@ -158,9 +172,8 @@ def test_rows_match_reference(q, labels, base_kind, monkeypatch):
         base = list(algebraic_clique_seeds(graph)[0])
     calls = _spy_translates(monkeypatch)
     system = generate_translate_rows(graph, base)
-    rows, partitions, edges_covered, shapes = reference_rows(graph, base)
+    rows, edges_covered, shapes = reference_rows(graph, base)
     assert system.rows == rows
-    assert system.partitions == partitions
     assert system.edges_covered == edges_covered
     assert len(calls) <= shapes
     # q=8 exercises the field automorphism, odd q the diagonal outer map
@@ -178,12 +191,11 @@ def test_family_reuse_fires_on_a_coset_base(monkeypatch):
     base = _coset(g, sylow, a)
     calls = _spy_translates(monkeypatch)
     system = generate_translate_rows(graph, base)
-    rows, partitions, _, shapes = reference_rows(graph, base)
+    rows, _, shapes = reference_rows(graph, base)
     # one family per Sylow 7-subgroup, each its 24 right cosets
     assert len(calls) == 8 < shapes
     assert system.rows == rows and len(rows) == 8 * 24
-    assert len(system.partitions) == shapes
-    assert system.partitions == partitions
+    assert len(_families(system)) == 8
 
 
 def test_rows_without_multiplication_table():
@@ -194,7 +206,7 @@ def test_rows_without_multiplication_table():
     system = generate_translate_rows(build_graph(fresh, ["7"]), base)
     tabled = generate_translate_rows(build_graph(build_group(7), ["7"]), base)
     assert fresh._table is None
-    assert system.rows == tabled.rows and system.partitions == tabled.partitions
+    assert system.rows == tabled.rows
     assert system.edges_covered and len(system.rows) == 8 * 24
 
 

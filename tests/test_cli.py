@@ -85,8 +85,8 @@ def test_certify_exact_hit_feasible(capsys):
     code, out = run_cli(capsys, "certify", "--q", "5", "--classes", "5",
                         "--base-clique", "sylow")
     data = json.loads(out)
-    assert code == 0 and data["status"] == "FEASIBLE" and data["sense"] == "EXACTLY_ONE"
-    assert data["target"] == 12 and len(data["witness"]) == 12 and data["upper"] is None
+    assert code == 0 and data["status"] == "FEASIBLE" and data["kind"] == "exact_hit"
+    assert data["target"] == 12 and len(data["witness"]) == 12
 
 
 def test_certify_exact_hit_on_budget(capsys):
@@ -167,6 +167,7 @@ def test_analyze_budget_flag_beats_the_environment(capsys, monkeypatch):
     ["witness", "--q", "7", "--kind", "sharp", "--budget-nodes", "5"],
     ["certify", "--q", "5", "--classes", "5", "--seed", "1"],
     ["certify", "--q", "5", "--classes", "5", "--threads", "2"],
+    ["search", "--q", "13", "--classes", "13", "--seed", "1"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:

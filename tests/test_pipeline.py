@@ -6,8 +6,9 @@ from collections import Counter
 import pytest
 
 from diagsync import pipeline, search
+from diagsync.certify import generate_translate_rows, solve_cover_ilp
 from diagsync.graphs import build_graph
-from diagsync.psl2 import build_group
+from diagsync.psl2 import build_group, mask_elements, sylow_subgroup
 from diagsync.pipeline import (
     Analyzer,
     Cache,
@@ -98,7 +99,8 @@ def _move_a_square(wit):
     _move_a_square,
     lambda w: w.update(distinct_images=w["distinct_images"] + 1),
     lambda w: w.update(total=w["total"] - 1),
-], ids=["cut_squares", "other_point", "moved_square", "images", "total"])
+    lambda w: w.pop("kind"),
+], ids=["cut_squares", "other_point", "moved_square", "images", "total", "no_kind"])
 def test_resealed_multiset_edit_fails_replay(edit):
     _, report = analyze(9, PipelineConfig())
     assert verify_report(_resealed_multiset(report, lambda w: None))[0]
@@ -189,18 +191,11 @@ def _count_calls(monkeypatch, calls: Counter):
     counted(search, "max_clique")         # the one max_coclique calls
 
 
-def _strip(report):
-    if isinstance(report, dict):
-        return {k: _strip(v) for k, v in report.items() if k not in ("elapsed", "digest")}
-    if isinstance(report, list):
-        return [_strip(v) for v in report]
-    return report
-
-
 def _budgeted(tmp_path, **overrides):
-    """The q13-budgeted benchmark config: 2000 nodes, seed 1, one worker."""
+    """The q13-budgeted benchmark config: 2000 nodes, seed 1, one worker;
+    no cache when tmp_path is None."""
     settings = dict(budget_secs=3600.0, budget_nodes=2000, direct_search_secs=3600.0,
-                    seed=1, threads=1, cache_dir=str(tmp_path))
+                    seed=1, threads=1, cache_dir=tmp_path and str(tmp_path))
     return PipelineConfig(**{**settings, **overrides})
 
 
@@ -216,8 +211,69 @@ def test_budgeted_analyze_reuses_every_capped_result(tmp_path, monkeypatch):
     _, warm = analyze(13, cfg)
     assert not calls
     assert cold["verdict"]["separating"] == UNKNOWN
-    assert _strip(cold) == _strip(warm)
+    assert cold == warm
     assert verify_report(warm)[0]
+
+
+@pytest.fixture(scope="module")
+def budgeted13():
+    """A cold q=13 report under the q13-budgeted config, without a cache."""
+    return analyze(13, _budgeted(None))[1]
+
+
+def test_cold_budgeted_reports_are_byte_identical(budgeted13):
+    _, again = analyze(13, _budgeted(None))
+    assert json.dumps(again, sort_keys=True) == json.dumps(budgeted13, sort_keys=True)
+    assert verify_report(again) == (True, [])
+
+
+def _resealed_cover(report, edit):
+    """The report with its first PROVEN_INFEASIBLE covering certificate
+    edited and its digest recomputed."""
+    bad = copy.deepcopy(report)
+    for gv in bad["graphs"]:
+        for i, cert in enumerate(gv["certificates"]):
+            if cert.get("kind") == "exact_hit" and cert["status"] == "PROVEN_INFEASIBLE":
+                payload = {k: v for k, v in cert.items() if k != "digest"}
+                edit(payload)
+                gv["certificates"][i] = sealed(payload)
+                return bad
+    raise AssertionError("the report has no covering refutation")
+
+
+def test_verify_rechecks_covering_certificates(budgeted13):
+    assert verify_report(_resealed_cover(budgeted13, lambda c: None)) == (True, [])
+    ok, problems = verify_report(_resealed_cover(budgeted13, lambda c: c.update(target=1)))
+    assert not ok and problems
+    ok, problems = verify_report(_resealed_cover(budgeted13, lambda c: c.pop("kind")))
+    assert not ok and "certificate of unknown kind None" in problems
+
+
+def test_verify_rejects_another_format_version(budgeted13):
+    old = copy.deepcopy(budgeted13)
+    old["meta"]["version"] = "0.1.0"
+    ok, problems = verify_report(old)
+    assert not ok and len(problems) == 1
+    assert "0.1.0" in problems[0] and pipeline.__version__ in problems[0]
+
+
+def test_verify_rechecks_a_feasible_covering_witness():
+    # PSL(2,5) = A4 * C5: an A4 meets every coset of every Sylow 5-subgroup once
+    group = build_group(5)
+    graph = build_graph(group, ["5"])
+    system = generate_translate_rows(graph, mask_elements(sylow_subgroup(group, 5)))
+    cert = solve_cover_ilp(system, 12).payload()
+    assert cert["status"] == "FEASIBLE"
+    gv = {"clique_classes": ["5"]}
+    assert pipeline._verify_certificate(group, gv, sealed(cert), [])
+    # the witness holds the identity, and every vertex off it has order 5
+    witness, base = cert["witness"], cert["system"]["base_clique"]
+    outside = next(v for v in range(group.order) if v not in witness)
+    other = next(v for v in witness if v != group.identity)
+    swapped = sorted(set(witness) - {other} | {outside})
+    for edit in (dict(witness=witness[1:]), dict(witness=swapped),
+                 dict(system=dict(cert["system"], base_clique=base[1:]))):
+        assert not pipeline._verify_certificate(group, gv, sealed(dict(cert, **edit)), [])
 
 
 def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
@@ -235,10 +291,10 @@ def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
     _, warm = analyze(13, cfg)
     assert len(tables) == 1 and group._putative_table is memo
     assert warm["feasibility"] == cold["feasibility"]
-    assert _strip(cold) == _strip(warm)
+    assert cold == warm
 
 
-def test_capped_entry_is_keyed_by_node_cap_seed_and_threads(tmp_path, monkeypatch):
+def test_capped_entry_is_keyed_by_node_cap_and_threads(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)
     labels = ("3", "13")
@@ -248,10 +304,29 @@ def test_capped_entry_is_keyed_by_node_cap_seed_and_threads(tmp_path, monkeypatc
     assert again == first and calls["max_coclique", labels] == 1
     larger = Analyzer(13, _budgeted(tmp_path, budget_nodes=100)).cached_max_coclique(labels)
     assert calls["max_coclique", labels] == 2 and larger["nodes"] > first["nodes"]
-    Analyzer(13, _budgeted(tmp_path, budget_nodes=50, seed=2)).cached_max_coclique(labels)
-    assert calls["max_coclique", labels] == 3
+    # no search reads the seed: another seed reuses the capped entry
+    reseeded = Analyzer(13, _budgeted(tmp_path, budget_nodes=50, seed=2))
+    assert reseeded.cached_max_coclique(labels) == first
+    assert calls["max_coclique", labels] == 2
     Analyzer(13, _budgeted(tmp_path, budget_nodes=50, threads=2)).cached_max_coclique(labels)
-    assert calls["max_coclique", labels] == 4
+    assert calls["max_coclique", labels] == 3
+
+
+def test_a_cache_entry_of_another_format_is_a_miss(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    labels = ("3", "7")
+    # a final entry as the 0.1.0 format kept it: no version in the key, and
+    # elapsed and seed sealed in the payload
+    old_key = {"op": "max_clique", "q": 7, "classes": sorted(labels)}
+    Cache(str(tmp_path)).put(old_key, sealed({
+        "kind": "clique", "graph": {"q": 7, "classes": list(labels)}, "vertices": [0],
+        "size": 1, "exhaustive": True, "nodes": 1, "elapsed": 0.0, "seed": 0,
+        "method": "pinned-bb", "target": None}))
+    fresh = Analyzer(7, PipelineConfig(cache_dir=str(tmp_path))).cached_max_clique(labels)
+    assert calls["max_clique", labels] == 1
+    assert fresh["size"] > 1 and "elapsed" not in fresh and "seed" not in fresh
+    assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 def test_clock_stopped_result_is_not_stored(tmp_path, monkeypatch):
@@ -307,7 +382,7 @@ def test_cache_treats_tampered_size_as_miss(tmp_path, monkeypatch):
     payload["size"] += 1
     path.write_text(json.dumps(payload))
     rerun = Analyzer(7, cfg).cached_max_clique(labels)
-    assert calls["max_clique", labels] == 2 and _strip(rerun) == _strip(honest)
+    assert calls["max_clique", labels] == 2 and rerun == honest
     assert json.loads(path.read_text()) == rerun
 
 

@@ -285,7 +285,7 @@ def test_node_cap_bounds_a_parallel_search(g13, monkeypatch, kind, labels, cap, 
     cert = certs[0]
     assert not cert.exhaustive and not cert.timed_out and cert.verified
     assert cert.nodes <= cap + pooled
-    # a capped result repeats under one (cap, seed, threads)
+    # a capped result repeats under one (cap, threads)
     assert (certs[1].vertices, certs[1].nodes) == (cert.vertices, cert.nodes)
 
 
