@@ -17,7 +17,6 @@ def main() -> int:
     t0 = time.time()
     config = PipelineConfig(
         cache_dir=str(HERE / ".cache-q13"),
-        threads=2,
         budget_secs=4 * 3600,
         direct_search_secs=3600,
     )

@@ -1,8 +1,9 @@
 """Best-effort analysis at q = 17 under explicit budgets.
 
-The five known spot values resolve quickly; the remaining rows run under the
-given per-task budgets and are reported honestly (exit code 2 while any row
-stays unresolved).
+Each row gets a nonexistence decision when no seed realizes its clique
+target, and a covering program on every realized or decision-found star, all
+under the given per-task budget in seconds (the first argument, default 900).
+Rows that stay open are reported honestly: exit code 2 while any remains.
 """
 
 import pathlib
@@ -19,7 +20,6 @@ def main() -> int:
     t0 = time.time()
     config = PipelineConfig(
         cache_dir=str(HERE / ".cache-q17"),
-        threads=2,
         budget_secs=budget,
         direct_search_secs=budget,
     )

@@ -69,8 +69,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full pipeline with certified verdict")
-    _add_common(p, budget=True, seed=True, threads=True)
-    p.add_argument("--direct-search-secs", type=float, default=900.0)
+    _add_common(p, budget=True, seed=True)
+    p.add_argument("--direct-search-secs", type=float, default=900.0,
+                   help="clock of each nonexistence decision search")
     p.add_argument("--cache-dir")
 
     p = sub.add_parser("scheme", help="exact eigenmatrices of the fused scheme")
@@ -131,7 +132,7 @@ def _dispatch(args) -> int:
         config = PipelineConfig(
             budget_secs=args.budget_secs, budget_nodes=args.budget_nodes,
             direct_search_secs=args.direct_search_secs, seed=args.seed,
-            threads=args.threads, cache_dir=args.cache_dir)
+            cache_dir=args.cache_dir)
         verdict, report = analyze(args.q, config)
         if args.out:
             write_report(report, args.out)

@@ -1,10 +1,11 @@
 """End-to-end orchestration: from the group to a certified verdict.
 
 Stages run in order: algebra -> scheme -> feasibility -> realization ->
-inference / search / covering programs -> witnesses, with facts propagated by
-monotonicity between stages.  Every definitive claim is backed by a
-certificate in the report; budget-exhausted attempts leave a row UNRESOLVED
-and the group verdict UNKNOWN (exit code 2), never a silent guess.
+inference -> nonexistence decisions -> covering programs -> witnesses, with
+facts propagated by monotonicity between stages.  A row is settled by a NONE
+decision, a covering refutation or inference, and every definitive claim is
+backed by a certificate in the report; budget-exhausted attempts leave a row
+UNRESOLVED and the group verdict UNKNOWN (exit code 2), never a silent guess.
 
 Monotonicity: for I inside J, omega(G_I) <= omega(G_J) and
 alpha(G_I) >= alpha(G_J); complementation gives omega(G_I) = alpha(G_{I^c}).
@@ -33,8 +34,6 @@ from .search import (
     NONE,
     algebraic_clique_seeds,
     find_clique_of_size,
-    max_clique,
-    max_coclique,
     verify_clique,
     verify_coclique,
 )
@@ -51,7 +50,6 @@ from .witnesses import (
 )
 
 ELIMINATED_FEASIBILITY = "ELIMINATED_FEASIBILITY"
-SEPARATING_BY_SEARCH = "SEPARATING_BY_SEARCH"
 SEPARATING_BY_CSP = "SEPARATING_BY_CSP"
 SEPARATING_BY_INFERENCE = "SEPARATING_BY_INFERENCE"
 SEPARATING_BY_NONEXISTENCE = "SEPARATING_BY_NONEXISTENCE"
@@ -64,9 +62,9 @@ YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 class PipelineConfig:
     budget_secs: float = 3600.0          # per heavy sub-task
     budget_nodes: int = 10 ** 9
-    direct_search_secs: float = 900.0    # slice for one exhaustive search attempt
+    direct_search_secs: float = 900.0    # clock of each nonexistence decision
     seed: int = 0
-    threads: int = 1
+    threads: int = 1                     # read by no stage; perfbench/run.py passes it
     cache_dir: str | None = None
 
 
@@ -123,10 +121,6 @@ class FactBase:
         self.upper: dict[frozenset, tuple[int, str]] = {}
         self.lower: dict[frozenset, tuple[int, str]] = {}
 
-    def set_omega_exact(self, classes, value: int, why: str):
-        self.set_omega_upper(classes, value, why)
-        self.set_omega_lower(classes, value, why)
-
     def set_omega_upper(self, classes, value: int, why: str):
         key = frozenset(classes)
         if key not in self.upper or self.upper[key][0] > value:
@@ -136,13 +130,6 @@ class FactBase:
         key = frozenset(classes)
         if key not in self.lower or self.lower[key][0] < value:
             self.lower[key] = (value, why)
-
-    def set_alpha_exact(self, classes, value: int, why: str):
-        self.set_omega_exact(self.all_labels - frozenset(classes), value, why)
-
-    def set_alpha_upper(self, classes, value: int, why: str):
-        # alpha(G_I) = omega(G_{I^c})
-        self.set_omega_upper(self.all_labels - frozenset(classes), value, why)
 
     def omega_upper(self, classes) -> tuple[int, str] | None:
         """Best proven upper bound via monotonicity: omega(I) <= omega(J), I <= J."""
@@ -157,6 +144,7 @@ class FactBase:
         return best
 
     def alpha_upper(self, classes) -> tuple[int, str] | None:
+        # alpha(G_I) = omega(G_{I^c})
         return self.omega_upper(self.all_labels - frozenset(classes))
 
 
@@ -256,16 +244,15 @@ class Analyzer:
                       max_seconds=secs if secs is not None else self.config.budget_secs)
 
     def _cached(self, op: str, labels, run, **params) -> dict:
-        """Cache-through for one budgeted search or covering program: run()
+        """Cache-through for one budgeted decision or covering program: run()
         returns (payload, timed_out) and is called only on a miss.  Every key
         names the format version, so an entry of another format is a miss.
-        A payload the node cap stopped repeats exactly under the same cap and
-        worker count (every meter starts from budget_nodes), so it is kept
-        under a key with those two; one the clock stopped is not kept."""
+        Both run serially, so a payload the node cap stopped repeats exactly
+        under the same cap (every meter starts from budget_nodes) and is kept
+        under a key with it; one the clock stopped is not kept."""
         key = {"op": op, "q": self.q, "classes": sorted(labels),
                "version": __version__, **params}
-        capped = dict(key, node_cap=self.config.budget_nodes,
-                      threads=self.config.threads)
+        capped = dict(key, node_cap=self.config.budget_nodes)
         hit = self.cache.get(key)
         if hit is None or not _final(hit):
             hit = self.cache.get(capped)
@@ -276,19 +263,6 @@ class Analyzer:
             elif not timed_out:
                 self.cache.put(capped, hit)
         return hit
-
-    def _search(self, search, labels, secs):
-        cert = search(build_graph(self.group, labels), self._search_budget(secs),
-                      threads=self.config.threads)
-        return sealed(cert.payload()), cert.timed_out
-
-    def cached_max_coclique(self, labels, secs: float | None = None) -> dict:
-        return self._cached("max_coclique", labels,
-                            lambda: self._search(max_coclique, labels, secs))
-
-    def cached_max_clique(self, labels, secs: float | None = None) -> dict:
-        return self._cached("max_clique", labels,
-                            lambda: self._search(max_clique, labels, secs))
 
     def cached_decision(self, labels, k: int, secs: float | None = None) -> dict:
         def run():
@@ -346,37 +320,32 @@ class Analyzer:
         self._table_rows = rows
         return verdicts
 
+    def _realize(self, gv: GraphVerdict, side: str, hit):
+        """Record a verified object of a row's target size as the star of one
+        side: a clique ("omega") or a coclique ("alpha") of the row's graph,
+        certified for the report and usable as a covering base."""
+        graph = build_graph(self.group, gv.clique_classes)
+        kind = "clique" if side == "omega" else "coclique"
+        check = verify_clique if side == "omega" else verify_coclique
+        if not check(graph, hit):
+            raise AssertionError("star witness failed direct verification")
+        gv.stars[side] = {"size": len(hit), "witness": list(hit)}
+        gv.certificates.append(sealed({
+            "kind": f"realized_{kind}", "classes": list(gv.clique_classes),
+            "vertices": list(hit), "size": len(hit)}))
+        labels = gv.clique_classes if side == "omega" else gv.coclique_classes
+        self.facts.set_omega_lower(labels, len(hit), f"realized {kind}")
+
     def realization_stage(self):
-        """Mark which side's extremal target is realized by an explicit object."""
+        """Realize each side's extremal target from an algebraic seed."""
         for gv in self.verdict.graphs:
             graph = build_graph(self.group, gv.clique_classes)
-            for side, labels, target, g in (
-                    ("omega", gv.clique_classes, gv.omega_target, graph),
-                    ("alpha", gv.coclique_classes, gv.alpha_target,
-                     complement_graph(graph))):
-                seeds = [s for s in algebraic_clique_seeds(g) if len(s) >= target]
-                hit = None
-                for s in seeds:
-                    cand = s[:target]
-                    if verify_clique(g, cand):
-                        hit = cand
-                        break
+            for side, target, g in (("omega", gv.omega_target, graph),
+                                    ("alpha", gv.alpha_target, complement_graph(graph))):
+                hit = next((s[:target] for s in algebraic_clique_seeds(g)
+                            if len(s) >= target and verify_clique(g, s[:target])), None)
                 if hit:
-                    gv.stars[side] = {"size": target, "witness": list(hit)}
-                    kind = "clique" if side == "omega" else "coclique"
-                    check = verify_clique(graph, hit) if side == "omega" \
-                        else verify_coclique(graph, hit)
-                    if not check:
-                        raise AssertionError("star witness failed direct verification")
-                    gv.certificates.append(sealed({
-                        "kind": f"realized_{kind}", "classes": list(gv.clique_classes),
-                        "vertices": list(hit), "size": target}))
-                    if side == "omega":
-                        self.facts.set_omega_lower(gv.clique_classes, target,
-                                                   "realized clique")
-                    else:
-                        self.facts.set_omega_lower(gv.coclique_classes, target,
-                                                   "realized coclique")
+                    self._realize(gv, side, hit)
 
     def inference_pass(self) -> bool:
         """Resolve rows whose targets are contradicted by proven bounds."""
@@ -401,44 +370,9 @@ class Analyzer:
                 progress = True
         return progress
 
-    def _search_degree(self, gv: GraphVerdict) -> int:
-        graph = build_graph(self.group, gv.clique_classes)
-        if gv.alpha_target <= gv.omega_target:
-            return graph.vertex_count - 1 - graph.degree
-        return graph.degree
-
-    def direct_search_pass(self, secs: float):
-        """Exhaustive searches on the cheaper side of unresolved rows."""
-        rows = [gv for gv in self.verdict.graphs if gv.status == UNRESOLVED]
-        rows.sort(key=lambda gv: (not gv.novel, self._search_degree(gv)))
-        for gv in rows:
-            if gv.status != UNRESOLVED:
-                continue
-            # cheaper side: the smaller target (its search graph has lower degree)
-            if gv.alpha_target <= gv.omega_target:
-                payload = self.cached_max_coclique(gv.clique_classes, secs)
-                if payload["exhaustive"]:
-                    value = payload["size"]
-                    self.facts.set_alpha_exact(gv.clique_classes, value,
-                                               f"exhaustive search alpha={value}")
-                    if value != gv.alpha_target:
-                        gv.status = SEPARATING_BY_SEARCH
-                        gv.reason = f"alpha = {value} != target {gv.alpha_target}"
-                        gv.certificates.append(payload)
-            else:
-                payload = self.cached_max_clique(gv.clique_classes, secs)
-                if payload["exhaustive"]:
-                    value = payload["size"]
-                    self.facts.set_omega_exact(gv.clique_classes, value,
-                                               f"exhaustive search omega={value}")
-                    if value != gv.omega_target:
-                        gv.status = SEPARATING_BY_SEARCH
-                        gv.reason = f"omega = {value} != target {gv.omega_target}"
-                        gv.certificates.append(payload)
-            self.inference_pass()
-
     def nonexistence_pass(self, secs: float):
-        """Decision searches for unrealized clique-side targets."""
+        """Decision searches for unrealized clique-side targets; a clique
+        found becomes the row's omega star."""
         for gv in self.verdict.graphs:
             if gv.status != UNRESOLVED or "omega" in gv.stars:
                 continue
@@ -452,8 +386,7 @@ class Analyzer:
                                            "decision search: no clique of target size")
                 self.inference_pass()
             elif payload["status"] == FOUND:
-                self.facts.set_omega_lower(gv.clique_classes, gv.omega_target,
-                                           "decision search found the target clique")
+                self._realize(gv, "omega", payload["vertices"])
 
     def csp_pass(self, secs: float):
         """Exact-hit covering refutation from a realized extremal object.
@@ -465,37 +398,25 @@ class Analyzer:
         argument applies with the roles exchanged on the complement graph.
         """
         for gv in self.verdict.graphs:
-            if gv.status != UNRESOLVED:
-                continue
-            star = gv.stars.get("omega")
-            if star:
-                payload = self.cached_csp(gv.clique_classes, star["witness"],
-                                          gv.alpha_target, secs)
-                if payload["status"] == PROVEN_INFEASIBLE:
-                    gv.status = SEPARATING_BY_CSP
-                    gv.reason = (
-                        f"no coclique of size {gv.alpha_target} meets every "
-                        f"translate of the size-{gv.omega_target} clique exactly once")
-                    gv.certificates.append(payload)
-                    if payload["system"]["edges_covered"]:
-                        self.facts.set_alpha_upper(
-                            gv.clique_classes, gv.alpha_target - 1,
-                            "covering refutation (rows span all edges)")
-                    self.inference_pass()
+            for side, labels, other, target, sought, base in (
+                    ("omega", gv.clique_classes, gv.coclique_classes,
+                     gv.alpha_target, "coclique", "clique"),
+                    ("alpha", gv.coclique_classes, gv.clique_classes,
+                     gv.omega_target, "clique", "coclique")):
+                star = gv.stars.get(side)
+                if not star or gv.status != UNRESOLVED:
                     continue
-            star = gv.stars.get("alpha")
-            if star and gv.status == UNRESOLVED:
-                payload = self.cached_csp(gv.coclique_classes, star["witness"],
-                                          gv.omega_target, secs)
+                payload = self.cached_csp(labels, star["witness"], target, secs)
                 if payload["status"] == PROVEN_INFEASIBLE:
                     gv.status = SEPARATING_BY_CSP
                     gv.reason = (
-                        f"no clique of size {gv.omega_target} meets every "
-                        f"translate of the size-{gv.alpha_target} coclique exactly once")
+                        f"no {sought} of size {target} meets every "
+                        f"translate of the size-{star['size']} {base} exactly once")
                     gv.certificates.append(payload)
                     if payload["system"]["edges_covered"]:
+                        # a {sought} of the row's graph is a clique of G[other]
                         self.facts.set_omega_upper(
-                            gv.clique_classes, gv.omega_target - 1,
+                            other, target - 1,
                             "covering refutation (rows span all edges)")
                     self.inference_pass()
 
@@ -526,13 +447,13 @@ class Analyzer:
         return self.verdict
 
     def scheme_stages(self):
-        """Feasibility table, then searches and covering programs per row."""
+        """Feasibility table, then per row: realized stars, inference,
+        nonexistence decisions for the clique targets no star realizes, and
+        covering programs on every star, seeded or decision-found."""
         self.feasibility_stage()
         self.realization_stage()
         self.inference_pass()
         self.nonexistence_pass(self.config.direct_search_secs)
-        self.direct_search_pass(min(60.0, self.config.direct_search_secs))
-        self.direct_search_pass(self.config.direct_search_secs)
         self.csp_pass(self.config.budget_secs)
         unresolved = [gv for gv in self.verdict.graphs if gv.status == UNRESOLVED]
         if not unresolved:
@@ -620,10 +541,11 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     group = build_group(q)
     for gv in report["graphs"]:
         for cert in gv["certificates"]:
-            if not _verify_certificate(group, gv, cert, problems):
+            if not _checked(lambda: _verify_certificate(group, gv, cert, problems),
+                            problems):
                 problems.append(f"graph {gv['clique_classes']}: certificate failed")
     for wit in report["witnesses"]:
-        if not _verify_witness(group, wit, problems):
+        if not _checked(lambda: _verify_witness(group, wit, problems), problems):
             problems.append(f"witness {wit.get('kind')}: verification failed")
     verdict = report["verdict"]
     if verdict["separating"] == YES:
@@ -631,6 +553,16 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         if unresolved:
             problems.append("verdict YES with unresolved graphs")
     return (not problems), problems
+
+
+def _checked(check, problems: list[str]) -> bool:
+    """check(), with a field it reads and the certificate lacks reported as a
+    problem instead of raised."""
+    try:
+        return check()
+    except KeyError as exc:
+        problems.append(f"missing field {exc.args[0]!r}")
+        return False
 
 
 def _check_digest(cert: dict, problems: list[str]) -> bool:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Heavy computations are cached in a session-scoped directory shared with the
-end-to-end analysis, so certificates computed by the early criteria are
-replayed (and re-verified) rather than recomputed later.
+The decision and the covering program of criteria 5 and 6 are cached in a
+session-scoped directory shared with the end-to-end analysis, so their
+certificates are replayed (and re-verified) there rather than recomputed.
 """
 
 import itertools
@@ -28,12 +28,14 @@ from diagsync.scheme import (
 from diagsync.search import (
     Budget,
     NONE,
+    max_clique,
+    max_coclique,
     verify_clique,
     verify_coclique,
 )
 from diagsync.witnesses import spreading_witness
 
-THREADS = 2  # desk-scale allowance is eight; the suite stays conservative
+THREADS = 2  # search workers of criteria 4 and 7; desk-scale allowance is eight
 
 
 @pytest.fixture(scope="session")
@@ -43,14 +45,8 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def an13(cache_dir):
-    return Analyzer(13, PipelineConfig(cache_dir=cache_dir, threads=THREADS,
+    return Analyzer(13, PipelineConfig(cache_dir=cache_dir,
                                        budget_secs=14400, direct_search_secs=3600))
-
-
-@pytest.fixture(scope="session")
-def an17(cache_dir):
-    return Analyzer(17, PipelineConfig(cache_dir=cache_dir, threads=THREADS,
-                                       budget_secs=7200, direct_search_secs=1800))
 
 
 def _report(name, detail):
@@ -173,15 +169,16 @@ def test_criterion_3_feasibility_q17():
 
 
 @pytest.mark.slow
-def test_criterion_4_cocliques_q13(an13):
+def test_criterion_4_cocliques_q13():
     t0 = time.time()
-    res_a = an13.cached_max_coclique(("6", "13"), 3600)
-    res_b = an13.cached_max_coclique(("3", "13"), 3600)
-    assert res_a["exhaustive"] and res_a["size"] == 25
-    assert res_b["exhaustive"] and res_b["size"] == 22
+    group = build_group(13)
+    res_a = max_coclique(build_graph(group, ("6", "13")), Budget(max_seconds=3600), THREADS)
+    res_b = max_coclique(build_graph(group, ("3", "13")), Budget(max_seconds=3600), THREADS)
+    assert res_a.exhaustive and res_a.size == 25
+    assert res_b.exhaustive and res_b.size == 22
     for res, labels in ((res_a, ("6", "13")), (res_b, ("3", "13"))):
-        graph = build_graph(an13.group, labels)
-        assert verify_coclique(graph, res["vertices"])
+        graph = build_graph(group, labels)
+        assert verify_coclique(graph, res.vertices)
     _report("4 (coclique numbers, q=13)",
             f"alpha[6,13]=25, alpha[3,13]=22, exhaustive, {time.time()-t0:.0f}s")
 
@@ -224,8 +221,9 @@ def test_criterion_6_cover_program_q13(an13, cache_dir):
 # -- 7. q=17 spot searches ----------------------------------------------------------
 
 
-def test_criterion_7_q17_spot_values(an17):
+def test_criterion_7_q17_spot_values():
     t0 = time.time()
+    group = build_group(17)
     expected = [
         ("coclique", ("2", "4", "8", "9", "17"), 3),
         ("coclique", ("2", "8", "9", "17"), 6),
@@ -235,16 +233,14 @@ def test_criterion_7_q17_spot_values(an17):
     ]
     values = []
     for mode, labels, want in expected:
-        if mode == "coclique":
-            res = an17.cached_max_coclique(labels, 2400)
-        else:
-            res = an17.cached_max_clique(labels, 2400)
-        assert res["exhaustive"], f"{mode} {labels} not exhaustive"
-        assert res["size"] == want, f"{mode} {labels}: {res['size']} != {want}"
-        graph = build_graph(an17.group, labels)
+        graph = build_graph(group, labels)
+        search = max_coclique if mode == "coclique" else max_clique
+        res = search(graph, Budget(max_seconds=2400), THREADS)
+        assert res.exhaustive, f"{mode} {labels} not exhaustive"
+        assert res.size == want, f"{mode} {labels}: {res.size} != {want}"
         checker = verify_coclique if mode == "coclique" else verify_clique
-        assert checker(graph, res["vertices"])
-        values.append(res["size"])
+        assert checker(graph, res.vertices)
+        values.append(res.size)
     _report("7 (spot searches, q=17)",
             f"values {values} all exhaustive, {time.time()-t0:.0f}s")
 
@@ -295,7 +291,7 @@ def test_criterion_10_end_to_end(cache_dir, capsys, tmp_path):
     report13 = tmp_path / "report13.json"
     code = cli_main(["analyze", "--q", "13", "--cache-dir", cache_dir,
                      "--budget-secs", "14400", "--direct-search-secs", "3600",
-                     "--threads", str(THREADS), "--out", str(report13)])
+                     "--out", str(report13)])
     assert code == 0
     report = json.loads(report13.read_text())
     assert report["verdict"]["separating"] == "YES"
@@ -303,8 +299,11 @@ def test_criterion_10_end_to_end(cache_dir, capsys, tmp_path):
     assert report["verdict"]["spreading"] == "NO"
     ok, problems = verify_report(report)
     assert ok, problems
-    # statuses of every feasible graph are definitive
+    # statuses of every feasible graph are definitive, each settled by a
+    # nonexistence decision or a covering refutation
     assert all(gv["status"] != "UNRESOLVED" for gv in report["graphs"])
+    assert {gv["status"] for gv in report["graphs"]} <= {
+        "SEPARATING_BY_NONEXISTENCE", "SEPARATING_BY_CSP"}
     capsys.readouterr()
     assert cli_main(["analyze", "--q", "9"]) == 0
     capsys.readouterr()
@@ -316,7 +315,7 @@ def test_criterion_10_end_to_end(cache_dir, capsys, tmp_path):
     assert code == 2
     capsys.readouterr()
     # idempotence: re-running over the same cache yields byte-identical output
-    config = PipelineConfig(cache_dir=cache_dir, threads=THREADS,
+    config = PipelineConfig(cache_dir=cache_dir,
                             budget_secs=14400, direct_search_secs=3600)
     _, rerun_a = analyze(13, config)
     _, rerun_b = analyze(13, config)

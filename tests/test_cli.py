@@ -168,6 +168,7 @@ def test_analyze_budget_flag_beats_the_environment(capsys, monkeypatch):
     ["certify", "--q", "5", "--classes", "5", "--seed", "1"],
     ["certify", "--q", "5", "--classes", "5", "--threads", "2"],
     ["search", "--q", "13", "--classes", "13", "--seed", "1"],
+    ["analyze", "--q", "13", "--threads", "2"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:

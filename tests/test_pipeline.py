@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from diagsync import pipeline, search
+from diagsync import cli, pipeline, search
 from diagsync.certify import generate_translate_rows, solve_cover_ilp
 from diagsync.graphs import build_graph
 from diagsync.psl2 import build_group, mask_elements, sylow_subgroup
@@ -26,14 +26,15 @@ from diagsync.pipeline import (
 
 def test_factbase_monotonicity():
     fb = FactBase(("2", "3", "6", "7", "13"))
-    fb.set_alpha_exact(("3", "13"), 22, "search")
-    # alpha(G_{3,13}) = omega(G_{2,6,7}) = 22 propagates to subsets
+    fb.set_omega_upper(("2", "6", "7"), 22, "search")
+    # omega(G_{2,6,7}) = alpha(G_{3,13}) <= 22 propagates to subsets
     up = fb.omega_upper(("6", "7"))
     assert up is not None and up[0] == 22
     up = fb.omega_upper(("2", "6", "7"))
     assert up is not None and up[0] == 22
     assert fb.omega_upper(("2", "3")) is None
-    fb.set_alpha_exact(("6", "13"), 25, "search")
+    fb.set_omega_upper(("2", "3", "7"), 25, "search")
+    assert fb.alpha_upper(("6", "13"))[0] == 25
     up = fb.omega_upper(("3", "7"))
     assert up is not None and up[0] == 25
     assert "omega[3,7] <= omega[2,3,7]" in up[1]
@@ -147,8 +148,9 @@ def test_feasibility_stage_q13_rows():
 def test_inference_resolves_rows_from_planted_facts():
     analyzer = Analyzer(13, PipelineConfig())
     analyzer.feasibility_stage()
-    analyzer.facts.set_alpha_exact(("6", "13"), 25, "planted")
-    analyzer.facts.set_alpha_exact(("3", "13"), 22, "planted")
+    # alpha(G_{6,13}) <= 25 and alpha(G_{3,13}) <= 22, on the complements
+    analyzer.facts.set_omega_upper(("2", "3", "7"), 25, "planted")
+    analyzer.facts.set_omega_upper(("2", "6", "7"), 22, "planted")
     analyzer.inference_pass()
     status = {tuple(gv.clique_classes): gv.status for gv in analyzer.verdict.graphs}
     assert status[("3", "7")] == "SEPARATING_BY_INFERENCE"
@@ -159,6 +161,25 @@ def test_inference_resolves_rows_from_planted_facts():
     assert status[("13",)] == "UNRESOLVED"
     assert status[("2", "13")] == "UNRESOLVED"
     assert status[("7",)] == "UNRESOLVED"
+
+
+def test_decision_found_clique_becomes_a_covering_base():
+    # q=17 G[8,17]: no seed realizes its 34-clique, the decision search finds
+    # one, and the covering program on it refutes the 72-coclique
+    analyzer = Analyzer(17, PipelineConfig(budget_nodes=20000))
+    rows = analyzer.feasibility_stage()
+    [gv] = analyzer.verdict.graphs = [r for r in rows if r.clique_classes == ("8", "17")]
+    analyzer.realization_stage()
+    assert not gv.stars
+    analyzer.nonexistence_pass(3600)
+    [realized] = gv.certificates
+    assert realized["kind"] == "realized_clique" and realized["size"] == 34
+    assert gv.stars["omega"]["witness"] == realized["vertices"]
+    analyzer.csp_pass(3600)
+    assert gv.status == "SEPARATING_BY_CSP"
+    [cover] = [c for c in gv.certificates if c["kind"] == "exact_hit"]
+    assert cover["status"] == "PROVEN_INFEASIBLE" and cover["target"] == 72
+    assert cover["system"]["base_clique"] == realized["vertices"]
 
 
 @pytest.mark.slow
@@ -185,10 +206,11 @@ def _count_calls(monkeypatch, calls: Counter):
             calls[name, labels] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
-    for name in ("max_clique", "max_coclique", "find_clique_of_size",
-                 "generate_translate_rows", "solve_cover_ilp"):
+    for name in ("find_clique_of_size", "generate_translate_rows", "solve_cover_ilp"):
         counted(pipeline, name)
-    counted(search, "max_clique")         # the one max_coclique calls
+    # the pipeline imports neither: a call would come through search
+    for name in ("max_clique", "max_coclique"):
+        counted(search, name)
 
 
 def _budgeted(tmp_path, **overrides):
@@ -204,8 +226,8 @@ def test_budgeted_analyze_reuses_every_capped_result(tmp_path, monkeypatch):
     _count_calls(monkeypatch, calls)
     cfg = _budgeted(tmp_path)
     _, cold = analyze(13, cfg)
-    # the second direct-search pass finds the first pass's capped {3,13} search
-    assert calls["max_coclique", ("3", "13")] == 1
+    # rows are settled by decisions and covering programs, never by a search
+    assert not any(name in ("max_clique", "max_coclique") for name, _ in calls)
     assert max(calls.values()) == 1
     calls.clear()
     _, warm = analyze(13, cfg)
@@ -227,26 +249,42 @@ def test_cold_budgeted_reports_are_byte_identical(budgeted13):
     assert verify_report(again) == (True, [])
 
 
-def _resealed_cover(report, edit):
-    """The report with its first PROVEN_INFEASIBLE covering certificate
-    edited and its digest recomputed."""
+def _resealed(report, kind, edit):
+    """The report with its first certificate of the kind edited and its
+    digest recomputed; a report holds only refuting covering certificates."""
     bad = copy.deepcopy(report)
     for gv in bad["graphs"]:
         for i, cert in enumerate(gv["certificates"]):
-            if cert.get("kind") == "exact_hit" and cert["status"] == "PROVEN_INFEASIBLE":
+            if cert.get("kind") == kind:
                 payload = {k: v for k, v in cert.items() if k != "digest"}
                 edit(payload)
                 gv["certificates"][i] = sealed(payload)
                 return bad
-    raise AssertionError("the report has no covering refutation")
+    raise AssertionError(f"the report has no {kind} certificate")
 
 
 def test_verify_rechecks_covering_certificates(budgeted13):
-    assert verify_report(_resealed_cover(budgeted13, lambda c: None)) == (True, [])
-    ok, problems = verify_report(_resealed_cover(budgeted13, lambda c: c.update(target=1)))
+    def resealed(edit):
+        return _resealed(budgeted13, "exact_hit", edit)
+    assert verify_report(resealed(lambda c: None)) == (True, [])
+    ok, problems = verify_report(resealed(lambda c: c.update(target=1)))
     assert not ok and problems
-    ok, problems = verify_report(_resealed_cover(budgeted13, lambda c: c.pop("kind")))
+    ok, problems = verify_report(resealed(lambda c: c.pop("kind")))
     assert not ok and "certificate of unknown kind None" in problems
+
+
+@pytest.mark.parametrize("kind, field", [("exact_hit", "target"),
+                                         ("realized_clique", "vertices")])
+def test_verify_names_a_missing_field(budgeted13, tmp_path, capsys, kind, field):
+    bad = _resealed(budgeted13, kind, lambda c: c.pop(field))
+    ok, problems = verify_report(bad)
+    assert not ok and f"missing field {field!r}" in problems
+    path = tmp_path / "bad.json"
+    write_report(bad, path)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and f"missing field {field!r}" in out["problems"]
 
 
 def test_verify_rejects_another_format_version(budgeted13):
@@ -294,22 +332,27 @@ def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
     assert cold == warm
 
 
-def test_capped_entry_is_keyed_by_node_cap_and_threads(tmp_path, monkeypatch):
+# a 28-clique of G[2,6,7] is a 28-coclique of G[3,13]: none exists (alpha = 22),
+# and no cap below 5,000 nodes settles the decision
+DECISION = ("2", "6", "7"), 28
+
+
+def test_capped_entry_is_keyed_by_node_cap(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)
-    labels = ("3", "13")
-    first = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_max_coclique(labels, 60)
-    assert not first["exhaustive"]
-    again = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_max_coclique(labels)
-    assert again == first and calls["max_coclique", labels] == 1
-    larger = Analyzer(13, _budgeted(tmp_path, budget_nodes=100)).cached_max_coclique(labels)
-    assert calls["max_coclique", labels] == 2 and larger["nodes"] > first["nodes"]
-    # no search reads the seed: another seed reuses the capped entry
+    labels, k = DECISION
+    first = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_decision(labels, k, 60)
+    assert first["status"] == search.EXHAUSTED
+    again = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_decision(labels, k)
+    assert again == first and calls["find_clique_of_size", labels] == 1
+    larger = Analyzer(13, _budgeted(tmp_path, budget_nodes=100)).cached_decision(labels, k)
+    assert calls["find_clique_of_size", labels] == 2 and larger["nodes"] > first["nodes"]
+    # no decision reads the seed or the worker count: both reuse the capped entry
     reseeded = Analyzer(13, _budgeted(tmp_path, budget_nodes=50, seed=2))
-    assert reseeded.cached_max_coclique(labels) == first
-    assert calls["max_coclique", labels] == 2
-    Analyzer(13, _budgeted(tmp_path, budget_nodes=50, threads=2)).cached_max_coclique(labels)
-    assert calls["max_coclique", labels] == 3
+    assert reseeded.cached_decision(labels, k) == first
+    threaded = Analyzer(13, _budgeted(tmp_path, budget_nodes=50, threads=2))
+    assert threaded.cached_decision(labels, k) == first
+    assert calls["find_clique_of_size", labels] == 2
 
 
 def test_a_cache_entry_of_another_format_is_a_miss(tmp_path, monkeypatch):
@@ -317,31 +360,32 @@ def test_a_cache_entry_of_another_format_is_a_miss(tmp_path, monkeypatch):
     _count_calls(monkeypatch, calls)
     labels = ("3", "7")
     # a final entry as the 0.1.0 format kept it: no version in the key, and
-    # elapsed and seed sealed in the payload
-    old_key = {"op": "max_clique", "q": 7, "classes": sorted(labels)}
+    # elapsed and seed sealed in the payload; it claims no 21-clique exists
+    old_key = {"op": "decision", "q": 7, "classes": sorted(labels), "k": 21}
     Cache(str(tmp_path)).put(old_key, sealed({
-        "kind": "clique", "graph": {"q": 7, "classes": list(labels)}, "vertices": [0],
-        "size": 1, "exhaustive": True, "nodes": 1, "elapsed": 0.0, "seed": 0,
-        "method": "pinned-bb", "target": None}))
-    fresh = Analyzer(7, PipelineConfig(cache_dir=str(tmp_path))).cached_max_clique(labels)
-    assert calls["max_clique", labels] == 1
-    assert fresh["size"] > 1 and "elapsed" not in fresh and "seed" not in fresh
+        "status": "NONE", "kind": "clique", "graph": {"q": 7, "classes": list(labels)},
+        "vertices": [], "size": 0, "exhaustive": True, "nodes": 1, "elapsed": 0.0,
+        "seed": 0, "method": "pinned-bb-decision", "target": 21}))
+    fresh = Analyzer(7, PipelineConfig(cache_dir=str(tmp_path))).cached_decision(labels, 21)
+    assert calls["find_clique_of_size", labels] == 1
+    assert fresh["status"] == "FOUND" and fresh["size"] == 21
+    assert "elapsed" not in fresh and "seed" not in fresh
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 def test_clock_stopped_result_is_not_stored(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)
-    labels = ("3", "13")
+    labels, k = DECISION
     an = Analyzer(13, _budgeted(tmp_path, budget_nodes=5000))
-    # a deadline already past stops the search at its first clock check
-    stopped = an.cached_max_coclique(labels, secs=-1.0)
-    assert not stopped["exhaustive"] and stopped["nodes"] <= 2048
+    # a deadline already past stops the decision at its first clock check
+    stopped = an.cached_decision(labels, k, secs=-1.0)
+    assert stopped["status"] == search.EXHAUSTED and stopped["nodes"] <= 2048
     assert not an.cache.memory and not list(tmp_path.iterdir())
-    capped = an.cached_max_coclique(labels)
-    assert calls["max_coclique", labels] == 2 and capped["nodes"] > 2048
-    assert an.cached_max_coclique(labels, secs=-1.0) == capped
-    assert calls["max_coclique", labels] == 2
+    capped = an.cached_decision(labels, k)
+    assert calls["find_clique_of_size", labels] == 2 and capped["nodes"] > 2048
+    assert an.cached_decision(labels, k, secs=-1.0) == capped
+    assert calls["find_clique_of_size", labels] == 2
 
 
 def test_meter_tells_the_clock_from_the_node_cap():
@@ -375,14 +419,15 @@ def test_cache_treats_tampered_size_as_miss(tmp_path, monkeypatch):
     _count_calls(monkeypatch, calls)
     cfg = PipelineConfig(cache_dir=str(tmp_path))
     labels = ("3", "7")
-    honest = Analyzer(7, cfg).cached_max_clique(labels)
-    assert honest["exhaustive"] and calls["max_clique", labels] == 1
+    # omega(G[3,7]) = 21 at q=7: no 22-clique exists
+    honest = Analyzer(7, cfg).cached_decision(labels, 22)
+    assert honest["exhaustive"] and calls["find_clique_of_size", labels] == 1
     path = _cached_file(tmp_path)
     payload = json.loads(path.read_text())
     payload["size"] += 1
     path.write_text(json.dumps(payload))
-    rerun = Analyzer(7, cfg).cached_max_clique(labels)
-    assert calls["max_clique", labels] == 2 and rerun == honest
+    rerun = Analyzer(7, cfg).cached_decision(labels, 22)
+    assert calls["find_clique_of_size", labels] == 2 and rerun == honest
     assert json.loads(path.read_text()) == rerun
 
 
