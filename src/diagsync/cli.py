@@ -12,7 +12,8 @@ import sys
 
 from .certify import BRACKET, generate_translate_rows, solve_cover_ilp
 from .feasibility import enumerate_feasible_pairs, family_description, putative_table
-from .graphs import build_graph, complement_classes, export_dimacs
+from .gf import factor_prime_power
+from .graphs import InvalidClassSet, build_graph, complement_classes, export_dimacs, resolve_classes
 from .pipeline import (
     PipelineConfig,
     analyze,
@@ -48,16 +49,17 @@ def _emit(data, args):
         print(text)
 
 
-def _add_common(p, budget=False, seed=False, threads=False):
-    """--q and --out, and the run-control flags the subcommand reads."""
+def _error(message: str) -> int:
+    print(f"diagsync: error: {message}", file=sys.stderr)
+    return 1
+
+
+def _add_common(p, budget=False):
+    """--q and --out, and the budget flags when the subcommand reads them."""
     p.add_argument("--q", type=int, required=True)
     if budget:
         p.add_argument("--budget-secs", type=float, default=1800.0)
         p.add_argument("--budget-nodes", type=int, default=10 ** 9)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if threads:
-        p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
 
 
@@ -69,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full pipeline with certified verdict")
-    _add_common(p, budget=True, seed=True)
+    _add_common(p, budget=True)
     p.add_argument("--direct-search-secs", type=float, default=900.0,
                    help="clock of each nonexistence decision search")
     p.add_argument("--cache-dir")
@@ -84,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="clique-side class set, e.g. 3,7 (default: full table)")
 
     p = sub.add_parser("search", help="exact clique/coclique computations")
-    _add_common(p, budget=True, threads=True)
+    _add_common(p, budget=True)
     p.add_argument("--classes", type=_classes_arg, required=True)
     p.add_argument("--mode", choices=["clique", "coclique", "decide"],
                    default="clique")
@@ -97,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
                    default="from-search")
 
     p = sub.add_parser("witness", help="group-theoretic witnesses")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--kind", choices=["factorisation", "sharp", "spreading"],
                    required=True)
 
@@ -128,11 +130,13 @@ def _dispatch(args) -> int:
         print(json.dumps({"ok": ok, "problems": problems}, indent=1))
         return 0 if ok else 1
 
+    if factor_prime_power(args.q) is None or not 4 <= args.q <= 1 << 20:
+        return _error(f"--q {args.q} is not a prime power from 4 to 2^20")
+
     if cmd == "analyze":
         config = PipelineConfig(
             budget_secs=args.budget_secs, budget_nodes=args.budget_nodes,
-            direct_search_secs=args.direct_search_secs, seed=args.seed,
-            cache_dir=args.cache_dir)
+            direct_search_secs=args.direct_search_secs, cache_dir=args.cache_dir)
         verdict, report = analyze(args.q, config)
         if args.out:
             write_report(report, args.out)
@@ -141,6 +145,11 @@ def _dispatch(args) -> int:
         return verdict.exit_code()
 
     group = build_group(args.q)
+    if cmd in ("search", "certify", "graph"):
+        try:
+            resolve_classes(group, args.classes)
+        except InvalidClassSet as err:
+            return _error(f"--classes: {err}")
 
     if cmd == "scheme":
         scheme = group_scheme(group) if args.unfused else rational_fusion_scheme(group)
@@ -158,6 +167,8 @@ def _dispatch(args) -> int:
         scheme = rational_fusion_scheme(group)
         labels = scheme.labels()
         if args.classes:
+            if not set(args.classes) < set(scheme.nontrivial_labels()):
+                return _error("--classes must be a proper subset of the fused classes")
             fams = enumerate_feasible_pairs(scheme, args.classes)
             _emit({"q": args.q, "classes": args.classes,
                    "families": [family_description(f, labels) for f in fams]}, args)
@@ -174,17 +185,13 @@ def _dispatch(args) -> int:
 
     if cmd == "search":
         graph = build_graph(group, args.classes)
-        if args.mode == "clique":
-            cert = max_clique(graph, _budget(args), args.threads)
+        if args.mode != "decide":
+            search = max_clique if args.mode == "clique" else max_coclique
+            cert = search(graph, _budget(args))
             _emit(sealed(cert.payload()), args)
             return 0 if cert.exhaustive else 2
-        if args.mode == "coclique":
-            cert = max_coclique(graph, _budget(args), args.threads)
-            _emit(sealed(cert.payload()), args)
-            return 0 if cert.exhaustive else 2
-        if args.size is None:
-            print("decide mode requires --size", file=sys.stderr)
-            return 1
+        if args.size is None or not 1 <= args.size <= graph.vertex_count:
+            return _error(f"decide mode requires --size from 1 to {graph.vertex_count}")
         status, cert = find_clique_of_size(graph, args.size, budget=_budget(args))
         _emit(sealed({"status": status, **cert.payload()}), args)
         return 0 if status != "BUDGET_EXHAUSTED" else 2
@@ -201,14 +208,12 @@ def _dispatch(args) -> int:
             if seeds:
                 base = list(seeds[0])
         if not base:
-            print("no base clique available", file=sys.stderr)
-            return 1
+            return _error("no base clique available")
         # the equality case: a coclique of size |T|/|C| meets every row once
         target, rest = divmod(group.order, len(base))
         if rest:
-            print(f"base clique size {len(base)} does not divide the group order "
-                  f"{group.order}", file=sys.stderr)
-            return 1
+            return _error(f"base clique size {len(base)} does not divide the group order "
+                          f"{group.order}")
         system = generate_translate_rows(graph, base)
         result = solve_cover_ilp(system, target, budget=_budget(args))
         _emit(sealed(result.payload()), args)
@@ -231,7 +236,9 @@ def _dispatch(args) -> int:
                 return 2
             _emit(sealed(wit.payload()), args)
             return 0
-        wit = spreading_witness(group, args.seed)
+        if args.q % 4 != 1:
+            return _error("the spreading witness needs q = 1 mod 4")
+        wit = spreading_witness(group)
         _emit(sealed(wit.payload()), args)
         return 0
 

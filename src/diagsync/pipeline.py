@@ -63,7 +63,7 @@ class PipelineConfig:
     budget_secs: float = 3600.0          # per heavy sub-task
     budget_nodes: int = 10 ** 9
     direct_search_secs: float = 900.0    # clock of each nonexistence decision
-    seed: int = 0
+    seed: int = 0                        # read by no stage; perfbench/run.py passes it
     threads: int = 1                     # read by no stage; perfbench/run.py passes it
     cache_dir: str | None = None
 
@@ -114,22 +114,16 @@ class GroupVerdict:
 
 
 class FactBase:
-    """Proven bounds on omega per fused class set, with monotone propagation."""
+    """Proven upper bounds on omega per fused class set, with monotone propagation."""
 
     def __init__(self, all_labels: tuple[str, ...]):
         self.all_labels = frozenset(all_labels)
         self.upper: dict[frozenset, tuple[int, str]] = {}
-        self.lower: dict[frozenset, tuple[int, str]] = {}
 
     def set_omega_upper(self, classes, value: int, why: str):
         key = frozenset(classes)
         if key not in self.upper or self.upper[key][0] > value:
             self.upper[key] = (value, why)
-
-    def set_omega_lower(self, classes, value: int, why: str):
-        key = frozenset(classes)
-        if key not in self.lower or self.lower[key][0] < value:
-            self.lower[key] = (value, why)
 
     def omega_upper(self, classes) -> tuple[int, str] | None:
         """Best proven upper bound via monotonicity: omega(I) <= omega(J), I <= J."""
@@ -198,10 +192,8 @@ def _intact(payload) -> bool:
 
 
 def _final(payload: dict) -> bool:
-    """Settled under any budget: exhaustive, FOUND/NONE, or a covering verdict."""
-    if "status" in payload:
-        return payload["status"] not in (EXHAUSTED, BRACKET)
-    return payload["exhaustive"]
+    """Settled under any budget: FOUND/NONE, or a covering verdict."""
+    return payload["status"] not in (EXHAUSTED, BRACKET)
 
 
 def sealed(payload: dict) -> dict:
@@ -333,8 +325,6 @@ class Analyzer:
         gv.certificates.append(sealed({
             "kind": f"realized_{kind}", "classes": list(gv.clique_classes),
             "vertices": list(hit), "size": len(hit)}))
-        labels = gv.clique_classes if side == "omega" else gv.coclique_classes
-        self.facts.set_omega_lower(labels, len(hit), f"realized {kind}")
 
     def realization_stage(self):
         """Realize each side's extremal target from an algebraic seed."""
@@ -422,7 +412,7 @@ class Analyzer:
 
     def spreading_stage(self):
         if self.q % 4 == 1:
-            wit = spreading_witness(self.group, self.config.seed)
+            wit = spreading_witness(self.group)
             self.verdict.witnesses.append(sealed(wit.payload()))
             self.verdict.spreading = NO
             self.verdict.notes.append(

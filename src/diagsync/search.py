@@ -7,9 +7,10 @@ over one representative per conjugacy class of the connection set (the
 stabilizer of the identity vertex induces conjugation, and inversion is also
 an automorphism fixing the identity).  Algebraic seeds (cliques among the
 subgroups of ``psl2.subgroup_library`` and every cyclic subgroup, and unions
-of their cosets) provide strong incumbents before any branching.  Every
-pinned subproblem, serial or in a worker process, goes through
-``_solve_task``.  Its local graph is one boolean matrix, built by a single
+of their cosets) provide strong incumbents before any branching.  One
+serial loop, ``_pinned_search``, solves the pinned subproblems in order
+through ``_solve_task`` for both the maximum and the decision searches.  A
+subproblem's local graph is one boolean matrix, built by a single
 product gather (u ~ v exactly when u*v^-1 lies in the connection set); the
 degeneracy order comes from a degree vector over that matrix, and the
 relabelled rows are packed once into the bitsets the branching works on.
@@ -371,74 +372,50 @@ def _solve_task(graph: ClassUnionGraph, rep: int, v: int, cand_mask: int, lower:
     return tuple(sorted(found)), complete
 
 
-_POOL_GRAPH: ClassUnionGraph | None = None
+def _pinned_search(graph: ClassUnionGraph, size: int, meter: _Meter,
+                   target: int | None = None):
+    """Solve the pinned subproblems in order, each from the largest clique so
+    far, at first one of the given size found elsewhere.
 
-
-def _pool_solve(args):
-    rep, v, cand_mask, lower, max_nodes, deadline = args
-    meter = _Meter(max_nodes, deadline)
-    witness, complete = _solve_task(_POOL_GRAPH, rep, v, cand_mask, lower, meter)
-    return witness, complete, meter.nodes, meter.timed_out
-
-
-def max_clique(graph: ClassUnionGraph, budget: Budget | None = None,
-               threads: int = 1) -> SearchCertificate:
-    """Exact maximum clique; exhaustive unless the budget runs out.
-
-    With threads > 1 and at least four pinned subproblems, the first runs
-    here to warm the incumbent and the rest run in worker processes.  Each
-    worker task gets an equal share of the nodes the first left and the
-    caller's deadline, so a capped result repeats under one (cap, threads);
-    the proven optimum does not depend on the worker count.
+    Returns (witness, complete): the largest clique found with more than size
+    vertices, else None.  With target set, stops at the first clique of at
+    least target vertices, and complete is then False.
     """
-    budget = budget or Budget()
-    meter = budget.start()
-    group = graph.group
-    best = max(algebraic_clique_seeds(graph), key=len, default=(group.identity,))
-    complete = True
-    pending = [task for task in _pinned_tasks(graph, len(best))
-               if task[2].bit_count() + 3 > len(best)]
-    pooled = pending[1:] if threads > 1 and len(pending) >= 4 else []
-    for rep, v, cand_mask in pending[:len(pending) - len(pooled)]:
-        if cand_mask.bit_count() + 3 <= len(best):
+    witness, complete = None, True
+    for rep, v, cand_mask in _pinned_tasks(graph, size):
+        if cand_mask.bit_count() + 3 <= size:
             continue
-        witness, ok = _solve_task(graph, rep, v, cand_mask, len(best) - 3, meter)
+        found, ok = _solve_task(graph, rep, v, cand_mask, size - 3, meter,
+                                None if target is None else target - 3)
         complete = complete and ok
-        best = witness or best
+        if found:
+            witness, size = found, len(found)
+            if target is not None:
+                return witness, False
         if meter.exhausted:
-            complete = False
-            break
-    if pooled and not meter.exhausted:
-        import multiprocessing as mp
-        share = (meter.max_nodes - meter.nodes) // len(pooled)
-        global _POOL_GRAPH
-        _POOL_GRAPH = graph
-        group.inverses()            # built once here, not in every worker
-        args = [(rep, v, cand, len(best) - 3, share, meter.deadline)
-                for rep, v, cand in pooled]
-        with mp.get_context("fork").Pool(processes=threads) as pool:
-            for witness, ok, nodes, timed_out in pool.imap(_pool_solve, args):
-                meter.nodes += nodes
-                meter.timed_out |= timed_out
-                complete = complete and ok
-                if witness and len(witness) > len(best) and verify_clique(graph, witness):
-                    best = witness
-        _POOL_GRAPH = None
+            return witness, False
+    return witness, complete
+
+
+def max_clique(graph: ClassUnionGraph, budget: Budget | None = None) -> SearchCertificate:
+    """Exact maximum clique; exhaustive unless the budget runs out."""
+    meter = (budget or Budget()).start()
+    best = max(algebraic_clique_seeds(graph), key=len, default=(graph.group.identity,))
+    witness, complete = _pinned_search(graph, len(best), meter)
+    best = witness or best
     cert = SearchCertificate(
         kind="clique", graph=graph.descriptor(), vertices=tuple(sorted(best)),
         size=len(best), exhaustive=complete, nodes=meter.nodes,
-        method="pinned-bb" + (f"-x{threads}" if threads > 1 else ""),
-        timed_out=meter.timed_out)
+        method="pinned-bb", timed_out=meter.timed_out)
     cert.verified = verify_clique(graph, cert.vertices)
     if not cert.verified:
         raise AssertionError("search produced an invalid clique witness")
     return cert
 
 
-def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None,
-                 threads: int = 1) -> SearchCertificate:
+def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None) -> SearchCertificate:
     """Exact maximum coclique via the complement graph's cliques."""
-    cert = max_clique(complement_graph(graph), budget, threads)
+    cert = max_clique(complement_graph(graph), budget)
     out = SearchCertificate(
         kind="coclique", graph=graph.descriptor(), vertices=cert.vertices,
         size=cert.size, exhaustive=cert.exhaustive, nodes=cert.nodes,
@@ -452,8 +429,7 @@ def max_coclique(graph: ClassUnionGraph, budget: Budget | None = None,
 def find_clique_of_size(graph: ClassUnionGraph, k: int,
                         budget: Budget | None = None):
     """Decision search: a clique of size exactly k, a proven NONE, or EXHAUSTED."""
-    budget = budget or Budget()
-    meter = budget.start()
+    meter = (budget or Budget()).start()
     group = graph.group
     if k <= 0 or k > graph.vertex_count:
         raise ValueError("clique size out of range")
@@ -467,23 +443,13 @@ def find_clique_of_size(graph: ClassUnionGraph, k: int,
         if reps:
             return FOUND, _decision_cert(graph, (group.identity, reps[0]), False, meter, k)
         return NONE, _decision_cert(graph, (), True, meter, k)
-    complete = True
-    for rep, v, cand_mask in _pinned_tasks(graph, k - 1 if k > 3 else 2):
-        if k == 3:
-            witness = tuple(sorted((group.identity, rep, v)))
-            return FOUND, _decision_cert(graph, witness, False, meter, k)
-        if cand_mask.bit_count() + 3 < k:
-            continue
-        witness, ok = _solve_task(graph, rep, v, cand_mask, k - 4, meter, target=k - 3)
-        if witness:
-            return FOUND, _decision_cert(graph, witness, False, meter, k)
-        complete = complete and ok
-        if meter.exhausted:
-            complete = False
-            break
-    if complete:
-        return NONE, _decision_cert(graph, (), True, meter, k)
-    return EXHAUSTED, _decision_cert(graph, (), False, meter, k)
+    if k == 3:      # each pinned task is a triangle through the identity
+        tasks = _pinned_tasks(graph, 2)
+        hit = tuple(sorted((group.identity, *tasks[0][:2]))) if tasks else ()
+        return FOUND if hit else NONE, _decision_cert(graph, hit, not hit, meter, k)
+    witness, complete = _pinned_search(graph, k - 1, meter, target=k)
+    status = FOUND if witness else NONE if complete else EXHAUSTED
+    return status, _decision_cert(graph, witness or (), complete, meter, k)
 
 
 def _decision_cert(graph, vertices, exhaustive, meter, k):

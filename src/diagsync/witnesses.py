@@ -274,8 +274,7 @@ def coset_halving_check(group: PSL2):
     return True, None, {"value_set": [0, big], "square_value_set": [0, big // 2]}
 
 
-def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares,
-                              rng_seed: int = 0) -> SpreadingWitness:
+def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> SpreadingWitness:
     """Exhaustively verify a weight-2/weight-1 multiset and return its witness.
 
     The multiset has weight 2 on squares, which must be an index-2 subgroup of
@@ -283,7 +282,8 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares,
     Every right translate of every point stabilizer must meet it in lambda,
     the stabilizer order: for each point the stabilizer times one element per
     coset must partition the group, and each coset's weights must sum to
-    lambda.  Twenty random two-sided translates are checked on top.
+    lambda.  Twenty two-sided translates x^-1 S y are spot-checked on top:
+    each is a right translate of x^-1 S x, another point's stabilizer.
     """
     q, n = group.q, group.order
     if not 0 <= stabilizer_point <= q:
@@ -323,7 +323,7 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares,
     if images != expected_images:
         raise WitnessError(f"found {images} distinct images, expected {expected_images}")
     # spot-check random two-sided images against the deduplicated enumeration
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     stab_elems = np.flatnonzero(mask_array(stab, n))
     inverses = group.inverses()
     for _ in range(20):
@@ -335,11 +335,11 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares,
                             images, True)
 
 
-def spreading_witness(group: PSL2, rng_seed: int = 0) -> SpreadingWitness:
+def spreading_witness(group: PSL2) -> SpreadingWitness:
     """Build and exhaustively verify the weight-2/weight-1 multiset witness."""
     q = group.q
     ok, bad_t, _ = coset_halving_check(group)
     if not ok:
         raise WitnessError(f"stabilizer-coset halving fails at t={bad_t}")
     sq = squares_of_stabilizer(group, group.point_stabilizer(q))
-    return verify_spreading_multiset(group, q, mask_elements(sq), rng_seed)
+    return verify_spreading_multiset(group, q, mask_elements(sq))

@@ -7,6 +7,7 @@ certificates are replayed (and re-verified) there rather than recomputed.
 
 import itertools
 import json
+import multiprocessing
 import random
 import time
 from functools import reduce
@@ -34,8 +35,6 @@ from diagsync.search import (
     verify_coclique,
 )
 from diagsync.witnesses import spreading_witness
-
-THREADS = 2  # search workers of criteria 4 and 7; desk-scale allowance is eight
 
 
 @pytest.fixture(scope="session")
@@ -168,12 +167,17 @@ def test_criterion_3_feasibility_q17():
 # -- 4/5. exact searches, q=13 ----------------------------------------------------
 
 
+def _coclique_q13(labels):
+    return max_coclique(build_graph(build_group(13), labels), Budget(max_seconds=3600))
+
+
 @pytest.mark.slow
 def test_criterion_4_cocliques_q13():
     t0 = time.time()
     group = build_group(13)
-    res_a = max_coclique(build_graph(group, ("6", "13")), Budget(max_seconds=3600), THREADS)
-    res_b = max_coclique(build_graph(group, ("3", "13")), Budget(max_seconds=3600), THREADS)
+    # the two serial searches run side by side, one per process
+    with multiprocessing.get_context("fork").Pool(processes=2) as pool:
+        res_a, res_b = pool.map(_coclique_q13, [("6", "13"), ("3", "13")], chunksize=1)
     assert res_a.exhaustive and res_a.size == 25
     assert res_b.exhaustive and res_b.size == 22
     for res, labels in ((res_a, ("6", "13")), (res_b, ("3", "13"))):
@@ -235,7 +239,7 @@ def test_criterion_7_q17_spot_values():
     for mode, labels, want in expected:
         graph = build_graph(group, labels)
         search = max_coclique if mode == "coclique" else max_clique
-        res = search(graph, Budget(max_seconds=2400), THREADS)
+        res = search(graph, Budget(max_seconds=2400))
         assert res.exhaustive, f"{mode} {labels} not exhaustive"
         assert res.size == want, f"{mode} {labels}: {res.size} != {want}"
         checker = verify_coclique if mode == "coclique" else verify_clique

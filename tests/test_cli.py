@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,18 +121,6 @@ def test_analyze_and_verify_roundtrip(capsys, tmp_path):
     assert code == 1 and not json.loads(out)["ok"]
 
 
-def test_search_threads_match_serial(capsys):
-    # G[3,7] at q=8 has enough pinned subproblems to fan out to workers
-    results = []
-    for threads in ("1", "2"):
-        code, out = run_cli(capsys, "search", "--q", "8", "--classes", "3,7",
-                            "--mode", "clique", "--threads", threads)
-        data = json.loads(out)
-        results.append((code, data["size"], data["exhaustive"]))
-    assert results[0] == results[1] == (0, 11, True)
-    assert data["method"] == "pinned-bb-x2"
-
-
 def test_analyze_beyond_table_limit_is_unknown(capsys, tmp_path):
     # PSL(2,25) has no multiplication table: the scheme stages are skipped,
     # and the spreading witness still proves non-spreading
@@ -169,11 +160,32 @@ def test_analyze_budget_flag_beats_the_environment(capsys, monkeypatch):
     ["certify", "--q", "5", "--classes", "5", "--threads", "2"],
     ["search", "--q", "13", "--classes", "13", "--seed", "1"],
     ["analyze", "--q", "13", "--threads", "2"],
+    ["search", "--q", "13", "--classes", "13", "--threads", "2"],
+    ["analyze", "--q", "13", "--seed", "1"],
+    ["witness", "--q", "13", "--kind", "spreading", "--seed", "1"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "13", "--classes", "99"],
+    ["search", "--q", "13", "--classes", "13", "--mode", "decide", "--size", "0"],
+    ["analyze", "--q", "6"],
+    ["scheme", "--q", "2"],
+    ["feasibility", "--q", "13", "--classes", "2,3,6,7,13"],
+    ["graph", "--q", "13", "--classes", "1"],
+    ["certify", "--q", "13", "--classes", "4"],
+    ["witness", "--q", "7", "--kind", "spreading"],
+])
+def test_bad_input_is_one_error_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "diagsync.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("diagsync: error: ") and done.stderr.count("\n") == 1
 
 
 def test_readme_command_lines_parse():

@@ -1,5 +1,4 @@
 import itertools
-import multiprocessing
 import random
 import time
 from types import SimpleNamespace
@@ -59,6 +58,8 @@ def test_max_clique_small_graphs_exact(g13):
     assert cert.size == 13 and cert.exhaustive and cert.verified
     cert = max_clique(build_graph(g13, ["2", "13"]), Budget(max_seconds=300))
     assert cert.size == 26 and cert.exhaustive
+    cert = max_clique(build_graph(g13, ["3", "13"]), Budget(max_seconds=300))
+    assert cert.size == 39 and cert.exhaustive
 
 
 def _brute_force_max_clique(graph) -> int:
@@ -152,27 +153,6 @@ def test_monotonicity_on_computed_values():
     assert values[("2",)] <= values[("2", "4")] <= values[("2", "4", "5")]
 
 
-def test_parallel_matches_serial(g13, monkeypatch):
-    # G[2,13] has a single pinned task after its seeds, too few for the pool;
-    # G[3,13] has 8 and G[7] 55
-    pools = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: pools.append(method) or get_context(method))
-    for labels, size, pooled_nodes in ((["3", "13"], 39, 8), (["7"], 9, 386)):
-        graph = build_graph(g13, labels)
-        serial = max_clique(graph, Budget(max_seconds=300), threads=1)
-        assert not pools
-        parallel = max_clique(graph, Budget(max_seconds=300), threads=2)
-        assert pools == ["fork"]
-        pools.clear()
-        assert serial.exhaustive and parallel.exhaustive
-        assert serial.size == parallel.size == size
-        # the workers start from the incumbent of the first task, so their
-        # node count is fixed too
-        assert parallel.vertices == serial.vertices and parallel.nodes == pooled_nodes
-
-
 @pytest.mark.slow
 def test_delsarte_product_bound_on_search_results():
     g = build_group(9)
@@ -248,45 +228,18 @@ def test_seeds_match_reference(q, labels, monkeypatch):
     assert seeds == search._clique_seeds(graph)
 
 
-def test_pool_solve_reports_a_clock_stop(g13, monkeypatch):
-    graph = complement_graph(build_graph(g13, ["3", "13"]))
-    rep, v, cand = max(search._pinned_tasks(graph, 0), key=lambda t: t[2].bit_count())
-    monkeypatch.setattr(search, "_POOL_GRAPH", graph)
-    # the last argument is an absolute deadline on the monotonic clock
-    *_, ok, nodes, timed_out = search._pool_solve((rep, v, cand, 0, 10 ** 6, -1.0))
-    assert not ok and timed_out and nodes == 2048
-    *_, ok, nodes, timed_out = search._pool_solve(
-        (rep, v, cand, 0, 100, time.monotonic() + 3600.0))
-    assert not ok and not timed_out and nodes == 101
-
-
-@pytest.mark.parametrize("kind,labels,cap,pool_runs", [
-    # the warm-up task alone spends the cap: no pool (64,529 nodes when every
-    # worker had the whole cap)
-    ("coclique", ["13"], 300, False),
-    # the pool splits what the warm-up left among its 55 tasks
-    ("clique", ["7"], 200, True),
-])
-def test_node_cap_bounds_a_parallel_search(g13, monkeypatch, kind, labels, cap, pool_runs):
-    pools = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: pools.append(method) or get_context(method))
-    graph = build_graph(g13, labels)
-    searched = graph if kind == "clique" else complement_graph(graph)
-    best = max(algebraic_clique_seeds(searched), key=len)
-    pending = [t for t in search._pinned_tasks(searched, len(best))
-               if t[2].bit_count() + 3 > len(best)]
-    pooled = len(pending) - 1
-    assert pooled >= 3
-    run = max_clique if kind == "clique" else max_coclique
-    certs = [run(graph, Budget(max_nodes=cap), threads=2) for _ in range(2)]
-    assert bool(pools) == pool_runs
-    cert = certs[0]
-    assert not cert.exhaustive and not cert.timed_out and cert.verified
-    assert cert.nodes <= cap + pooled
-    # a capped result repeats under one (cap, threads)
-    assert (certs[1].vertices, certs[1].nodes) == (cert.vertices, cert.nodes)
+def test_node_cap_bounds_a_search(g13):
+    # the cap stops a search at the first node past it, and a capped result
+    # repeats exactly
+    for run, labels, cap in ((max_coclique, ["13"], 300), (max_clique, ["7"], 200)):
+        graph = build_graph(g13, labels)
+        cert, again = (run(graph, Budget(max_nodes=cap)) for _ in range(2))
+        assert not cert.exhaustive and not cert.timed_out and cert.verified
+        assert cert.nodes == cap + 1
+        assert (again.vertices, again.nodes) == (cert.vertices, cert.nodes)
+    # a deadline already past stops the search at its first clock reading
+    cert = max_clique(complement_graph(build_graph(g13, ["3", "13"])), Budget(max_seconds=-1))
+    assert cert.timed_out and not cert.exhaustive and cert.nodes == 2048
 
 
 # -- the seed subgroups against the library they replaced -----------------------------
@@ -370,8 +323,8 @@ def test_seed_subgroups_are_the_old_library(q):
 # -- golden certificates of the pinned searches ----------------------------------------
 
 # (size, vertices, nodes, exhaustive), and the status for decisions, recorded
-# before the serial loop, the pool workers and the decision search shared one
-# pinned-task solver; a change to the branching or the task order moves them
+# before the maximum and the decision searches shared one pinned-task solver
+# and one task loop; a change to the branching or the task order moves them
 GOLDEN = [
     ("clique", 7, ("2", "4", "7"), 5000, None,
      (12, (0, 2, 21, 29, 31, 41, 43, 53, 55, 56, 148, 153), 281, True)),
