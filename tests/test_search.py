@@ -228,15 +228,31 @@ def test_seeds_match_reference(q, labels, monkeypatch):
     assert seeds == search._clique_seeds(graph)
 
 
-def test_node_cap_bounds_a_search(g13):
-    # the cap stops a search at the first node past it, and a capped result
-    # repeats exactly
-    for run, labels, cap in ((max_coclique, ["13"], 300), (max_clique, ["7"], 200)):
-        graph = build_graph(g13, labels)
-        cert, again = (run(graph, Budget(max_nodes=cap)) for _ in range(2))
-        assert not cert.exhaustive and not cert.timed_out and cert.verified
-        assert cert.nodes == cap + 1
-        assert (again.vertices, again.nodes) == (cert.vertices, cert.nodes)
+@pytest.mark.parametrize("kind,labels,cap,later_tasks_run", [
+    # the first pinned task alone spends the cap
+    ("coclique", ["13"], 300, False),
+    # the first pinned task finishes inside the cap and later ones spend the rest
+    ("clique", ["7"], 200, True),
+])
+def test_node_cap_bounds_a_parallel_search(g13, monkeypatch, kind, labels, cap,
+                                           later_tasks_run):
+    # the cap stops the pinned-task search at the first node past it, whichever
+    # task that node falls in, and a capped result repeats exactly
+    tasks = []
+    solve_task = search._solve_task
+    monkeypatch.setattr(search, "_solve_task",
+                        lambda *args, **kw: tasks.append(args[1:3]) or solve_task(*args, **kw))
+    graph = build_graph(g13, labels)
+    run = max_clique if kind == "clique" else max_coclique
+    cert = run(graph, Budget(max_nodes=cap))
+    assert (len(tasks) > 1) == later_tasks_run
+    again = run(graph, Budget(max_nodes=cap))
+    assert not cert.exhaustive and not cert.timed_out and cert.verified
+    assert cert.nodes == cap + 1
+    assert (again.vertices, again.nodes) == (cert.vertices, cert.nodes)
+
+
+def test_clock_stops_a_search(g13):
     # a deadline already past stops the search at its first clock reading
     cert = max_clique(complement_graph(build_graph(g13, ["3", "13"])), Budget(max_seconds=-1))
     assert cert.timed_out and not cert.exhaustive and cert.nodes == 2048
