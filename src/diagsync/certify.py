@@ -324,11 +324,8 @@ class _CoverSolver:
             return DEAD_LOCAL  # a dead row, or all rows done but size short
         snapshot = (self.alive, self.row_alive.copy(), self.row_done.copy(),
                     len(self.chosen))
-        m = self.rows[best_ri] & self.alive
-        while m:
-            low = m & -m
-            m ^= low
-            self.choose(low.bit_length() - 1)
+        for v in mask_elements(self.rows[best_ri] & self.alive):
+            self.choose(v)
             if self.propagate():
                 out = self.search(target)
                 if out in (FOUND_LOCAL, EXHAUSTED_LOCAL):

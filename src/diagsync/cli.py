@@ -124,8 +124,11 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "verify":
-        with open(args.report) as fh:
-            report = json.load(fh)
+        try:
+            with open(args.report) as fh:
+                report = json.load(fh)
+        except (OSError, ValueError) as exc:
+            return _error(f"cannot read report {args.report}: {exc}")
         ok, problems = verify_report(report)
         print(json.dumps({"ok": ok, "problems": problems}, indent=1))
         return 0 if ok else 1

@@ -24,6 +24,7 @@ from . import __version__
 from .certify import (BRACKET, FEASIBLE, PROVEN_INFEASIBLE, generate_translate_rows,
                       solve_cover_ilp)
 from .feasibility import family_description, putative_table
+from .gf import factor_prime_power
 from .graphs import build_graph, complement_graph
 from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
 from .scheme import rational_fusion_scheme
@@ -522,12 +523,17 @@ def write_report(report: dict, path: str):
 
 def verify_report(report: dict) -> tuple[bool, list[str]]:
     """Re-verify every certificate in a report; returns (ok, problems)."""
+    if not (isinstance(report, dict) and isinstance(report.get("meta"), dict)
+            and all(key in report for key in ("graphs", "witnesses", "verdict"))):
+        return False, ["not a report: an object with meta, graphs, witnesses and verdict"]
     version = report["meta"].get("version")
     if version != __version__:
         return False, [f"report format version {version}; this verifier reads "
                        f"version {__version__}"]
+    q = report["meta"].get("q")
+    if not isinstance(q, int) or q < 4 or factor_prime_power(q) is None:
+        return False, [f"q {q!r} is not a prime power >= 4"]
     problems: list[str] = []
-    q = report["meta"]["q"]
     group = build_group(q)
     for gv in report["graphs"]:
         for cert in gv["certificates"]:

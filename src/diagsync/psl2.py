@@ -8,6 +8,10 @@ encoding smaller than that of its negative); for even q the pair is a
 singleton.  The dense index of an element is its rank in the sorted list of
 canonical tuples, so indices are reproducible and appear as-is in exported
 certificates.
+
+The conjugacy class of an element is one vectorized conjugation orbit on the
+product kernel (mul_pairs).  Element orders and the power-map (rational)
+fusion of the classes both come from powers(), one walk per representative.
 """
 
 from __future__ import annotations
@@ -158,42 +162,23 @@ class PSL2:
             self._inverses = self._pack[((d * q + neg[b]) * q + neg[c]) * q + a]
         return self._inverses
 
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
-    def pow(self, g: int, n: int) -> int:
-        """g^n for n >= 0, by repeated squaring."""
-        out = self.identity
-        while n:
-            if n & 1:
-                out = self.mul(out, g)
-            g = self.mul(g, g)
-            n >>= 1
+    def powers(self, g: int) -> list[int]:
+        """[e, g, g^2, ..., g^(n-1)] for g of order n."""
+        out = [self.identity]
+        x = g
+        while x != self.identity:
+            out.append(x)
+            x = self.mul(x, g)
         return out
 
     def element_order(self, i: int) -> int:
         return self.orders()[i]
 
     def orders(self) -> list[int]:
+        """The order of every element, read from its class."""
         if self._orders is None:
-            e = self.identity
-            orders = [0] * self.order
-            orders[e] = 1
-            for i in range(self.order):
-                if orders[i]:
-                    continue
-                # walk the cyclic subgroup once, labelling every power
-                cyc = [i]
-                x = self.mul(i, i)
-                while x != e:
-                    cyc.append(x)
-                    x = self.mul(x, i)
-                n = len(cyc) + 1
-                for k, y in enumerate(cyc, start=1):
-                    if not orders[y]:
-                        orders[y] = n // gcd(n, k)
-            self._orders = orders
+            order_of_class = np.array([c.element_order for c in self.conjugacy_classes()])
+            self._orders = order_of_class[self._class_of].tolist()
         return self._orders
 
     def table_fits(self) -> bool:
@@ -292,42 +277,29 @@ class PSL2:
         return self._classes
 
     def _compute_classes(self) -> None:
-        gens = self.generators()
-        ginv = [self.inv(g) for g in gens]
-        class_of = [-1] * self.order
-        raw: list[list[int]] = []
-        for start in range(self.order):
-            if class_of[start] >= 0:
-                continue
-            cid = len(raw)
-            class_of[start] = cid
-            orbit = [start]
-            frontier = [start]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g, gi in zip(gens, ginv):
-                        y = self.mul(self.mul(gi, x), g)
-                        if class_of[y] < 0:
-                            class_of[y] = cid
-                            new.append(y)
-                orbit.extend(new)
-                frontier = new
-            raw.append(orbit)
+        n = self.order
+        every = np.arange(n)
+        inverses = self.inverses()
+        class_of = np.full(n, -1, dtype=np.int32)
+        reps: list[int] = []
+        unassigned = 0
+        while unassigned < n:
+            # the class of the least unassigned element, as one conjugation orbit
+            class_of[self.mul_pairs(self.mul_pairs(inverses, unassigned), every)] = len(reps)
+            reps.append(unassigned)
+            while unassigned < n and class_of[unassigned] >= 0:
+                unassigned += 1
         # deterministic order: by (element order, smallest member index)
-        orders = self.orders()
-        keyed = sorted(range(len(raw)), key=lambda c: (orders[min(raw[c])], min(raw[c])))
+        orders = [len(self.powers(rep)) for rep in reps]
+        keyed = sorted(range(len(reps)), key=lambda c: (orders[c], reps[c]))
+        class_of = np.argsort(keyed).astype(np.int32)[class_of]     # old id -> new id
+        class_of.flags.writeable = False
         classes: list[ConjugacyClass] = []
-        remap = [0] * len(raw)
         for new_id, old_id in enumerate(keyed):
-            orbit = raw[old_id]
-            remap[old_id] = new_id
-            mask = 0
-            for x in orbit:
-                mask |= 1 << x
+            members = class_of == new_id
             classes.append(ConjugacyClass(
-                id=new_id, label="", element_order=orders[min(orbit)],
-                rep=min(orbit), size=len(orbit), members=mask))
+                id=new_id, label="", element_order=orders[old_id], rep=reps[old_id],
+                size=int(members.sum()), members=mask_of(members)))
         # labels: order, plus a letter when several classes share the order
         by_order: dict[int, list[ConjugacyClass]] = {}
         for c in classes:
@@ -338,9 +310,9 @@ class PSL2:
             else:
                 for letter, c in zip("ABCDEFGH", group):
                     c.label = f"{order_val}{letter}"
-        self._class_of = [remap[c] for c in class_of]
+        self._class_of = class_of
         for c in classes:
-            c.inverse_class = self._class_of[self.inv(c.rep)]
+            c.inverse_class = int(class_of[self.inv(c.rep)])
         self._classes = classes
         self._compute_fusion()
 
@@ -356,12 +328,9 @@ class PSL2:
 
         for c in classes:
             n = c.element_order
-            x = c.rep
-            power = x
-            for k in range(2, n):
-                power = self.mul(power, x)
-                if gcd(k, n) == 1:
-                    a, b = find(c.id), find(self._class_of[power])
+            for k, power in enumerate(self.powers(c.rep)):
+                if k > 1 and gcd(k, n) == 1:
+                    a, b = find(c.id), find(int(self._class_of[power]))
                     if a != b:
                         parent[max(a, b)] = min(a, b)
         groups: dict[int, list[int]] = {}
@@ -394,14 +363,13 @@ class PSL2:
         return self._fusion
 
     def class_of(self, i: int) -> int:
-        if self._classes is None:
-            self._compute_classes()
-        return self._class_of[i]
+        return int(self.class_of_array()[i])
 
     def class_of_array(self) -> np.ndarray:
+        """The class id of every element (read-only)."""
         if self._classes is None:
             self._compute_classes()
-        return np.array(self._class_of, dtype=np.int32)
+        return self._class_of
 
     # -- projective line -------------------------------------------------------
 
@@ -514,12 +482,7 @@ def is_subgroup(group: PSL2, mask: int) -> bool:
 
 
 def cyclic_subgroup(group: PSL2, g: int) -> int:
-    mask = 1 << group.identity
-    x = g
-    while x != group.identity:
-        mask |= 1 << x
-        x = group.mul(x, g)
-    return mask
+    return mask_from(group.powers(g))
 
 
 def unipotent_subgroup(group: PSL2) -> int:
@@ -574,7 +537,7 @@ def sylow_subgroup(group: PSL2, r: int) -> int | None:
         while m % (tr * r) == 0:
             tr *= r
         if tr == rpart:
-            h = group.pow(element_of_order(group, m), m // tr)
+            h = group.powers(element_of_order(group, m))[m // tr]
             return cyclic_subgroup(group, h)
     # 2-part split between a torus and the inverting involution
     assert r == 2
@@ -585,7 +548,7 @@ def sylow_subgroup(group: PSL2, r: int) -> int | None:
         while m % (tr * 2) == 0:
             tr *= 2
         if tr * 2 == rpart:
-            h = group.pow(element_of_order(group, m), m // tr)
+            h = group.powers(element_of_order(group, m))[m // tr]
             sub = _extend_by_inverting_involution(group, h, rpart)
             if sub is not None:
                 return sub
@@ -645,12 +608,12 @@ def subgroup_library(group: PSL2) -> tuple[int, ...]:
     if cached is not None:
         return cached
     subs = {borel_subgroup(group)}
-    torus = stabilizer_torus_element(group)
-    m1 = group.element_order(torus)
+    torus = group.powers(stabilizer_torus_element(group))
+    m1 = len(torus)
     uni = mask_elements(unipotent_subgroup(group))
     for k in range(1, m1 + 1):
         if m1 % k == 0:
-            subs.add(closure(group, uni + [group.pow(torus, m1 // k)]))
+            subs.add(closure(group, uni + [torus[m1 // k % m1]]))
     n = group.order
     for r in range(2, n + 1):
         if n % r == 0:      # r is prime: every smaller prime is divided out

@@ -310,14 +310,15 @@ def _centralizer_orbits(group: PSL2, rep: int, cand_mask: int) -> list[tuple[int
     rep, so within the pinned search the candidates can be explored one orbit
     representative at a time.  Returns (min_vertex, orbit_mask) pairs.
     """
-    cent = [c for c in range(group.order)
-            if group.mul(c, rep) == group.mul(rep, c)]
+    every = np.arange(group.order)
+    cent = np.flatnonzero(group.mul_pairs(every, rep) == group.mul_pairs(rep, every))
+    cent_inv = group.inverses()[cent]
     orbits: list[tuple[int, int]] = []
     remaining = cand_mask
     while remaining:
         low = remaining & -remaining
         v = low.bit_length() - 1
-        omask = mask_from(group.conj(v, c) for c in cent) & cand_mask
+        omask = mask_from(group.mul_pairs(group.mul_pairs(cent_inv, v), cent).tolist()) & cand_mask
         orbits.append((v, omask))
         remaining &= ~omask
     return orbits

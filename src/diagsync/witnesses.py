@@ -200,14 +200,10 @@ def find_sharply_transitive_set(group: PSL2, subgroup_mask: int):
             return True
         if cand.bit_count() < degree - 1 - len(chosen):
             return False
-        m = cand
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
+        for i in mask_elements(cand):
             chosen.append(fpf[i])
             # members are interchangeable: only extend with higher indices
-            if extend(cand & masks[i] & ~((low << 1) - 1)):
+            if extend(cand & masks[i] >> (i + 1) << (i + 1)):
                 return True
             chosen.pop()
         return False

@@ -119,7 +119,8 @@ def reference_rows(graph, clique):
     while frontier:
         new = []
         for shape in frontier:
-            images = [tuple(group.conj(x, g) for x in shape) for g in gens]
+            images = [tuple(group.mul(group.mul(group.inv(g), x), g) for x in shape)
+                      for g in gens]
             images += [tuple(p[x] for x in shape) for p in perms]
             images.append(tuple(group.inv(x) for x in shape))
             for img in images:

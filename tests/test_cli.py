@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsync import cli
+from diagsync import __version__, cli
 from diagsync.cli import main
 from diagsync.pipeline import GroupVerdict
 
@@ -186,6 +186,29 @@ def test_bad_input_is_one_error_line(argv):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith("diagsync: error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read report"),                                   # no such file
+    ("{", "cannot read report"),                                    # not JSON
+    ("[1, 2]", "not a report"),
+    ('{"meta": {"version": "%s", "q": 6}, "graphs": [], "witnesses": [], "verdict": {}}'
+     % __version__, "not a prime power"),
+])
+def test_verify_rejects_a_bad_report_file(capsys, tmp_path, content, message):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    if message == "cannot read report":
+        assert captured.err.startswith("diagsync: error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+    else:
+        result = json.loads(captured.out)
+        assert not result["ok"] and len(result["problems"]) == 1
+        assert message in result["problems"][0]
 
 
 def test_readme_command_lines_parse():

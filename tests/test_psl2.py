@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from functools import lru_cache
 
@@ -98,7 +100,51 @@ def test_class_closure_under_conjugation():
     for c in g.conjugacy_classes():
         for _ in range(10):
             x = rng.randrange(g.order)
-            assert (c.members >> g.conj(c.rep, x)) & 1
+            assert (c.members >> g.mul(g.mul(g.inv(x), c.rep), x)) & 1
+
+
+def _class_data_digest(g) -> str:
+    data = {
+        "classes": [[c.id, c.label, c.element_order, c.rep, c.size, hex(c.members),
+                     c.inverse_class, c.fusion_orbit] for c in g.conjugacy_classes()],
+        "fusion": [[o.id, o.label, o.element_order, list(o.class_ids), o.size, hex(o.members)]
+                   for o in g.fusion_orbits()],
+        "orders": g.orders(),
+    }
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the canonical JSON of the classes, the fusion orbits and the element
+# orders, every prime power 4 <= q <= 49, table-free
+GOLDEN_CLASS_DATA = {
+    4: "e7ee1e6c6754e734f36fbcdbf7304ea84ad03ba1d1d6fad836f3ae0b57a5627a",
+    5: "478bf67463b030e1e662a1964c0fc18451add14b6fd6b52c4de6a99e406599b9",
+    7: "b2df587b10e875d908eac7b0c5797b9102259aba30a0f6ecf2be706596d5e021",
+    8: "7ea2cd66c7dc98d07ec48eaecce758b8867d285951c944ffcbdecf08678dd4bd",
+    9: "741e2a87a25f3a42d8ffc5a552e24c311c62dedc8495b23b2caced8d8c3ac600",
+    11: "34d8b25c3e8dda08993661bae2b3031ce8c868d29f1986810d566b14b12bc725",
+    13: "e9c51dc0fa48c525d81bc834f3c226f07257ac58409e59c117ef876e11ed6e55",
+    16: "7450f58cf00f73f45c47ff6de48e6ec780942d518570ad7460f94e03741a305a",
+    17: "347f5e8fb9112f7df6978b8ec5fce6bdda1dd1c5c1091393b1bbe680e594d5c4",
+    19: "d77ae445656d3f3afc5ed08e3bb6dc9fe60f0474336b9922458e4494cacddf5f",
+    23: "4b7e4421486011a2d6e7e9498ca222b654682ac03f0b1ea613fba90d4edf503e",
+    25: "4295aa03b4eba681f6663c48c3d62caa2cd8da2a28ec48319931fc84ab36c434",
+    27: "b8f61287f571c123808bc88af002947460e4bfaa325cae94e03cfc2846f8cc0f",
+    29: "d0de7b2c080ec186b321ba2600d8637a470a88e8ae264a59558b1589df3d1625",
+    31: "dfdf3dfef65a8090c0f61bd4034847fdd445b9c0781f25901cd8f6477374b8d3",
+    32: "bcc9c9a32fcdad32ee94022b06ca1c51c1a54e95e93fadceaeb040b895d0282f",
+    37: "ae7a398c68cbe47b5664a2181ad73e98d71b321416a57307f72cc8ea6bd15b2a",
+    41: "03491eee40c84b43039cfaa6112f44ed7315a8774cb3c0cf55e82b75b0f182cf",
+    43: "485a66827678a7491f5df8786458d5a9260d8af9f7b24422d41bb9ec0342d799",
+    47: "d5d740535128dd7759b08abf61b35bef66cc3fa62157f5e6778ba568b4bb5065",
+    49: "9dd32b5bd9237202bfd4a053f5ee9c7b07f52dc0e887474738953e3593c029ee",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_CLASS_DATA))
+def test_class_data_is_golden(q):
+    assert _class_data_digest(PSL2(q)) == GOLDEN_CLASS_DATA[q]
 
 
 def test_inverse_classes():
@@ -209,12 +255,14 @@ def test_pow_matches_repeated_mul(q):
     g = build_group(q)
     for x in range(0, g.order, 29):
         n = g.element_order(x)
-        for k in (0, 1, n, n + 1):
+        powers = g.powers(x)
+        assert len(powers) == n
+        for k in (0, 1, n - 1, n, n + 1):
             expected = g.identity
             for _ in range(k):
                 expected = g.mul(expected, x)
-            assert g.pow(x, k) == expected
-        assert g.pow(x, n) == g.identity and g.pow(x, n + 1) == x
+            assert powers[k % n] == expected
+        assert powers[n % n] == g.identity and powers[(n + 1) % n] == x
 
 
 # -- the vectorized product kernel against the scalar arithmetic ------------------------
