@@ -91,15 +91,12 @@ class CoverBound:
 
 
 def _frobenius_perm(group: PSL2) -> list[int] | None:
+    """The field automorphism x -> x^p on every entry, or None over a prime field."""
     f = group.field
     if f.e == 1:
         return None
-    p = f.p
-    out = []
-    for a, b, c, d in group.elements:
-        m = group.canonical((f.pow(a, p), f.pow(b, p), f.pow(c, p), f.pow(d, p)))
-        out.append(group.index[m])
-    return out
+    frob = np.array([f.pow(x, f.p) for x in f.elements()])
+    return group.lookup(*frob[group.entries]).tolist()
 
 
 def _diagonal_outer_perm(group: PSL2) -> list[int]:
@@ -107,12 +104,9 @@ def _diagonal_outer_perm(group: PSL2) -> list[int]:
     f = group.field
     squares = f.squares()
     nu = next(z for z in range(1, f.q) if z not in squares)
-    nu_inv = f.inv(nu)
-    out = []
-    for a, b, c, d in group.elements:
-        m = group.canonical((a, f.mul(b, nu_inv), f.mul(c, nu), d))
-        out.append(group.index[m])
-    return out
+    mul = np.array(f.mul_table)
+    a, b, c, d = group.entries
+    return group.lookup(a, mul[b, f.inv(nu)], mul[c, nu], d).tolist()
 
 
 def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:

@@ -12,7 +12,7 @@ import sys
 
 from .certify import BRACKET, generate_translate_rows, solve_cover_ilp
 from .feasibility import enumerate_feasible_pairs, family_description, putative_table
-from .gf import factor_prime_power
+from .gf import MAX_Q, factor_prime_power
 from .graphs import InvalidClassSet, build_graph, complement_classes, export_dimacs, resolve_classes
 from .pipeline import (
     PipelineConfig,
@@ -133,8 +133,8 @@ def _dispatch(args) -> int:
         print(json.dumps({"ok": ok, "problems": problems}, indent=1))
         return 0 if ok else 1
 
-    if factor_prime_power(args.q) is None or not 4 <= args.q <= 1 << 20:
-        return _error(f"--q {args.q} is not a prime power from 4 to 2^20")
+    if factor_prime_power(args.q) is None or not 4 <= args.q <= MAX_Q:
+        return _error(f"--q {args.q} is not a prime power from 4 to {MAX_Q}")
 
     if cmd == "analyze":
         config = PipelineConfig(
@@ -217,7 +217,10 @@ def _dispatch(args) -> int:
         if rest:
             return _error(f"base clique size {len(base)} does not divide the group order "
                           f"{group.order}")
-        system = generate_translate_rows(graph, base)
+        try:
+            system = generate_translate_rows(graph, base)
+        except ValueError as err:
+            return _error(f"--base-clique {args.base_clique}: {err}")
         result = solve_cover_ilp(system, target, budget=_budget(args))
         _emit(sealed(result.payload()), args)
         return 2 if result.status == BRACKET else 0

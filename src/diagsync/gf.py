@@ -5,12 +5,17 @@ the coefficient vector ``(c_0, ..., c_{e-1})`` of a polynomial over GF(p) via
 ``v = c_0 + c_1*p + ... + c_{e-1}*p^(e-1)``, reduced modulo a fixed monic
 irreducible polynomial of degree e.  For e == 1 this is ordinary arithmetic
 mod p.  The modulus is chosen deterministically (smallest integer encoding),
-so element encodings are reproducible across runs.
+so element encodings are reproducible across runs.  Every field builds its
+dense add/mul/neg/inv tables, which the scalar methods and the vectorized
+group arithmetic of psl2 both read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+# the largest supported field order: PSL(2,q) indexes its elements by q^4 keys
+MAX_Q = 128
 
 
 def is_prime(n: int) -> bool:
@@ -62,83 +67,33 @@ def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], lis
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """a*b modulo the monic mod, as its len(mod) - 1 low coefficients."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_divmod(out, mod, p)[1]
+    rem = _poly_divmod(out, mod, p)[1]
+    return rem + [0] * (len(mod) - 1 - len(rem))
 
 
-def _poly_powmod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_divmod(list(a), mod, p)[1]
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b != [0]:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
+def _digits(v: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of v, least significant first."""
+    return [v // p ** k % p for k in range(n)]
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over GF(p)."""
+    """Trial division of a monic polynomial over GF(p) by every monic
+    polynomial of degree 1 to half its own."""
     e = len(poly) - 1
-    if e < 1 or poly[0] == 0 and e > 1:
-        # reducible: x divides when the constant term vanishes (degree > 1)
-        if e > 1 and poly[0] == 0:
-            return False
-    x = [0, 1]
-    # x^(p^e) == x (mod poly)
-    t = _poly_powmod(x, p ** e, poly, p)
-    lhs = _poly_divmod(list(x), poly, p)[1]
-    if t != lhs:
-        return False
-    primes = set()
-    n = e
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            primes.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        primes.add(n)
-    for r in primes:
-        t = _poly_powmod(x, p ** (e // r), poly, p)
-        diff = [(ti - li) % p for ti, li in
-                zip(t + [0] * (len(poly) - len(t)), lhs + [0] * (len(poly) - len(lhs)))]
-        while len(diff) > 1 and diff[-1] == 0:
-            diff.pop()
-        if diff == [0]:
-            return False
-        g = _poly_gcd(list(poly), diff, p)
-        if len(g) > 1:
-            return False
-    return True
+    return not any(_poly_divmod(poly, _digits(low, p, k) + [1], p)[1] == [0]
+                   for k in range(1, e // 2 + 1) for low in range(p ** k))
 
 
 def _find_modulus(p: int, e: int) -> list[int]:
     """Smallest (by integer encoding of low coefficients) monic irreducible of degree e."""
-    if e == 1:
-        return [0, 1]
-    for low in range(p ** e):
-        coeffs = []
-        v = low
-        for _ in range(e):
-            coeffs.append(v % p)
-            v //= p
-        poly = coeffs + [1]
-        if _is_irreducible(poly, p):
-            return poly
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return next(poly for poly in (_digits(low, p, e) + [1] for low in range(p ** e))
+                if _is_irreducible(poly, p))
 
 
 class Field:
@@ -150,24 +105,21 @@ class Field:
         if e <= 0:
             raise ValueError(f"e = {e} must be positive")
         q = p ** e
-        if q > 1 << 20:
-            raise ValueError(f"q = {q} exceeds the supported bound 2^20")
+        if q > MAX_Q:
+            raise ValueError(f"q = {q} exceeds the supported bound {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q
         self.modulus = tuple(_find_modulus(p, e))
-        self._small = q <= 4096
-        if self._small:
-            self._build_tables()
+        digits = [_digits(a, p, e) for a in range(q)]
+        self.add_table = [[self.element([(x + y) % p for x, y in zip(da, db)])
+                           for db in digits] for da in digits]
+        self.mul_table = [[self.element(_poly_mulmod(da, db, list(self.modulus), p))
+                           for db in digits] for da in digits]
+        self.neg_table = [row.index(0) for row in self.add_table]
+        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
 
     # -- encoding ----------------------------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
 
     def element(self, coeffs) -> int:
         if len(coeffs) != self.e:
@@ -181,51 +133,19 @@ class Field:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _add_slow(self, a: int, b: int) -> int:
-        p = self.p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.element([(x + y) % p for x, y in zip(ca, cb)])
-
-    def _neg_slow(self, a: int) -> int:
-        return self.element([(-x) % self.p for x in self.coeffs(a)])
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        prod = _poly_mulmod(list(self.coeffs(a)), list(self.coeffs(b)),
-                            list(self.modulus), self.p)
-        prod += [0] * (self.e - len(prod))
-        return self.element(prod)
-
-    def _build_tables(self) -> None:
-        q = self.q
-        if self.e == 1:
-            p = self.p
-            self.add_table = [[(i + j) % p for j in range(q)] for i in range(q)]
-            self.mul_table = [[(i * j) % p for j in range(q)] for i in range(q)]
-        else:
-            self.add_table = [[self._add_slow(i, j) for j in range(q)] for i in range(q)]
-            self.mul_table = [[self._mul_slow(i, j) for j in range(q)] for i in range(q)]
-        self.neg_table = [self.add_table[i].index(0) for i in range(q)]
-        self.inv_table = [0] * q
-        for i in range(1, q):
-            self.inv_table[i] = self.mul_table[i].index(1)
-
     def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b] if self._small else self._add_slow(a, b)
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        return self.neg_table[a] if self._small else self._neg_slow(a)
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b] if self._small else self._mul_slow(a, b)
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverting zero in a finite field")
-        if self._small:
-            return self.inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self.inv_table[a]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:

@@ -24,7 +24,7 @@ from . import __version__
 from .certify import (BRACKET, FEASIBLE, PROVEN_INFEASIBLE, generate_translate_rows,
                       solve_cover_ilp)
 from .feasibility import family_description, putative_table
-from .gf import factor_prime_power
+from .gf import MAX_Q, factor_prime_power
 from .graphs import build_graph, complement_graph
 from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
 from .scheme import rational_fusion_scheme
@@ -531,8 +531,8 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         return False, [f"report format version {version}; this verifier reads "
                        f"version {__version__}"]
     q = report["meta"].get("q")
-    if not isinstance(q, int) or q < 4 or factor_prime_power(q) is None:
-        return False, [f"q {q!r} is not a prime power >= 4"]
+    if not isinstance(q, int) or not 4 <= q <= MAX_Q or factor_prime_power(q) is None:
+        return False, [f"q {q!r} is not a prime power from 4 to {MAX_Q}"]
     problems: list[str] = []
     group = build_group(q)
     for gv in report["graphs"]:

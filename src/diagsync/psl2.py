@@ -70,7 +70,9 @@ class PSL2:
         self.q = q
         self.field = field
         self._pos = field.positive_half() if q % 2 else None
-        self.elements: list[Mat] = sorted(self._enumerate())
+        # the entry arrays a, b, c, d of every element, in index order
+        self.entries = self._enumerate().astype(np.int32)
+        self.elements: list[Mat] = list(map(tuple, self.entries.T.tolist()))
         self.order = len(self.elements)
         expected = q * (q * q - 1) // (2 if q % 2 else 1)
         if self.order != expected:
@@ -88,21 +90,25 @@ class PSL2:
 
     # -- construction --------------------------------------------------------
 
-    def _enumerate(self) -> set[Mat]:
-        f = self.field
-        q = f.q
-        out: set[Mat] = set()
-        for a in range(1, q):
-            ainv = f.inv(a)
-            for b in range(q):
-                for c in range(q):
-                    d = f.mul(ainv, f.add(1, f.mul(b, c)))
-                    out.add(self.canonical((a, b, c, d)))
-        for b in range(1, q):
-            c = f.neg(f.inv(b))
-            for d in range(q):
-                out.add(self.canonical((0, b, c, d)))
-        return out
+    def _enumerate(self) -> np.ndarray:
+        """The entry arrays a, b, c, d of every canonical tuple, in sorted order.
+
+        Rows with a != 0 have d = (1 + b c) / a; rows with a = 0 have
+        c = -1/b and any d.
+        """
+        f, q = self.field, self.q
+        add, mul = np.array(f.add_table), np.array(f.mul_table)
+        neg, inv = np.array(f.neg_table), np.array(f.inv_table)
+        x = np.arange(q)
+        a, b, c = (g.ravel() for g in np.meshgrid(x[1:], x, x, indexing="ij"))
+        b0, d0 = (g.ravel() for g in np.meshgrid(x[1:], x, indexing="ij"))
+        ent = np.concatenate([[a, b, c, mul[inv[a], add[1, mul[b, c]]]],
+                              [np.zeros_like(b0), b0, neg[inv[b0]], d0]], axis=1)
+        lead = np.where(ent[0] != 0, ent[0], ent[1])    # the first nonzero entry
+        flip = neg[lead] < lead                         # not in the positive half
+        ent[:, flip] = neg[ent[:, flip]]
+        keys = np.unique(((ent[0] * q + ent[1]) * q + ent[2]) * q + ent[3])
+        return np.stack([keys // q ** 3, keys // q ** 2 % q, keys // q % q, keys % q])
 
     def canonical(self, m: Mat) -> Mat:
         if self.q % 2 == 0:
@@ -119,18 +125,23 @@ class PSL2:
         """Element index by matrix key ((a*q + b)*q + c)*q + d.
 
         Both M and -M map to the index, so vectorized products need no sign
-        canonicalization; other keys hold a value past the last index.
+        canonicalization; other keys hold a value past the last index.  The
+        keys stay below MAX_Q^4 < 2^31.
         """
         q = self.q
         dtype = np.uint16 if self.order < 1 << 16 else np.int32
         pack = np.full(q ** 4, np.iinfo(dtype).max, dtype=dtype)
-        el = np.array(self.elements, dtype=np.int64).T
         idx = np.arange(self.order, dtype=dtype)
-        pack[((el[0] * q + el[1]) * q + el[2]) * q + el[3]] = idx
-        if q % 2:
-            neg = np.array([self.field.neg(x) for x in range(q)])[el]
-            pack[((neg[0] * q + neg[1]) * q + neg[2]) * q + neg[3]] = idx
+        for a, b, c, d in (self.entries, np.array(self.field.neg_table)[self.entries]):
+            pack[((a * q + b) * q + c) * q + d] = idx
         return pack
+
+    def lookup(self, a, b, c, d) -> np.ndarray:
+        """Element indices of the matrices [[a, b], [c, d]] of determinant one,
+        from broadcast entry arrays; either sign of a matrix gives its index."""
+        q = self.q
+        key = np.asarray(a, dtype=np.int32)
+        return self._pack[((key * q + b) * q + c) * q + d]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -156,10 +167,9 @@ class PSL2:
     def inverses(self) -> np.ndarray:
         """Index of the inverse of every element: [[a, b], [c, d]] -> [[d, -b], [-c, a]]."""
         if self._inverses is None:
-            q = self.q
-            a, b, c, d = np.array(self.elements, dtype=np.int64).T
-            neg = np.array([self.field.neg(x) for x in range(q)])
-            self._inverses = self._pack[((d * q + neg[b]) * q + neg[c]) * q + a]
+            a, b, c, d = self.entries
+            neg = np.array(self.field.neg_table)
+            self._inverses = self.lookup(d, neg[b], neg[c], a)
         return self._inverses
 
     def powers(self, g: int) -> list[int]:
@@ -205,14 +215,13 @@ class PSL2:
         if self._arith_arrays is None:
             f, q = self.field, self.q
             narrow = np.min_scalar_type(q - 1)
-            add = np.array([[f.add(x, y) for y in range(q)] for x in range(q)], dtype=narrow)
-            mul = np.array([[f.mul(x, y) for y in range(q)] for x in range(q)], dtype=narrow)
+            add = np.array(f.add_table, dtype=narrow)
+            mul = np.array(f.mul_table, dtype=narrow)
             dot = add[mul[:, None, :, None], mul[None, :, None, :]].ravel()
-            a, b, c, d = np.array(self.elements, dtype=np.int64).T
-            wide = np.int32 if q ** 4 < 1 << 31 else np.int64
-            left = (((a * q + b) * q * q).astype(wide), ((c * q + d) * q * q).astype(wide))
-            right = ((a * q + c).astype(wide), (b * q + d).astype(wide))
-            finv = np.array([f.inv(x) if x else 0 for x in range(q)], dtype=wide)
+            a, b, c, d = self.entries
+            left = ((a * q + b) * q * q, (c * q + d) * q * q)
+            right = (a * q + c, b * q + d)
+            finv = np.array(f.inv_table, dtype=np.int32)
             self._arith_arrays = (dot, left, right, finv)
         return self._arith_arrays
 
@@ -225,11 +234,8 @@ class PSL2:
         if self._table is not None:
             return self._table[i, j]
         dot, (ab, cd), (ac, bd), _ = self._arith()
-        q = self.q
         ab, cd, ac, bd = ab[i], cd[i], ac[j], bd[j]
-        key = dot[ab + ac].astype(ac.dtype)
-        key = (key * q + dot[ab + bd]) * q + dot[cd + ac]
-        return self._pack[key * q + dot[cd + bd]]
+        return self.lookup(dot[ab + ac], dot[ab + bd], dot[cd + ac], dot[cd + bd])
 
     def product_blocks(self, xs, ys):
         """The products x*y for x in xs and y in ys, in blocks of whole rows.
@@ -487,7 +493,7 @@ def cyclic_subgroup(group: PSL2, g: int) -> int:
 
 def unipotent_subgroup(group: PSL2) -> int:
     """The subgroup {[[1,b],[0,1]]}, a Sylow p-subgroup of order q."""
-    return mask_from(group.index[group.canonical((1, b, 0, 1))] for b in range(group.q))
+    return mask_from(group.lookup(1, np.arange(group.q), 0, 1).tolist())
 
 
 def element_of_order(group: PSL2, n: int) -> int | None:

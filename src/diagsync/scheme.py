@@ -122,29 +122,26 @@ def _rel_of_array(group: PSL2, rels: list[Relation]) -> np.ndarray:
     return lookup[cls]
 
 
-def _intersection_numbers(group: PSL2, rels: list[Relation], rel_of: np.ndarray,
-                          check_fusion: bool) -> list[list[list[int]]]:
+def _intersection_numbers(group: PSL2, rels: list[Relation],
+                          rel_of: np.ndarray) -> list[list[list[int]]]:
+    """p[i][j][k]: for a rep g of each class in relation k, the number of
+    elements v with g v^-1 in relation i and v in relation j; the counts
+    must agree across the classes of a merged relation."""
     n = len(rels)
-    table = group.mult_table()
     inv = group.inverses()
-    j_vec = rel_of
     p = [[[0] * n for _ in range(n)] for _ in range(n)]
     classes = group.conjugacy_classes()
     for rel in rels:
-        reference = None
-        reps = [classes[c].rep for c in rel.class_ids] if check_fusion else [classes[rel.class_ids[0]].rep]
-        for rep in reps:
-            i_vec = rel_of[np.asarray(table[rep])[inv]]
-            counts = np.zeros((n, n), dtype=np.int64)
-            np.add.at(counts, (i_vec, j_vec), 1)
-            if reference is None:
-                reference = counts
-            elif not np.array_equal(reference, counts):
-                raise FusionNotAScheme(
-                    f"intersection numbers differ inside merged relation {rel.label}")
-        for i in range(n):
-            for j in range(n):
-                p[i][j][rel.id] = int(reference[i, j])
+        reps = [classes[c].rep for c in rel.class_ids]
+        i_vecs = rel_of[group.mul_rows(reps)[:, inv]].astype(np.int64)     # rep * v^-1
+        counts = [np.bincount(i_vec * n + rel_of, minlength=n * n).reshape(n, n)
+                  for i_vec in i_vecs]
+        if any(not np.array_equal(counts[0], other) for other in counts[1:]):
+            raise FusionNotAScheme(
+                f"intersection numbers differ inside merged relation {rel.label}")
+        for i, row in enumerate(counts[0].tolist()):
+            for j, value in enumerate(row):
+                p[i][j][rel.id] = value
     return p
 
 
@@ -166,7 +163,7 @@ def _verify_axioms(scheme: AssociationScheme) -> None:
 
 
 def _build_scheme(group: PSL2, parts: list[tuple[int, ...]],
-                  require_eigen: bool, check_fusion: bool) -> AssociationScheme:
+                  require_eigen: bool) -> AssociationScheme:
     classes = group.conjugacy_classes()
     for part in parts:
         inv_images = {classes[c].inverse_class for c in part}
@@ -178,7 +175,7 @@ def _build_scheme(group: PSL2, parts: list[tuple[int, ...]],
     if rels[0].class_ids != (group.class_of(group.identity),):
         raise FusionNotAScheme("identity class must form its own relation")
     rel_of = _rel_of_array(group, rels)
-    p = _intersection_numbers(group, rels, rel_of, check_fusion)
+    p = _intersection_numbers(group, rels, rel_of)
     scheme = AssociationScheme(group, rels, p, _rel_of=rel_of)
     _verify_axioms(scheme)
     try:
@@ -193,13 +190,13 @@ def _build_scheme(group: PSL2, parts: list[tuple[int, ...]],
 def group_scheme(group: PSL2) -> AssociationScheme:
     """Scheme of all conjugacy classes; refuses when a class is not real."""
     parts = [(c.id,) for c in group.conjugacy_classes()]
-    return _build_scheme(group, parts, require_eigen=False, check_fusion=False)
+    return _build_scheme(group, parts, require_eigen=False)
 
 
 def rational_fusion_scheme(group: PSL2) -> AssociationScheme:
     """Fusion along power-map orbits; always symmetric with rational eigenvalues."""
     parts = [tuple(o.class_ids) for o in group.fusion_orbits()]
-    return _build_scheme(group, parts, require_eigen=True, check_fusion=True)
+    return _build_scheme(group, parts, require_eigen=True)
 
 
 def fuse_scheme(scheme: AssociationScheme, orbit_partition: list[tuple[int, ...]],
@@ -214,8 +211,7 @@ def fuse_scheme(scheme: AssociationScheme, orbit_partition: list[tuple[int, ...]
         for r in part:
             ids.extend(scheme.relations[r].class_ids)
         parts.append(tuple(ids))
-    return _build_scheme(scheme.group, parts, require_eigen=require_eigen,
-                         check_fusion=True)
+    return _build_scheme(scheme.group, parts, require_eigen=require_eigen)
 
 
 # -- exact eigen decomposition --------------------------------------------------
@@ -340,9 +336,8 @@ def design_orthogonal(c1, c2, scheme: AssociationScheme) -> bool:
 
 def adjacency_matrices(scheme: AssociationScheme) -> list[np.ndarray]:
     group = scheme.group
-    table = group.mult_table()
-    inv = group.inverses()
-    rel = scheme._rel_of[np.asarray(table)[:, inv]]
+    products = group.mul_rows(np.arange(group.order))[:, group.inverses()]   # u * v^-1
+    rel = scheme._rel_of[products]
     return [(rel == r.id).astype(np.int64) for r in scheme.relations]
 
 

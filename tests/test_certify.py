@@ -5,6 +5,7 @@ import pytest
 
 from diagsync import certify
 from diagsync.certify import PROVEN_INFEASIBLE, generate_translate_rows, solve_cover_ilp
+from diagsync.gf import factor_prime_power
 from diagsync.graphs import build_graph
 from diagsync.pipeline import Analyzer, PipelineConfig
 from diagsync.psl2 import PSL2, build_group, mask_elements, mask_from, sylow_subgroup
@@ -98,6 +99,40 @@ def test_exactly_one_feasible_small_case():
 # -- differential check of row generation -------------------------------------------
 
 
+def reference_frobenius_perm(group):
+    """x -> x^p on every entry, one scalar canonical form and lookup per element."""
+    f = group.field
+    if f.e == 1:
+        return None
+    p = f.p
+    out = []
+    for a, b, c, d in group.elements:
+        m = group.canonical((f.pow(a, p), f.pow(b, p), f.pow(c, p), f.pow(d, p)))
+        out.append(group.index[m])
+    return out
+
+
+def reference_diagonal_outer_perm(group):
+    """Conjugation by diag(nu, 1) for the least non-square nu, element by element."""
+    f = group.field
+    squares = f.squares()
+    nu = next(z for z in range(1, f.q) if z not in squares)
+    nu_inv = f.inv(nu)
+    out = []
+    for a, b, c, d in group.elements:
+        m = group.canonical((a, f.mul(b, nu_inv), f.mul(c, nu), d))
+        out.append(group.index[m])
+    return out
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 50) if factor_prime_power(q)])
+def test_outer_maps_match_reference(q):
+    g = build_group(q)
+    assert certify._frobenius_perm(g) == reference_frobenius_perm(g)
+    if q % 2:
+        assert certify._diagonal_outer_perm(g) == reference_diagonal_outer_perm(g)
+
+
 def reference_rows(graph, clique):
     """Every conjugate shape times every translate, each new image re-checked.
 
@@ -109,9 +144,9 @@ def reference_rows(graph, clique):
     conn = set(mask_elements(graph.connection))
     base = tuple(sorted(clique))
     gens = group.generators()
-    outer = [certify._frobenius_perm(group)]
+    outer = [reference_frobenius_perm(group)]
     if group.q % 2:
-        outer.append(certify._diagonal_outer_perm(group))
+        outer.append(reference_diagonal_outer_perm(group))
     perms = [p for p in outer if p and {p[s] for s in conn} == conn]
     seen = {frozenset(base)}
     shapes = [base]

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from diagsync import __version__, cli
+from diagsync import __version__, cli, psl2
 from diagsync.cli import main
+from diagsync.gf import MAX_Q
 from diagsync.pipeline import GroupVerdict
 
 
@@ -179,6 +180,8 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     ["graph", "--q", "13", "--classes", "1"],
     ["certify", "--q", "13", "--classes", "4"],
     ["witness", "--q", "7", "--kind", "spreading"],
+    ["certify", "--q", "13", "--classes", "7", "--base-clique", "sylow"],
+    ["analyze", "--q", str(2 * MAX_Q)],
 ])
 def test_bad_input_is_one_error_line(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -188,12 +191,35 @@ def test_bad_input_is_one_error_line(argv):
     assert done.stderr.startswith("diagsync: error: ") and done.stderr.count("\n") == 1
 
 
+def test_q_past_the_bound_builds_no_group(capsys, monkeypatch):
+    def refuse(self, q):
+        raise AssertionError(f"built PSL(2,{q})")
+
+    monkeypatch.setattr(psl2.PSL2, "__init__", refuse)
+    assert main(["analyze", "--q", str(2 * MAX_Q)]) == 1
+    assert f"from 4 to {MAX_Q}" in capsys.readouterr().err
+
+
+def test_scheme_and_feasibility_run_past_the_table_limit(capsys):
+    # PSL(2,19) has no multiplication table; the scheme reads products
+    # from field arithmetic
+    code, out = run_cli(capsys, "scheme", "--q", "19")
+    assert code == 0
+    data = json.loads(out)
+    assert data["relations"] == ["1", "2", "3", "5", "9", "10", "19"]
+    assert sum(data["sizes"]) == 3420 and sum(map(int, data["multiplicities"])) == 3420
+    code, out = run_cli(capsys, "feasibility", "--q", "19", "--classes", "19")
+    assert code == 0 and json.loads(out)["classes"] == ["19"]
+
+
 @pytest.mark.parametrize("content,message", [
     (None, "cannot read report"),                                   # no such file
     ("{", "cannot read report"),                                    # not JSON
     ("[1, 2]", "not a report"),
     ('{"meta": {"version": "%s", "q": 6}, "graphs": [], "witnesses": [], "verdict": {}}'
      % __version__, "not a prime power"),
+    ('{"meta": {"version": "%s", "q": %d}, "graphs": [], "witnesses": [], "verdict": {}}'
+     % (__version__, 2 * MAX_Q), f"from 4 to {MAX_Q}"),
 ])
 def test_verify_rejects_a_bad_report_file(capsys, tmp_path, content, message):
     path = tmp_path / "report.json"

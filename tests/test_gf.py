@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagsync.gf import build_field, factor_prime_power, field_for_order, is_prime
+from diagsync.gf import MAX_Q, build_field, factor_prime_power, field_for_order, is_prime
+
+# the modulus of every non-prime field up to MAX_Q, as the earlier Rabin
+# irreducibility test chose it
+MODULI = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1), 25: (2, 0, 1),
+    27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1), 64: (1, 1, 0, 0, 0, 0, 1),
+    81: (2, 1, 0, 0, 1), 121: (1, 0, 1), 125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1),
+}
 
 
 def test_prime_field_arithmetic():
@@ -33,6 +41,14 @@ def test_field_for_order_rejects_non_prime_power():
         build_field(4, 1)
     with pytest.raises(ValueError):
         build_field(5, 0)
+    with pytest.raises(ValueError):
+        field_for_order(2 * MAX_Q)
+
+
+def test_moduli_pinned():
+    non_prime = [q for q in range(4, MAX_Q + 1)
+                 if factor_prime_power(q) not in (None, (q, 1))]
+    assert {q: field_for_order(q).modulus for q in non_prime} == MODULI
 
 
 def test_factor_prime_power():

@@ -35,6 +35,27 @@ def test_rejects_bad_q():
         PSL2(6)
 
 
+def reference_elements(g) -> list:
+    """Every determinant-one matrix in canonical form, by scalar field arithmetic."""
+    f, q = g.field, g.q
+    out = set()
+    for a in range(1, q):
+        for b in range(q):
+            for c in range(q):
+                out.add(g.canonical((a, b, c, f.mul(f.inv(a), f.add(1, f.mul(b, c))))))
+    for b in range(1, q):
+        for d in range(q):
+            out.add(g.canonical((0, b, f.neg(f.inv(b)), d)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 13, 16, 25, 27])
+def test_elements_match_scalar_enumeration(q):
+    g = build_group(q)
+    assert g.elements == reference_elements(g)
+    assert g.entries.T.tolist() == [list(m) for m in g.elements]
+
+
 def test_group_axioms_random():
     g = build_group(13)
     rng = random.Random(0)

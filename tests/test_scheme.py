@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diagsync.psl2 import build_group, mask_elements, sylow_subgroup
+from diagsync.psl2 import PSL2, build_group, mask_elements, sylow_subgroup
 from diagsync.scheme import (
     FusionNotAScheme,
     IrrationalEigenvalue,
@@ -127,6 +127,18 @@ def test_dual_degree_and_design_orthogonality():
     assert not design_orthogonal([g.identity], [5], s)
     syl = mask_elements(sylow_subgroup(g, 13))
     assert dual_degree_set(syl, s) != frozenset()
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_table_free_scheme_equals_tabled(q):
+    # a group built without its table reads the products of the scheme
+    # from field arithmetic; the fused scheme must be the same
+    fresh = PSL2(q)
+    free, tabled = rational_fusion_scheme(fresh), rational_fusion_scheme(build_group(q))
+    assert fresh._table is None and build_group(q)._table is not None
+    assert free.labels() == tabled.labels() and free.p == tabled.p
+    assert free.eigen.P == tabled.eigen.P and free.eigen.Q == tabled.eigen.Q
+    assert free.eigen.multiplicities == tabled.eigen.multiplicities
 
 
 def test_fuse_scheme_full_merge_and_errors():
