@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_elements, mask_array, mask_from
+from .psl2 import PSL2, mask_elements, mask_array, mask_from, outer_maps
 from .search import Budget, verify_clique, verify_coclique
 
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
@@ -90,25 +90,6 @@ class CoverBound:
 # -- row generation ----------------------------------------------------------------
 
 
-def _frobenius_perm(group: PSL2) -> list[int] | None:
-    """The field automorphism x -> x^p on every entry, or None over a prime field."""
-    f = group.field
-    if f.e == 1:
-        return None
-    frob = np.array([f.pow(x, f.p) for x in f.elements()])
-    return group.lookup(*frob[group.entries]).tolist()
-
-
-def _diagonal_outer_perm(group: PSL2) -> list[int]:
-    """Conjugation by diag(nu, 1) for a fixed non-square nu (PGL outer map)."""
-    f = group.field
-    squares = f.squares()
-    nu = next(z for z in range(1, f.q) if z not in squares)
-    mul = np.array(f.mul_table)
-    a, b, c, d = group.entries
-    return group.lookup(a, mul[b, f.inv(nu)], mul[c, nu], d).tolist()
-
-
 def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:
     """Vertex permutations that move the conjugate shapes of a base clique.
 
@@ -119,20 +100,14 @@ def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:
     names the maps used.
     """
     group = graph.group
-    perms = []
-    for g in group.generators():
-        left = group.mul_rows([group.inv(g)])[0]          # x -> g^-1 x
-        perms.append(group.mul_column(left, g))            # x -> g^-1 x g
+    every = np.arange(group.order)
+    perms = [group.conjugate(every, g).tolist() for g in group.generators()]
     note = "two-sided translations, inversion"
     conn = graph.connection_elements()
-    frob = _frobenius_perm(group)
-    outer = [(frob, ", field automorphisms")]
-    if group.q % 2:
-        outer.append((_diagonal_outer_perm(group), ", diagonal outer"))
-    for perm, name in outer:
-        if perm and mask_from(perm[s] for s in conn) == graph.connection:
-            perms.append(perm)
-            note += name
+    for name, perm in outer_maps(group):
+        if mask_from(perm[conn].tolist()) == graph.connection:
+            perms.append(perm.tolist())
+            note += ", " + name
     perms.append(group.inverses().tolist())
     return perms, note
 

@@ -186,14 +186,6 @@ class Field:
     def squares(self) -> frozenset[int]:
         return frozenset(self.mul(a, a) for a in range(1, self.q))
 
-    def positive_half(self) -> frozenset[int]:
-        """Half-set of GF(q)* used for sign canonicalization (odd q).
-
-        An element is 'positive' when its integer encoding is smaller than
-        that of its negative.
-        """
-        return frozenset(a for a in range(1, self.q) if a < self.neg(a))
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 

@@ -1,17 +1,20 @@
-"""PSL(2,q): exact construction, dense element indices, conjugacy data.
+"""PSL(2,q): exact construction, dense element indices, conjugacy data and
+the maps of the Cayley graphs that fix the identity vertex.
 
-Elements are 2x2 determinant-one matrices over GF(q) modulo sign, stored as
-canonical 4-tuples (a, b, c, d) of field-element encodings.  Of the pair
-{M, -M} the canonical representative is the one whose first nonzero entry in
-scan order (a, b, c, d) lies in the 'positive' half-set of GF(q)* (integer
-encoding smaller than that of its negative); for even q the pair is a
-singleton.  The dense index of an element is its rank in the sorted list of
-canonical tuples, so indices are reproducible and appear as-is in exported
-certificates.
+Elements are 2x2 determinant-one matrices over GF(q) modulo sign, held as
+four entry arrays a, b, c, d of field-element encodings (``entries``).  Of
+the pair {M, -M} the array holds the one whose first nonzero entry in scan
+order (a, b, c, d) has the smaller integer encoding than its negative; for
+even q the pair is a singleton.  The dense index of an element is its rank
+in the lexicographic order of these 4-tuples, so indices are reproducible
+and appear as-is in exported certificates.  One lookup maps the entries of
+either sign of a matrix to its index.
 
-The conjugacy class of an element is one vectorized conjugation orbit on the
-product kernel (mul_pairs).  Element orders and the power-map (rational)
-fusion of the classes both come from powers(), one walk per representative.
+The conjugacy class of an element is one vectorized conjugation orbit
+(``conjugate``).  Element orders and the power-map (rational) fusion of the
+classes both come from powers(), one walk per representative.  The vertex
+maps beyond inner conjugation and inversion are in ``outer_maps``, and
+``orbits`` splits a vertex set into the orbits of a group of vertex maps.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from math import gcd
 import numpy as np
 
 from .gf import field_for_order
-
-Mat = tuple[int, int, int, int]
 
 # full multiplication tables are built only below this group order
 TABLE_LIMIT = 3000
@@ -69,19 +70,15 @@ class PSL2:
             raise ValueError("q must be a prime power >= 4")
         self.q = q
         self.field = field
-        self._pos = field.positive_half() if q % 2 else None
         # the entry arrays a, b, c, d of every element, in index order
         self.entries = self._enumerate().astype(np.int32)
-        self.elements: list[Mat] = list(map(tuple, self.entries.T.tolist()))
-        self.order = len(self.elements)
+        self.order = self.entries.shape[1]
         expected = q * (q * q - 1) // (2 if q % 2 else 1)
         if self.order != expected:
             raise AssertionError(f"enumerated {self.order} elements, expected {expected}")
-        self.index: dict[Mat, int] = {m: i for i, m in enumerate(self.elements)}
-        self.identity = self.index[(1, 0, 0, 1)]
         self._pack = self._build_pack()
+        self.identity = int(self.lookup(1, 0, 0, 1))
         self._table: np.ndarray | None = None
-        self._inv: list[int] | None = None
         self._inverses: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._classes: list[ConjugacyClass] | None = None
@@ -91,10 +88,11 @@ class PSL2:
     # -- construction --------------------------------------------------------
 
     def _enumerate(self) -> np.ndarray:
-        """The entry arrays a, b, c, d of every canonical tuple, in sorted order.
+        """The entry arrays a, b, c, d of every element, in lexicographic order.
 
-        Rows with a != 0 have d = (1 + b c) / a; rows with a = 0 have
-        c = -1/b and any d.
+        Of M and -M the one kept has the first nonzero entry of smaller
+        encoding than its negative.  Rows with a != 0 have d = (1 + b c) / a;
+        rows with a = 0 have c = -1/b and any d.
         """
         f, q = self.field, self.q
         add, mul = np.array(f.add_table), np.array(f.mul_table)
@@ -105,28 +103,17 @@ class PSL2:
         ent = np.concatenate([[a, b, c, mul[inv[a], add[1, mul[b, c]]]],
                               [np.zeros_like(b0), b0, neg[inv[b0]], d0]], axis=1)
         lead = np.where(ent[0] != 0, ent[0], ent[1])    # the first nonzero entry
-        flip = neg[lead] < lead                         # not in the positive half
+        flip = neg[lead] < lead                         # the negative is smaller
         ent[:, flip] = neg[ent[:, flip]]
         keys = np.unique(((ent[0] * q + ent[1]) * q + ent[2]) * q + ent[3])
         return np.stack([keys // q ** 3, keys // q ** 2 % q, keys // q % q, keys % q])
 
-    def canonical(self, m: Mat) -> Mat:
-        if self.q % 2 == 0:
-            return m
-        for entry in m:
-            if entry:
-                if entry in self._pos:
-                    return m
-                f = self.field
-                return (f.neg(m[0]), f.neg(m[1]), f.neg(m[2]), f.neg(m[3]))
-        raise ValueError("zero matrix is not a group element")
-
     def _build_pack(self) -> np.ndarray:
         """Element index by matrix key ((a*q + b)*q + c)*q + d.
 
-        Both M and -M map to the index, so vectorized products need no sign
-        canonicalization; other keys hold a value past the last index.  The
-        keys stay below MAX_Q^4 < 2^31.
+        Both M and -M map to the index, so products need no sign rule; other
+        keys hold a value past the last index.  The keys stay below
+        MAX_Q^4 < 2^31.
         """
         q = self.q
         dtype = np.uint16 if self.order < 1 << 16 else np.int32
@@ -148,21 +135,18 @@ class PSL2:
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
             return int(self._table[i, j])
-        f = self.field
-        a1, b1, c1, d1 = self.elements[i]
-        a2, b2, c2, d2 = self.elements[j]
-        m = (f.add(f.mul(a1, a2), f.mul(b1, c2)),
-             f.add(f.mul(a1, b2), f.mul(b1, d2)),
-             f.add(f.mul(c1, a2), f.mul(d1, c2)),
-             f.add(f.mul(c1, b2), f.mul(d1, d2)))
-        a, b, c, d = self.canonical(m)
-        q = self.q
+        f, q = self.field, self.q
+        a1, b1, c1, d1 = self.entries[:, i].tolist()
+        a2, b2, c2, d2 = self.entries[:, j].tolist()
+        # the pack maps M and -M alike, so the product needs no sign rule
+        a = f.add(f.mul(a1, a2), f.mul(b1, c2))
+        b = f.add(f.mul(a1, b2), f.mul(b1, d2))
+        c = f.add(f.mul(c1, a2), f.mul(d1, c2))
+        d = f.add(f.mul(c1, b2), f.mul(d1, d2))
         return int(self._pack[((a * q + b) * q + c) * q + d])
 
     def inv(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = self.inverses().tolist()
-        return self._inv[i]
+        return int(self.inverses()[i])
 
     def inverses(self) -> np.ndarray:
         """Index of the inverse of every element: [[a, b], [c, d]] -> [[d, -b], [-c, a]]."""
@@ -262,20 +246,18 @@ class PSL2:
             return self._table[np.asarray(idx, dtype=np.intp)]
         return self.mul_outer(idx, np.arange(self.order))
 
-    def mul_column(self, idx, j: int) -> list[int]:
-        """Products x*j for each x in idx."""
-        return self.mul_pairs(np.asarray(idx, dtype=np.intp), j).tolist()
+    def conjugate(self, x, g) -> np.ndarray:
+        """The conjugates g^-1 x g over two broadcast index arrays."""
+        return self.mul_pairs(self.mul_pairs(self.inverses()[g], x), g)
 
     # -- generators and conjugacy ---------------------------------------------
 
     def generators(self) -> list[int]:
         f = self.field
-        gens = [self.index[self.canonical((1, 1, 0, 1))],
-                self.index[self.canonical((0, 1, f.neg(1), 0))]]
+        mats = [(1, 1, 0, 1), (0, 1, f.neg(1), 0)]
         if f.e > 1:
-            g = f.generator()
-            gens.insert(1, self.index[self.canonical((1, g, 0, 1))])
-        return gens
+            mats.insert(1, (1, f.generator(), 0, 1))
+        return self.lookup(*np.array(mats).T).tolist()
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         if self._classes is None:
@@ -285,13 +267,12 @@ class PSL2:
     def _compute_classes(self) -> None:
         n = self.order
         every = np.arange(n)
-        inverses = self.inverses()
         class_of = np.full(n, -1, dtype=np.int32)
         reps: list[int] = []
         unassigned = 0
         while unassigned < n:
             # the class of the least unassigned element, as one conjugation orbit
-            class_of[self.mul_pairs(self.mul_pairs(inverses, unassigned), every)] = len(reps)
+            class_of[self.conjugate(unassigned, every)] = len(reps)
             reps.append(unassigned)
             while unassigned < n and class_of[unassigned] >= 0:
                 unassigned += 1
@@ -385,7 +366,7 @@ class PSL2:
         Row-vector convention, so act(x*y, p) == act(y, act(x, p)).
         """
         f = self.field
-        a, b, c, d = self.elements[i]
+        a, b, c, d = self.entries[:, i].tolist()
         if pt_idx == self.q:
             u, v = 1, 0
         else:
@@ -456,6 +437,46 @@ def mask_array(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(data, count=n, bitorder="little").view(bool)
 
 
+# -- vertex maps that fix the identity -------------------------------------------
+
+def outer_maps(group: PSL2) -> list[tuple[str, np.ndarray]]:
+    """The outer automorphisms beside conjugation, as (name, vertex map) pairs.
+
+    The field automorphism x -> x^p on every entry when q is not prime, then
+    conjugation by diag(nu, 1) for the least non-square nu (a PGL map) when
+    q is odd.
+    """
+    f = group.field
+    a, b, c, d = group.entries
+    maps = []
+    if f.e > 1:
+        frob = np.array([f.pow(x, f.p) for x in f.elements()])
+        maps.append(("field automorphisms", group.lookup(*frob[group.entries])))
+    if f.q % 2:
+        squares = f.squares()
+        nu = next(z for z in range(1, f.q) if z not in squares)
+        mul = np.array(f.mul_table)
+        maps.append(("diagonal outer", group.lookup(a, mul[b, f.inv(nu)], mul[c, nu], d)))
+    return maps
+
+
+def orbits(maps: np.ndarray, mask: int) -> list[tuple[int, int]]:
+    """The orbits of a group of vertex maps on a vertex set, least vertex first.
+
+    Row k of maps is the k-th element of the group as a map on vertices.
+    The rows are the whole group, so the orbit of v is the column maps[:, v].
+    Returns (least vertex, orbit mask) pairs, each orbit cut to the mask.
+    """
+    out = []
+    remaining = mask
+    while remaining:
+        v = (remaining & -remaining).bit_length() - 1
+        orbit = mask_from(maps[:, v].tolist()) & mask
+        out.append((v, orbit))
+        remaining &= ~orbit
+    return out
+
+
 def closure(group: PSL2, gens, limit: int | None = None) -> int:
     """Subgroup generated by gens, as a bitmask.  Aborts past limit."""
     gens = np.asarray(list(gens), dtype=np.intp)
@@ -522,8 +543,7 @@ def dihedral_subgroup(group: PSL2, n: int) -> int | None:
 def _inverting_involutions(group: PSL2, h: int) -> np.ndarray:
     """The involutions j with j^-1 h j = h^-1, ascending."""
     js = np.flatnonzero(np.array(group.orders()) == 2)
-    conj = group.mul_pairs(group.mul_pairs(group.inverses()[js], h), js)
-    return js[conj == group.inv(h)]
+    return js[group.conjugate(h, js) == group.inv(h)]
 
 
 def sylow_subgroup(group: PSL2, r: int) -> int | None:

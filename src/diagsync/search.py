@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import (PSL2, cyclic_subgroup, mask_array, mask_elements, mask_from, mask_of,
+from .psl2 import (PSL2, cyclic_subgroup, mask_array, mask_elements, mask_of, orbits,
                    subgroup_library)
 
 
@@ -303,27 +303,6 @@ def _class_reps_in_connection(graph: ClassUnionGraph) -> list[int]:
     return reps
 
 
-def _centralizer_orbits(group: PSL2, rep: int, cand_mask: int) -> list[tuple[int, int]]:
-    """Orbits of the centralizer of rep (acting by conjugation) on a vertex set.
-
-    Conjugation by a centralizer element fixes both the identity vertex and
-    rep, so within the pinned search the candidates can be explored one orbit
-    representative at a time.  Returns (min_vertex, orbit_mask) pairs.
-    """
-    every = np.arange(group.order)
-    cent = np.flatnonzero(group.mul_pairs(every, rep) == group.mul_pairs(rep, every))
-    cent_inv = group.inverses()[cent]
-    orbits: list[tuple[int, int]] = []
-    remaining = cand_mask
-    while remaining:
-        low = remaining & -remaining
-        v = low.bit_length() - 1
-        omask = mask_from(group.mul_pairs(group.mul_pairs(cent_inv, v), cent).tolist()) & cand_mask
-        orbits.append((v, omask))
-        remaining &= ~omask
-    return orbits
-
-
 def _localize(graph: ClassUnionGraph, cand_mask: int):
     """The candidates in increasing order and the subgraph they induce."""
     verts = np.flatnonzero(mask_array(cand_mask, graph.vertex_count))
@@ -337,10 +316,12 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
     commits to a clique meeting class i, so later branches exclude the whole
     class (any clique through the identity conjugates to one whose
     least-ranked class vertex is the representative).  Level three applies
-    the same idea to centralizer orbits.
+    the same idea to orbits of the centralizer of rep: conjugation by it
+    fixes both the identity vertex and rep, so one vertex per orbit is tried.
     """
     group = graph.group
     classes = group.conjugacy_classes()
+    every = np.arange(group.order)
     tasks = []
     excluded = 0
     for rep in _class_reps_in_connection(graph):
@@ -351,7 +332,8 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
         if pair_mask.bit_count() + 2 <= floor_size:
             continue
         processed = 0
-        for v, omask in _centralizer_orbits(group, rep, pair_mask):
+        cent = np.flatnonzero(group.mul_pairs(every, rep) == group.mul_pairs(rep, every))
+        for v, omask in orbits(group.conjugate(every, cent[:, None]), pair_mask):
             cand_mask = pair_mask & ~processed & graph.neighbors(v)
             processed |= omask
             tasks.append((rep, v, cand_mask))

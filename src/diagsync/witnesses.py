@@ -113,7 +113,6 @@ def find_exact_factorisation(group: PSL2):
     cands = subgroup_library(group)
     orders = {mask: mask.bit_count() for mask in cands}
     rng = random.Random(group.q)
-    inverses = group.inverses()
     for a_mask in cands:
         na = orders[a_mask]
         if na <= 1 or na >= group.order:
@@ -133,7 +132,7 @@ def find_exact_factorisation(group: PSL2):
                         return fac
                     break
                 g = rng.randrange(group.order)
-                trial = mask_from(group.mul_pairs(group.mul_pairs(inverses[g], b), g).tolist())
+                trial = mask_from(group.conjugate(b, g).tolist())
     return None
 
 

@@ -91,11 +91,3 @@ def test_mul_associative_random(q, data):
     b = data.draw(st.integers(0, q - 1))
     c = data.draw(st.integers(0, q - 1))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-
-
-def test_positive_half_partitions_units():
-    f = build_field(13)
-    pos = f.positive_half()
-    assert len(pos) == 6
-    for a in range(1, 13):
-        assert (a in pos) != (f.neg(a) in pos)

@@ -153,15 +153,16 @@ def test_monotonicity_on_computed_values():
     assert values[("2",)] <= values[("2", "4")] <= values[("2", "4", "5")]
 
 
-@pytest.mark.slow
 def test_delsarte_product_bound_on_search_results():
+    # omega * alpha <= |T|: with omega exact, no coclique has |T| // omega + 1 vertices
     g = build_group(9)
     for labels in (("2",), ("4",), ("5",), ("2", "5")):
         graph = build_graph(g, labels)
-        cl = max_clique(graph, Budget(max_seconds=120))
-        co = max_coclique(graph, Budget(max_seconds=120))
-        if cl.exhaustive and co.exhaustive:
-            assert cl.size * co.size <= g.order
+        cl = max_clique(graph, Budget(max_nodes=10_000))
+        assert cl.exhaustive
+        status, _ = find_clique_of_size(complement_graph(graph), g.order // cl.size + 1,
+                                        Budget(max_nodes=10_000))
+        assert status == NONE
 
 
 # -- differential check of the coset-union seeds -------------------------------------
@@ -196,12 +197,16 @@ def reference_best_coset_union(graph, h):
     return out if verify_clique(graph, out) else None
 
 
+def _class_units(group):
+    """The nontrivial classes as inverse-closed units: a class with its inverse class."""
+    classes = group.conjugacy_classes()
+    return sorted({tuple(sorted({c.label, classes[c.inverse_class].label}))
+                   for c in classes if c.element_order > 1})
+
+
 def _class_union_label_sets(group):
     """Every proper class-union connection set, as unfused class labels."""
-    classes = group.conjugacy_classes()
-    units = {tuple(sorted({c.label, classes[c.inverse_class].label}))
-             for c in classes if c.element_order > 1}
-    units = sorted(units)
+    units = _class_units(group)
     for k in range(1, len(units)):
         for pick in itertools.combinations(units, k):
             yield [label for unit in pick for label in unit]
@@ -226,6 +231,33 @@ def test_seeds_match_reference(q, labels, monkeypatch):
     assert seeds == search._clique_seeds(graph)
     monkeypatch.setattr(search, "_best_coset_union", reference_best_coset_union)
     assert seeds == search._clique_seeds(graph)
+
+
+def _reduction_cases():
+    for q in (4, 5):
+        for labels in _class_union_label_sets(build_group(q)):
+            yield q, labels, True
+    for q in (7, 8):
+        for unit in _class_units(build_group(q)):
+            yield q, list(unit), False
+
+
+@pytest.mark.parametrize("q,labels,cocliques", list(_reduction_cases()),
+                         ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_symmetry_reductions_match_unreduced_oracle(q, labels, cocliques, monkeypatch):
+    # the pin, the class representatives and the centralizer orbits against plain
+    # Bron-Kerbosch on the whole graph, with the seeds and without them (then
+    # the pinned search alone must find an optimum)
+    graph = build_graph(build_group(q), labels)
+    searches = [(max_clique, _brute_force_max_clique(graph))]
+    if cocliques:
+        searches.append((max_coclique, _brute_force_max_clique(complement_graph(graph))))
+    for seeded in (True, False):
+        if not seeded:
+            monkeypatch.setattr(search, "algebraic_clique_seeds", lambda graph: ())
+        for run, size in searches:
+            cert = run(graph, Budget(max_nodes=10 ** 6))
+            assert cert.exhaustive and cert.size == size
 
 
 @pytest.mark.parametrize("kind,labels,cap,later_tasks_run", [
