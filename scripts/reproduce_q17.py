@@ -1,9 +1,12 @@
-"""Best-effort analysis at q = 17 under explicit budgets.
+"""Analysis at q = 17 under an explicit per-task time budget.
 
 Each row gets a nonexistence decision when no seed realizes its clique
 target, and a covering program on every realized or decision-found star, all
 under the given per-task budget in seconds (the first argument, default 900).
-Rows that stay open are reported honestly: exit code 2 while any remains.
+Under the default every one of the 23 rows is settled and the verdict is
+separating YES (exit code 0); the G[4,8,9] decision, which inference settles
+anyway, spends its whole budget.  Rows that a smaller budget leaves open are
+reported honestly: exit code 2 while any remains.
 """
 
 import pathlib

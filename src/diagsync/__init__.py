@@ -9,4 +9,4 @@ for the negative directions.  Every verdict is backed by a certificate that
 an independent verifier can replay.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

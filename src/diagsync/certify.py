@@ -22,13 +22,26 @@ preserves adjacency and pair labels, so every solution has a translate through
 the identity and the search pins it first.  The state lives in arrays: the
 alive count and done flag of every row and the chosen vertices, beside the
 alive-vertex mask.  Choosing a vertex removes its precomputed kill mask
-(itself, its neighbours and its rows) and subtracts one bincount over the
-vertex-row incidence of the removed vertices from the row counts; each
+(itself, its neighbours and its rows); removing a set of vertices subtracts
+one bincount over their vertex-row incidence from the row counts.  Each
 branch is undone by restoring the snapshot taken at its node.
-Branching takes the first not-done row of least alive count, its alive
-vertices in ascending order, after forcing every row left with one alive
-vertex.  A returned witness is re-checked as a coclique that hits every row
-exactly once.
+
+Branching is orbital (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
+branching", Math. Programming 2011).  Conjugation by any group element maps
+the rows and the edges onto themselves, so the state also holds Gamma, the
+elements that commute with every chosen vertex (all of them after the
+identity pin).  Each branch takes the first not-done row of least alive
+count, after forcing every row left with one alive vertex.  While Gamma is
+nontrivial it takes the row's lowest alive vertex v and branches two ways:
+choose v, which shrinks Gamma to the elements that also commute with v, or
+delete v's Gamma-orbit.  That is sound because every deleted set is
+Gamma-invariant: a kill mask is fixed by whatever fixes its chosen vertex,
+and a deleted orbit is an orbit of a group that contains the current Gamma.
+The alive vertices are therefore Gamma-invariant, and an element of Gamma
+carrying a solution through the orbit onto v gives one that chooses v.
+Once Gamma is trivial each branch takes the row's alive vertices in
+ascending order.  A returned witness is re-checked as a coclique that hits
+every row exactly once.
 """
 
 from __future__ import annotations
@@ -215,7 +228,8 @@ class _CoverSolver:
     """Depth-first search for an independent transversal of the rows.
 
     The state is the alive-vertex mask, the alive count and done flag of
-    every row and the chosen vertices; each branch restores a snapshot of it
+    every row, the chosen vertices and Gamma, the index array of the elements
+    that commute with each of them; each branch restores a snapshot of it
     taken at its node.  The search is made of methods, not nested closures,
     so a finished solver holds no reference cycle and is freed at once.
     """
@@ -242,6 +256,7 @@ class _CoverSolver:
         self.row_alive = np.array([r.bit_count() for r in self.rows], dtype=np.int32)
         self.row_done = np.zeros(len(self.rows), dtype=bool)
         self.chosen: list[int] = []
+        self.gamma = np.arange(self.n)
 
     def kill(self, v: int) -> int:
         """v, its rows and its neighbours: what choosing v removes (built on first use)."""
@@ -253,6 +268,14 @@ class _CoverSolver:
             self._kill[v] = mask
         return mask
 
+    def remove(self, mask: int):
+        """Delete the alive vertices of mask and take them off their rows' counts."""
+        removed = mask & self.alive
+        self.alive ^= removed
+        hits = self.incidence[mask_array(removed, self.n)].ravel()
+        n_rows = len(self.rows)
+        self.row_alive -= np.bincount(hits, minlength=n_rows + 1)[:n_rows]
+
     def choose(self, v: int):
         self.chosen.append(v)
         through = self.incidence[v, :len(self.vrows[v])]
@@ -260,11 +283,9 @@ class _CoverSolver:
             # two chosen in one row is impossible: v was alive
             raise AssertionError("row chosen twice")
         self.row_done[through] = True
-        removed = self.kill(v) & self.alive
-        self.alive ^= removed
-        hits = self.incidence[mask_array(removed, self.n)].ravel()
-        n_rows = len(self.rows)
-        self.row_alive -= np.bincount(hits, minlength=n_rows + 1)[:n_rows]
+        self.remove(self.kill(v))
+        if len(self.gamma) > 1:
+            self.gamma = self.gamma[self.group.conjugate(v, self.gamma) == v]
 
     def first_open_min(self) -> tuple[int, int]:
         """The first not-done row of least alive count, and that count."""
@@ -292,9 +313,17 @@ class _CoverSolver:
         if best_c in (0, self.closed):
             return DEAD_LOCAL  # a dead row, or all rows done but size short
         snapshot = (self.alive, self.row_alive.copy(), self.row_done.copy(),
-                    len(self.chosen))
-        for v in mask_elements(self.rows[best_ri] & self.alive):
-            self.choose(v)
+                    len(self.chosen), self.gamma)
+        row = self.rows[best_ri] & self.alive
+        if len(self.gamma) > 1:
+            # choose the lowest alive v, or delete its whole Gamma-orbit
+            v = (row & -row).bit_length() - 1
+            orbit = mask_from(self.group.conjugate(v, self.gamma).tolist())
+            branches = [(self.choose, v), (self.remove, orbit)]
+        else:
+            branches = [(self.choose, v) for v in mask_elements(row)]
+        for step, arg in branches:
+            step(arg)
             if self.propagate():
                 out = self.search(target)
                 if out in (FOUND_LOCAL, EXHAUSTED_LOCAL):
@@ -303,6 +332,7 @@ class _CoverSolver:
             self.row_alive[:] = snapshot[1]
             self.row_done[:] = snapshot[2]
             del self.chosen[snapshot[3]:]
+            self.gamma = snapshot[4]
         return DEAD_LOCAL
 
     def exactly_one(self, target: int):

@@ -540,6 +540,10 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
             if not _checked(lambda: _verify_certificate(group, gv, cert, problems),
                             problems):
                 problems.append(f"graph {gv['clique_classes']}: certificate failed")
+        claims = _settling_claims(gv)
+        if claims and not any(_claim(cert) in claims for cert in gv["certificates"]):
+            problems.append(f"graph {gv['clique_classes']}: {gv['status']} "
+                            f"without a certificate that settles it")
     for wit in report["witnesses"]:
         if not _checked(lambda: _verify_witness(group, wit, problems), problems):
             problems.append(f"witness {wit.get('kind')}: verification failed")
@@ -549,6 +553,25 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         if unresolved:
             problems.append("verdict YES with unresolved graphs")
     return (not problems), problems
+
+
+def _settling_claims(gv) -> list[tuple]:
+    """The (kind, status, classes, target) of each certificate that would settle
+    the row as its status says; empty for a status settled otherwise."""
+    clique, coclique = sorted(gv["clique_classes"]), sorted(gv["coclique_classes"])
+    if gv["status"] == SEPARATING_BY_NONEXISTENCE:
+        return [("clique", NONE, clique, gv["omega_target"])]
+    if gv["status"] == SEPARATING_BY_CSP:
+        return [("exact_hit", PROVEN_INFEASIBLE, clique, gv["alpha_target"]),
+                ("exact_hit", PROVEN_INFEASIBLE, coclique, gv["omega_target"])]
+    return []
+
+
+def _claim(cert: dict) -> tuple:
+    """What a decision or covering certificate claims: (kind, status, classes, target)."""
+    graph = cert.get("system", cert).get("graph", {})
+    return (cert.get("kind"), cert.get("status"), sorted(graph.get("classes", [])),
+            cert.get("target"))
 
 
 def _checked(check, problems: list[str]) -> bool:

@@ -16,6 +16,8 @@ from diagsync.pipeline import (
     NO,
     PipelineConfig,
     UNKNOWN,
+    UNRESOLVED,
+    YES,
     analyze,
     certificate_digest,
     sealed,
@@ -224,11 +226,18 @@ def _budgeted(tmp_path, **overrides):
 def test_budgeted_analyze_reuses_every_capped_result(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)
-    cfg = _budgeted(tmp_path)
-    _, cold = analyze(13, cfg)
+    # 300 nodes stop the covering program on G[2,13], which needs 473
+    cfg = _budgeted(tmp_path, budget_nodes=300)
+    analyzer = Analyzer(13, cfg)
+    cold = pipeline.emit_report(analyzer, analyzer.run())
     # rows are settled by decisions and covering programs, never by a search
     assert not any(name in ("max_clique", "max_coclique") for name, _ in calls)
     assert max(calls.values()) == 1
+    capped = [json.loads(name) for name, hit in analyzer.cache.memory.items()
+              if hit["status"] == "BUDGET_BRACKET"]
+    assert any(key["op"] == "exact_hit_csp" and key["node_cap"] == 300 for key in capped)
+    # each capped entry is on disk, under the key with the cap
+    assert all(Cache(str(tmp_path)).get(key) is not None for key in capped)
     calls.clear()
     _, warm = analyze(13, cfg)
     assert not calls
@@ -241,6 +250,13 @@ def test_budgeted_analyze_reuses_every_capped_result(tmp_path, monkeypatch):
 def budgeted13():
     """A cold q=13 report under the q13-budgeted config, without a cache."""
     return analyze(13, _budgeted(None))[1]
+
+
+def test_budgeted_analyze_settles_every_row(budgeted13):
+    assert budgeted13["verdict"]["separating"] == YES
+    assert [gv["status"] for gv in budgeted13["graphs"]].count(UNRESOLVED) == 0
+    assert len(budgeted13["graphs"]) == 8
+    assert verify_report(budgeted13) == (True, [])
 
 
 def test_cold_budgeted_reports_are_byte_identical(budgeted13):
@@ -285,6 +301,37 @@ def test_verify_names_a_missing_field(budgeted13, tmp_path, capsys, kind, field)
     assert cli.main(["verify", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False and f"missing field {field!r}" in out["problems"]
+
+
+def test_verify_requires_the_certificate_that_settles_each_row(budgeted13):
+    statuses = Counter(gv["status"] for gv in budgeted13["graphs"])
+    assert statuses == {"SEPARATING_BY_CSP": 4, "SEPARATING_BY_NONEXISTENCE": 3,
+                        "SEPARATING_BY_INFERENCE": 1}
+    # every certificate of every settled row deleted; an inference row names
+    # its chain, which verify does not replay yet
+    bad = copy.deepcopy(budgeted13)
+    for gv in bad["graphs"]:
+        gv["certificates"] = []
+    ok, problems = verify_report(bad)
+    assert not ok and len(problems) == 7
+    assert all("without a certificate that settles it" in p for p in problems)
+    # only the settling certificate deleted, one row of each kind
+    for status, kind in (("SEPARATING_BY_CSP", "exact_hit"),
+                         ("SEPARATING_BY_NONEXISTENCE", "clique")):
+        bad = copy.deepcopy(budgeted13)
+        gv = next(gv for gv in bad["graphs"] if gv["status"] == status)
+        gv["certificates"] = [c for c in gv["certificates"] if c["kind"] != kind]
+        ok, problems = verify_report(bad)
+        assert not ok and problems == [
+            f"graph {gv['clique_classes']}: {status} without a certificate that settles it"]
+    # two covering rows that trade their refutations: each carries a valid
+    # certificate, but of the other row's graph
+    bad = copy.deepcopy(budgeted13)
+    first, second = [gv for gv in bad["graphs"] if gv["status"] == "SEPARATING_BY_CSP"][:2]
+    first["certificates"], second["certificates"] = (second["certificates"],
+                                                     first["certificates"])
+    ok, problems = verify_report(bad)
+    assert not ok and sum("without a certificate" in p for p in problems) == 2
 
 
 def test_verify_rejects_another_format_version(budgeted13):
@@ -371,6 +418,32 @@ def test_a_cache_entry_of_another_format_is_a_miss(tmp_path, monkeypatch):
     assert fresh["status"] == "FOUND" and fresh["size"] == 21
     assert "elapsed" not in fresh and "seed" not in fresh
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_a_covering_entry_of_another_format_is_a_miss(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    group = build_group(5)
+    labels = ("5",)
+    base = mask_elements(sylow_subgroup(group, 5))
+    # a final entry as the 0.2.0 format kept it, with a node count of the
+    # solver before orbital branching; it claims that no transversal exists,
+    # though an A4 is one
+    old_key = {"op": "exact_hit_csp", "q": 5, "classes": list(labels), "version": "0.2.0",
+               "base": base, "target": 12}
+    system = generate_translate_rows(build_graph(group, labels), base)
+    Cache(str(tmp_path)).put(old_key, sealed({
+        "kind": "exact_hit", "status": "PROVEN_INFEASIBLE", "target": 12, "witness": [],
+        "nodes": 99, "system": system.descriptor(), "notes": []}))
+    calls.clear()
+    fresh = Analyzer(5, PipelineConfig(cache_dir=str(tmp_path))).cached_csp(labels, base, 12)
+    assert calls["solve_cover_ilp", labels] == 1
+    assert fresh["status"] == "FEASIBLE" and len(fresh["witness"]) == 12
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    # the planted key is the one the 0.2.0 format read
+    monkeypatch.setattr(pipeline, "__version__", "0.2.0")
+    stale = Analyzer(5, PipelineConfig(cache_dir=str(tmp_path))).cached_csp(labels, base, 12)
+    assert stale["nodes"] == 99 and calls["solve_cover_ilp", labels] == 1
 
 
 def test_clock_stopped_result_is_not_stored(tmp_path, monkeypatch):
