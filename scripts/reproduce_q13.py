@@ -15,11 +15,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 
 def main() -> int:
     t0 = time.time()
-    config = PipelineConfig(
-        cache_dir=str(HERE / ".cache-q13"),
-        budget_secs=4 * 3600,
-        direct_search_secs=3600,
-    )
+    config = PipelineConfig(cache_dir=str(HERE / ".cache-q13"), budget_secs=4 * 3600)
     verdict, report = analyze(13, config)
     out = HERE / "report_q13.json"
     write_report(report, out)

@@ -72,8 +72,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline with certified verdict")
     _add_common(p, budget=True)
-    p.add_argument("--direct-search-secs", type=float, default=900.0,
-                   help="clock of each nonexistence decision search")
     p.add_argument("--cache-dir")
 
     p = sub.add_parser("scheme", help="exact eigenmatrices of the fused scheme")
@@ -139,7 +137,7 @@ def _dispatch(args) -> int:
     if cmd == "analyze":
         config = PipelineConfig(
             budget_secs=args.budget_secs, budget_nodes=args.budget_nodes,
-            direct_search_secs=args.direct_search_secs, cache_dir=args.cache_dir)
+            cache_dir=args.cache_dir)
         verdict, report = analyze(args.q, config)
         if args.out:
             write_report(report, args.out)
@@ -156,14 +154,8 @@ def _dispatch(args) -> int:
 
     if cmd == "scheme":
         scheme = group_scheme(group) if args.unfused else rational_fusion_scheme(group)
-        eigen = scheme.eigen
-        _emit({
-            "q": args.q, "relations": scheme.labels(), "sizes": scheme.sizes(),
-            "multiplicities": eigen.multiplicities if eigen else None,
-            "P": [[str(x) for x in row] for row in eigen.P] if eigen else None,
-            "Q": [[str(x) for x in row] for row in eigen.Q] if eigen else None,
-            "diagnostic": scheme.eigen_diagnostic,
-        }, args)
+        _emit({"q": args.q, **scheme.payload(), "diagnostic": scheme.eigen_diagnostic},
+              args)
         return 0
 
     if cmd == "feasibility":
@@ -176,14 +168,8 @@ def _dispatch(args) -> int:
             _emit({"q": args.q, "classes": args.classes,
                    "families": [family_description(f, labels) for f in fams]}, args)
         else:
-            rows = putative_table(scheme)
-            _emit({"q": args.q, "rows": [
-                {"clique_classes": list(r.clique_classes),
-                 "coclique_classes": list(r.coclique_classes),
-                 "omega_target": r.omega_target, "alpha_target": r.alpha_target,
-                 "novel": r.novel,
-                 "families": [family_description(f, labels) for f in r.families]}
-                for r in rows]}, args)
+            _emit({"q": args.q,
+                   "rows": [r.payload(labels) for r in putative_table(scheme)]}, args)
         return 0
 
     if cmd == "search":

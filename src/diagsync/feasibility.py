@@ -124,6 +124,13 @@ class TableRow:
     families: list[FeasiblePair]
     novel: bool = True            # False: families repeat earlier rows' (swapped)
 
+    def payload(self, labels: list[str]) -> dict:
+        return {"clique_classes": list(self.clique_classes),
+                "coclique_classes": list(self.coclique_classes),
+                "omega_target": self.omega_target, "alpha_target": self.alpha_target,
+                "novel": self.novel,
+                "families": [family_description(f, labels) for f in self.families]}
+
 
 # -- one-sided affine systems ----------------------------------------------------
 

@@ -1,11 +1,13 @@
 """End-to-end orchestration: from the group to a certified verdict.
 
-Stages run in order: algebra -> scheme -> feasibility -> realization ->
-inference -> nonexistence decisions -> covering programs -> witnesses, with
-facts propagated by monotonicity between stages.  A row is settled by a NONE
-decision, a covering refutation or inference, and every definitive claim is
-backed by a certificate in the report; budget-exhausted attempts leave a row
-UNRESOLVED and the group verdict UNKNOWN (exit code 2), never a silent guess.
+Stages run in order: negative witnesses -> scheme and feasibility ->
+realization -> settle -> spreading.  The settle stage runs the covering
+program on every realized star, then inference, then a decision for each row
+still open with no clique star; a clique it finds becomes that row's star
+and is refuted at once.  A row is settled by a covering refutation, a NONE
+decision or inference, and every definitive claim is backed by a certificate
+in the report; budget-exhausted attempts leave a row UNRESOLVED and the group
+verdict UNKNOWN (exit code 2), never a silent guess.
 
 Monotonicity: for I inside J, omega(G_I) <= omega(G_J) and
 alpha(G_I) >= alpha(G_J); complementation gives omega(G_I) = alpha(G_{I^c}).
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .certify import (BRACKET, FEASIBLE, PROVEN_INFEASIBLE, generate_translate_rows,
                       solve_cover_ilp)
-from .feasibility import family_description, putative_table
+from .feasibility import putative_table
 from .gf import MAX_Q, factor_prime_power
 from .graphs import build_graph, complement_graph
 from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
@@ -61,9 +63,9 @@ YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
 @dataclass
 class PipelineConfig:
-    budget_secs: float = 3600.0          # per heavy sub-task
+    budget_secs: float = 3600.0          # clock of each decision and covering program
     budget_nodes: int = 10 ** 9
-    direct_search_secs: float = 900.0    # clock of each nonexistence decision
+    direct_search_secs: float = 900.0    # read by no stage; perfbench/run.py passes it
     seed: int = 0                        # read by no stage; perfbench/run.py passes it
     threads: int = 1                     # read by no stage; perfbench/run.py passes it
     cache_dir: str | None = None
@@ -79,7 +81,6 @@ class GraphVerdict:
     reason: str = ""
     inference_edge: str = ""
     certificates: list[dict] = field(default_factory=list)
-    novel: bool = True
     stars: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
@@ -89,8 +90,7 @@ class GraphVerdict:
             "omega_target": self.omega_target, "alpha_target": self.alpha_target,
             "status": self.status, "reason": self.reason,
             "inference_edge": self.inference_edge,
-            "certificates": self.certificates, "novel": self.novel,
-            "stars": self.stars,
+            "certificates": self.certificates, "stars": self.stars,
         }
 
 
@@ -214,6 +214,7 @@ class Analyzer:
         self.group: PSL2 = build_group(q)
         self._scheme = None
         self._facts = None
+        self._table_rows = ()
         self.verdict = GroupVerdict(q)
 
     @property
@@ -232,9 +233,9 @@ class Analyzer:
 
     # ---- cached heavy operations -------------------------------------------------
 
-    def _search_budget(self, secs: float | None = None) -> Budget:
+    def _search_budget(self) -> Budget:
         return Budget(max_nodes=self.config.budget_nodes,
-                      max_seconds=secs if secs is not None else self.config.budget_secs)
+                      max_seconds=self.config.budget_secs)
 
     def _cached(self, op: str, labels, run, **params) -> dict:
         """Cache-through for one budgeted decision or covering program: run()
@@ -257,22 +258,21 @@ class Analyzer:
                 self.cache.put(capped, hit)
         return hit
 
-    def cached_decision(self, labels, k: int, secs: float | None = None) -> dict:
+    def cached_decision(self, labels, k: int) -> dict:
         def run():
             status, cert = find_clique_of_size(
-                build_graph(self.group, labels), k, budget=self._search_budget(secs))
+                build_graph(self.group, labels), k, budget=self._search_budget())
             return sealed({"status": status, **cert.payload()}), cert.timed_out
         return self._cached("decision", labels, run, k=k)
 
-    def cached_csp(self, labels, base_clique, target: int,
-                   secs: float | None = None) -> dict:
+    def cached_csp(self, labels, base_clique, target: int) -> dict:
         if len(base_clique) * target != self.group.order:
             raise ValueError("exact-hit refutation requires |C| * target = |Omega|")
 
         def run():
             system = generate_translate_rows(build_graph(self.group, labels),
                                              base_clique)
-            res = solve_cover_ilp(system, target, budget=self._search_budget(secs))
+            res = solve_cover_ilp(system, target, budget=self._search_budget())
             return sealed(res.payload()), res.timed_out
         return self._cached("exact_hit_csp", labels, run,
                             base=sorted(base_clique), target=target)
@@ -304,14 +304,11 @@ class Analyzer:
         rows = getattr(self.group, "_putative_table", None)
         if rows is None:
             rows = self.group._putative_table = tuple(putative_table(self.scheme))
-        verdicts = []
-        for row in rows:
-            gv = GraphVerdict(row.clique_classes, row.coclique_classes,
-                              row.omega_target, row.alpha_target, novel=row.novel)
-            verdicts.append(gv)
-        self.verdict.graphs = verdicts
+        self.verdict.graphs = [GraphVerdict(row.clique_classes, row.coclique_classes,
+                                            row.omega_target, row.alpha_target)
+                               for row in rows]
         self._table_rows = rows
-        return verdicts
+        return self.verdict.graphs
 
     def _realize(self, gv: GraphVerdict, side: str, hit):
         """Record a verified object of a row's target size as the star of one
@@ -338,36 +335,29 @@ class Analyzer:
                 if hit:
                     self._realize(gv, side, hit)
 
-    def inference_pass(self) -> bool:
+    def inference_pass(self):
         """Resolve rows whose targets are contradicted by proven bounds."""
-        progress = False
         for gv in self.verdict.graphs:
-            if gv.status != UNRESOLVED:
-                continue
-            om = self.facts.omega_upper(gv.clique_classes)
-            if om and om[0] < gv.omega_target:
-                gv.status = SEPARATING_BY_INFERENCE
-                gv.reason = (f"omega target {gv.omega_target} unreachable: "
-                             f"omega <= {om[0]}")
-                gv.inference_edge = om[1]
-                progress = True
-                continue
-            al = self.facts.alpha_upper(gv.clique_classes)
-            if al and al[0] < gv.alpha_target:
-                gv.status = SEPARATING_BY_INFERENCE
-                gv.reason = (f"alpha target {gv.alpha_target} unreachable: "
-                             f"alpha <= {al[0]}")
-                gv.inference_edge = al[1]
-                progress = True
-        return progress
+            for side, target, upper in (("omega", gv.omega_target, self.facts.omega_upper),
+                                        ("alpha", gv.alpha_target, self.facts.alpha_upper)):
+                bound = upper(gv.clique_classes) if gv.status == UNRESOLVED else None
+                if bound and bound[0] < target:
+                    gv.status = SEPARATING_BY_INFERENCE
+                    gv.reason = f"{side} target {target} unreachable: {side} <= {bound[0]}"
+                    gv.inference_edge = bound[1]
 
-    def nonexistence_pass(self, secs: float):
-        """Decision searches for unrealized clique-side targets; a clique
-        found becomes the row's omega star."""
+    def settle_stage(self):
+        """Covering programs on every realized star, with no inference in
+        between; then inference; then a decision for each row still open with
+        no clique star, each followed by inference.  A NONE settles the row; a
+        clique found becomes the row's omega star and is refuted at once."""
+        for gv in self.verdict.graphs:
+            self._refute(gv)
+        self.inference_pass()
         for gv in self.verdict.graphs:
             if gv.status != UNRESOLVED or "omega" in gv.stars:
                 continue
-            payload = self.cached_decision(gv.clique_classes, gv.omega_target, secs)
+            payload = self.cached_decision(gv.clique_classes, gv.omega_target)
             if payload["status"] == NONE:
                 gv.status = SEPARATING_BY_NONEXISTENCE
                 gv.reason = (f"no clique of size {gv.omega_target} exists: "
@@ -375,12 +365,13 @@ class Analyzer:
                 gv.certificates.append(payload)
                 self.facts.set_omega_upper(gv.clique_classes, gv.omega_target - 1,
                                            "decision search: no clique of target size")
-                self.inference_pass()
             elif payload["status"] == FOUND:
                 self._realize(gv, "omega", payload["vertices"])
+                self._refute(gv)
+            self.inference_pass()
 
-    def csp_pass(self, secs: float):
-        """Exact-hit covering refutation from a realized extremal object.
+    def _refute(self, gv: GraphVerdict):
+        """Exact-hit covering refutation from each realized star of an open row.
 
         By the equality case of the clique-coclique bound, a clique C and a
         coclique S with |C|*|S| = |Omega| meet in exactly one vertex, and so
@@ -388,28 +379,26 @@ class Analyzer:
         a realized C therefore refutes the row's remaining target.  The same
         argument applies with the roles exchanged on the complement graph.
         """
-        for gv in self.verdict.graphs:
-            for side, labels, other, target, sought, base in (
-                    ("omega", gv.clique_classes, gv.coclique_classes,
-                     gv.alpha_target, "coclique", "clique"),
-                    ("alpha", gv.coclique_classes, gv.clique_classes,
-                     gv.omega_target, "clique", "coclique")):
-                star = gv.stars.get(side)
-                if not star or gv.status != UNRESOLVED:
-                    continue
-                payload = self.cached_csp(labels, star["witness"], target, secs)
-                if payload["status"] == PROVEN_INFEASIBLE:
-                    gv.status = SEPARATING_BY_CSP
-                    gv.reason = (
-                        f"no {sought} of size {target} meets every "
-                        f"translate of the size-{star['size']} {base} exactly once")
-                    gv.certificates.append(payload)
-                    if payload["system"]["edges_covered"]:
-                        # a {sought} of the row's graph is a clique of G[other]
-                        self.facts.set_omega_upper(
-                            other, target - 1,
-                            "covering refutation (rows span all edges)")
-                    self.inference_pass()
+        for side, labels, other, target, sought, base in (
+                ("omega", gv.clique_classes, gv.coclique_classes,
+                 gv.alpha_target, "coclique", "clique"),
+                ("alpha", gv.coclique_classes, gv.clique_classes,
+                 gv.omega_target, "clique", "coclique")):
+            star = gv.stars.get(side)
+            if not star or gv.status != UNRESOLVED:
+                continue
+            payload = self.cached_csp(labels, star["witness"], target)
+            if payload["status"] == PROVEN_INFEASIBLE:
+                gv.status = SEPARATING_BY_CSP
+                gv.reason = (
+                    f"no {sought} of size {target} meets every "
+                    f"translate of the size-{star['size']} {base} exactly once")
+                gv.certificates.append(payload)
+                if payload["system"]["edges_covered"]:
+                    # a {sought} of the row's graph is a clique of G[other]
+                    self.facts.set_omega_upper(
+                        other, target - 1,
+                        "covering refutation (rows span all edges)")
 
     def spreading_stage(self):
         if self.q % 4 == 1:
@@ -438,14 +427,10 @@ class Analyzer:
         return self.verdict
 
     def scheme_stages(self):
-        """Feasibility table, then per row: realized stars, inference,
-        nonexistence decisions for the clique targets no star realizes, and
-        covering programs on every star, seeded or decision-found."""
+        """Feasibility table, realized stars, then the settle stage."""
         self.feasibility_stage()
         self.realization_stage()
-        self.inference_pass()
-        self.nonexistence_pass(self.config.direct_search_secs)
-        self.csp_pass(self.config.budget_secs)
+        self.settle_stage()
         unresolved = [gv for gv in self.verdict.graphs if gv.status == UNRESOLVED]
         if not unresolved:
             self.verdict.separating = YES
@@ -468,9 +453,9 @@ def analyze(q: int, config: PipelineConfig | None = None) -> tuple[GroupVerdict,
 
 def emit_report(analyzer: Analyzer, verdict: GroupVerdict) -> dict:
     scheme = analyzer._scheme
-    labels = scheme.labels() if scheme else None
-    eigen = scheme.eigen if scheme else None
-    table = getattr(analyzer, "_table_rows", [])
+    rendered = scheme.payload() if scheme else dict.fromkeys(
+        ("relations", "sizes", "multiplicities", "P", "Q"))
+    labels = rendered["relations"]
     report = {
         "meta": {
             "q": analyzer.q,
@@ -480,24 +465,8 @@ def emit_report(analyzer: Analyzer, verdict: GroupVerdict) -> dict:
             "eigenspace_order": "principal first, then lexicographic rows of P",
             "version": __version__,
         },
-        "scheme": {
-            "relations": labels,
-            "sizes": scheme.sizes() if scheme else None,
-            "multiplicities": eigen.multiplicities if eigen else None,
-            "P": [[str(x) for x in row] for row in eigen.P] if eigen else None,
-            "Q": [[str(x) for x in row] for row in eigen.Q] if eigen else None,
-        },
-        "feasibility": [
-            {
-                "clique_classes": list(row.clique_classes),
-                "coclique_classes": list(row.coclique_classes),
-                "omega_target": row.omega_target,
-                "alpha_target": row.alpha_target,
-                "novel": row.novel,
-                "families": [family_description(f, labels) for f in row.families],
-            }
-            for row in table
-        ],
+        "scheme": rendered,
+        "feasibility": [row.payload(labels) for row in analyzer._table_rows],
         "graphs": [gv.payload() for gv in verdict.graphs],
         "witnesses": verdict.witnesses,
         "verdict": {

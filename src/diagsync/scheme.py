@@ -83,6 +83,17 @@ class AssociationScheme:
     def nontrivial_labels(self) -> list[str]:
         return [r.label for r in self.relations[1:]]
 
+    def payload(self) -> dict:
+        """Relations, sizes, multiplicities and the eigenmatrices P and Q as
+        strings; the last three are None without rational eigen data."""
+        eigen = self.eigen
+        return {
+            "relations": self.labels(), "sizes": self.sizes(),
+            "multiplicities": eigen.multiplicities if eigen else None,
+            "P": [[str(x) for x in row] for row in eigen.P] if eigen else None,
+            "Q": [[str(x) for x in row] for row in eigen.Q] if eigen else None,
+        }
+
 
 def _relations_from_partition(group: PSL2, parts: list[tuple[int, ...]]) -> list[Relation]:
     classes = group.conjugacy_classes()

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The decision and the covering program of criteria 5 and 6 are cached in a
-session-scoped directory shared with the end-to-end analysis, so their
-certificates are replayed (and re-verified) there rather than recomputed.
+session-scoped directory that the end-to-end analysis of criterion 10 shares.
 """
 
 import itertools
@@ -44,8 +43,7 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def an13(cache_dir):
-    return Analyzer(13, PipelineConfig(cache_dir=cache_dir,
-                                       budget_secs=14400, direct_search_secs=3600))
+    return Analyzer(13, PipelineConfig(cache_dir=cache_dir, budget_secs=14400))
 
 
 def _report(name, detail):
@@ -189,7 +187,7 @@ def test_criterion_4_cocliques_q13():
 
 def test_criterion_5_no_14_clique_q13(an13):
     t0 = time.time()
-    res = an13.cached_decision(("7",), 14, 7200)
+    res = an13.cached_decision(("7",), 14)
     assert res["status"] == NONE
     _report("5 (order-7 graph, q=13)",
             f"14-clique proven nonexistent, nodes={res['nodes']}, {time.time()-t0:.0f}s")
@@ -212,7 +210,7 @@ def test_criterion_6_cover_program_q13(an13, cache_dir):
     assert reduce(or_, cosets) == (1 << g.order) - 1
     # proven optimum <= 83: the partition caps packings at 84 and size 84 is
     # proven infeasible by the exact-hit search
-    res = an13.cached_csp(("13",), base, 84, 14400)
+    res = an13.cached_csp(("13",), base, 84)
     assert res["status"] == PROVEN_INFEASIBLE
     optimum_upper = 83  # = 84 (partition bound) refined by the infeasibility proof
     # the separation conclusion: alpha(G_13) * 13 != 1092
@@ -294,7 +292,7 @@ def test_criterion_10_end_to_end(cache_dir, capsys, tmp_path):
     t0 = time.time()
     report13 = tmp_path / "report13.json"
     code = cli_main(["analyze", "--q", "13", "--cache-dir", cache_dir,
-                     "--budget-secs", "14400", "--direct-search-secs", "3600",
+                     "--budget-secs", "14400",
                      "--out", str(report13)])
     assert code == 0
     report = json.loads(report13.read_text())
@@ -315,12 +313,11 @@ def test_criterion_10_end_to_end(cache_dir, capsys, tmp_path):
     capsys.readouterr()
     # q=17 under a tiny budget must come back UNKNOWN (exit 2), never wrong
     code = cli_main(["analyze", "--q", "17", "--budget-secs", "1",
-                     "--direct-search-secs", "1", "--budget-nodes", "50"])
+                     "--budget-nodes", "50"])
     assert code == 2
     capsys.readouterr()
     # idempotence: re-running over the same cache yields byte-identical output
-    config = PipelineConfig(cache_dir=cache_dir,
-                            budget_secs=14400, direct_search_secs=3600)
+    config = PipelineConfig(cache_dir=cache_dir, budget_secs=14400)
     _, rerun_a = analyze(13, config)
     _, rerun_b = analyze(13, config)
     assert json.dumps(rerun_a, sort_keys=True) == json.dumps(rerun_b, sort_keys=True)

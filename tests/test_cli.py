@@ -163,6 +163,7 @@ def test_analyze_budget_flag_beats_the_environment(capsys, monkeypatch):
     ["analyze", "--q", "13", "--threads", "2"],
     ["search", "--q", "13", "--classes", "13", "--threads", "2"],
     ["analyze", "--q", "13", "--seed", "1"],
+    ["analyze", "--q", "13", "--direct-search-secs", "1"],
     ["witness", "--q", "13", "--kind", "spreading", "--seed", "1"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):

@@ -132,7 +132,7 @@ def test_feasibility_stage_q13_rows():
     analyzer = Analyzer(13, PipelineConfig())
     rows = analyzer.feasibility_stage()
     assert len(rows) == 8
-    novel = [r for r in rows if r.novel]
+    novel = [r for r in analyzer._table_rows if r.novel]
     assert len(novel) == 6
     analyzer.realization_stage()
     stars = {tuple(gv.clique_classes): set(gv.stars) for gv in rows}
@@ -165,28 +165,52 @@ def test_inference_resolves_rows_from_planted_facts():
     assert status[("7",)] == "UNRESOLVED"
 
 
-def test_decision_found_clique_becomes_a_covering_base():
+def _one_row(clique_classes, config):
+    """A q=17 analyzer whose table is the one row on the clique classes, with
+    the stars of that row realized."""
+    analyzer = Analyzer(17, config)
+    rows = analyzer.feasibility_stage()
+    [gv] = analyzer.verdict.graphs = [r for r in rows if r.clique_classes == clique_classes]
+    analyzer.realization_stage()
+    return analyzer, gv
+
+
+def test_decision_found_clique_becomes_a_covering_base(monkeypatch):
     # q=17 G[8,17]: no seed realizes its 34-clique, the decision search finds
     # one, and the covering program on it refutes the 72-coclique
-    analyzer = Analyzer(17, PipelineConfig(budget_nodes=20000))
-    rows = analyzer.feasibility_stage()
-    [gv] = analyzer.verdict.graphs = [r for r in rows if r.clique_classes == ("8", "17")]
-    analyzer.realization_stage()
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    analyzer, gv = _one_row(("8", "17"), PipelineConfig(budget_nodes=20000))
     assert not gv.stars
-    analyzer.nonexistence_pass(3600)
-    [realized] = gv.certificates
+    analyzer.settle_stage()
+    assert calls["find_clique_of_size", ("8", "17")] == 1
+    realized, cover = gv.certificates
     assert realized["kind"] == "realized_clique" and realized["size"] == 34
     assert gv.stars["omega"]["witness"] == realized["vertices"]
-    analyzer.csp_pass(3600)
     assert gv.status == "SEPARATING_BY_CSP"
-    [cover] = [c for c in gv.certificates if c["kind"] == "exact_hit"]
+    assert cover["kind"] == "exact_hit"
     assert cover["status"] == "PROVEN_INFEASIBLE" and cover["target"] == 72
     assert cover["system"]["base_clique"] == realized["vertices"]
 
 
+def test_a_realized_star_is_refuted_before_any_decision(monkeypatch):
+    # q=17 G[4,8,9]: no seed realizes its 72-clique, and a decision for one
+    # does not end within 1,000,000 nodes; its realized 34-coclique star is
+    # refuted in 166 nodes, so the row needs no decision
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    analyzer, gv = _one_row(("4", "8", "9"), PipelineConfig(budget_nodes=20000))
+    assert set(gv.stars) == {"alpha"}
+    analyzer.settle_stage()
+    assert gv.status == "SEPARATING_BY_CSP"
+    [cover] = [c for c in gv.certificates if c["kind"] == "exact_hit"]
+    assert cover["status"] == "PROVEN_INFEASIBLE" and cover["nodes"] == 166
+    assert not any(name == "find_clique_of_size" for name, _ in calls)
+
+
 @pytest.mark.slow
 def test_unknown_exit_code_when_unresolved():
-    cfg = PipelineConfig(budget_secs=0.5, direct_search_secs=0.5, budget_nodes=100)
+    cfg = PipelineConfig(budget_secs=0.5, budget_nodes=100)
     verdict, report = analyze(17, cfg)
     assert verdict.separating == UNKNOWN
     assert verdict.exit_code() == 2
@@ -218,8 +242,8 @@ def _count_calls(monkeypatch, calls: Counter):
 def _budgeted(tmp_path, **overrides):
     """The q13-budgeted benchmark config: 2000 nodes, seed 1, one worker;
     no cache when tmp_path is None."""
-    settings = dict(budget_secs=3600.0, budget_nodes=2000, direct_search_secs=3600.0,
-                    seed=1, threads=1, cache_dir=tmp_path and str(tmp_path))
+    settings = dict(budget_secs=3600.0, budget_nodes=2000, seed=1, threads=1,
+                    cache_dir=tmp_path and str(tmp_path))
     return PipelineConfig(**{**settings, **overrides})
 
 
@@ -257,6 +281,23 @@ def test_budgeted_analyze_settles_every_row(budgeted13):
     assert [gv["status"] for gv in budgeted13["graphs"]].count(UNRESOLVED) == 0
     assert len(budgeted13["graphs"]) == 8
     assert verify_report(budgeted13) == (True, [])
+
+
+def test_budgeted_analyze_refutes_every_row_by_covering(budgeted13, tmp_path, monkeypatch):
+    # every q=13 row has a realized star, and its covering program refutes
+    # the row, so no decision runs
+    assert {gv["status"] for gv in budgeted13["graphs"]} == {"SEPARATING_BY_CSP"}
+    nodes = [c["nodes"] for gv in budgeted13["graphs"] for c in gv["certificates"]
+             if c["kind"] == "exact_hit"]
+    assert nodes == [24, 372, 5, 473, 9, 267, 39, 23]
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls)
+    _, cold = analyze(13, _budgeted(tmp_path))
+    assert cold == budgeted13
+    assert not any(name == "find_clique_of_size" for name, _ in calls)
+    calls.clear()
+    _, warm = analyze(13, _budgeted(tmp_path))
+    assert warm == cold and not calls
 
 
 def test_cold_budgeted_reports_are_byte_identical(budgeted13):
@@ -305,20 +346,27 @@ def test_verify_names_a_missing_field(budgeted13, tmp_path, capsys, kind, field)
 
 def test_verify_requires_the_certificate_that_settles_each_row(budgeted13):
     statuses = Counter(gv["status"] for gv in budgeted13["graphs"])
-    assert statuses == {"SEPARATING_BY_CSP": 4, "SEPARATING_BY_NONEXISTENCE": 3,
-                        "SEPARATING_BY_INFERENCE": 1}
-    # every certificate of every settled row deleted; an inference row names
-    # its chain, which verify does not replay yet
+    assert statuses == {"SEPARATING_BY_CSP": 8}
+    # every certificate of every settled row deleted
     bad = copy.deepcopy(budgeted13)
     for gv in bad["graphs"]:
         gv["certificates"] = []
     ok, problems = verify_report(bad)
-    assert not ok and len(problems) == 7
+    assert not ok and len(problems) == 8
     assert all("without a certificate that settles it" in p for p in problems)
+    # q=17 G[2,3] has no star, and a decision proves in 2 nodes that its
+    # clique target is out of reach
+    analyzer, gv = _one_row(("2", "3"), PipelineConfig())
+    analyzer.settle_stage()
+    assert gv.status == "SEPARATING_BY_NONEXISTENCE"
+    [decision] = gv.certificates
+    assert decision["status"] == "NONE" and decision["nodes"] == 2
+    report17 = pipeline.emit_report(analyzer, analyzer.verdict)
+    assert verify_report(report17) == (True, [])
     # only the settling certificate deleted, one row of each kind
-    for status, kind in (("SEPARATING_BY_CSP", "exact_hit"),
-                         ("SEPARATING_BY_NONEXISTENCE", "clique")):
-        bad = copy.deepcopy(budgeted13)
+    for report, status, kind in ((budgeted13, "SEPARATING_BY_CSP", "exact_hit"),
+                                 (report17, "SEPARATING_BY_NONEXISTENCE", "clique")):
+        bad = copy.deepcopy(report)
         gv = next(gv for gv in bad["graphs"] if gv["status"] == status)
         gv["certificates"] = [c for c in gv["certificates"] if c["kind"] != kind]
         ok, problems = verify_report(bad)
@@ -388,7 +436,7 @@ def test_capped_entry_is_keyed_by_node_cap(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)
     labels, k = DECISION
-    first = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_decision(labels, k, 60)
+    first = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_decision(labels, k)
     assert first["status"] == search.EXHAUSTED
     again = Analyzer(13, _budgeted(tmp_path, budget_nodes=50)).cached_decision(labels, k)
     assert again == first and calls["find_clique_of_size", labels] == 1
@@ -450,14 +498,14 @@ def test_clock_stopped_result_is_not_stored(tmp_path, monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls)
     labels, k = DECISION
-    an = Analyzer(13, _budgeted(tmp_path, budget_nodes=5000))
     # a deadline already past stops the decision at its first clock check
-    stopped = an.cached_decision(labels, k, secs=-1.0)
+    late = Analyzer(13, _budgeted(tmp_path, budget_nodes=5000, budget_secs=-1.0))
+    stopped = late.cached_decision(labels, k)
     assert stopped["status"] == search.EXHAUSTED and stopped["nodes"] <= 2048
-    assert not an.cache.memory and not list(tmp_path.iterdir())
-    capped = an.cached_decision(labels, k)
+    assert not late.cache.memory and not list(tmp_path.iterdir())
+    capped = Analyzer(13, _budgeted(tmp_path, budget_nodes=5000)).cached_decision(labels, k)
     assert calls["find_clique_of_size", labels] == 2 and capped["nodes"] > 2048
-    assert an.cached_decision(labels, k, secs=-1.0) == capped
+    assert late.cached_decision(labels, k) == capped
     assert calls["find_clique_of_size", labels] == 2
 
 
