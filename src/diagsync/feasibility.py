@@ -9,11 +9,30 @@ distributions a (supported on I) and b (supported on I^c) satisfying
   * (aQ)_m * (bQ)_m = 0 for every m >= 1,
   * |C| = sum(a) and |S| = sum(b) positive integers with product |Omega|.
 
-The solver enumerates the 2^d assignments of which side's transform vanishes
-at each nontrivial eigenspace, solves each resulting exact linear system over
-the rationals, intersects with the nonnegativity constraints, keeps solutions
-whose sizes divide |Omega|, and merges the survivors into maximal affine
-families.  Every step is exact; no tolerance is involved.
+The solver fixes, for each of the 2^d zero sets Z, that the clique side's
+transform vanishes at the eigenspaces in Z and the coclique side's at the
+rest.  Each side's system (its transform equations at its zero set plus the
+row fixing its size) is eliminated once per zero set on Python integers,
+with Q scaled once to an integer matrix and the size carried as a second
+right-hand column, so one pass gives the sizes at which the system is
+consistent, its particular solution and its kernel.  The walk visits the
+clique side's zero sets in increasing order, which puts every subset of a
+zero set before the set, then the coclique cells those sizes need, again
+in increasing order.  A zero set no size satisfies, or a (zero set, size)
+with an empty entry or valid region, kills every superset of its zero set
+(at that size): a larger zero set only adds equations, so the skip is
+exact.  The clique family A(Z, s) pairs with the coclique family
+B(Z^c, |Omega|/s), and within one `putative_table` call each class set's
+families are computed once, whichever side it is on.
+
+Constraint rows are integer numerators over the system's one denominator.
+A region's vertices are the ends of the segments it cuts from the lines
+where all but one of its parameters are fixed by tight rows; with one
+parameter that is the interval from the largest lower bound to the least
+upper bound.  Fractions appear only once a family survives both regions,
+in its base, directions, rows and vertices, and in merging the survivors
+into maximal affine families.  Every step is exact; no tolerance is
+involved.
 
 Each family is an affine map from a parameter polytope into distribution
 space, stored by its base point, directions, the affine rows cutting out the
@@ -28,10 +47,12 @@ single point is the family of dimension 0, whose one vertex is ``()``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .linalg import nullspace, rref
+from .linalg import eliminate, rref
 from .psl2 import label_sort_key
 from .scheme import AssociationScheme
 
@@ -132,101 +153,197 @@ class TableRow:
                 "families": [family_description(f, labels) for f in self.families]}
 
 
-# -- one-sided affine systems ----------------------------------------------------
+# -- one-sided systems, tabulated over zero sets -----------------------------------
 
 
-def _solve_side(scheme: AssociationScheme, side_ids: list[int], zero_cols: list[int],
-                sigma: int | None):
-    """Affine solution space of one side's system, or None when inconsistent."""
-    q = scheme.eigen.Q
-    n = len(scheme.relations)
-    nv = len(side_ids)
-    rows = []
-    rhs = []
-    for m in zero_cols:
-        rows.append([q[r][m] for r in side_ids])
-        rhs.append(-q[0][m])
-    if sigma is not None:
-        rows.append([Fraction(1)] * nv)
-        rhs.append(Fraction(sigma - 1))
-    if rows:
-        aug = [row + [rh] for row, rh in zip(rows, rhs)]
-        red, pivots = rref(aug)
-        if nv in pivots:
-            return None
-        x = [Fraction(0)] * nv
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][nv]
-        dirs_small = nullspace([row[:nv] for row in rows]) if nv else []
-    else:
-        x = [Fraction(0)] * nv
-        dirs_small = [[Fraction(int(i == j)) for i in range(nv)] for j in range(nv)]
-    base = [Fraction(0)] * n
-    base[0] = Fraction(1)
-    for vi, r in enumerate(side_ids):
-        base[r] = x[vi]
-    dirs = []
-    for dv in dirs_small:
-        full = [Fraction(0)] * n
-        for vi, r in enumerate(side_ids):
-            full[r] = dv[vi]
-        dirs.append(full)
-    return base, dirs
+class _SideTables:
+    """Families of one scheme's sides by (class set, zero set, size), each
+    computed at most once, with Q scaled once to an integer matrix.
 
-
-def _constraints(scheme, base, dirs, side_ids, include_transform):
-    """Affine rows (c0, coeffs) whose values must be nonnegative."""
-    q = scheme.eigen.Q
-    n = len(scheme.relations)
-    rows = []
-    for r in side_ids:
-        rows.append((base[r], tuple(d[r] for d in dirs)))
-    if include_transform:
-        for m in range(n):
-            c0 = sum((base[j] * q[j][m] for j in range(n)), Fraction(0))
-            coeffs = tuple(sum((d[j] * q[j][m] for j in range(n)), Fraction(0))
-                           for d in dirs)
-            rows.append((c0, coeffs))
-    return rows
-
-
-def _vertices(rows, dim: int) -> list[Vec]:
-    """Vertices of {t : row(t) >= 0} in R^dim (bounded polytopes only)."""
-    verts: set[Vec] = set()
-    for combo in itertools.combinations(range(len(rows)), dim):
-        mat = [list(rows[i][1]) + [-rows[i][0]] for i in combo]
-        red, pivots = rref(mat)
-        if len(pivots) != dim or dim in pivots:
-            continue
-        point = [Fraction(0)] * dim
-        for r, pc in enumerate(pivots):
-            point[pc] = red[r][dim]
-        if all(c0 + sum(c * t for c, t in zip(coeffs, point)) >= 0
-               for c0, coeffs in rows):
-            verts.add(tuple(point))
-    return sorted(verts)
-
-
-def _make_family(scheme, base, dirs, side_ids) -> SideFamily | None:
-    """Family over the entrywise-feasible region, or None when infeasible.
-
-    As actual subsets demand, the family must contain a point with
-    nonnegative MacWilliams transform: its valid region is nonempty.
+    A zero set is a bit mask over the nontrivial eigenspaces (bit m for
+    eigenspace m + 1).  A zero set whose system no integer size satisfies
+    kills every superset, and a (zero set, size) without a family kills
+    every superset at that size: a larger zero set only adds equations.
+    Callers that visit zero sets in increasing order meet each set after
+    its subsets, so the supersets are skipped unsolved.
     """
-    size = sum(base[1:], Fraction(1))
-    if size.denominator != 1:
-        return None
-    entry_rows = _constraints(scheme, base, dirs, side_ids, include_transform=False)
-    entry = _vertices(entry_rows, len(dirs))
-    if not entry:
-        return None
-    valid = _vertices(_constraints(scheme, base, dirs, side_ids, include_transform=True),
-                      len(dirs))
-    if not valid:
-        return None
-    fam = SideFamily(tuple(base), tuple(map(tuple, dirs)), int(size),
-                     tuple(entry_rows), tuple(entry), tuple(valid))
-    return _unit_lead(fam) if fam.dim == 1 else fam
+
+    def __init__(self, scheme: AssociationScheme):
+        q = scheme.eigen.Q
+        den = lcm(*(x.denominator for row in q for x in row))
+        self.q = [[int(x * den) for x in row] for row in q]
+        self.scheme = scheme
+        omega = scheme.omega
+        self.sizes = [s for s in range(2, omega // 2 + 1) if omega % s == 0]
+        self.systems: dict[tuple, tuple | None] = {}          # (side, zero set)
+        self.families: dict[tuple, SideFamily | None] = {}    # (side, zero set, size)
+        # (side, size) -> dead zero sets; size None: no size is consistent
+        self.dead: dict[tuple, list[int]] = {}
+
+    def _dead(self, side: tuple[int, ...], size: int | None, mask: int) -> bool:
+        return any(m & ~mask == 0 for m in self.dead.get((side, size), ()))
+
+    def system(self, side: tuple[int, ...], mask: int):
+        """The side's transform equations at the zero set plus the size row,
+        eliminated once with the size as a second right-hand column.
+
+        Returns (rows, pivots, det, fixed) with fixed the one consistent size
+        or None when every size is consistent; None when no integer size is.
+        """
+        if (side, mask) not in self.systems:
+            system = None
+            if not self._dead(side, None, mask):
+                system = self._eliminate(side, mask)
+                if system is None:
+                    self.dead.setdefault((side, None), []).append(mask)
+            self.systems[side, mask] = system
+        return self.systems[side, mask]
+
+    def _eliminate(self, side: tuple[int, ...], mask: int):
+        q = self.q
+        nv = len(side)
+        # row: coefficients | constant | coefficient of the size
+        rows = [[q[r][m + 1] for r in side] + [-q[0][m + 1], 0]
+                for m in range(self.scheme.d) if mask >> m & 1]
+        rows.append([1] * nv + [-1, 1])
+        red, pivots, det = eliminate(rows, nv)
+        fixed = None
+        for row in red[len(pivots):]:
+            c, e = row[nv], row[nv + 1]
+            if not e:
+                if c:
+                    return None
+            elif c % e or (fixed is not None and fixed != -c // e):
+                return None
+            else:
+                fixed = -c // e
+        return red[:len(pivots)], pivots, det, fixed
+
+    def sizes_of(self, side: tuple[int, ...], mask: int) -> list[int]:
+        """Candidate sizes, increasing, at which the zero set may have a family."""
+        system = self.system(side, mask)
+        if system is None:
+            return []
+        return [s for s in self.sizes if system[3] in (None, s)
+                and not self._dead(side, s, mask)]
+
+    def family(self, side: tuple[int, ...], mask: int, size: int) -> SideFamily | None:
+        key = (side, mask, size)
+        if key not in self.families:
+            fam = None
+            system = None if self._dead(side, size, mask) else self.system(side, mask)
+            if system is not None:
+                if system[3] in (None, size):
+                    fam = self._make_family(side, system, size)
+                if fam is None:
+                    self.dead.setdefault((side, size), []).append(mask)
+            self.families[key] = fam
+        return self.families[key]
+
+    def _make_family(self, side: tuple[int, ...], system, size: int) -> SideFamily | None:
+        """Family over the entrywise-feasible region, or None when infeasible.
+
+        As actual subsets demand, the family must contain a point with
+        nonnegative MacWilliams transform: its valid region is nonempty.
+        Base, directions and rows are integer numerators over det.
+        """
+        red, pivots, det, _ = system
+        nv = len(side)
+        q = self.q
+        n = len(q)
+        base = [0] * n
+        base[0] = det
+        for row, pc in zip(red, pivots):
+            base[side[pc]] = row[nv] + size * row[nv + 1]
+        dirs = []
+        for fc in range(nv):
+            if fc not in pivots:
+                d = [0] * n
+                d[side[fc]] = det
+                for row, pc in zip(red, pivots):
+                    d[side[pc]] = -row[fc]
+                dirs.append(d)
+        dim = len(dirs)
+        entry_rows = [(base[r], tuple(d[r] for d in dirs)) for r in side]
+        entry = _vertices(entry_rows, dim)
+        if not entry:
+            return None
+        support = (0,) + side
+        transform_rows = [(sum(base[j] * q[j][m] for j in support),
+                           tuple(sum(d[j] * q[j][m] for j in support) for d in dirs))
+                          for m in range(n)]
+        valid = _vertices(entry_rows + transform_rows, dim)
+        if not valid:
+            return None
+
+        def frac(values):
+            return tuple(Fraction(x, det) for x in values)
+
+        fam = SideFamily(frac(base), tuple(map(frac, dirs)), size,
+                         tuple((Fraction(c0, det), frac(cs)) for c0, cs in entry_rows),
+                         _points(entry), _points(valid))
+        return _unit_lead(fam) if dim == 1 else fam
+
+
+def _vertices(rows, dim: int) -> list[tuple[tuple[int, ...], int]]:
+    """Vertices of {t : c0 + c.t >= 0 for every row (c0, c)} in R^dim, each as
+    integer numerators over a positive denominator (bounded regions only).
+
+    A vertex ends the segment that the region cuts from a line on which
+    dim - 1 independent rows are tight, so the walk goes over those lines.
+    With one parameter the one line is the whole space.
+    """
+    if any(c0 < 0 for c0, cs in rows if not any(cs)):
+        return []
+    if dim == 0:
+        return [((), 1)]
+    # the distinct hyperplanes: rows in lowest terms, constant rows left out
+    planes = list(dict.fromkeys((c0 // g, tuple(c // g for c in cs))
+                                for c0, cs in rows if any(cs)
+                                for g in [gcd(c0, *cs)]))
+    verts = set()
+    for combo in itertools.combinations(planes, dim - 1):
+        red, pivots, det = eliminate([list(cs) + [-c0] for c0, cs in combo], dim)
+        if len(pivots) < dim - 1:
+            continue
+        free = next(c for c in range(dim) if c not in pivots)
+        # the line t = (base + s * way) / det
+        base, way = [0] * dim, [0] * dim
+        way[free] = det
+        for row, pc in zip(red, pivots):
+            base[pc], way[pc] = row[dim], -row[free]
+        line = [(c0 * det + sum(map(operator.mul, cs, base)),
+                 sum(map(operator.mul, cs, way))) for c0, cs in planes]
+        for s, den in _segment(line):
+            point = [b * den + s * w for b, w in zip(base, way)]
+            g = gcd(det * den, *point)
+            verts.add((tuple(t // g for t in point), det * den // g))
+    return list(verts)
+
+
+def _segment(rows) -> list[tuple[int, int]]:
+    """Ends of {s : a0 + a1 s >= 0 for every row (a0, a1)} as (numerator,
+    positive denominator): the largest lower and the least upper bound."""
+    lo = hi = None
+    for a0, a1 in rows:
+        if a1 > 0:
+            if lo is None or -a0 * lo[1] > lo[0] * a1:
+                lo = (-a0, a1)
+        elif a1 < 0:
+            if hi is None or a0 * hi[1] < hi[0] * -a1:
+                hi = (a0, -a1)
+        elif a0 < 0:
+            return []
+    if lo is not None and hi is not None:
+        if lo[0] * hi[1] > hi[0] * lo[1]:
+            return []
+        if lo[0] * hi[1] == hi[0] * lo[1]:
+            hi = None
+    return [end for end in (lo, hi) if end is not None]
+
+
+def _points(verts) -> tuple[Vec, ...]:
+    return tuple(sorted(tuple(Fraction(t, den) for t in point) for point, den in verts))
 
 
 def _unit_lead(fam: SideFamily) -> SideFamily:
@@ -249,60 +366,34 @@ def _unit_lead(fam: SideFamily) -> SideFamily:
                       params(fam.entry_vertices), params(fam.valid_vertices))
 
 
-def _sigma_span(base, dirs) -> Fraction | None:
-    if any(sum(d[1:], Fraction(0)) != 0 for d in dirs):
-        return None
-    return sum(base[1:], Fraction(1))
-
-
-def _divisor_splits(omega: int):
-    return [(s, omega // s) for s in range(2, omega // 2 + 1) if omega % s == 0]
-
-
 def enumerate_feasible_pairs(scheme: AssociationScheme, clique_labels) -> list[FeasiblePair]:
     """All maximal feasible (clique, coclique) families for one class-set pair.
 
     clique_labels designates the side whose graph the clique lives in; the
     coclique side is its complement among nontrivial fused classes.
     """
+    return _feasible_pairs(_SideTables(scheme), clique_labels)
+
+
+def _feasible_pairs(tables: _SideTables, clique_labels) -> list[FeasiblePair]:
+    scheme = tables.scheme
     clique_set = set(map(str, clique_labels))
-    a_ids = [r.id for r in scheme.relations[1:] if r.label in clique_set]
-    b_ids = [r.id for r in scheme.relations[1:] if r.label not in clique_set]
-    if len(a_ids) != len(clique_set):
+    a = tuple(r.id for r in scheme.relations[1:] if r.label in clique_set)
+    b = tuple(r.id for r in scheme.relations[1:] if r.label not in clique_set)
+    if len(a) != len(clique_set):
         raise ValueError("unknown fused class label in " + repr(tuple(clique_labels)))
-    if not b_ids:
+    if not b:
         raise ValueError("clique side must be a proper subset of the classes")
     omega = scheme.omega
-    d = scheme.d
-    out: list[FeasiblePair] = []
-    for bits in range(1 << d):
-        zero_a = [m + 1 for m in range(d) if bits >> m & 1]
-        zero_b = [m + 1 for m in range(d) if not bits >> m & 1]
-        a_free = _solve_side(scheme, a_ids, zero_a, None)
-        if a_free is None:
-            continue
-        sigma_a = _sigma_span(*a_free)
-        if sigma_a is not None:
-            if (sigma_a.denominator != 1 or not 2 <= sigma_a <= omega // 2
-                    or omega % int(sigma_a)):
-                continue
-            splits = [(int(sigma_a), omega // int(sigma_a))]
-        else:
-            splits = _divisor_splits(omega)
-        for sa, sb in splits:
-            a_sys = _solve_side(scheme, a_ids, zero_a, sa)
-            if a_sys is None:
-                continue
-            a_fam = _make_family(scheme, *a_sys, a_ids)
-            if a_fam is None:
-                continue
-            b_sys = _solve_side(scheme, b_ids, zero_b, sb)
-            if b_sys is None:
-                continue
-            b_fam = _make_family(scheme, *b_sys, b_ids)
-            if b_fam is None:
-                continue
-            out.append(FeasiblePair(a_fam, b_fam))
+    full = (1 << scheme.d) - 1
+    # clique zero sets in increasing order, then the coclique cells they need
+    # in increasing order: either way a zero set comes after its subsets
+    live = [(mask, s, fam) for mask in range(full + 1) for s in tables.sizes_of(a, mask)
+            if (fam := tables.family(a, mask, s)) is not None]
+    for mask, s in sorted({(full ^ mask, omega // s) for mask, s, _ in live}):
+        tables.family(b, mask, s)
+    out = [FeasiblePair(fa, fb) for mask, s, fa in live
+           if (fb := tables.family(b, full ^ mask, omega // s)) is not None]
     return _dedupe(out)
 
 
@@ -346,6 +437,7 @@ def putative_table(scheme: AssociationScheme) -> list[TableRow]:
     labels = scheme.labels()
     nontrivial = sorted(scheme.nontrivial_labels(), key=label_sort_key)
     half = scheme.d // 2
+    tables = _SideTables(scheme)
     rows: list[TableRow] = []
     kept: list[FeasiblePair] = []
     emitted_pairs: set[frozenset] = set()
@@ -355,7 +447,7 @@ def putative_table(scheme: AssociationScheme) -> list[TableRow]:
             pair_key = frozenset((frozenset(combo), frozenset(rest)))
             if pair_key in emitted_pairs:
                 continue  # mirror orientation of an already-listed pair
-            fams = enumerate_feasible_pairs(scheme, combo)
+            fams = _feasible_pairs(tables, combo)
             exact = [f for f in fams if f.clique.support(labels) == combo]
             if not exact:
                 continue

@@ -1,12 +1,19 @@
 """Small exact linear-algebra helpers over the rationals.
 
-Matrices are lists of rows of Fractions.  Sizes here are tiny (at most a
-dozen rows), so clarity beats asymptotics throughout.
+Matrices are lists of rows of Fractions or ints.  All elimination goes
+through `eliminate`, a fraction-free Gauss-Jordan pass on Python integers
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968): every entry it produces is a minor of the
+input, so each division in it is exact and no entry grows past the size of
+a determinant.  `rref` scales each row by the least common multiple of its
+denominators, eliminates, and divides by the one common pivot value at the
+end.  Sizes here are tiny (at most a few dozen rows).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -35,28 +42,56 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+def eliminate(m: list[list[int]], width: int | None = None
+              ) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Pivots are sought in the first `width` columns (every column by default).
+    Returns (rows, pivots, det) with det > 0: row r < len(pivots) holds det
+    at column pivots[r] and 0 at every other pivot column, and the rows
+    below are zero in the first `width` columns.  The rows divided by det
+    are the reduced row echelon form.
+    """
     m = [row[:] for row in m]
-    rows, cols = len(m), len(m[0]) if m else 0
+    rows = len(m)
+    cols = (len(m[0]) if m else 0) if width is None else width
     pivots: list[int] = []
+    det = 1
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and m[i][c]:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                # Bareiss step: every quotient is a minor of the input, so exact
+                m[i] = ([(p * x - f * y) // det for x, y in zip(m[i], top)] if f
+                        else [p * x // det for x in m[i]])
         pivots.append(c)
+        det = p
         r += 1
-        if r == rows:
-            break
-    return m, pivots
+    if det < 0:
+        m = [[-x for x in row] for row in m]
+        det = -det
+    return m, pivots, det
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot column indices."""
+    red, pivots, det = eliminate([integer_row(row) for row in m])
+    return [[Fraction(x, det) for x in row] for row in red], pivots
+
+
+def integer_row(row) -> list[int]:
+    """The row scaled by the least common multiple of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def nullspace(m: Matrix) -> list[Vector]:

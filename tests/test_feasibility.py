@@ -4,14 +4,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagsync.feasibility import (
     SideFamily,
+    _SideTables,
+    _points,
     _unit_lead,
+    _vertices,
     enumerate_feasible_pairs,
     family_description,
     putative_table,
 )
+from diagsync.linalg import rref
 from diagsync.psl2 import build_group, label_sort_key
 from diagsync.scheme import macwilliams_transform, rational_fusion_scheme
 
@@ -28,7 +33,7 @@ def s17():
 
 @pytest.fixture(scope="module")
 def t17(s17):
-    return putative_table(s17)     # about 8 s: built once for the module
+    return putative_table(s17)     # about 0.3 s: built once for the module
 
 
 def frac(values):
@@ -126,6 +131,22 @@ def test_putative_table_q17(t17):
     assert by_key[frozenset(["4", "8", "9"])] == (72, 34)
 
 
+def test_putative_table_q17_skips_supersets_of_dead_zero_sets(s17, monkeypatch):
+    # one elimination per (side, zero set) and no family for a superset of a
+    # dead (zero set, size): without the skip it makes 2,278 and 8,805
+    calls = {"_eliminate": 0, "_make_family": 0}
+    for name in calls:
+        method = getattr(_SideTables, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(_SideTables, name, counted)
+    putative_table(s17)
+    assert calls == {"_eliminate": 1022, "_make_family": 3057}
+
+
 def _table_digest(rows, labels) -> str:
     data = [{"clique_classes": list(r.clique_classes),
              "coclique_classes": list(r.coclique_classes),
@@ -137,8 +158,9 @@ def _table_digest(rows, labels) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of the canonical JSON of every table row; q=11 has the only
-# two-parameter families, q=9 and q=13 the one-parameter ones
+# sha256 of the canonical JSON of every table row; q=9 and q=13 have
+# one-parameter families, q=11 two-parameter ones and q=25 families of up
+# to three parameters
 GOLDEN_TABLES = {
     4: "9e3352581c6a64ee01c9575a1db3671bf12711c98e6f949156ec201f1061787d",
     5: "9e3352581c6a64ee01c9575a1db3671bf12711c98e6f949156ec201f1061787d",
@@ -148,10 +170,11 @@ GOLDEN_TABLES = {
     11: "01c9e11e5235f9882b8c89d983a19b0322dfdc0427068987bda17375d7435305",
     13: "991d483ad63bed5dcd7fb69a8a677dc78c29887438e9d8b671b7f182f682b16c",
     17: "c0e07fb616927ea3207b02f5130045fe5ffc2cb047786db4401258142c7678da",
+    25: "4dada0bb2066108d2d398db708bfb358bd092a1fadd6b6bf6ed6facdbd124d9d",
 }
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 25])
 def test_putative_table_is_golden(q):
     scheme = rational_fusion_scheme(build_group(q))
     assert _table_digest(putative_table(scheme), scheme.labels()) == GOLDEN_TABLES[q]
@@ -159,6 +182,64 @@ def test_putative_table_is_golden(q):
 
 def test_putative_table_q17_is_golden(s17, t17):
     assert _table_digest(t17, s17.labels()) == GOLDEN_TABLES[17]
+
+
+# sha256 of every proper fused class set's enumerate_feasible_pairs output,
+# in both orientations; the sets with more than d/2 classes are reached by
+# `diagsync feasibility --classes` but by no table row
+GOLDEN_PAIRS = {
+    5: "93cd78378d845f26e9be65e6ac30a9d6553001a62da4acb99397f0998be559aa",
+    7: "1a3cfe91c4ca6113526cf3cbe60bc422964c1162df31a2a3a91436d4b6918380",
+    8: "06ffdbefb2657509a5b3a9eb2b68de4c219243e4e2d440eae59405679c602401",
+    9: "308a6b3ff7043085fb1899e6c1c696fa182dd132982991749a52da64022f4650",
+    11: "b2a4364506513b441184dc286eeebf694f66bac0aa56d391288a4ec490a84919",
+    13: "30d35288467da9a302f36a7a5bd1c9ae87fa6fe59b3e7d3641b27ba85856d1d8",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_PAIRS))
+def test_feasible_pairs_of_every_class_set_are_golden(q):
+    scheme = rational_fusion_scheme(build_group(q))
+    labels = scheme.labels()
+    nontrivial = sorted(scheme.nontrivial_labels(), key=label_sort_key)
+    data = [[list(combo), [family_description(f, labels)
+                           for f in enumerate_feasible_pairs(scheme, combo)]]
+            for size in range(1, len(nontrivial))
+            for combo in itertools.combinations(nontrivial, size)]
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PAIRS[q]
+
+
+def _vertices_by_tight_rows(rows, dim):
+    """Reference: every point where dim rows are tight and all rows hold."""
+    verts = set()
+    for combo in itertools.combinations(rows, dim):
+        red, pivots = rref([list(cs) + [-c0] for c0, cs in combo])
+        if pivots != list(range(dim)):
+            continue
+        point = tuple(red[r][dim] for r in range(dim))
+        if all(c0 + sum(c * t for c, t in zip(cs, point)) >= 0 for c0, cs in rows):
+            verts.add(point)
+    return sorted(verts)
+
+
+@st.composite
+def bounded_regions(draw):
+    # a box keeps every region bounded; the drawn rows cut it, often to
+    # nothing, and small coefficients make ties and repeated rows common
+    dim = draw(st.integers(1, 3))
+    box = [(3, tuple(-int(i == k) for i in range(dim))) for k in range(dim)]
+    box += [(2, tuple(int(i == k) for i in range(dim))) for k in range(dim)]
+    coeff = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(coeff, st.tuples(*[coeff] * dim)), max_size=5))
+    return box + rows, dim
+
+
+@given(bounded_regions())
+@settings(max_examples=200, deadline=None)
+def test_vertices_match_every_tight_combination(region):
+    rows, dim = region
+    assert list(_points(_vertices(rows, dim))) == _vertices_by_tight_rows(rows, dim)
 
 
 def test_one_parameter_family_over_a_point_collapses():
