@@ -10,11 +10,16 @@ independent set of the target size that hits every row exactly once?  Its
 proven infeasibility refutes that size.
 
 Rows come in right-translation families {S t : t in T}, one per conjugate
-shape S of C.  Two families are equal or disjoint, so a shape that is already
-a row (S = S'' t0 for an earlier shape S'') adds no rows and is skipped.
-Each new family is translated by one gather of multiplication-table rows,
-and every new row is still re-verified pair by pair against the connection
-set.
+shape S of C, and are held as one array of sorted vertex rows.  S t = S t'
+exactly when t' lies in the coset H t of the right stabilizer H of S, so a
+family keeps the t that are least in their cosets: an exact dedup with no
+hashing.  Two families are equal or disjoint, and S is a row of an earlier
+family exactly when S s^-1 (s in S) is one of its rows through the identity;
+such a shape adds no rows and is skipped.  Every new row is re-verified pair
+by pair against the connection set, one gather per block of rows.  Since the
+rows are closed under right translation, an edge {u, v} lies in a row exactly
+when u v^-1 lies in a row through the identity, so the rows through the
+identity decide whether the rows cover every edge.
 
 The solver is a propagation-based exact branch-and-bound over binary choices
 (no floating point).  The row system is closed under right translation, which
@@ -23,7 +28,9 @@ the identity and the search pins it first.  The state lives in arrays: the
 alive count and done flag of every row and the chosen vertices, beside the
 alive-vertex mask.  Choosing a vertex removes its precomputed kill mask
 (itself, its neighbours and its rows); removing a set of vertices subtracts
-one bincount over their vertex-row incidence from the row counts.  Each
+one bincount over their vertex-row incidence from the row counts.  Every
+vertex lies in the same number of rows, so the incidence is one stable
+argsort of the vertex array, reshaped to a row of row indices per vertex.  Each
 branch is undone by restoring the snapshot taken at its node.
 
 Branching is orbital (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
@@ -51,21 +58,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_elements, mask_array, mask_from, outer_maps
+from .psl2 import PSL2, mask_array, mask_elements, mask_from, mask_of, outer_maps
 from .search import Budget, verify_clique, verify_coclique
 
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
 FEASIBLE = "FEASIBLE"
 BRACKET = "BUDGET_BRACKET"
+# entries per temporary block of row generation
+_BLOCK = 1 << 16
 
 
 @dataclass
 class TranslateRowSystem:
     graph: ClassUnionGraph
     base_clique: tuple[int, ...]
-    rows: list[int]                      # bitmask per row
+    verts: np.ndarray                    # (rows, row size): sorted vertices per row
     generator_note: str
     edges_covered: bool
+    rows: list[int] = field(init=False)  # bitmask per row, for the solver's search
+
+    def __post_init__(self):
+        n = self.graph.vertex_count
+        step = max(1, _BLOCK // n)
+        self.rows = []
+        for start in range(0, len(self.verts), step):
+            block = self.verts[start:start + step]
+            flags = np.zeros((len(block), n), dtype=bool)
+            np.put_along_axis(flags, block, True, axis=1)
+            self.rows += map(mask_of, flags)
 
     @property
     def row_size(self) -> int:
@@ -103,48 +123,58 @@ class CoverBound:
 # -- row generation ----------------------------------------------------------------
 
 
-def _automorphism_perms(graph: ClassUnionGraph) -> tuple[list[list[int]], str]:
+def _automorphism_perms(graph: ClassUnionGraph) -> tuple[np.ndarray, str]:
     """Vertex permutations that move the conjugate shapes of a base clique.
 
     Conjugation by each generator and inversion fix every inverse-closed
     union of classes; the outer maps (field automorphisms, diagonal PGL
     conjugation) may permute classes, so each is kept only when it maps the
-    connection set onto itself.  Returns the permutations and the note that
-    names the maps used.
+    connection set onto itself.  Returns the permutations, one row each, and
+    the note that names the maps used.
     """
     group = graph.group
     every = np.arange(group.order)
-    perms = [group.conjugate(every, g).tolist() for g in group.generators()]
+    perms = [group.conjugate(every, g) for g in group.generators()]
     note = "two-sided translations, inversion"
     conn = graph.connection_elements()
     for name, perm in outer_maps(group):
         if mask_from(perm[conn].tolist()) == graph.connection:
-            perms.append(perm.tolist())
+            perms.append(perm)
             note += ", " + name
-    perms.append(group.inverses().tolist())
-    return perms, note
+    perms.append(group.inverses())
+    return np.stack(perms), note
 
 
-def _right_translates(group: PSL2, shape) -> list[int]:
-    """Masks of the distinct translates shape*t, in order of their first t."""
-    images = group.mul_rows(shape)            # images[i, t] = shape[i] * t
-    keys = np.sort(images.T, axis=1)          # one sorted vertex list per t
-    first: dict[bytes, int] = {}
-    for t, key in enumerate(keys):
-        first.setdefault(key.tobytes(), t)
-    return [mask_from(images[:, t].tolist()) for t in first.values()]
+def _right_translates(group: PSL2, shape: np.ndarray) -> np.ndarray:
+    """The distinct translates shape*t as sorted vertex rows, in order of their first t.
+
+    shape*t = shape*t' exactly when t' lies in the coset H t of the right
+    stabilizer H = {h : shape*h = shape}, so the first t of each translate
+    is the least element of its coset.
+    """
+    keys = np.sort(group.mul_rows(shape), axis=0)      # column t: sorted shape*t
+    stab = np.flatnonzero((keys == keys[:, [group.identity]]).all(axis=0))
+    first = group.mul_rows(stab).min(axis=0) == np.arange(group.order)
+    return np.ascontiguousarray(keys[:, first].T)
+
+
+def _recheck_cliques(group: PSL2, family: np.ndarray, conn: np.ndarray) -> None:
+    """Check u * v^-1 against the connection set for every ordered pair of every row."""
+    k = family.shape[1]
+    inv = group.inverses()
+    step = max(1, _BLOCK // (k * k))
+    for start in range(0, len(family), step):
+        block = family[start:start + step]
+        quotients = group.mul_pairs(block[:, :, None], inv[block][:, None, :])
+        if (np.count_nonzero(conn[quotients], axis=(1, 2)) != k * (k - 1)).any():
+            raise AssertionError("translate image failed clique re-verification")
 
 
 def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSystem:
     """Distinct images of a verified clique under translations and outer maps.
 
-    The conjugate shapes of the base clique are translated on the right by
-    every group element, one family of rows per shape.  A shape that is
-    already a row is S''t0 for a shape S'' processed before it, so its
-    family equals that of S'' and it is skipped.  Only shapes that open a
-    new family are translated, by one gather of multiplication-table rows,
-    and every new row is checked pair by pair against the connection set
-    before it is accepted.
+    One family of right translates per conjugate shape that is not yet a
+    row, every new row re-checked pairwise; see the module docstring.
     """
     group = graph.group
     n = group.order
@@ -152,49 +182,42 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
     if not verify_clique(graph, base):
         raise ValueError("base set is not a clique of the graph")
     perms, note = _automorphism_perms(graph)
+    inv = group.inverses()
+    k = len(base)
 
-    # conjugates of the base set (orbit under conjugation and outer maps)
-    seen_shapes = {frozenset(base)}
-    shapes = [base]
-    frontier = [base]
-    while frontier:
-        new = []
-        for shape in frontier:
-            for perm in perms:
-                img = tuple(perm[x] for x in shape)
-                key = frozenset(img)
-                if key not in seen_shapes:
-                    seen_shapes.add(key)
-                    shapes.append(img)
-                    new.append(img)
-        frontier = new
+    # conjugates of the base set (orbit under conjugation and outer maps),
+    # each a sorted vertex row keyed by its bytes
+    frontier = np.array([base], dtype=inv.dtype)
+    seen = {frontier[0].tobytes()}
+    shapes = [frontier]
+    while len(frontier):
+        images = np.sort(perms[:, frontier], axis=2).swapaxes(0, 1).reshape(-1, k)
+        fresh = []
+        for i, img in enumerate(images):
+            key = img.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        frontier = images[fresh]
+        shapes.append(frontier)
 
     # right translates of every conjugate shape, one family per new shape
-    inv = group.inverses()
-    conn = np.zeros(n, dtype=bool)
-    conn[graph.connection_elements()] = True
-    pairs = len(base) * (len(base) - 1)
-    rows: list[int] = []
-    known: set[int] = set()
-    for shape in shapes:
-        if mask_from(shape) in known:
+    conn = mask_array(graph.connection, n)
+    families, through_identity = [], []
+    known: set[bytes] = set()            # the rows through the identity
+    for shape in np.concatenate(shapes):
+        if np.sort(group.mul_pairs(shape, inv[shape[0]])).tobytes() in known:
             continue
         family = _right_translates(group, shape)
-        for mask in family:
-            verts = mask_elements(mask)
-            quotients = group.mul_rows(verts)[:, inv[verts]]  # u * v^-1
-            if np.count_nonzero(conn[quotients]) != pairs:
-                raise AssertionError("translate image failed clique re-verification")
-        rows += family
-        known.update(family)
-    # edge coverage: within-row adjacency unioned per vertex
-    cov = [0] * n
-    for mask in rows:
-        for v in mask_elements(mask):
-            cov[v] |= mask
-    edges_covered = all(
-        graph.neighbors(v) & ~cov[v] == 0 for v in range(n))
-    return TranslateRowSystem(graph, base, rows, note, edges_covered)
+        _recheck_cliques(group, family, conn)
+        ident = family[(family == group.identity).any(axis=1)]
+        known.update(row.tobytes() for row in ident)
+        families.append(family)
+        through_identity.append(ident)
+    # an edge {u, v} lies in a row exactly when u v^-1 lies in a row through the identity
+    edges_covered = bool(np.isin(graph.connection_elements(),
+                                 np.concatenate(through_identity)).all())
+    return TranslateRowSystem(graph, base, np.concatenate(families), note, edges_covered)
 
 
 # -- exact solving ------------------------------------------------------------------
@@ -213,7 +236,7 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
     if status == FEASIBLE:
         # independent re-verification of the returned transversal
         hits = np.bincount(solver.incidence[list(witness)].ravel(),
-                           minlength=len(system.rows) + 1)[:-1]
+                           minlength=len(system.rows))
         if (len(witness) != target_size or not verify_coclique(system.graph, witness)
                 or (hits != 1).any()):
             raise AssertionError("solver returned an invalid exact-hit witness")
@@ -240,21 +263,19 @@ class _CoverSolver:
         self.meter = meter
         self.n = self.group.order
         self.rows = system.rows
-        # rows through each vertex, as lists and as one array padded with the
-        # out-of-range row index len(rows)
-        self.vrows: list[list[int]] = [[] for _ in range(self.n)]
-        for ri, mask in enumerate(self.rows):
-            for v in mask_elements(mask):
-                self.vrows[v].append(ri)
-        width = max(map(len, self.vrows))
-        self.incidence = np.full((self.n, width), len(self.rows), dtype=np.int32)
-        for v, through in enumerate(self.vrows):
-            self.incidence[v, :len(through)] = through
+        # the rows through each vertex, ascending: every vertex lies in the
+        # same number of rows, since each family is closed under right translation
+        n_rows, k = system.verts.shape
+        width = n_rows * k // self.n
+        if (np.bincount(system.verts.ravel(), minlength=self.n) != width).any():
+            raise AssertionError("rows do not meet every vertex equally often")
+        order = np.argsort(system.verts.ravel(), kind="stable")
+        self.incidence = (order // k).reshape(self.n, width)
         self._kill: list[int | None] = [None] * self.n
         self.closed = self.n + 1             # sorts done rows after every open one
         self.alive = (1 << self.n) - 1
-        self.row_alive = np.array([r.bit_count() for r in self.rows], dtype=np.int32)
-        self.row_done = np.zeros(len(self.rows), dtype=bool)
+        self.row_alive = np.full(n_rows, k, dtype=np.int32)
+        self.row_done = np.zeros(n_rows, dtype=bool)
         self.chosen: list[int] = []
         self.gamma = np.arange(self.n)
 
@@ -263,7 +284,7 @@ class _CoverSolver:
         mask = self._kill[v]
         if mask is None:
             mask = (1 << v) | self.graph.neighbors(v)
-            for ri in self.vrows[v]:
+            for ri in self.incidence[v].tolist():
                 mask |= self.rows[ri]
             self._kill[v] = mask
         return mask
@@ -273,12 +294,11 @@ class _CoverSolver:
         removed = mask & self.alive
         self.alive ^= removed
         hits = self.incidence[mask_array(removed, self.n)].ravel()
-        n_rows = len(self.rows)
-        self.row_alive -= np.bincount(hits, minlength=n_rows + 1)[:n_rows]
+        self.row_alive -= np.bincount(hits, minlength=len(self.rows))
 
     def choose(self, v: int):
         self.chosen.append(v)
-        through = self.incidence[v, :len(self.vrows[v])]
+        through = self.incidence[v]
         if self.row_done[through].any():
             # two chosen in one row is impossible: v was alive
             raise AssertionError("row chosen twice")

@@ -16,9 +16,8 @@ relations.  No floating point is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -205,9 +204,18 @@ def group_scheme(group: PSL2) -> AssociationScheme:
 
 
 def rational_fusion_scheme(group: PSL2) -> AssociationScheme:
-    """Fusion along power-map orbits; always symmetric with rational eigenvalues."""
-    parts = [tuple(o.class_ids) for o in group.fusion_orbits()]
-    return _build_scheme(group, parts, require_eigen=True)
+    """Fusion along power-map orbits; always symmetric with rational eigenvalues.
+
+    Built once per group, as nothing changes a built scheme.  The group keeps
+    it without its group field: a reference cycle would hold a discarded
+    group, and its multiplication table, until the cycle collector runs.
+    """
+    kept = getattr(group, "_fusion_scheme", None)
+    if kept is None:
+        parts = [tuple(o.class_ids) for o in group.fusion_orbits()]
+        scheme = _build_scheme(group, parts, require_eigen=True)
+        kept = group._fusion_scheme = replace(scheme, group=None)
+    return replace(kept, group=group)
 
 
 def fuse_scheme(scheme: AssociationScheme, orbit_partition: list[tuple[int, ...]],
@@ -340,35 +348,3 @@ def dual_degree_set(vertices, scheme: AssociationScheme) -> frozenset[int]:
 
 def design_orthogonal(c1, c2, scheme: AssociationScheme) -> bool:
     return not (dual_degree_set(c1, scheme) & dual_degree_set(c2, scheme))
-
-
-# -- dense checks (tests and property suites) ------------------------------------
-
-
-def adjacency_matrices(scheme: AssociationScheme) -> list[np.ndarray]:
-    group = scheme.group
-    products = group.mul_rows(np.arange(group.order))[:, group.inverses()]   # u * v^-1
-    rel = scheme._rel_of[products]
-    return [(rel == r.id).astype(np.int64) for r in scheme.relations]
-
-
-def projection_matrices_scaled(scheme: AssociationScheme) -> tuple[list[np.ndarray], int]:
-    """Integer matrices s*E_i with one common scale s (for exact idempotency checks)."""
-    if scheme.eigen is None:
-        raise ValueError("scheme has no exact dual eigenmatrix")
-    qmat = scheme.eigen.Q
-    n = len(scheme.relations)
-    denom = 1
-    for j in range(n):
-        for i in range(n):
-            denom = denom * qmat[j][i].denominator // gcd(denom, qmat[j][i].denominator)
-    scale = scheme.omega * denom
-    adj = adjacency_matrices(scheme)
-    mats = []
-    for i in range(n):
-        acc = np.zeros_like(adj[0])
-        for j in range(n):
-            coeff = qmat[j][i] * denom
-            acc += int(coeff) * adj[j]
-        mats.append(acc)
-    return mats, scale

@@ -20,11 +20,7 @@ from diagsync.feasibility import putative_table
 from diagsync.graphs import build_graph, complement_graph
 from diagsync.pipeline import Analyzer, PipelineConfig, analyze, verify_report
 from diagsync.psl2 import build_group, mask_elements, mask_from, sylow_subgroup
-from diagsync.scheme import (
-    adjacency_matrices,
-    design_orthogonal,
-    rational_fusion_scheme,
-)
+from diagsync.scheme import design_orthogonal, rational_fusion_scheme
 from diagsync.search import (
     Budget,
     NONE,
@@ -34,6 +30,7 @@ from diagsync.search import (
     verify_coclique,
 )
 from diagsync.witnesses import spreading_witness
+from scheme_matrices import adjacency_matrices
 
 
 @pytest.fixture(scope="session")

@@ -238,6 +238,33 @@ def test_rows_match_reference(q, labels, base_kind, monkeypatch):
     assert ("diagonal outer" in system.generator_note) == (q % 2 == 1)
 
 
+def test_rows_match_reference_on_every_fused_union():
+    covered = Counter()
+    for graph, seeds in _fused_unions((5, 7, 8)):
+        if seeds:
+            system = generate_translate_rows(graph, seeds[0])
+            rows, edges_covered, _ = reference_rows(graph, seeds[0])
+            assert system.rows == rows and system.edges_covered == edges_covered
+            covered[edges_covered] += 1
+    # both outcomes of the coverage test by the rows through the identity occur
+    assert covered == {True: 19, False: 13}
+
+
+def test_incidence_lists_the_rows_through_each_vertex(sys13):
+    solver = certify._CoverSolver(sys13, Budget().start())
+    n = sys13.graph.vertex_count
+    # every vertex lies in 1176 * 13 / 1092 rows
+    assert solver.incidence.shape == (n, 14)
+    for v in (0, sys13.graph.group.identity, n - 1):
+        assert solver.incidence[v].tolist() == [
+            ri for ri, mask in enumerate(sys13.rows) if mask >> v & 1]
+    # a system that is not closed under right translation is refused
+    cut = certify.TranslateRowSystem(sys13.graph, sys13.base_clique, sys13.verts[1:],
+                                     sys13.generator_note, sys13.edges_covered)
+    with pytest.raises(AssertionError):
+        certify._CoverSolver(cut, Budget().start())
+
+
 def test_family_reuse_fires_on_a_coset_base(monkeypatch):
     # the conjugates of a right coset Ha by the normaliser of H are right
     # translates of Ha: those shapes reuse the family of Ha
@@ -487,18 +514,25 @@ def test_solver_matches_reference_small_q(q, labels, base_kind, nodes):
     _differential(system, system.graph.vertex_count // system.row_size, nodes=nodes)
 
 
-def _fused_union_programs():
-    """Every proper fused class-union graph at q = 5, 7, 8, 9 and 11 with each of
-    its two largest seed cliques whose size divides |T|, and that target."""
-    for q in (5, 7, 8, 9, 11):
+def _fused_unions(qs):
+    """Every proper fused class-union graph at each q, with its seed cliques."""
+    for q in qs:
         group = build_group(q)
         labels = rational_fusion_scheme(group).nontrivial_labels()
         for k in range(1, len(labels)):
             for pick in itertools.combinations(labels, k):
                 graph = build_graph(group, list(pick))
-                seeds = [s for s in algebraic_clique_seeds(graph) if group.order % len(s) == 0]
-                for seed in sorted(seeds, key=len, reverse=True)[:2]:
-                    yield graph, seed, group.order // len(seed)
+                yield graph, algebraic_clique_seeds(graph)
+
+
+def _fused_union_programs():
+    """Every proper fused class-union graph at q = 5, 7, 8, 9 and 11 with each of
+    its two largest seed cliques whose size divides |T|, and that target."""
+    for graph, seeds in _fused_unions((5, 7, 8, 9, 11)):
+        order = graph.vertex_count
+        seeds = [s for s in seeds if order % len(s) == 0]
+        for seed in sorted(seeds, key=len, reverse=True)[:2]:
+            yield graph, seed, order // len(seed)
 
 
 def test_solver_matches_reference_on_every_fused_union():

@@ -101,6 +101,23 @@ def test_certify_exact_hit_on_budget(capsys):
     assert data["target"] == 84 and data["nodes"] == 51
 
 
+def test_certify_sylow_digest_is_pinned(capsys):
+    # the sealed payload of a FEASIBLE program, byte for byte
+    code, out = run_cli(capsys, "certify", "--q", "7", "--classes", "7",
+                        "--base-clique", "sylow")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "FEASIBLE" and data["system"]["rows"] == 192
+    assert data["digest"] == "a2a530ddff367ab7c639c18cf8eedae7017c74efee8c696d001ce06bb6feedce"
+
+
+def test_certify_refutes_the_q13_sylow_program(capsys):
+    code, out = run_cli(capsys, "certify", "--q", "13", "--classes", "13",
+                        "--base-clique", "sylow", "--budget-nodes", "2000")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "PROVEN_INFEASIBLE"
+    assert data["nodes"] == 367 and data["system"]["rows"] == 1176
+
+
 def test_certify_rejects_a_base_that_does_not_divide(capsys, monkeypatch):
     monkeypatch.setattr(cli, "algebraic_clique_seeds", lambda graph: [tuple(range(7))])
     code = main(["certify", "--q", "5", "--classes", "5"])

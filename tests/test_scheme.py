@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +11,15 @@ from diagsync.scheme import (
     FusionNotAScheme,
     IrrationalEigenvalue,
     NonSymmetricScheme,
-    adjacency_matrices,
     design_orthogonal,
     dual_degree_set,
     fuse_scheme,
     group_scheme,
     inner_distribution,
     macwilliams_transform,
-    projection_matrices_scaled,
     rational_fusion_scheme,
 )
+from scheme_matrices import adjacency_matrices, projection_matrices_scaled
 
 
 def frac(values):
@@ -139,6 +140,22 @@ def test_table_free_scheme_equals_tabled(q):
     assert free.labels() == tabled.labels() and free.p == tabled.p
     assert free.eigen.P == tabled.eigen.P and free.eigen.Q == tabled.eigen.Q
     assert free.eigen.multiplicities == tabled.eigen.multiplicities
+
+
+def test_fusion_scheme_is_built_once_and_frees_its_group():
+    group = PSL2(7)
+    group.mult_table()
+    first, again = rational_fusion_scheme(group), rational_fusion_scheme(group)
+    assert first.group is again.group is group and first.relations is again.relations
+    # the kept scheme holds no reference back to the group, so reference
+    # counting alone frees a discarded group and its table
+    ref = weakref.ref(group)
+    gc.disable()
+    try:
+        del group, first, again
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_fuse_scheme_full_merge_and_errors():
