@@ -142,6 +142,56 @@ class FactBase:
         # alpha(G_I) = omega(G_{I^c})
         return self.omega_upper(self.all_labels - frozenset(classes))
 
+    def infer(self, rows):
+        """Settle each open row whose target a proven bound puts out of reach."""
+        for gv in rows:
+            for side, target, upper in (("omega", gv.omega_target, self.omega_upper),
+                                        ("alpha", gv.alpha_target, self.alpha_upper)):
+                bound = upper(gv.clique_classes) if gv.status == UNRESOLVED else None
+                if bound and bound[0] < target:
+                    gv.status = SEPARATING_BY_INFERENCE
+                    gv.reason = f"{side} target {target} unreachable: {side} <= {bound[0]}"
+                    gv.inference_edge = bound[1]
+
+
+def settle_row(gv: GraphVerdict, cert: dict, facts: FactBase):
+    """The one rule, in analyze and in verify, by which a certificate settles
+    an open row (the row keeps it, the facts the bound it proves): a NONE
+    decision at the row's omega target, or a PROVEN_INFEASIBLE covering
+    program at the other side's target.  By the equality case of the
+    clique-coclique bound, a clique C and a coclique S with |C|*|S| = |Omega|
+    meet in exactly one vertex, and so do all translates of C.  Refuting such
+    an S against the translates of a realized C therefore refutes the row's
+    remaining target; likewise with the roles exchanged on the complement graph.
+    """
+    kind, target = cert.get("kind"), cert.get("target")
+    if gv.status != UNRESOLVED or (kind, cert.get("status")) not in (
+            ("clique", NONE), ("exact_hit", PROVEN_INFEASIBLE)):
+        return
+    system = cert["system"] if kind == "exact_hit" else cert
+    claim = (tuple(sorted(system["graph"]["classes"])), target)
+    clique = tuple(sorted(gv.clique_classes))
+    refuted = {(clique, gv.alpha_target): ("coclique", "clique", gv.coclique_classes),
+               (tuple(sorted(gv.coclique_classes)), gv.omega_target):
+                   ("clique", "coclique", gv.clique_classes)}
+    if kind == "clique" and claim == (clique, gv.omega_target):
+        gv.status = SEPARATING_BY_NONEXISTENCE
+        gv.reason = f"no clique of size {target} exists: omega < {target}"
+        facts.set_omega_upper(gv.clique_classes, target - 1,
+                              "decision search: no clique of target size")
+    elif kind == "exact_hit" and claim in refuted:
+        sought, base, other = refuted[claim]
+        gv.status = SEPARATING_BY_CSP
+        gv.reason = (f"no {sought} of size {target} meets every translate of "
+                     f"the size-{len(system['base_clique'])} {base} exactly once")
+        if system["edges_covered"]:
+            # a {sought} of the row's graph is a clique of G[other]
+            facts.set_omega_upper(other, target - 1,
+                                  "covering refutation (rows span all edges)")
+    else:
+        return
+    gv.certificates.append(cert)
+
 
 # -- certificate cache ----------------------------------------------------------------
 
@@ -335,17 +385,6 @@ class Analyzer:
                 if hit:
                     self._realize(gv, side, hit)
 
-    def inference_pass(self):
-        """Resolve rows whose targets are contradicted by proven bounds."""
-        for gv in self.verdict.graphs:
-            for side, target, upper in (("omega", gv.omega_target, self.facts.omega_upper),
-                                        ("alpha", gv.alpha_target, self.facts.alpha_upper)):
-                bound = upper(gv.clique_classes) if gv.status == UNRESOLVED else None
-                if bound and bound[0] < target:
-                    gv.status = SEPARATING_BY_INFERENCE
-                    gv.reason = f"{side} target {target} unreachable: {side} <= {bound[0]}"
-                    gv.inference_edge = bound[1]
-
     def settle_stage(self):
         """Covering programs on every realized star, with no inference in
         between; then inference; then a decision for each row still open with
@@ -353,52 +392,25 @@ class Analyzer:
         clique found becomes the row's omega star and is refuted at once."""
         for gv in self.verdict.graphs:
             self._refute(gv)
-        self.inference_pass()
+        self.facts.infer(self.verdict.graphs)
         for gv in self.verdict.graphs:
             if gv.status != UNRESOLVED or "omega" in gv.stars:
                 continue
             payload = self.cached_decision(gv.clique_classes, gv.omega_target)
-            if payload["status"] == NONE:
-                gv.status = SEPARATING_BY_NONEXISTENCE
-                gv.reason = (f"no clique of size {gv.omega_target} exists: "
-                             f"omega < {gv.omega_target}")
-                gv.certificates.append(payload)
-                self.facts.set_omega_upper(gv.clique_classes, gv.omega_target - 1,
-                                           "decision search: no clique of target size")
-            elif payload["status"] == FOUND:
+            if payload["status"] == FOUND:
                 self._realize(gv, "omega", payload["vertices"])
                 self._refute(gv)
-            self.inference_pass()
+            settle_row(gv, payload, self.facts)          # a NONE settles the row
+            self.facts.infer(self.verdict.graphs)
 
     def _refute(self, gv: GraphVerdict):
-        """Exact-hit covering refutation from each realized star of an open row.
-
-        By the equality case of the clique-coclique bound, a clique C and a
-        coclique S with |C|*|S| = |Omega| meet in exactly one vertex, and so
-        do all translates of C.  Refuting such an S against the translates of
-        a realized C therefore refutes the row's remaining target.  The same
-        argument applies with the roles exchanged on the complement graph.
-        """
-        for side, labels, other, target, sought, base in (
-                ("omega", gv.clique_classes, gv.coclique_classes,
-                 gv.alpha_target, "coclique", "clique"),
-                ("alpha", gv.coclique_classes, gv.clique_classes,
-                 gv.omega_target, "clique", "coclique")):
+        """Exact-hit covering program from each realized star of an open row,
+        against the other side's target (see settle_row)."""
+        for side, labels, target in (("omega", gv.clique_classes, gv.alpha_target),
+                                     ("alpha", gv.coclique_classes, gv.omega_target)):
             star = gv.stars.get(side)
-            if not star or gv.status != UNRESOLVED:
-                continue
-            payload = self.cached_csp(labels, star["witness"], target)
-            if payload["status"] == PROVEN_INFEASIBLE:
-                gv.status = SEPARATING_BY_CSP
-                gv.reason = (
-                    f"no {sought} of size {target} meets every "
-                    f"translate of the size-{star['size']} {base} exactly once")
-                gv.certificates.append(payload)
-                if payload["system"]["edges_covered"]:
-                    # a {sought} of the row's graph is a clique of G[other]
-                    self.facts.set_omega_upper(
-                        other, target - 1,
-                        "covering refutation (rows span all edges)")
+            if star and gv.status == UNRESOLVED:
+                settle_row(gv, self.cached_csp(labels, star["witness"], target), self.facts)
 
     def spreading_stage(self):
         if self.q % 4 == 1:
@@ -432,10 +444,8 @@ class Analyzer:
         self.realization_stage()
         self.settle_stage()
         unresolved = [gv for gv in self.verdict.graphs if gv.status == UNRESOLVED]
-        if not unresolved:
-            self.verdict.separating = YES
-        else:
-            self.verdict.separating = UNKNOWN
+        self.verdict.separating = UNKNOWN if unresolved else YES
+        if unresolved:
             self.verdict.notes.append(
                 "unresolved graphs: " +
                 "; ".join(",".join(gv.clique_classes) for gv in unresolved))
@@ -444,8 +454,7 @@ class Analyzer:
 def analyze(q: int, config: PipelineConfig | None = None) -> tuple[GroupVerdict, dict]:
     analyzer = Analyzer(q, config)
     verdict = analyzer.run()
-    report = emit_report(analyzer, verdict)
-    return verdict, report
+    return verdict, emit_report(analyzer, verdict)
 
 
 # -- reporting -------------------------------------------------------------------------
@@ -456,7 +465,7 @@ def emit_report(analyzer: Analyzer, verdict: GroupVerdict) -> dict:
     rendered = scheme.payload() if scheme else dict.fromkeys(
         ("relations", "sizes", "multiplicities", "P", "Q"))
     labels = rendered["relations"]
-    report = {
+    return {
         "meta": {
             "q": analyzer.q,
             "group_order": analyzer.group.order,
@@ -478,7 +487,6 @@ def emit_report(analyzer: Analyzer, verdict: GroupVerdict) -> dict:
             "exit_code": verdict.exit_code(),
         },
     }
-    return report
 
 
 def write_report(report: dict, path: str):
@@ -491,9 +499,12 @@ def write_report(report: dict, path: str):
 
 
 def verify_report(report: dict) -> tuple[bool, list[str]]:
-    """Re-verify every certificate in a report; returns (ok, problems)."""
+    """Re-verify every certificate in a report and replay each row's status
+    from the certificates that pass, by the analyzer's own settle_row and
+    FactBase.infer; returns (ok, problems)."""
     if not (isinstance(report, dict) and isinstance(report.get("meta"), dict)
-            and all(key in report for key in ("graphs", "witnesses", "verdict"))):
+            and isinstance(report.get("verdict"), dict)
+            and all(isinstance(report.get(key), list) for key in ("graphs", "witnesses"))):
         return False, ["not a report: an object with meta, graphs, witnesses and verdict"]
     version = report["meta"].get("version")
     if version != __version__:
@@ -504,53 +515,64 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         return False, [f"q {q!r} is not a prime power from 4 to {MAX_Q}"]
     problems: list[str] = []
     group = build_group(q)
-    for gv in report["graphs"]:
-        for cert in gv["certificates"]:
-            if not _checked(lambda: _verify_certificate(group, gv, cert, problems),
-                            problems):
-                problems.append(f"graph {gv['clique_classes']}: certificate failed")
-        claims = _settling_claims(gv)
-        if claims and not any(_claim(cert) in claims for cert in gv["certificates"]):
-            problems.append(f"graph {gv['clique_classes']}: {gv['status']} "
+    rows = report["graphs"]
+    if rows and not group.table_fits():
+        return False, [f"graph rows for a group past the table limit {TABLE_LIMIT}"]
+    # the labels come from the group, never from the report's scheme section
+    facts = FactBase(tuple(rational_fusion_scheme(group).nontrivial_labels()) if rows else ())
+    replayed = [_checked(lambda: _replay_row(group, gv, facts, problems), problems)
+                for gv in rows]
+    replayed = [pair for pair in replayed if pair]     # a malformed row is a problem
+    facts.infer([row for _, row in replayed])
+    for claimed, row in replayed:
+        if row.status != claimed:
+            problems.append(f"graph {list(row.clique_classes)}: {claimed} "
                             f"without a certificate that settles it")
     for wit in report["witnesses"]:
         if not _checked(lambda: _verify_witness(group, wit, problems), problems):
-            problems.append(f"witness {wit.get('kind')}: verification failed")
-    verdict = report["verdict"]
-    if verdict["separating"] == YES:
-        unresolved = [gv for gv in report["graphs"] if gv["status"] == UNRESOLVED]
-        if unresolved:
-            problems.append("verdict YES with unresolved graphs")
+            kind = wit.get("kind") if isinstance(wit, dict) else None
+            problems.append(f"witness {kind}: verification failed")
+    if report["verdict"].get("separating") == YES and any(
+            row.status == UNRESOLVED == claimed for claimed, row in replayed):
+        problems.append("verdict YES with unresolved graphs")
     return (not problems), problems
 
 
-def _settling_claims(gv) -> list[tuple]:
-    """The (kind, status, classes, target) of each certificate that would settle
-    the row as its status says; empty for a status settled otherwise."""
-    clique, coclique = sorted(gv["clique_classes"]), sorted(gv["coclique_classes"])
-    if gv["status"] == SEPARATING_BY_NONEXISTENCE:
-        return [("clique", NONE, clique, gv["omega_target"])]
-    if gv["status"] == SEPARATING_BY_CSP:
-        return [("exact_hit", PROVEN_INFEASIBLE, clique, gv["alpha_target"]),
-                ("exact_hit", PROVEN_INFEASIBLE, coclique, gv["omega_target"])]
-    return []
+def _replay_row(group, gv, facts: FactBase, problems) -> tuple[str, GraphVerdict]:
+    """The row's claimed status, and an open row on its classes and targets
+    settled by settle_row from each of its certificates that verifies."""
+    if not isinstance(gv, dict):
+        raise TypeError("a graph row is not an object")
+    row = GraphVerdict(tuple(gv["clique_classes"]), tuple(gv["coclique_classes"]),
+                       gv["omega_target"], gv["alpha_target"])
+    for cert in gv["certificates"]:
+        if _checked(lambda: _verify_certificate(group, gv, cert, problems), problems):
+            settle_row(row, cert, facts)
+        else:
+            problems.append(f"graph {gv['clique_classes']}: certificate failed")
+    return gv["status"], row
 
 
-def _claim(cert: dict) -> tuple:
-    """What a decision or covering certificate claims: (kind, status, classes, target)."""
-    graph = cert.get("system", cert).get("graph", {})
-    return (cert.get("kind"), cert.get("status"), sorted(graph.get("classes", [])),
-            cert.get("target"))
-
-
-def _checked(check, problems: list[str]) -> bool:
-    """check(), with a field it reads and the certificate lacks reported as a
-    problem instead of raised."""
+def _checked(check, problems: list[str]):
+    """check(), with a field it reads that the report lacks or holds
+    malformed reported as one problem instead of raised."""
     try:
         return check()
     except KeyError as exc:
         problems.append(f"missing field {exc.args[0]!r}")
-        return False
+    except (TypeError, ValueError, IndexError) as exc:
+        problems.append(f"malformed report: {exc}")
+    return False
+
+
+def _elements(payload: dict, name: str, group) -> list[int]:
+    """payload[name], checked to hold distinct elements of the group, as
+    search._pairwise checks a clique."""
+    value = payload[name]
+    if not (isinstance(value, list) and len(set(
+            x for x in value if isinstance(x, int) and 0 <= x < group.order)) == len(value)):
+        raise ValueError(f"{name!r} is not a list of distinct group elements")
+    return value
 
 
 def _check_digest(cert: dict, problems: list[str]) -> bool:
@@ -564,21 +586,16 @@ def _verify_certificate(group, gv, cert, problems) -> bool:
     if not _check_digest(cert, problems):
         return False
     kind = cert.get("kind")
-    if kind in ("realized_clique", "realized_coclique"):
-        graph = build_graph(group, gv["clique_classes"])
+    if kind in ("realized_clique", "realized_coclique", "clique", "coclique"):
+        realized = kind.startswith("realized_")
+        graph = build_graph(group, gv["clique_classes"] if realized
+                            else cert["graph"]["classes"])
         verts = cert["vertices"]
-        ok = verify_clique(graph, verts) if kind == "realized_clique" \
-            else verify_coclique(graph, verts)
-        return ok and len(verts) == cert["size"]
-    if kind in ("clique", "coclique"):
-        graph = build_graph(group, cert["graph"]["classes"])
-        verts = cert["vertices"]
-        if cert.get("status") == NONE or not verts:
+        if not realized and (cert.get("status") == NONE or not verts):
             return True  # a NONE claim rests on the digest alone
         # the witness is re-checked; an exhaustive claim rests on the digest
-        ok = verify_clique(graph, verts) if kind == "clique" \
-            else verify_coclique(graph, verts)
-        return ok and len(verts) == cert["size"]
+        check = verify_coclique if kind.endswith("coclique") else verify_clique
+        return check(graph, verts) and len(verts) == cert["size"]
     if kind == "exact_hit":
         system = cert["system"]
         graph = build_graph(group, system["graph"]["classes"])
@@ -598,14 +615,14 @@ def _verify_witness(group, wit, problems) -> bool:
         return False
     kind = wit.get("kind")
     if kind == "exact_factorisation":
-        fac = verify_exact_factorisation(
-            group, mask_from(wit["A"]), mask_from(wit["B"]))
+        fac = verify_exact_factorisation(group, mask_from(_elements(wit, "A", group)),
+                                         mask_from(_elements(wit, "B", group)))
         return fac.verified
     if kind == "sharply_transitive":
-        sub = mask_from(wit["subgroup"])
+        sub = mask_from(_elements(wit, "subgroup", group))
         _, images = coset_action(group, sub)
         ok, _ = verify_sharply_transitive(
-            [images[g] for g in wit["elements"]], wit["degree"])
+            [images[g] for g in _elements(wit, "elements", group)], wit["degree"])
         return ok
     if kind == "non_spreading_multiset":
         # re-check the report's own multiset, not a freshly built one

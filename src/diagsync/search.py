@@ -432,7 +432,8 @@ def find_clique_of_size(graph: ClassUnionGraph, k: int,
         return FOUND if hit else NONE, _decision_cert(graph, hit, not hit, meter, k)
     witness, complete = _pinned_search(graph, k - 1, meter, target=k)
     status = FOUND if witness else NONE if complete else EXHAUSTED
-    return status, _decision_cert(graph, witness or (), complete, meter, k)
+    # a hit is recorded at a leaf, so it may pass k: any k of its vertices are a clique
+    return status, _decision_cert(graph, (witness or ())[:k], complete, meter, k)
 
 
 def _decision_cert(graph, vertices, exhaustive, meter, k):

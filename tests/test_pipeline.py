@@ -76,11 +76,11 @@ def test_report_replay_and_tamper_rejection(tmp_path):
     assert not ok
 
 
-def _resealed_multiset(report, edit):
-    """The report with its multiset witness edited and its digest recomputed."""
+def _resealed_multiset(report, edit, kind="non_spreading_multiset"):
+    """The report with its witness of the kind (the multiset witness by
+    default) edited and its digest recomputed."""
     bad = copy.deepcopy(report)
-    k = next(i for i, w in enumerate(bad["witnesses"])
-             if w["kind"] == "non_spreading_multiset")
+    k = next(i for i, w in enumerate(bad["witnesses"]) if w["kind"] == kind)
     wit = {key: v for key, v in bad["witnesses"][k].items() if key != "digest"}
     edit(wit)
     bad["witnesses"][k] = sealed(wit)
@@ -109,6 +109,37 @@ def test_resealed_multiset_edit_fails_replay(edit):
     assert verify_report(_resealed_multiset(report, lambda w: None))[0]
     ok, problems = verify_report(_resealed_multiset(report, edit))
     assert not ok and problems
+
+
+@pytest.mark.parametrize("q, kind, field, value", [
+    (9, "sharply_transitive", "elements", 10 ** 6),
+    (9, "sharply_transitive", "elements", "x"),
+    (9, "sharply_transitive", "elements", -1),
+    (9, "sharply_transitive", "subgroup", -1),
+    (7, "exact_factorisation", "A", -1),
+    (7, "exact_factorisation", "B", "x"),
+], ids=["elements_large", "elements_str", "elements_negative", "subgroup_negative",
+        "A_negative", "B_str"])
+def test_malformed_witness_is_one_problem(q, kind, field, value, tmp_path, capsys):
+    # each element list must hold distinct elements of the group before use:
+    # numpy would wrap a negative index to another element
+    _, report = analyze(q, PipelineConfig())
+    bad = _resealed_multiset(report, lambda w: w[field].__setitem__(0, value), kind)
+    ok, problems = verify_report(bad)
+    assert not ok and problems == [
+        f"malformed report: {field!r} is not a list of distinct group elements",
+        f"witness {kind}: verification failed"]
+    _verify_cli_rejects(bad, tmp_path, capsys)
+
+
+def _verify_cli_rejects(report, tmp_path, capsys):
+    """diagsync verify on the report: exit 1, ok false, nothing on stderr."""
+    path = tmp_path / "bad.json"
+    write_report(report, path)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False and captured.err == ""
 
 
 def test_report_determinism(tmp_path):
@@ -153,7 +184,7 @@ def test_inference_resolves_rows_from_planted_facts():
     # alpha(G_{6,13}) <= 25 and alpha(G_{3,13}) <= 22, on the complements
     analyzer.facts.set_omega_upper(("2", "3", "7"), 25, "planted")
     analyzer.facts.set_omega_upper(("2", "6", "7"), 22, "planted")
-    analyzer.inference_pass()
+    analyzer.facts.infer(analyzer.verdict.graphs)
     status = {tuple(gv.clique_classes): gv.status for gv in analyzer.verdict.graphs}
     assert status[("3", "7")] == "SEPARATING_BY_INFERENCE"
     assert status[("2", "7")] == "SEPARATING_BY_INFERENCE"
@@ -380,6 +411,90 @@ def test_verify_requires_the_certificate_that_settles_each_row(budgeted13):
                                                      first["certificates"])
     ok, problems = verify_report(bad)
     assert not ok and sum("without a certificate" in p for p in problems) == 2
+
+
+@pytest.mark.parametrize("field", ["status", "omega_target", "certificates",
+                                   "clique_classes"])
+def test_verify_names_a_missing_row_field(budgeted13, tmp_path, capsys, field):
+    bad = copy.deepcopy(budgeted13)
+    bad["graphs"][0].pop(field)
+    assert verify_report(bad) == (False, [f"missing field {field!r}"])
+    _verify_cli_rejects(bad, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", [5, "row", [1, 2]], ids=["int", "str", "list"])
+def test_verify_rejects_a_row_that_is_not_an_object(budgeted13, tmp_path, capsys, row):
+    bad = copy.deepcopy(budgeted13)
+    bad["graphs"][3] = row
+    assert verify_report(bad) == (False, ["malformed report: a graph row is not an object"])
+    _verify_cli_rejects(bad, tmp_path, capsys)
+
+
+# -- the verifier replays each row's status ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def report17():
+    """A q=17 report at 500 nodes: 10 NONE rows, 8 covering rows, one
+    inference row and 4 unresolved rows."""
+    return analyze(17, PipelineConfig(budget_nodes=500))[1]
+
+
+def _row(report, *classes):
+    return next(gv for gv in report["graphs"] if gv["clique_classes"] == list(classes))
+
+
+def _unsettled(gv, status):
+    return f"graph {gv['clique_classes']}: {status} without a certificate that settles it"
+
+
+STATUSES = ("SEPARATING_BY_NONEXISTENCE", "SEPARATING_BY_CSP",
+            "SEPARATING_BY_INFERENCE", UNRESOLVED)
+
+
+def test_replay_gives_every_row_the_pipeline_status(report17):
+    assert verify_report(report17) == (True, [])
+    assert Counter(gv["status"] for gv in report17["graphs"]) == dict(
+        zip(STATUSES, (10, 8, 1, 4)))
+    assert _row(report17, "2", "8", "9")["status"] == "SEPARATING_BY_INFERENCE"
+    # any other status on any one row is refuted by the replay, on that row alone
+    for i, gv in enumerate(report17["graphs"]):
+        for status in set(STATUSES) - {gv["status"]}:
+            bad = copy.deepcopy(report17)
+            bad["graphs"][i]["status"] = status
+            assert verify_report(bad) == (False, [_unsettled(gv, status)])
+
+
+@pytest.mark.parametrize("q, nodes", [(13, 100), (17, 500)])
+def test_verify_rejects_unresolved_rows_claimed_by_inference(q, nodes, report17):
+    report = report17 if q == 17 else analyze(q, PipelineConfig(budget_nodes=nodes))[1]
+    bad = copy.deepcopy(report)
+    edited = [gv for gv in bad["graphs"] if gv["status"] == UNRESOLVED]
+    assert edited and report["verdict"]["separating"] == UNKNOWN
+    for gv in edited:
+        gv["status"] = "SEPARATING_BY_INFERENCE"
+    bad["verdict"]["separating"] = YES
+    ok, problems = verify_report(bad)
+    assert not ok and problems == [_unsettled(gv, "SEPARATING_BY_INFERENCE")
+                                   for gv in edited]
+
+
+def test_dropping_a_covering_certificate_fails_the_rows_inferred_from_it(report17):
+    # G[4,17]'s refutation spans all edges: it bounds omega(G[2,3,8,9]), which
+    # puts G[2,8,9]'s 72-clique out of reach
+    bad = copy.deepcopy(report17)
+    row = _row(bad, "4", "17")
+    row["certificates"] = [c for c in row["certificates"] if c["kind"] != "exact_hit"]
+    assert verify_report(bad) == (False, [
+        _unsettled(row, "SEPARATING_BY_CSP"),
+        _unsettled(_row(bad, "2", "8", "9"), "SEPARATING_BY_INFERENCE")])
+
+
+def test_an_inferred_row_relabelled_as_covered_fails(report17):
+    bad = copy.deepcopy(report17)
+    row = _row(bad, "2", "8", "9")
+    row["status"] = "SEPARATING_BY_CSP"
+    assert verify_report(bad) == (False, [_unsettled(row, "SEPARATING_BY_CSP")])
 
 
 def test_verify_rejects_another_format_version(budgeted13):

@@ -20,6 +20,7 @@ from diagsync.psl2 import (
     sylow_subgroup,
     unipotent_subgroup,
 )
+from diagsync.scheme import rational_fusion_scheme
 from diagsync.search import (
     Budget,
     EXHAUSTED,
@@ -399,6 +400,22 @@ GOLDEN = [
     ("decision", 11, ("11", "2", "3", "6"), 300, 16, (EXHAUSTED, 0, (), 301, False)),
     ("decision", 13, ("7",), 3000, 14, (NONE, 0, (), 61, True)),
 ]
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_a_found_decision_has_exactly_k_vertices(q):
+    # the branch and bound records a hit at a leaf, so its first hit may be a
+    # larger clique; the witness is cut to k vertices.  omega is exact where
+    # 5,000 nodes end the search, else the largest clique found bounds it below
+    group = build_group(q)
+    labels = rational_fusion_scheme(group).nontrivial_labels()
+    for subset in (s for r in range(1, len(labels))
+                   for s in itertools.combinations(labels, r)):
+        graph = build_graph(group, subset)
+        for k in range(4, max_clique(graph, Budget(max_nodes=5000)).size):
+            status, cert = find_clique_of_size(graph, k)
+            assert status == FOUND and cert.size == len(cert.vertices) == k, (subset, k)
+            assert verify_clique(graph, cert.vertices)
 
 
 @pytest.mark.parametrize("kind,q,labels,cap,k,expected", GOLDEN,
