@@ -24,14 +24,17 @@ identity decide whether the rows cover every edge.
 The solver is a propagation-based exact branch-and-bound over binary choices
 (no floating point).  The row system is closed under right translation, which
 preserves adjacency and pair labels, so every solution has a translate through
-the identity and the search pins it first.  The state lives in arrays: the
-alive count and done flag of every row and the chosen vertices, beside the
-alive-vertex mask.  Choosing a vertex removes its precomputed kill mask
-(itself, its neighbours and its rows); removing a set of vertices subtracts
-one bincount over their vertex-row incidence from the row counts.  Every
-vertex lies in the same number of rows, so the incidence is one stable
-argsort of the vertex array, reshaped to a row of row indices per vertex.  Each
-branch is undone by restoring the snapshot taken at its node.
+the identity and the search pins it first.  The state lives in arrays: an
+alive flag per vertex, the chosen vertices and the alive count of every row,
+a done row raised above every open count so one argmin finds the least open
+row.  Choosing v removes K0 v, K0 being what choosing the identity removes
+(itself, its neighbours and its rows): right translation by v maps these onto
+v's.  Removing vertices subtracts one bincount over their vertex-row
+incidence from the row counts.  Every vertex lies in the same number of rows,
+so the incidence is one stable argsort of the vertex array, reshaped to a row
+of row indices per vertex.  Each branch is undone by restoring the snapshot
+taken at its node.  Row bitmasks (``TranslateRowSystem.rows``) are built only
+on request; the solver reads none.
 
 Branching is orbital (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
 branching", Math. Programming 2011).  Conjugation by any group element maps
@@ -54,11 +57,12 @@ every row exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_array, mask_elements, mask_from, mask_of, outer_maps
+from .psl2 import PSL2, mask_array, mask_from, mask_of, outer_maps
 from .search import Budget, verify_clique, verify_coclique
 
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
@@ -75,17 +79,18 @@ class TranslateRowSystem:
     verts: np.ndarray                    # (rows, row size): sorted vertices per row
     generator_note: str
     edges_covered: bool
-    rows: list[int] = field(init=False)  # bitmask per row, for the solver's search
 
-    def __post_init__(self):
+    @cached_property
+    def rows(self) -> list[int]:             # a bitmask per row, built on first use
         n = self.graph.vertex_count
         step = max(1, _BLOCK // n)
-        self.rows = []
+        rows = []
         for start in range(0, len(self.verts), step):
             block = self.verts[start:start + step]
             flags = np.zeros((len(block), n), dtype=bool)
             np.put_along_axis(flags, block, True, axis=1)
-            self.rows += map(mask_of, flags)
+            rows += map(mask_of, flags)
+        return rows
 
     @property
     def row_size(self) -> int:
@@ -95,7 +100,7 @@ class TranslateRowSystem:
         return {
             "graph": self.graph.descriptor(),
             "base_clique": list(self.base_clique),
-            "rows": len(self.rows),
+            "rows": len(self.verts),
             "row_size": self.row_size,
             "edges_covered": self.edges_covered,
             "generators": self.generator_note,
@@ -205,8 +210,10 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
     conn = mask_array(graph.connection, n)
     families, through_identity = [], []
     known: set[bytes] = set()            # the rows through the identity
-    for shape in np.concatenate(shapes):
-        if np.sort(group.mul_pairs(shape, inv[shape[0]])).tobytes() in known:
+    shapes = np.concatenate(shapes)
+    keys = np.sort(group.mul_pairs(shapes, inv[shapes[:, :1]]), axis=1)
+    for shape, key in zip(shapes, keys):
+        if key.tobytes() in known:
             continue
         family = _right_translates(group, shape)
         _recheck_cliques(group, family, conn)
@@ -236,7 +243,7 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
     if status == FEASIBLE:
         # independent re-verification of the returned transversal
         hits = np.bincount(solver.incidence[list(witness)].ravel(),
-                           minlength=len(system.rows))
+                           minlength=len(system.verts))
         if (len(witness) != target_size or not verify_coclique(system.graph, witness)
                 or (hits != 1).any()):
             raise AssertionError("solver returned an invalid exact-hit witness")
@@ -250,19 +257,19 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
 class _CoverSolver:
     """Depth-first search for an independent transversal of the rows.
 
-    The state is the alive-vertex mask, the alive count and done flag of
-    every row, the chosen vertices and Gamma, the index array of the elements
-    that commute with each of them; each branch restores a snapshot of it
-    taken at its node.  The search is made of methods, not nested closures,
-    so a finished solver holds no reference cycle and is freed at once.
+    The state is the alive flag of every vertex, the alive count of every
+    row (closed once done), the chosen vertices and Gamma, the index array of
+    the elements that commute with each of them; each branch restores a
+    snapshot of it taken at its node.  The search is made of methods, not
+    nested closures, so a finished solver holds no reference cycle and is
+    freed at once.
     """
 
     def __init__(self, system: TranslateRowSystem, meter):
-        self.graph = system.graph
         self.group = system.graph.group
         self.meter = meter
         self.n = self.group.order
-        self.rows = system.rows
+        self.verts = system.verts
         # the rows through each vertex, ascending: every vertex lies in the
         # same number of rows, since each family is closed under right translation
         n_rows, k = system.verts.shape
@@ -271,47 +278,43 @@ class _CoverSolver:
             raise AssertionError("rows do not meet every vertex equally often")
         order = np.argsort(system.verts.ravel(), kind="stable")
         self.incidence = (order // k).reshape(self.n, width)
-        self._kill: list[int | None] = [None] * self.n
-        self.closed = self.n + 1             # sorts done rows after every open one
-        self.alive = (1 << self.n) - 1
+        # what choosing the identity removes: its rows, which hold it, and its
+        # neighbours; right translation by v carries it to what choosing v removes
+        self.kill0 = np.union1d(system.graph.connection_elements(),
+                                system.verts[self.incidence[self.group.identity]])
+        self.closed = k + 1                  # a done row's count, above every open one
+        self.alive = np.ones(self.n, dtype=bool)
         self.row_alive = np.full(n_rows, k, dtype=np.int32)
-        self.row_done = np.zeros(n_rows, dtype=bool)
         self.chosen: list[int] = []
         self.gamma = np.arange(self.n)
 
-    def kill(self, v: int) -> int:
-        """v, its rows and its neighbours: what choosing v removes (built on first use)."""
-        mask = self._kill[v]
-        if mask is None:
-            mask = (1 << v) | self.graph.neighbors(v)
-            for ri in self.incidence[v].tolist():
-                mask |= self.rows[ri]
-            self._kill[v] = mask
-        return mask
-
-    def remove(self, mask: int):
-        """Delete the alive vertices of mask and take them off their rows' counts."""
-        removed = mask & self.alive
-        self.alive ^= removed
-        hits = self.incidence[mask_array(removed, self.n)].ravel()
-        self.row_alive -= np.bincount(hits, minlength=len(self.rows))
+    def remove(self, verts: np.ndarray):
+        """Delete the alive vertices among verts (no repeats) and take them
+        off their rows' counts."""
+        removed = verts[self.alive[verts]]
+        self.alive[removed] = False
+        self.row_alive -= np.bincount(self.incidence[removed].ravel(),
+                                      minlength=len(self.row_alive))
 
     def choose(self, v: int):
         self.chosen.append(v)
         through = self.incidence[v]
-        if self.row_done[through].any():
+        if (self.row_alive[through] >= self.closed).any():
             # two chosen in one row is impossible: v was alive
             raise AssertionError("row chosen twice")
-        self.row_done[through] = True
-        self.remove(self.kill(v))
+        # every vertex of these rows dies with v, so each ends at closed
+        self.row_alive[through] += self.closed
+        self.remove(self.group.mul_pairs(self.kill0, v))
         if len(self.gamma) > 1:
             self.gamma = self.gamma[self.group.conjugate(v, self.gamma) == v]
 
     def first_open_min(self) -> tuple[int, int]:
-        """The first not-done row of least alive count, and that count."""
-        open_counts = np.where(self.row_done, self.closed, self.row_alive)
-        ri = int(open_counts.argmin())
-        return ri, int(open_counts[ri])
+        """The first row of least alive count, and that count: closed when every row is done."""
+        ri = int(self.row_alive.argmin())
+        return ri, int(self.row_alive[ri])
+
+    def alive_in(self, ri: int) -> np.ndarray:     # ascending
+        return self.verts[ri][self.alive[self.verts[ri]]]
 
     def propagate(self) -> bool:
         """Choose the last alive vertex of every row left with one; False on a dead row."""
@@ -321,38 +324,35 @@ class _CoverSolver:
                 return False
             if c != 1:
                 return True
-            m = self.rows[ri] & self.alive
-            self.choose((m & -m).bit_length() - 1)
+            self.choose(int(self.alive_in(ri)[0]))
 
     def search(self, target: int) -> str:
         if self.meter.tick():
             return EXHAUSTED_LOCAL
-        if len(self.chosen) == target:
-            return FOUND_LOCAL if self.row_done.all() else DEAD_LOCAL
         best_ri, best_c = self.first_open_min()
+        if len(self.chosen) == target:
+            return FOUND_LOCAL if best_c == self.closed else DEAD_LOCAL
         if best_c in (0, self.closed):
             return DEAD_LOCAL  # a dead row, or all rows done but size short
-        snapshot = (self.alive, self.row_alive.copy(), self.row_done.copy(),
-                    len(self.chosen), self.gamma)
-        row = self.rows[best_ri] & self.alive
+        snapshot = (self.alive.copy(), self.row_alive.copy(), len(self.chosen), self.gamma)
+        row = self.alive_in(best_ri).tolist()
         if len(self.gamma) > 1:
             # choose the lowest alive v, or delete its whole Gamma-orbit
-            v = (row & -row).bit_length() - 1
-            orbit = mask_from(self.group.conjugate(v, self.gamma).tolist())
+            v = row[0]
+            orbit = np.unique(self.group.conjugate(v, self.gamma))
             branches = [(self.choose, v), (self.remove, orbit)]
         else:
-            branches = [(self.choose, v) for v in mask_elements(row)]
+            branches = [(self.choose, v) for v in row]
         for step, arg in branches:
             step(arg)
             if self.propagate():
                 out = self.search(target)
                 if out in (FOUND_LOCAL, EXHAUSTED_LOCAL):
                     return out
-            self.alive = snapshot[0]
+            self.alive[:] = snapshot[0]
             self.row_alive[:] = snapshot[1]
-            self.row_done[:] = snapshot[2]
-            del self.chosen[snapshot[3]:]
-            self.gamma = snapshot[4]
+            del self.chosen[snapshot[2]:]
+            self.gamma = snapshot[3]
         return DEAD_LOCAL
 
     def exactly_one(self, target: int):

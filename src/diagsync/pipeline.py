@@ -28,7 +28,7 @@ from .certify import (BRACKET, FEASIBLE, PROVEN_INFEASIBLE, generate_translate_r
 from .feasibility import putative_table
 from .gf import MAX_Q, factor_prime_power
 from .graphs import build_graph, complement_graph
-from .psl2 import TABLE_LIMIT, PSL2, build_group, mask_from
+from .psl2 import TABLE_LIMIT, PSL2, build_group, is_subgroup, mask_from
 from .scheme import rational_fusion_scheme
 from .search import (
     Budget,
@@ -528,10 +528,15 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         if row.status != claimed:
             problems.append(f"graph {list(row.clique_classes)}: {claimed} "
                             f"without a certificate that settles it")
+    # NO rests on a negative witness; one that fails its check is a problem below
+    negative = False
     for wit in report["witnesses"]:
+        kind = wit.get("kind") if isinstance(wit, dict) else None
+        negative |= kind in ("exact_factorisation", "sharply_transitive")
         if not _checked(lambda: _verify_witness(group, wit, problems), problems):
-            kind = wit.get("kind") if isinstance(wit, dict) else None
             problems.append(f"witness {kind}: verification failed")
+    if report["verdict"].get("separating") == NO and not negative:
+        problems.append("verdict NO without a negative witness")
     if report["verdict"].get("separating") == YES and any(
             row.status == UNRESOLVED == claimed for claimed, row in replayed):
         problems.append("verdict YES with unresolved graphs")
@@ -620,6 +625,10 @@ def _verify_witness(group, wit, problems) -> bool:
         return fac.verified
     if kind == "sharply_transitive":
         sub = mask_from(_elements(wit, "subgroup", group))
+        # a proper nontrivial subgroup: the regular action proves nothing
+        if not (is_subgroup(group, sub) and 1 < sub.bit_count() < group.order
+                and wit["degree"] == group.order // sub.bit_count()):
+            return False
         _, images = coset_action(group, sub)
         ok, _ = verify_sharply_transitive(
             [images[g] for g in _elements(wit, "elements", group)], wit["degree"])

@@ -7,13 +7,16 @@ over one representative per conjugacy class of the connection set (the
 stabilizer of the identity vertex induces conjugation, and inversion is also
 an automorphism fixing the identity).  Algebraic seeds (cliques among the
 subgroups of ``psl2.subgroup_library`` and every cyclic subgroup, and unions
-of their cosets) provide strong incumbents before any branching.  One
-serial loop, ``_pinned_search``, solves the pinned subproblems in order
-through ``_solve_task`` for both the maximum and the decision searches.  A
-subproblem's local graph is one boolean matrix, built by a single
-product gather (u ~ v exactly when u*v^-1 lies in the connection set); the
-degeneracy order comes from a degree vector over that matrix, and the
-relabelled rows are packed once into the bitsets the branching works on.
+of their cosets) provide strong incumbents before any branching.  Coset
+unions are searched once per conjugacy class of subgroup and carried to the
+other members by conjugation, an automorphism of the graph; conjugates have
+unions of equal size, so only seeds after the first may differ from a search
+per member.  One serial loop, ``_pinned_search``, solves the pinned
+subproblems in order through ``_solve_task`` for both the maximum and the
+decision searches.  A subproblem's local graph is one boolean matrix, built by
+one product gather (u ~ v exactly when u*v^-1 lies in the connection set);
+the degeneracy order comes from a degree vector over it, and its relabelled
+rows are packed into bitsets by one packbits call.
 
 Certificates record the witness and whether the search was exhaustive; an
 independent pairwise verifier re-checks every witness by the same gather
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import (PSL2, cyclic_subgroup, mask_array, mask_elements, mask_of, orbits,
+from .psl2 import (PSL2, cyclic_subgroup, mask_array, mask_elements, orbits,
                    subgroup_library)
 
 
@@ -128,6 +131,23 @@ def _seed_subgroups(group: PSL2) -> list[int]:
     return cached
 
 
+def _union_classes(group: PSL2) -> dict[int, tuple[int, int]]:
+    """(rep, g) with H = g^-1 rep g for each seed subgroup H large enough for a
+    coset-union search, rep the first of its conjugacy class in seed order;
+    cached on the group."""
+    if getattr(group, "_union_classes", None) is None:
+        group._union_classes, found = {}, {}    # found: each conjugate of a rep: (rep, g)
+        every = np.arange(group.order)
+        for mask in _seed_subgroups(group):
+            h = np.array(mask_elements(mask))
+            if len(h) >= 7 and group.order // len(h) <= 120:
+                if h.tobytes() not in found:      # row g: sorted g^-1 H g, least g first
+                    conj = np.sort(group.conjugate(h, every[:, None]), axis=1).astype(h.dtype)
+                    found.update((conj[g].tobytes(), (mask, g)) for g in every[::-1].tolist())
+                group._union_classes[mask] = found[h.tobytes()]
+    return group._union_classes
+
+
 def algebraic_clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     """Verified cliques from subgroups and unions of subgroup cosets, largest first.
 
@@ -144,29 +164,29 @@ def algebraic_clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...
 
 def _clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     group = graph.group
-    conn = graph.connection
-    idbit = 1 << group.identity
-    seeds: list[tuple[int, ...]] = []
-    subgroup_cliques: list[int] = []
-    for mask in _seed_subgroups(group):
-        if mask & ~(conn | idbit):
-            continue
-        subgroup_cliques.append(mask)
-        seeds.append(tuple(mask_elements(mask)))
-    # coset-union extension on the larger subgroup cliques
-    for mask in subgroup_cliques:
-        h = mask_elements(mask)
-        if len(h) < 7 or group.order // len(h) > 120:
-            continue
-        union = _best_coset_union(graph, h)
-        if union and len(union) > len(h):
+    outside = ~(graph.connection | 1 << group.identity)
+    subgroup_cliques = [mask for mask in _seed_subgroups(group) if not mask & outside]
+    seeds = [tuple(mask_elements(mask)) for mask in subgroup_cliques]
+    # coset-union extension on the larger subgroup cliques, searched once per
+    # class: conjugation by g carries the representative's union to H's
+    classes, unions = _union_classes(group), {}     # unions[H]: (union, exhaustive)
+    for mask in filter(classes.__contains__, subgroup_cliques):
+        rep, g = classes[mask]
+        if mask == rep or not unions[rep][1]:      # a class's first, or its search stopped
+            unions[mask] = _best_coset_union(graph, mask_elements(mask))
+            union = unions[mask][0]
+        elif union := unions[rep][0]:
+            union = tuple(sorted(group.conjugate(np.array(union), g).tolist()))
+            union = union if verify_clique(graph, union) else None
+        if union and len(union) > mask.bit_count():
             seeds.append(union)
     seeds.sort(key=len, reverse=True)
     return tuple(seeds)
 
 
 def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
-    """Largest union of right cosets of H that forms a clique (exact, small).
+    """Largest union of right cosets of H that forms a clique (exact, small),
+    or None, and whether the search was exhaustive.
 
     Cosets Hx and Hy are compatible when H(xy^-1)H lies in the connection
     set; each coset is represented by its least element.  The connection set
@@ -187,11 +207,11 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     # no clock: the seeds, and the capped searches they start, must not
     # depend on the machine's speed
     meter = _Meter(200000, math.inf)
-    best_size, members, _ = _bb_max_clique(ok[quotients], 1, meter)
+    best_size, members, complete = _bb_max_clique(ok[quotients], 1, meter)
     if best_size <= 1:
-        return None
+        return None, complete
     out = tuple(sorted(left[:, reps[members]].ravel().tolist()))
-    return out if verify_clique(graph, out) else None
+    return out if verify_clique(graph, out) else None, complete
 
 
 # -- core branch and bound ---------------------------------------------------------
@@ -211,7 +231,8 @@ def _bb_max_clique(adj: np.ndarray, lower: int, meter: _Meter,
     """
     n = len(adj)
     order = _degeneracy_order(adj)
-    radj = [mask_of(row) for row in adj[np.ix_(order, order)]]
+    packed = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
+    radj = [int.from_bytes(row, "little") for row in packed]
     state = {"best": lower if target is None else min(lower, target - 1),
              "mask": 0, "complete": True}
     full = (1 << n) - 1

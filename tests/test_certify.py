@@ -1,14 +1,16 @@
 import itertools
+import random
 from collections import Counter
 from functools import reduce
 from operator import or_
 
+import numpy as np
 import pytest
 
 from diagsync import certify
 from diagsync.certify import PROVEN_INFEASIBLE, generate_translate_rows, solve_cover_ilp
 from diagsync.gf import factor_prime_power
-from diagsync.graphs import build_graph
+from diagsync.graphs import ClassUnionGraph, build_graph
 from diagsync.pipeline import Analyzer, PipelineConfig
 from diagsync.psl2 import (PSL2, build_group, mask_elements, mask_from, outer_maps,
                            sylow_subgroup)
@@ -83,6 +85,37 @@ def test_exactly_one_84_proven_infeasible(sys13):
     assert res.status == PROVEN_INFEASIBLE
     assert res.target == 84
     assert res.nodes == 367
+
+
+def test_choosing_a_vertex_removes_its_neighbours_and_rows(sys13):
+    # the solver removes K0 v by one gather; the reference is the union of
+    # v, its neighbour mask and the bitmasks of the rows through it
+    graph = sys13.graph
+    n = graph.vertex_count
+    for v in [graph.group.identity, 0, n - 1] + random.Random(13).sample(range(n), 8):
+        solver = certify._CoverSolver(sys13, Budget().start())
+        solver.choose(v)
+        through = [ri for ri, mask in enumerate(sys13.rows) if mask >> v & 1]
+        kill = reduce(or_, (sys13.rows[ri] for ri in through), 1 << v | graph.neighbors(v))
+        assert mask_from(np.flatnonzero(~solver.alive).tolist()) == kill
+        # the rows through v are done, every other row counts its alive vertices
+        assert np.flatnonzero(solver.row_alive == solver.closed).tolist() == through
+        assert all(solver.row_alive[ri] == (mask & ~kill).bit_count()
+                   for ri, mask in enumerate(sys13.rows) if ri not in through)
+
+
+def test_solver_reads_no_neighbour_mask_and_no_row_bitmask(monkeypatch):
+    g = build_group(13)
+    system = generate_translate_rows(build_graph(g, ["13"]),
+                                     mask_elements(sylow_subgroup(g, 13)))
+
+    def refuse(self, v):
+        raise AssertionError("the solver read a neighbour mask")
+    monkeypatch.setattr(ClassUnionGraph, "neighbors", refuse)
+    res = solve_cover_ilp(system, 84, budget=Budget(max_nodes=10 ** 8, max_seconds=600))
+    assert res.status == PROVEN_INFEASIBLE and res.nodes == 367
+    assert res.system["rows"] == 1176
+    assert "rows" not in vars(system)     # the bitmasks were never built
 
 
 def test_q17_g_2_4_17_proven_infeasible():

@@ -505,6 +505,64 @@ def test_verify_rejects_another_format_version(budgeted13):
     assert "0.1.0" in problems[0] and pipeline.__version__ in problems[0]
 
 
+NO_WITHOUT_WITNESS = "verdict NO without a negative witness"
+
+
+def test_verify_rejects_a_no_verdict_without_a_negative_witness(budgeted13, tmp_path,
+                                                                  capsys):
+    # every row is settled and the report holds no witness: NO has nothing to rest on
+    bad = copy.deepcopy(budgeted13)
+    bad["verdict"]["separating"] = NO
+    assert verify_report(bad) == (False, [NO_WITHOUT_WITNESS])
+    _verify_cli_rejects(bad, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 16, 19, 23, 27, 29, 31])
+def test_every_witness_verdict_verifies(q):
+    # the q-sweep benchmark's prime powers: NO on a verified negative witness
+    _, report = analyze(q, PipelineConfig(budget_nodes=100, budget_secs=1.0))
+    assert report["verdict"]["separating"] == NO
+    assert verify_report(report) == (True, [])
+
+
+def _regular_action(wit):
+    """Forge a sharply transitive witness: the trivial subgroup, whose coset
+    action is the regular action, with every element as the set."""
+    group = build_group(wit["q"])
+    wit.update(subgroup=[group.identity], elements=list(range(group.order)),
+               degree=group.order)
+
+
+def test_a_regular_action_witness_fails():
+    _, report = analyze(9, PipelineConfig())
+    honest = _resealed_multiset(report, lambda w: None, "sharply_transitive")
+    assert verify_report(honest) == (True, [])
+    forged = _resealed_multiset(report, _regular_action, "sharply_transitive")
+    # NO stands only on a witness that verifies: here the one that fails is the problem
+    assert verify_report(forged) == (False, ["witness sharply_transitive: verification failed"])
+    # a subgroup of index 6 with a degree that does not match it
+    wit = next(w for w in report["witnesses"] if w["kind"] == "sharply_transitive")
+    assert len(wit["subgroup"]) * wit["degree"] == 360
+    for degree in (5, 7, 360):
+        bad = _resealed_multiset(report, lambda w: w.update(degree=degree),
+                                 "sharply_transitive")
+        assert not verify_report(bad)[0]
+    # a non-subgroup of the same size
+    bad = _resealed_multiset(report, lambda w: w["subgroup"].__setitem__(
+        -1, next(x for x in range(360) if x not in w["subgroup"])), "sharply_transitive")
+    assert not verify_report(bad)[0]
+
+
+def test_a_regular_action_witness_fails_in_a_no_report(budgeted13):
+    # the forgery inserted into the q=13 report, its rows removed, verdict NO
+    wit = {"kind": "sharply_transitive", "q": 13, "verified": True}
+    _regular_action(wit)
+    bad = copy.deepcopy(budgeted13)
+    bad["graphs"], bad["witnesses"] = [], [sealed(wit)]
+    bad["verdict"]["separating"] = NO
+    assert verify_report(bad) == (False, ["witness sharply_transitive: verification failed"])
+
+
 def test_verify_rechecks_a_feasible_covering_witness():
     # PSL(2,5) = A4 * C5: an A4 meets every coset of every Sylow 5-subgroup once
     group = build_group(5)

@@ -15,6 +15,7 @@ from diagsync.psl2 import (
     cyclic_subgroup,
     dihedral_subgroup,
     mask_elements,
+    mask_from,
     mask_of,
     stabilizer_torus_element,
     sylow_subgroup,
@@ -172,7 +173,8 @@ def test_delsarte_product_bound_on_search_results():
 def reference_best_coset_union(graph, h):
     """Coset representatives and pairwise compatibility one group.mul at a time.
 
-    Plain reference for search._best_coset_union.
+    Plain reference for search._best_coset_union: the union or None, and
+    whether its search was exhaustive.
     """
     group = graph.group
     conn = graph.connection
@@ -190,12 +192,12 @@ def reference_best_coset_union(graph, h):
     for i, j in itertools.combinations(range(len(reps)), 2):
         if compatible(reps[i], reps[j]):
             adj[i, j] = adj[j, i] = True
-    best_size, members, _ = search._bb_max_clique(
+    best_size, members, complete = search._bb_max_clique(
         adj, 1, search._Meter(200000, float("inf")))
     if best_size <= 1:
-        return None
+        return None, complete
     out = tuple(sorted(group.mul(hh, reps[i]) for i in members.tolist() for hh in h))
-    return out if verify_clique(graph, out) else None
+    return (out if verify_clique(graph, out) else None), complete
 
 
 def _class_units(group):
@@ -232,6 +234,72 @@ def test_seeds_match_reference(q, labels, monkeypatch):
     assert seeds == search._clique_seeds(graph)
     monkeypatch.setattr(search, "_best_coset_union", reference_best_coset_union)
     assert seeds == search._clique_seeds(graph)
+
+
+def reference_clique_seeds(graph):
+    """The seeds with a coset-union search on every large subgroup clique,
+    none carried over by conjugation."""
+    group = graph.group
+    allowed = graph.connection | 1 << group.identity
+    cliques = [m for m in search._seed_subgroups(group) if not m & ~allowed]
+    seeds = [tuple(mask_elements(m)) for m in cliques]
+    for mask in cliques:
+        h = mask_elements(mask)
+        if len(h) >= 7 and group.order // len(h) <= 120:
+            union, _ = search._best_coset_union(graph, h)
+            if union and len(union) > len(h):
+                seeds.append(union)
+    return sorted(seeds, key=len, reverse=True)
+
+
+def _fused_union_graphs(qs):
+    for q in qs:
+        group = build_group(q)
+        labels = rational_fusion_scheme(group).nontrivial_labels()
+        for k in range(1, len(labels)):
+            for pick in itertools.combinations(labels, k):
+                yield build_graph(group, list(pick))
+
+
+@pytest.mark.parametrize("q", [7, 8, 11, 13])
+def test_seeds_searched_once_per_subgroup_class_match_a_search_per_member(q):
+    # conjugates have coset unions of equal size, so the first seed (the only
+    # one the pipeline, the searches and the certify command read) and every
+    # seed size are those of a search per member
+    carried = 0
+    for graph in _fused_union_graphs([q]):
+        seeds, reference = search._clique_seeds(graph), reference_clique_seeds(graph)
+        assert seeds[:1] == tuple(reference[:1])
+        assert [len(s) for s in seeds] == [len(s) for s in reference]
+        assert all(verify_clique(graph, s) for s in seeds)
+        carried += list(seeds) != reference
+    # each class's representative comes first in seed order, and g carries it
+    # onto the member: H = g^-1 rep g
+    group = build_group(q)
+    order = search._seed_subgroups(group)
+    for mask, (rep, g) in search._union_classes(group).items():
+        assert order.index(rep) <= order.index(mask)
+        assert mask_from(group.conjugate(np.array(mask_elements(rep)), g).tolist()) == mask
+    # later seeds do differ somewhere, so the conjugation path is exercised
+    assert carried
+
+
+def test_a_stopped_class_search_is_repeated_per_member(g13, monkeypatch):
+    # when the representative's search stops at its node meter, each member
+    # of its class is searched itself
+    graph = build_graph(g13, ["13"])
+    searched = []
+    real = search._best_coset_union
+
+    def stopped(graph, h):
+        searched.append(tuple(h))
+        return real(graph, h)[0], False
+    monkeypatch.setattr(search, "_best_coset_union", stopped)
+    seeds = search._clique_seeds(graph)
+    sylow13 = [m for m in search._union_classes(g13) if m.bit_count() == 13]
+    assert len(sylow13) == 14
+    assert {tuple(mask_elements(m)) for m in sylow13} <= set(searched)
+    assert seeds == tuple(reference_clique_seeds(graph))
 
 
 def _reduction_cases():
