@@ -149,34 +149,23 @@ def charpoly(m: Matrix) -> list[Fraction]:
     return coeffs
 
 
-def integer_roots(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """Integer roots (with multiplicity) of a monic integer polynomial.
+def integer_roots(coeffs: list[Fraction], bound: int) -> tuple[list[int], int]:
+    """Integer roots (with multiplicity) of a monic integer polynomial whose
+    roots all lie in [-bound, bound].
 
     Returns (roots, remaining_degree) where remaining_degree is the degree of
-    the factor left after dividing out all integer roots.
+    the factor left after dividing out all integer roots.  Candidates are
+    tried in the order 0, 1, -1, 2, -2, ..., bound, -bound.
     """
     poly = [int(c) for c in coeffs]
     assert all(c == ci for c, ci in zip(coeffs, poly)), "polynomial not integral"
     roots: list[int] = []
-    # strip powers of x
-    while len(poly) > 1 and poly[0] == 0:
-        roots.append(0)
-        poly = poly[1:]
-    while len(poly) > 1:
-        const = poly[0]
-        if const == 0:
-            roots.append(0)
-            poly = poly[1:]
-            continue
-        found = None
-        for cand in _signed_divisors(const):
-            if _poly_eval(poly, cand) == 0:
-                found = cand
-                break
-        if found is None:
+    for x in (s * m for m in range(bound + 1) for s in (1, -1)):
+        while len(poly) > 1 and _poly_eval(poly, x) == 0:
+            roots.append(x)
+            poly = _deflate(poly, x)
+        if len(poly) == 1:
             break
-        roots.append(found)
-        poly = _deflate(poly, found)
     return roots, len(poly) - 1
 
 
@@ -194,18 +183,3 @@ def _deflate(poly: list[int], root: int) -> list[int]:
         acc = poly[i] + root * acc
         out[i - 1] = acc
     return out
-
-
-def _signed_divisors(n: int):
-    n = abs(n)
-    divs = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            divs.append(f)
-            if f != n // f:
-                divs.append(n // f)
-        f += 1
-    for d in sorted(divs):
-        yield d
-        yield -d

@@ -278,7 +278,7 @@ class Analyzer:
     @property
     def facts(self) -> "FactBase":
         if self._facts is None:
-            self._facts = FactBase(tuple(self.scheme.nontrivial_labels()))
+            self._facts = FactBase(tuple(o.label for o in self.group.fusion_orbits()[1:]))
         return self._facts
 
     # ---- cached heavy operations -------------------------------------------------
@@ -350,10 +350,11 @@ class Analyzer:
         return False
 
     def feasibility_stage(self) -> list[GraphVerdict]:
-        # it depends only on the group: cached on it, like its subgroup library
+        scheme = self.scheme        # the report shows it beside the table
+        # the table depends only on the group: cached on it, like its subgroup library
         rows = getattr(self.group, "_putative_table", None)
         if rows is None:
-            rows = self.group._putative_table = tuple(putative_table(self.scheme))
+            rows = self.group._putative_table = tuple(putative_table(scheme))
         self.verdict.graphs = [GraphVerdict(row.clique_classes, row.coclique_classes,
                                             row.omega_target, row.alpha_target)
                                for row in rows]
@@ -519,7 +520,7 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     if rows and not group.table_fits():
         return False, [f"graph rows for a group past the table limit {TABLE_LIMIT}"]
     # the labels come from the group, never from the report's scheme section
-    facts = FactBase(tuple(rational_fusion_scheme(group).nontrivial_labels()) if rows else ())
+    facts = FactBase(tuple(o.label for o in group.fusion_orbits()[1:]) if rows else ())
     replayed = [_checked(lambda: _replay_row(group, gv, facts, problems), problems)
                 for gv in rows]
     replayed = [pair for pair in replayed if pair]     # a malformed row is a problem
@@ -591,7 +592,7 @@ def _verify_certificate(group, gv, cert, problems) -> bool:
     if not _check_digest(cert, problems):
         return False
     kind = cert.get("kind")
-    if kind in ("realized_clique", "realized_coclique", "clique", "coclique"):
+    if kind in ("realized_clique", "realized_coclique", "clique"):
         realized = kind.startswith("realized_")
         graph = build_graph(group, gv["clique_classes"] if realized
                             else cert["graph"]["classes"])

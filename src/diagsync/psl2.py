@@ -12,13 +12,21 @@ either sign of a matrix to its index.
 
 The conjugacy class of an element is one vectorized conjugation orbit
 (``conjugate``).  Element orders and the power-map (rational) fusion of the
-classes both come from powers(), one walk per representative.  The vertex
-maps beyond inner conjugation and inversion are in ``outer_maps``, and
-``orbits`` splits a vertex set into the orbits of a group of vertex maps.
+classes both come from powers(), one walk per representative.  This module
+owns the one label rule for classes and fusion orbits: the element order,
+with letters A, B, ..., Z, AA, ... when several classes share it, and the
+bare order for an orbit that holds every class of its order.  The fusion
+orbits are the relations of the fused scheme, and ``label_sort_key`` puts
+the labels of one order in class order.
+
+The vertex maps beyond inner conjugation and inversion are in
+``outer_maps``, and ``orbits`` splits a vertex set into the orbits of a
+group of vertex maps.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -56,9 +64,20 @@ class FusionOrbit:
 
 
 def label_sort_key(label: str):
-    """Order class and orbit labels ("7A", "13", "7AB") by element order, then text."""
+    """Order class and orbit labels ("13", "7A", "19AA") by element order, then
+    length, then text: the labels of one element order sort in class order."""
     digits = "".join(ch for ch in label if ch.isdigit())
-    return (int(digits), label)
+    return (int(digits), len(label), label)
+
+
+def _letters(k: int) -> str:
+    """The k-th letter suffix from 0: A, ..., Z, AA, AB, ..., AZ, BA, ..."""
+    out = ""
+    k += 1
+    while k:
+        k, r = divmod(k - 1, 26)
+        out = chr(ord("A") + r) + out
+    return out
 
 
 class PSL2:
@@ -287,7 +306,8 @@ class PSL2:
             classes.append(ConjugacyClass(
                 id=new_id, label="", element_order=orders[old_id], rep=reps[old_id],
                 size=int(members.sum()), members=mask_of(members)))
-        # labels: order, plus a letter when several classes share the order
+        # labels: order, plus letters A..Z, AA, AB, ... when several classes
+        # share the order
         by_order: dict[int, list[ConjugacyClass]] = {}
         for c in classes:
             by_order.setdefault(c.element_order, []).append(c)
@@ -295,8 +315,8 @@ class PSL2:
             if len(group) == 1:
                 group[0].label = str(order_val)
             else:
-                for letter, c in zip("ABCDEFGH", group):
-                    c.label = f"{order_val}{letter}"
+                for k, c in enumerate(group):
+                    c.label = f"{order_val}{_letters(k)}"
         self._class_of = class_of
         for c in classes:
             c.inverse_class = int(class_of[self.inv(c.rep)])
@@ -304,44 +324,29 @@ class PSL2:
         self._compute_fusion()
 
     def _compute_fusion(self) -> None:
+        """The fused class of c is {class of rep^k : gcd(k, n) = 1}, n = |rep|.
+
+        It is labelled by the element order when it holds every class of that
+        order, and otherwise by its one class's label: power maps fuse all
+        classes of each order except the two unipotent classes when q is an
+        even power of an odd prime.
+        """
         classes = self._classes
-        parent = list(range(len(classes)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in classes:
-            n = c.element_order
-            for k, power in enumerate(self.powers(c.rep)):
-                if k > 1 and gcd(k, n) == 1:
-                    a, b = find(c.id), find(int(self._class_of[power]))
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-        groups: dict[int, list[int]] = {}
-        for c in classes:
-            groups.setdefault(find(c.id), []).append(c.id)
+        per_order = Counter(c.element_order for c in classes)
         orbits: list[FusionOrbit] = []
-        order_counts: dict[int, int] = {}
         for c in classes:
-            order_counts[c.element_order] = order_counts.get(c.element_order, 0) + 1
-        for oid, root in enumerate(sorted(groups)):
-            ids = tuple(sorted(groups[root]))
-            n = classes[ids[0]].element_order
-            if len(ids) == order_counts[n]:
-                label = str(n)
-            else:
-                label = str(n) + "".join(classes[i].label[len(str(n)):] for i in ids)
+            if c.fusion_orbit >= 0:
+                continue
+            n = c.element_order
+            powers = self._class_of[self.powers(c.rep)]
+            ids = tuple(sorted({int(powers[k]) for k in range(n) if gcd(k, n) == 1}))
+            label = str(n) if len(ids) == per_order[n] else c.label
             mask = 0
-            size = 0
             for i in ids:
                 mask |= classes[i].members
-                size += classes[i].size
-            orbits.append(FusionOrbit(oid, label, n, ids, size, mask))
-            for i in ids:
-                classes[i].fusion_orbit = oid
+                classes[i].fusion_orbit = len(orbits)
+            orbits.append(FusionOrbit(len(orbits), label, n, ids,
+                                      sum(classes[i].size for i in ids), mask))
         self._fusion = orbits
 
     def fusion_orbits(self) -> list[FusionOrbit]:

@@ -5,7 +5,10 @@ The diagonal action of T x T on T has orbitals indexed by conjugacy classes:
 is inverse-closed these orbitals form a symmetric association scheme (the
 group scheme of T).  Merging classes along power-map (rational) orbits gives
 a fusion whose eigenvalues are rational, which is the scheme the rest of the
-pipeline works in.
+pipeline works in.  The relations are the group's own records: its fusion
+orbits (``PSL2.fusion_orbits``) for the fusion, one ``FusionOrbit`` per class
+for the group scheme.  Their order and labels are the group's, so the one
+label rule lives in ``psl2``.
 
 Eigenmatrices are computed exactly: the intersection matrices of the scheme
 generate a commutative semisimple algebra; splitting their common eigenspaces
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .psl2 import PSL2
+from .psl2 import PSL2, FusionOrbit
 
 
 class NonSymmetricScheme(Exception):
@@ -38,15 +41,6 @@ class IrrationalEigenvalue(Exception):
 
 
 @dataclass
-class Relation:
-    id: int
-    label: str
-    class_ids: tuple[int, ...]
-    size: int
-    members: int  # bitmask over group elements (identity relation: the identity)
-
-
-@dataclass
 class EigenData:
     P: list[list[Fraction]]           # rows: eigenspaces, columns: relations
     Q: list[list[Fraction]]           # rows: relations, columns: eigenspaces
@@ -56,7 +50,7 @@ class EigenData:
 @dataclass
 class AssociationScheme:
     group: PSL2
-    relations: list[Relation]
+    relations: list[FusionOrbit]      # the identity first
     p: list[list[list[int]]]          # p[i][j][k]
     eigen: EigenData | None = None
     eigen_diagnostic: str = ""
@@ -94,45 +88,7 @@ class AssociationScheme:
         }
 
 
-def _relations_from_partition(group: PSL2, parts: list[tuple[int, ...]]) -> list[Relation]:
-    classes = group.conjugacy_classes()
-    # deterministic order: identity first, then by (element order, label)
-    keyed = []
-    for part in parts:
-        labels = sorted(classes[c].label for c in part)
-        order = classes[part[0]].element_order
-        keyed.append((order != 1, order, labels, tuple(sorted(part))))
-    keyed.sort()
-    rels = []
-    for rid, (_, order, labels, part) in enumerate(keyed):
-        mask = 0
-        size = 0
-        for c in part:
-            mask |= classes[c].members
-            size += classes[c].size
-        if len(labels) == 1:
-            label = labels[0]
-        else:
-            # a merged relation is labelled by the order when it swallows all
-            # classes of that order, else by concatenating class labels
-            all_of_order = [c.id for c in classes if c.element_order == order]
-            label = str(order) if set(part) == set(all_of_order) else "+".join(labels)
-        rels.append(Relation(rid, label, part, size, mask))
-    return rels
-
-
-def _rel_of_array(group: PSL2, rels: list[Relation]) -> np.ndarray:
-    class_to_rel = {}
-    for r in rels:
-        for c in r.class_ids:
-            class_to_rel[c] = r.id
-    cls = group.class_of_array()
-    lookup = np.array([class_to_rel[c] for c in range(len(group.conjugacy_classes()))],
-                      dtype=np.int16)
-    return lookup[cls]
-
-
-def _intersection_numbers(group: PSL2, rels: list[Relation],
+def _intersection_numbers(group: PSL2, rels: list[FusionOrbit],
                           rel_of: np.ndarray) -> list[list[list[int]]]:
     """p[i][j][k]: for a rep g of each class in relation k, the number of
     elements v with g v^-1 in relation i and v in relation j; the counts
@@ -172,19 +128,20 @@ def _verify_axioms(scheme: AssociationScheme) -> None:
                     raise FusionNotAScheme("size-weighted symmetry fails")
 
 
-def _build_scheme(group: PSL2, parts: list[tuple[int, ...]],
+def _build_scheme(group: PSL2, rels: list[FusionOrbit],
                   require_eigen: bool) -> AssociationScheme:
     classes = group.conjugacy_classes()
-    for part in parts:
-        inv_images = {classes[c].inverse_class for c in part}
-        if inv_images != set(part):
+    for rel in rels:
+        if {classes[c].inverse_class for c in rel.class_ids} != set(rel.class_ids):
             raise NonSymmetricScheme(
                 "a relation is not inverse-closed: " +
-                ",".join(classes[c].label for c in part))
-    rels = _relations_from_partition(group, parts)
+                ",".join(classes[c].label for c in rel.class_ids))
     if rels[0].class_ids != (group.class_of(group.identity),):
         raise FusionNotAScheme("identity class must form its own relation")
-    rel_of = _rel_of_array(group, rels)
+    rel_of_class = np.empty(len(classes), dtype=np.int16)
+    for rel in rels:
+        rel_of_class[list(rel.class_ids)] = rel.id
+    rel_of = rel_of_class[group.class_of_array()]
     p = _intersection_numbers(group, rels, rel_of)
     scheme = AssociationScheme(group, rels, p, _rel_of=rel_of)
     _verify_axioms(scheme)
@@ -199,8 +156,9 @@ def _build_scheme(group: PSL2, parts: list[tuple[int, ...]],
 
 def group_scheme(group: PSL2) -> AssociationScheme:
     """Scheme of all conjugacy classes; refuses when a class is not real."""
-    parts = [(c.id,) for c in group.conjugacy_classes()]
-    return _build_scheme(group, parts, require_eigen=False)
+    rels = [FusionOrbit(c.id, c.label, c.element_order, (c.id,), c.size, c.members)
+            for c in group.conjugacy_classes()]
+    return _build_scheme(group, rels, require_eigen=False)
 
 
 def rational_fusion_scheme(group: PSL2) -> AssociationScheme:
@@ -212,25 +170,9 @@ def rational_fusion_scheme(group: PSL2) -> AssociationScheme:
     """
     kept = getattr(group, "_fusion_scheme", None)
     if kept is None:
-        parts = [tuple(o.class_ids) for o in group.fusion_orbits()]
-        scheme = _build_scheme(group, parts, require_eigen=True)
+        scheme = _build_scheme(group, group.fusion_orbits(), require_eigen=True)
         kept = group._fusion_scheme = replace(scheme, group=None)
     return replace(kept, group=group)
-
-
-def fuse_scheme(scheme: AssociationScheme, orbit_partition: list[tuple[int, ...]],
-                require_eigen: bool = True) -> AssociationScheme:
-    """Merge relations of an existing scheme (identity alone in its part)."""
-    seen = sorted(r for part in orbit_partition for r in part)
-    if seen != list(range(len(scheme.relations))):
-        raise ValueError("orbit partition must cover every relation exactly once")
-    parts = []
-    for part in orbit_partition:
-        ids: list[int] = []
-        for r in part:
-            ids.extend(scheme.relations[r].class_ids)
-        parts.append(tuple(ids))
-    return _build_scheme(scheme.group, parts, require_eigen=require_eigen)
 
 
 # -- exact eigen decomposition --------------------------------------------------
@@ -246,6 +188,9 @@ def _eigen_data(scheme: AssociationScheme) -> EigenData:
         [Fraction(int(r == c)) for r in range(n)] for c in range(n)]]
     # columns of the identity as the initial basis of the full space
     for i in range(1, n):
+        # no eigenvalue of a matrix exceeds its largest absolute row sum,
+        # and the entries of mats[i] are the counts p[i][j][k] >= 0
+        bound = max(map(sum, scheme.p[i]))
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
@@ -254,7 +199,7 @@ def _eigen_data(scheme: AssociationScheme) -> EigenData:
             targets = [linalg.mat_vec(mats[i], v) for v in basis]
             x = linalg.solve_in_span(basis, targets)
             poly = linalg.charpoly(x)
-            roots, remaining = linalg.integer_roots(poly)
+            roots, remaining = linalg.integer_roots(poly, bound)
             if remaining:
                 raise IrrationalEigenvalue(
                     f"relation {scheme.relations[i].label}: characteristic polynomial "

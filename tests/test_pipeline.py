@@ -361,6 +361,22 @@ def test_verify_rechecks_covering_certificates(budgeted13):
     assert not ok and "certificate of unknown kind None" in problems
 
 
+def test_verify_rejects_a_plain_coclique_certificate(budgeted13):
+    # only a standalone coclique search writes this kind; an empty one would
+    # pass unchecked
+    def plain(cert):
+        cert.update(kind="coclique", graph={"classes": cert["classes"]}, vertices=[])
+    ok, problems = verify_report(_resealed(budgeted13, "realized_coclique", plain))
+    assert not ok and "certificate of unknown kind 'coclique'" in problems
+
+
+def test_verify_builds_no_scheme(budgeted13, monkeypatch):
+    def refuse(group):
+        raise AssertionError("verify_report built the fused scheme")
+    monkeypatch.setattr(pipeline, "rational_fusion_scheme", refuse)
+    assert verify_report(budgeted13) == (True, [])
+
+
 @pytest.mark.parametrize("kind, field", [("exact_hit", "target"),
                                          ("realized_clique", "vertices")])
 def test_verify_names_a_missing_field(budgeted13, tmp_path, capsys, kind, field):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagsync import psl2
+from diagsync.gf import MAX_Q
+from diagsync.graphs import InvalidClassSet, resolve_classes
 from diagsync.psl2 import (
     PSL2,
     alternating_type_subgroup,
@@ -17,6 +19,7 @@ from diagsync.psl2 import (
     cyclic_subgroup,
     dihedral_subgroup,
     is_subgroup,
+    label_sort_key,
     mask_elements,
     sylow_subgroup,
     unipotent_subgroup,
@@ -169,18 +172,42 @@ GOLDEN_CLASS_DATA = {
     27: "b8f61287f571c123808bc88af002947460e4bfaa325cae94e03cfc2846f8cc0f",
     29: "d0de7b2c080ec186b321ba2600d8637a470a88e8ae264a59558b1589df3d1625",
     31: "dfdf3dfef65a8090c0f61bd4034847fdd445b9c0781f25901cd8f6477374b8d3",
-    32: "bcc9c9a32fcdad32ee94022b06ca1c51c1a54e95e93fadceaeb040b895d0282f",
-    37: "ae7a398c68cbe47b5664a2181ad73e98d71b321416a57307f72cc8ea6bd15b2a",
+    32: "64a28ff41acf1554fd08c0bed808ba1917e3ad15f82e3b1e2f35c7752c6b4aab",
+    37: "2e70339174ec1688e1b287093d4494f443c85edd8db714380adb846349463c15",
     41: "03491eee40c84b43039cfaa6112f44ed7315a8774cb3c0cf55e82b75b0f182cf",
     43: "485a66827678a7491f5df8786458d5a9260d8af9f7b24422d41bb9ec0342d799",
-    47: "d5d740535128dd7759b08abf61b35bef66cc3fa62157f5e6778ba568b4bb5065",
-    49: "9dd32b5bd9237202bfd4a053f5ee9c7b07f52dc0e887474738953e3593c029ee",
+    47: "e6783b5ef2c291e2b7a826c0c9bc20c93ffe3b5f7ac8492e9a8a0aa452eb9011",
+    49: "751744c944b7bcb4d9f85ec0802893d746283bfe1aa4832aa156b51ffffef119",
 }
 
 
 @pytest.mark.parametrize("q", sorted(GOLDEN_CLASS_DATA))
 def test_class_data_is_golden(q):
     assert _class_data_digest(PSL2(q)) == GOLDEN_CLASS_DATA[q]
+
+
+def test_letter_suffixes_continue_past_h():
+    suffixes = [psl2._letters(k) for k in range(MAX_Q)]
+    assert "".join(suffixes[:8]) == "ABCDEFGH"
+    assert suffixes[8:28] == [*"IJKLMNOPQRSTUVWXYZ", "AA", "AB"]
+    assert len(set(suffixes)) == MAX_Q
+    labels = [f"19{x}" for x in suffixes]
+    assert sorted(labels, key=label_sort_key) == labels
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_CLASS_DATA))
+def test_class_labels_are_distinct_and_name_their_class(q):
+    g = PSL2(q)
+    classes = g.conjugacy_classes()
+    labels = [c.label for c in classes]
+    assert all(labels) and len(set(labels)) == len(labels)
+    assert sorted(labels, key=label_sort_key) == labels
+    for c in classes[1:]:
+        if c.inverse_class == c.id:
+            assert resolve_classes(g, [c.label])[2] == (c.id,)
+        else:
+            with pytest.raises(InvalidClassSet, match="inverse-closed"):
+                resolve_classes(g, [c.label])
 
 
 def test_inverse_classes():

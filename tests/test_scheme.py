@@ -6,14 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diagsync.psl2 import PSL2, build_group, mask_elements, sylow_subgroup
+from diagsync.gf import factor_prime_power
+from diagsync.psl2 import PSL2, FusionOrbit, build_group, mask_elements, sylow_subgroup
 from diagsync.scheme import (
     FusionNotAScheme,
     IrrationalEigenvalue,
     NonSymmetricScheme,
+    _build_scheme,
     design_orthogonal,
     dual_degree_set,
-    fuse_scheme,
     group_scheme,
     inner_distribution,
     macwilliams_transform,
@@ -158,25 +159,57 @@ def test_fusion_scheme_is_built_once_and_frees_its_group():
         gc.enable()
 
 
-def test_fuse_scheme_full_merge_and_errors():
+def _merged(group, parts):
+    """One relation record per part of a partition of the class ids."""
+    classes = group.conjugacy_classes()
+    return [FusionOrbit(rid, "+".join(classes[c].label for c in part),
+                        classes[part[0]].element_order, part,
+                        sum(classes[c].size for c in part),
+                        sum(classes[c].members for c in part))    # disjoint masks
+            for rid, part in enumerate(parts)]
+
+
+def test_full_merge_has_the_complete_graph_eigenmatrix():
     g = build_group(13)
-    s = rational_fusion_scheme(g)
-    merged = fuse_scheme(s, [(0,), (1, 2, 3, 4, 5)])
+    rels = _merged(g, [(0,), tuple(range(1, len(g.conjugacy_classes())))])
+    merged = _build_scheme(g, rels, require_eigen=True)
     assert len(merged.relations) == 2
     assert merged.eigen.Q == [[Fraction(1), Fraction(1091)], [Fraction(1), Fraction(-1)]]
-    with pytest.raises(ValueError):
-        fuse_scheme(s, [(0, 1), (1, 2, 3, 4, 5)])
 
 
 def test_partial_fusion_rejected_q13():
     # merging only two of the three order-7 classes breaks the axioms
     g = build_group(13)
-    u = group_scheme(g)
-    ids = {r.label: r.id for r in u.relations}
+    ids = {c.label: c.id for c in g.conjugacy_classes()}
     part = [(ids["1"],), (ids["2"],), (ids["3"],), (ids["6"],),
             (ids["7A"], ids["7B"]), (ids["7C"],), (ids["13A"], ids["13B"])]
     with pytest.raises((FusionNotAScheme, IrrationalEigenvalue)):
-        fuse_scheme(u, part)
+        _build_scheme(g, _merged(g, part), require_eigen=True)
+
+
+PRIME_POWERS = [q for q in range(4, 50) if factor_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_fused_relations_are_the_fusion_orbits(q):
+    g = PSL2(q)
+    s = rational_fusion_scheme(g)
+    assert s.relations == g.fusion_orbits()
+    orbit_of_class = np.array([c.fusion_orbit for c in g.conjugacy_classes()])
+    assert (s._rel_of == orbit_of_class[g.class_of_array()]).all()
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 13, 16])
+def test_unfused_relations_are_the_classes(q):
+    g = build_group(q)
+    s = group_scheme(g)
+    classes = g.conjugacy_classes()
+    assert [(r.id, r.label, r.element_order, r.class_ids, r.size, r.members)
+            for r in s.relations] == [(c.id, c.label, c.element_order, (c.id,), c.size,
+                                       c.members) for c in classes]
+    assert (s._rel_of == g.class_of_array()).all()
+    # the bound on integer roots keeps q=16 from trying every divisor
+    assert s.eigen is None and "irrational" in s.eigen_diagnostic
 
 
 def test_delsarte_bound_random_pairs_q9():
