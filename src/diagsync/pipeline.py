@@ -288,12 +288,15 @@ class Analyzer:
                       max_seconds=self.config.budget_secs)
 
     def _cached(self, op: str, labels, run, **params) -> dict:
-        """Cache-through for one budgeted decision or covering program: run()
-        returns (payload, timed_out) and is called only on a miss.  Every key
-        names the format version, so an entry of another format is a miss.
-        Both run serially, so a payload the node cap stopped repeats exactly
-        under the same cap (every meter starts from budget_nodes) and is kept
-        under a key with it; one the clock stopped is not kept."""
+        """Cache-through for one budgeted decision or covering program, or one
+        witness search: run() returns (payload, timed_out) and is called only
+        on a miss.  Every key names the format version, so an entry of another
+        format is a miss.  Decisions and covering programs run serially, so a
+        payload the node cap stopped repeats exactly under the same cap (every
+        meter starts from budget_nodes) and is kept under a key with it; one
+        the clock stopped is not kept.  A witness search has no budget and is
+        deterministic: its entry, NONE included, is final.  An entry adds no
+        trust: verify_report re-checks every certificate and witness."""
         key = {"op": op, "q": self.q, "classes": sorted(labels),
                "version": __version__, **params}
         capped = dict(key, node_cap=self.config.budget_nodes)
@@ -327,25 +330,34 @@ class Analyzer:
         return self._cached("exact_hit_csp", labels, run,
                             base=sorted(base_clique), target=target)
 
+    def cached_witness(self, op: str, find) -> dict | None:
+        """find()'s verified witness, or None, through the cache: a sealed
+        payload as the report carries it, kept under status FOUND or NONE."""
+        def run():
+            wit = find()
+            if wit is None:
+                return sealed({"status": NONE, "witness": None}), False
+            return sealed({"status": FOUND, "witness": sealed(wit.payload())}), False
+        return self._cached(op, (), run)["witness"]
+
     # ---- stages -------------------------------------------------------------------
 
     def witness_stage(self) -> bool:
         """Negative witnesses: exact factorisation or a sharply transitive set."""
-        fac = find_exact_factorisation(self.group)
-        if fac is not None and fac.verified:
-            self.verdict.witnesses.append(sealed(fac.payload()))
-            self.verdict.separating = NO
-            self.verdict.notes.append(
-                "exact factorisation found: non-synchronising, hence non-separating")
-            return True
-        sub = index_six_subgroup(self.group)
-        if sub is not None:
-            sharp = find_sharply_transitive_set(self.group, sub)
-            if sharp is not None and sharp.verified:
-                self.verdict.witnesses.append(sealed(sharp.payload()))
+        def sharply_transitive():
+            sub = index_six_subgroup(self.group)
+            return None if sub is None else find_sharply_transitive_set(self.group, sub)
+
+        for op, find, note in (
+                ("exact_factorisation", lambda: find_exact_factorisation(self.group),
+                 "exact factorisation found: non-synchronising, hence non-separating"),
+                ("sharply_transitive", sharply_transitive,
+                 "sharply transitive set for a small coset action: non-synchronising")):
+            wit = self.cached_witness(op, find)
+            if wit is not None:
+                self.verdict.witnesses.append(wit)
                 self.verdict.separating = NO
-                self.verdict.notes.append(
-                    "sharply transitive set for a small coset action: non-synchronising")
+                self.verdict.notes.append(note)
                 return True
         return False
 
@@ -415,12 +427,13 @@ class Analyzer:
 
     def spreading_stage(self):
         if self.q % 4 == 1:
-            wit = spreading_witness(self.group)
-            self.verdict.witnesses.append(sealed(wit.payload()))
+            wit = self.cached_witness("non_spreading_multiset",
+                                      lambda: spreading_witness(self.group))
+            self.verdict.witnesses.append(wit)
             self.verdict.spreading = NO
             self.verdict.notes.append(
-                f"multiset witness verified on all {wit.distinct_images} stabilizer "
-                f"translates with lambda = {wit.lam}")
+                f"multiset witness verified on all {wit['distinct_images']} stabilizer "
+                f"translates with lambda = {wit['lambda']}")
         elif self.verdict.separating == NO:
             self.verdict.spreading = NO
             self.verdict.notes.append(

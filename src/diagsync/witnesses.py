@@ -299,8 +299,9 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> Sp
     images = 0
     for pt in range(q + 1):
         image = group.act_points(pt)
-        # the least element of each right coset of the stabilizer of pt
-        reps = np.sort(np.unique(image, return_index=True)[1])
+        # the least element of each right coset of the stabilizer of pt; point
+        # labels are at most gf.MAX_Q = 128, and numpy sorts uint8 by radix
+        reps = np.sort(np.unique(image.astype(np.uint8), return_index=True)[1])
         cover = np.zeros(n, dtype=np.int64)
         sums = np.zeros(len(reps), dtype=np.int64)
         for _, block in group.product_blocks(np.flatnonzero(image == pt), reps):

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
-from diagsync import cli, pipeline, search
+from diagsync import cli, pipeline, search, witnesses
 from diagsync.certify import generate_translate_rows, solve_cover_ilp
 from diagsync.graphs import build_graph
-from diagsync.psl2 import build_group, mask_elements, sylow_subgroup
+from diagsync.psl2 import (borel_subgroup, build_group, dihedral_subgroup, mask_elements,
+                           sylow_subgroup)
 from diagsync.pipeline import (
     Analyzer,
     Cache,
@@ -614,6 +615,102 @@ def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
     assert len(tables) == 1 and group._putative_table is memo
     assert warm["feasibility"] == cold["feasibility"]
     assert cold == warm
+
+
+def _report_text(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=1)
+
+
+def _raises(name):
+    def finder(*args, **kwargs):
+        raise AssertionError(f"{name} ran on a warm cache")
+    return finder
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 29])
+def test_warm_analyze_searches_for_no_witness(q, tmp_path, monkeypatch):
+    cfg = _budgeted(tmp_path)
+    _, cold = analyze(q, cfg)
+    with monkeypatch.context() as patched:
+        for name in ("find_exact_factorisation", "find_sharply_transitive_set",
+                     "spreading_witness", "coset_halving_check"):
+            patched.setattr(pipeline, name, _raises(name))
+            patched.setattr(witnesses, name, _raises(name))
+        _, warm = analyze(q, cfg)
+        assert _report_text(warm) == _report_text(cold)
+        # a new process: the group rebuilt, every witness read from the files
+        build_group.cache_clear()
+        fresh = Analyzer(q, cfg)
+        assert not fresh.cache.memory
+        assert _report_text(pipeline.emit_report(fresh, fresh.run())) == _report_text(cold)
+    # verify re-checks every witness in full, on every call
+    calls: Counter = Counter()
+    for name in ("verify_exact_factorisation", "verify_sharply_transitive",
+                 "verify_spreading_multiset", "coset_halving_check"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a, _real=real, _name=name:
+                            calls.update([_name]) or _real(*a))
+    assert verify_report(warm) == verify_report(warm) == (True, [])
+    kinds = Counter(wit["kind"] for wit in warm["witnesses"])
+    assert calls == {name: 2 * kinds[kind] for name, kind in (
+        ("verify_exact_factorisation", "exact_factorisation"),
+        ("verify_sharply_transitive", "sharply_transitive"),
+        ("verify_spreading_multiset", "non_spreading_multiset"),
+        ("coset_halving_check", "non_spreading_multiset")) if kinds[kind]}
+
+
+def _witness_key(op, q, version=pipeline.__version__):
+    return {"op": op, "q": q, "classes": [], "version": version}
+
+
+def test_a_cached_witness_adds_no_trust(tmp_path):
+    # PSL(2,13) has no exact factorisation; the forgery is a Borel subgroup
+    # and a dihedral subgroup of order 14, whose product is not the group
+    group = build_group(13)
+    a, b = borel_subgroup(group), dihedral_subgroup(group, 7)
+    assert a.bit_count() * b.bit_count() == group.order and a & b != 1 << group.identity
+    forged = sealed({"kind": "exact_factorisation", "q": 13, "A": mask_elements(a),
+                     "B": mask_elements(b), "verified": True, "checks": {}})
+    Cache(str(tmp_path)).put(_witness_key("exact_factorisation", 13),
+                             sealed({"status": "FOUND", "witness": forged}))
+    verdict, report = analyze(13, PipelineConfig(cache_dir=str(tmp_path)))
+    assert verdict.separating == NO and report["witnesses"][0] == forged
+    assert verify_report(report) == (False, ["witness exact_factorisation: verification failed"])
+
+
+def _count_witness_searches(monkeypatch, calls: Counter):
+    for name in ("find_exact_factorisation", "spreading_witness"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda group, _real=real, _name=name:
+                            calls.update([_name]) or _real(group))
+
+
+def test_a_witness_entry_of_another_version_is_a_miss(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_witness_searches(monkeypatch, calls)
+    # an entry of the 0.2.0 format that claims PSL(2,5) has no exact factorisation
+    Cache(str(tmp_path)).put(_witness_key("exact_factorisation", 5, "0.2.0"),
+                             sealed({"status": "NONE", "witness": None}))
+    _, report = analyze(5, PipelineConfig(cache_dir=str(tmp_path)))
+    assert calls["find_exact_factorisation"] == 1
+    assert report["witnesses"][0]["kind"] == "exact_factorisation"
+    assert verify_report(report) == (True, [])
+
+
+def test_a_witness_file_with_a_broken_digest_is_a_miss(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    _count_witness_searches(monkeypatch, calls)
+    cfg = PipelineConfig(cache_dir=str(tmp_path))
+    _, cold = analyze(5, cfg)
+    [path] = [path for path in tmp_path.glob("*.json")
+              if (json.loads(path.read_text())["witness"] or {}).get("lambda")]
+    honest = json.loads(path.read_text())
+    entry = copy.deepcopy(honest)
+    entry["witness"]["lambda"] += 1
+    path.write_text(json.dumps(entry))
+    _, warm = analyze(5, cfg)
+    assert calls == {"find_exact_factorisation": 1, "spreading_witness": 2}
+    assert warm == cold and json.loads(path.read_text()) == honest
 
 
 # a 28-clique of G[2,6,7] is a 28-coclique of G[3,13]: none exists (alpha = 22),

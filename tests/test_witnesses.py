@@ -264,15 +264,23 @@ def _moved_square(g):
     return sq[:-1] + [other]
 
 
-@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("q", [5, 13, 29])
 def test_multiset_check_accepts_the_squares(q):
     g = build_group(q)
     sq = mask_elements(squares_of_stabilizer(g, g.point_stabilizer(q)))
     wit = verify_spreading_multiset(g, q, sq)
     assert wit.payload() == spreading_witness(g).payload()
+    assert wit.distinct_images == (q + 1) ** 2
+    assert certificate_digest(wit.payload()) == PINNED_DIGESTS[q][-1]
 
 
-@pytest.mark.parametrize("q", [5, 13])
+# the first translate whose sum a moved square changes, as the check names it
+MOVED_SQUARE_ERRORS = {5: "image sum 8 != lambda 10 at point 0, rep 1",
+                       13: "image sum 76 != lambda 78 at point 0, rep 10",
+                       29: "image sum 404 != lambda 406 at point 0, rep 9"}
+
+
+@pytest.mark.parametrize("q", [5, 13, 29])
 def test_multiset_check_rejects_a_moved_square(q, monkeypatch):
     g = build_group(q)
     moved = _moved_square(g)
@@ -280,8 +288,21 @@ def test_multiset_check_rejects_a_moved_square(q, monkeypatch):
         verify_spreading_multiset(g, q, moved)
     # the translate sums catch it on their own
     monkeypatch.setattr(witnesses, "is_subgroup", lambda group, mask: True)
-    with pytest.raises(WitnessError, match="image sum"):
+    with pytest.raises(WitnessError) as err:
         verify_spreading_multiset(g, q, moved)
+    assert str(err.value) == MOVED_SQUARE_ERRORS[q]
+
+
+@pytest.mark.parametrize("q", [13, 29])
+def test_multiset_check_rejects_the_other_coset(q):
+    # weight 2 on the non-squares of the stabilizer: a coset, not a subgroup
+    g = build_group(q)
+    stab = g.point_stabilizer(q)
+    sq = squares_of_stabilizer(g, stab)
+    coset = mask_elements(stab & ~sq)
+    with pytest.raises(WitnessError) as err:
+        verify_spreading_multiset(g, q, coset)
+    assert str(err.value) == "the squares are not an index-2 subgroup of the stabilizer"
 
 
 def test_multiset_check_rejects_bad_inputs():
