@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_array, mask_from, mask_of, outer_maps
+from .psl2 import PSL2, mask_from, mask_of, outer_maps
 from .search import Budget, verify_clique, verify_coclique
 
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
@@ -182,7 +182,6 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
     row, every new row re-checked pairwise; see the module docstring.
     """
     group = graph.group
-    n = group.order
     base = tuple(sorted(clique))
     if not verify_clique(graph, base):
         raise ValueError("base set is not a clique of the graph")
@@ -207,7 +206,7 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
         shapes.append(frontier)
 
     # right translates of every conjugate shape, one family per new shape
-    conn = mask_array(graph.connection, n)
+    conn = graph.connection_flags()
     families, through_identity = [], []
     known: set[bytes] = set()            # the rows through the identity
     shapes = np.concatenate(shapes)

@@ -22,7 +22,7 @@ from .pipeline import (
     write_report,
 )
 from .psl2 import build_group, dihedral_subgroup, mask_elements, sylow_subgroup
-from .scheme import group_scheme, rational_fusion_scheme
+from .scheme import NonSymmetricScheme, group_scheme, rational_fusion_scheme
 from .search import Budget, algebraic_clique_seeds, find_clique_of_size, max_clique, max_coclique
 from .witnesses import (
     find_exact_factorisation,
@@ -58,8 +58,8 @@ def _add_common(p, budget=False):
     """--q and --out, and the budget flags when the subcommand reads them."""
     p.add_argument("--q", type=int, required=True)
     if budget:
-        p.add_argument("--budget-secs", type=float, default=1800.0)
-        p.add_argument("--budget-nodes", type=int, default=10 ** 9)
+        p.add_argument("--budget-secs", type=float, default=Budget.max_seconds)
+        p.add_argument("--budget-nodes", type=int, default=Budget.max_nodes)
     p.add_argument("--out")
 
 
@@ -153,7 +153,10 @@ def _dispatch(args) -> int:
             return _error(f"--classes: {err}")
 
     if cmd == "scheme":
-        scheme = group_scheme(group) if args.unfused else rational_fusion_scheme(group)
+        try:
+            scheme = group_scheme(group) if args.unfused else rational_fusion_scheme(group)
+        except NonSymmetricScheme as err:
+            return _error(f"--unfused at q={args.q}: {err}")
         _emit({"q": args.q, **scheme.payload(), "diagnostic": scheme.eigen_diagnostic},
               args)
         return 0

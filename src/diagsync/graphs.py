@@ -3,9 +3,8 @@
 A graph here is determined by a set I of class labels (fused orbit labels
 such as "13", or unfused class labels such as "7A"): vertices are the group
 elements, and u ~ v iff u*v^-1 lies in the union of the selected classes.
-Adjacency is answered from the connection-set bitmap; per-vertex neighbor
-bitmaps are materialized lazily and cached on the group per connection set,
-so every graph build_graph makes on that set shares them.
+Adjacency is answered from the connection-set bitmap; a neighbour bitmap is
+computed on each call, for the DIMACS export and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class ClassUnionGraph:
     class_labels: tuple[str, ...]
     connection: int
     class_ids: tuple[int, ...]
-    _neighbors: dict[int, int] = field(default_factory=dict, repr=False)
     _conn_elements: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -91,19 +89,20 @@ class ClassUnionGraph:
             return False
         return bool((self.connection >> self.group.mul(u, self.group.inv(v))) & 1)
 
+    def connection_flags(self) -> np.ndarray:
+        """The connection set as a boolean vertex array."""
+        return mask_array(self.connection, self.group.order)
+
     def connection_elements(self) -> np.ndarray:
         if self._conn_elements is None:
-            self._conn_elements = np.flatnonzero(mask_array(self.connection, self.group.order))
+            self._conn_elements = np.flatnonzero(self.connection_flags())
         return self._conn_elements
 
     def neighbors(self, v: int) -> int:
         """Neighborhood of v as a bitmask: {s*v : s in connection set}."""
-        cached = self._neighbors.get(v)
-        if cached is None:
-            flags = np.zeros(self.group.order, dtype=bool)
-            flags[self.group.mul_pairs(self.connection_elements(), v)] = True
-            cached = self._neighbors[v] = mask_of(flags)
-        return cached
+        flags = np.zeros(self.group.order, dtype=bool)
+        flags[self.group.mul_pairs(self.connection_elements(), v)] = True
+        return mask_of(flags)
 
     def descriptor(self) -> dict:
         return {"q": self.q, "classes": list(self.class_labels),
@@ -111,15 +110,7 @@ class ClassUnionGraph:
 
 
 def build_graph(group: PSL2, labels) -> ClassUnionGraph:
-    """A graph on the class set; all graphs on one connection set share neighbor masks.
-
-    The masks are kept on the group, keyed by connection set.  The group does
-    not keep the graphs: a graph refers to its group, and that cycle would
-    hold a dropped group in memory until a full garbage collection.
-    """
-    canonical, mask, ids = resolve_classes(group, labels)
-    shared = group.__dict__.setdefault("_neighbor_masks", {}).setdefault(mask, {})
-    return ClassUnionGraph(group, canonical, mask, ids, _neighbors=shared)
+    return ClassUnionGraph(group, *resolve_classes(group, labels))
 
 
 def complement_classes(group: PSL2, labels) -> tuple[str, ...]:

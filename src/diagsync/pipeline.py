@@ -63,8 +63,8 @@ YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
 @dataclass
 class PipelineConfig:
-    budget_secs: float = 3600.0          # clock of each decision and covering program
-    budget_nodes: int = 10 ** 9
+    budget_secs: float = Budget.max_seconds  # clock of each decision and covering program
+    budget_nodes: int = Budget.max_nodes
     direct_search_secs: float = 900.0    # read by no stage; perfbench/run.py passes it
     seed: int = 0                        # read by no stage; perfbench/run.py passes it
     threads: int = 1                     # read by no stage; perfbench/run.py passes it

@@ -465,18 +465,21 @@ def outer_maps(group: PSL2) -> list[tuple[str, np.ndarray]]:
     return maps
 
 
-def orbits(maps: np.ndarray, mask: int) -> list[tuple[int, int]]:
+def orbits(maps: np.ndarray, members: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """The orbits of a group of vertex maps on a vertex set, least vertex first.
 
     Row k of maps is the k-th element of the group as a map on vertices.
     The rows are the whole group, so the orbit of v is the column maps[:, v].
-    Returns (least vertex, orbit mask) pairs, each orbit cut to the mask.
+    The set and each orbit are boolean vertex arrays.  Returns (least vertex,
+    orbit) pairs, each orbit cut to the set.
     """
     out = []
-    remaining = mask
-    while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        orbit = mask_from(maps[:, v].tolist()) & mask
+    remaining = members.copy()
+    while remaining.any():
+        v = int(remaining.argmax())
+        orbit = np.zeros_like(members)
+        orbit[maps[:, v]] = True
+        orbit &= members
         out.append((v, orbit))
         remaining &= ~orbit
     return out

@@ -94,8 +94,7 @@ def _local_adjacency(graph: ClassUnionGraph, verts: np.ndarray) -> np.ndarray:
     """adj[i, j]: verts[i] ~ verts[j], that is verts[i] * verts[j]^-1 lies in
     the connection set; one product gather, false on the diagonal."""
     group = graph.group
-    conn = mask_array(graph.connection, group.order)
-    return conn[group.mul_outer(verts, group.inverses()[verts])]
+    return graph.connection_flags()[group.mul_outer(verts, group.inverses()[verts])]
 
 
 def _pairwise(graph: ClassUnionGraph, vertices, adjacent: bool) -> bool:
@@ -195,7 +194,7 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     """
     group = graph.group
     n = group.order
-    conn = mask_array(graph.connection, n)
+    conn = graph.connection_flags()
     inv = group.inverses()
     left = group.mul_rows(h)                  # left[i, x] = h_i * x: column x is Hx
     reps = np.flatnonzero(left.min(axis=0) == np.arange(n))
@@ -324,14 +323,15 @@ def _class_reps_in_connection(graph: ClassUnionGraph) -> list[int]:
     return reps
 
 
-def _localize(graph: ClassUnionGraph, cand_mask: int):
+def _localize(graph: ClassUnionGraph, cand: np.ndarray):
     """The candidates in increasing order and the subgraph they induce."""
-    verts = np.flatnonzero(mask_array(cand_mask, graph.vertex_count))
+    verts = np.flatnonzero(cand)
     return verts, _local_adjacency(graph, verts)
 
 
 def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
-    """Deterministic list of (rep, v, cand_mask) subproblems covering the search.
+    """Deterministic list of (rep, v, candidates) subproblems covering the search,
+    the candidates a boolean vertex array.
 
     Branching at level two runs over class representatives in order; branch i
     commits to a clique meeting class i, so later branches exclude the whole
@@ -341,34 +341,35 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
     fixes both the identity vertex and rep, so one vertex per orbit is tried.
     """
     group = graph.group
-    classes = group.conjugacy_classes()
-    every = np.arange(group.order)
+    classes, class_of = group.conjugacy_classes(), group.class_of_array()
+    conn = graph.connection_flags()
+    every, inv = np.arange(group.order), group.inverses()
     tasks = []
-    excluded = 0
+    excluded = np.zeros(group.order, dtype=bool)
     for rep in _class_reps_in_connection(graph):
-        cid = group.class_of(rep)
-        pair_mask = graph.neighbors(group.identity) & graph.neighbors(rep)
-        pair_mask &= ~((1 << group.identity) | (1 << rep) | excluded)
-        excluded |= classes[cid].members | classes[classes[cid].inverse_class].members
-        if pair_mask.bit_count() + 2 <= floor_size:
+        # the common neighbours of the identity and rep (u ~ x when u * x^-1
+        # lies in the connection set), which include neither of them
+        pair = conn & conn[group.mul_pairs(every, inv[rep])] & ~excluded
+        cid = class_of[rep]
+        excluded |= (class_of == cid) | (class_of == classes[cid].inverse_class)
+        if np.count_nonzero(pair) + 2 <= floor_size:
             continue
-        processed = 0
+        processed = np.zeros(group.order, dtype=bool)
         cent = np.flatnonzero(group.mul_pairs(every, rep) == group.mul_pairs(rep, every))
-        for v, omask in orbits(group.conjugate(every, cent[:, None]), pair_mask):
-            cand_mask = pair_mask & ~processed & graph.neighbors(v)
-            processed |= omask
-            tasks.append((rep, v, cand_mask))
+        for v, orbit in orbits(group.conjugate(every, cent[:, None]), pair):
+            tasks.append((rep, v, pair & ~processed & conn[group.mul_pairs(every, inv[v])]))
+            processed |= orbit
     return tasks
 
 
-def _solve_task(graph: ClassUnionGraph, rep: int, v: int, cand_mask: int, lower: int,
+def _solve_task(graph: ClassUnionGraph, rep: int, v: int, cand: np.ndarray, lower: int,
                 meter: _Meter, target: int | None = None):
     """Search one pinned subproblem for a clique through the identity, rep and v.
 
     Returns (witness, complete): the sorted clique when it has more than
     lower + 3 vertices, else None.
     """
-    verts, adj = _localize(graph, cand_mask)
+    verts, adj = _localize(graph, cand)
     size, members, complete = _bb_max_clique(adj, lower, meter, target)
     if size <= lower:
         return None, complete
@@ -386,10 +387,10 @@ def _pinned_search(graph: ClassUnionGraph, size: int, meter: _Meter,
     least target vertices, and complete is then False.
     """
     witness, complete = None, True
-    for rep, v, cand_mask in _pinned_tasks(graph, size):
-        if cand_mask.bit_count() + 3 <= size:
+    for rep, v, cand in _pinned_tasks(graph, size):
+        if np.count_nonzero(cand) + 3 <= size:
             continue
-        found, ok = _solve_task(graph, rep, v, cand_mask, size - 3, meter,
+        found, ok = _solve_task(graph, rep, v, cand, size - 3, meter,
                                 None if target is None else target - 3)
         complete = complete and ok
         if found:

@@ -11,7 +11,8 @@ import pytest
 from diagsync import __version__, cli, psl2
 from diagsync.cli import main
 from diagsync.gf import MAX_Q
-from diagsync.pipeline import GroupVerdict
+from diagsync.pipeline import GroupVerdict, PipelineConfig
+from diagsync.search import Budget
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +170,17 @@ def test_analyze_budget_flag_beats_the_environment(capsys, monkeypatch):
     assert seen[0].budget_secs == 7 and seen[0].budget_nodes == 10 ** 9
 
 
+def test_analyze_budget_defaults_are_the_search_budget(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "analyze", lambda q, config: seen.append(config)
+                        or (GroupVerdict(q), {"verdict": {}}))
+    main(["analyze", "--q", "13"])
+    default = Budget()
+    for config in (seen[0], PipelineConfig()):
+        assert (config.budget_secs, config.budget_nodes) == (default.max_seconds,
+                                                             default.max_nodes)
+
+
 @pytest.mark.parametrize("argv", [
     ["scheme", "--q", "13", "--threads", "2"],
     ["feasibility", "--q", "13", "--seed", "1"],
@@ -198,6 +210,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     ["graph", "--q", "13", "--classes", "1"],
     ["certify", "--q", "13", "--classes", "4"],
     ["witness", "--q", "7", "--kind", "spreading"],
+    ["scheme", "--q", "7", "--unfused"],
     ["certify", "--q", "13", "--classes", "7", "--base-clique", "sylow"],
     ["analyze", "--q", str(2 * MAX_Q)],
 ])

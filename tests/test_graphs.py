@@ -84,22 +84,9 @@ def test_graph_and_complement_partition_pairs():
     assert gr.degree + co.degree == g.order - 1
 
 
-def test_graphs_on_one_connection_set_share_neighbor_masks():
-    g = build_group(13)
-    gr = build_graph(g, ["13"])
-    nbrs = gr.neighbors(g.identity)
-    again = build_graph(g, ("13",))
-    assert again._neighbors is gr._neighbors and again._neighbors[g.identity] == nbrs
-    # the complement goes through build_graph too, in either direction
-    co = complement_graph(gr)
-    assert co._neighbors is build_graph(g, complement_classes(g, ["13"]))._neighbors
-    assert complement_graph(co)._neighbors is gr._neighbors
-    assert build_graph(g, ["3", "13"])._neighbors is not gr._neighbors
-
-
 def test_dropped_group_is_freed_without_a_cycle_collection():
-    # the group keeps masks, not graphs: a graph-group cycle would keep it;
-    # the exact-hit solver reaches the group through its graph, so a cycle
+    # the group keeps no graphs: a graph-group cycle would keep it; the
+    # exact-hit solver reaches the group through its graph, so a cycle
     # in the solver would keep it too
     gc.disable()
     try:

@@ -15,6 +15,7 @@ from diagsync.psl2 import (
     cyclic_subgroup,
     dihedral_subgroup,
     mask_elements,
+    mask_array,
     mask_from,
     mask_of,
     stabilizer_torus_element,
@@ -570,11 +571,64 @@ def test_localize_matches_neighbour_masks(q, labels):
     masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
     masks += [sum(1 << v for v in rng.sample(range(n), min(n, 150))) for _ in range(2)]
     for cand in masks:
-        verts, adj = search._localize(graph, cand)
+        verts, adj = search._localize(graph, mask_array(cand, n))
         ref_verts, ref_adj = reference_localize(graph, cand)
         assert verts.tolist() == ref_verts
         assert adj.shape == (len(ref_verts), len(ref_verts)) and adj.dtype == bool
         assert [mask_of(row) for row in adj] == ref_adj
+
+
+def reference_orbits(maps, mask):
+    """The orbits of the rows of maps on a vertex mask by a bit walk:
+    (least vertex, orbit mask) pairs, least vertex first."""
+    out = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        orbit = mask_from(maps[:, v].tolist()) & mask
+        out.append((v, orbit))
+        mask &= ~orbit
+    return out
+
+
+def reference_pinned_tasks(graph, floor_size):
+    """The pinned tasks as (rep, v, candidate mask), from neighbour bitmasks,
+    class member masks and the bitmask orbit walk."""
+    group = graph.group
+    classes = group.conjugacy_classes()
+    every = np.arange(group.order)
+    tasks, excluded = [], 0
+    for rep in search._class_reps_in_connection(graph):
+        cls = classes[group.class_of(rep)]
+        pair = graph.neighbors(group.identity) & graph.neighbors(rep)
+        pair &= ~(1 << group.identity | 1 << rep | excluded)
+        excluded |= cls.members | classes[cls.inverse_class].members
+        if pair.bit_count() + 2 <= floor_size:
+            continue
+        cent = [g for g in range(group.order) if group.mul(g, rep) == group.mul(rep, g)]
+        processed = 0
+        for v, orbit in reference_orbits(group.conjugate(every, np.array(cent)[:, None]), pair):
+            tasks.append((rep, v, pair & ~processed & graph.neighbors(v)))
+            processed |= orbit
+    return tasks
+
+
+def _fused_union_cases():
+    for q in (4, 5, 7, 8, 9, 11, 13):
+        labels = [o.label for o in build_group(q).fusion_orbits() if o.element_order > 1]
+        for k in range(1, len(labels)):
+            for pick in itertools.combinations(labels, k):
+                yield q, list(pick)
+
+
+@pytest.mark.parametrize("q,labels", list(_fused_union_cases()), ids=lambda v: str(v))
+def test_pinned_tasks_match_bitmask_reference(q, labels):
+    graph = build_graph(build_group(q), labels)
+    for floor_size in (0, 3, 6, 10, 14):
+        tasks = search._pinned_tasks(graph, floor_size)
+        assert all(cand.dtype == bool and cand.shape == (graph.vertex_count,)
+                   for _, _, cand in tasks)
+        got = [(rep, v, mask_of(cand)) for rep, v, cand in tasks]
+        assert got == reference_pinned_tasks(graph, floor_size), floor_size
 
 
 def reference_pairwise(graph, vertices, adjacent):
