@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .certify import BRACKET, generate_translate_rows, solve_cover_ilp
@@ -117,6 +118,8 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except BrokenPipeError:
         return 1
+    except OSError as exc:      # an --out, --dimacs or --cache-dir path
+        return _error(f"{exc.filename}: {exc.strerror}")
 
 
 def _dispatch(args) -> int:
@@ -135,6 +138,8 @@ def _dispatch(args) -> int:
         return _error(f"--q {args.q} is not a prime power from 4 to {MAX_Q}")
 
     if cmd == "analyze":
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            return _error(f"--out {args.out}: no such directory")
         config = PipelineConfig(
             budget_secs=args.budget_secs, budget_nodes=args.budget_nodes,
             cache_dir=args.cache_dir)

@@ -10,14 +10,18 @@ in the lexicographic order of these 4-tuples, so indices are reproducible
 and appear as-is in exported certificates.  One lookup maps the entries of
 either sign of a matrix to its index.
 
-The conjugacy class of an element is one vectorized conjugation orbit
-(``conjugate``).  Element orders and the power-map (rational) fusion of the
-classes both come from powers(), one walk per representative.  This module
-owns the one label rule for classes and fusion orbits: the element order,
-with letters A, B, ..., Z, AA, ... when several classes share it, and the
-bare order for an orbit that holds every class of its order.  The fusion
-orbits are the relations of the fused scheme, and ``label_sort_key`` puts
-the labels of one order in class order.
+The conjugacy classes come from one array pass that keys every element by
+its trace up to sign, with a key of its own for the identity.  This is
+sound: M ~ -M in PSL; the GL-class of a non-central semisimple element is
+fixed by its trace and does not split in SL, as its torus centralizer has
+surjective determinant; the unipotent class splits in SL at odd q, by the
+square class of -b (of c where b = 0) at trace 2.  Element orders and the
+power-map (rational) fusion of the classes both come from powers(), one walk
+per representative.  This module owns the one label rule for classes and
+fusion orbits: the element order, with letters A, B, ..., Z, AA, ... when
+several classes share it, and the bare order for an orbit that holds every
+class of its order.  The fusion orbits are the relations of the fused
+scheme, and ``label_sort_key`` puts the labels of one order in class order.
 
 The vertex maps beyond inner conjugation and inversion are in
 ``outer_maps``, and ``orbits`` splits a vertex set into the orbits of a
@@ -284,17 +288,21 @@ class PSL2:
         return self._classes
 
     def _compute_classes(self) -> None:
-        n = self.order
-        every = np.arange(n)
-        class_of = np.full(n, -1, dtype=np.int32)
-        reps: list[int] = []
-        unassigned = 0
-        while unassigned < n:
-            # the class of the least unassigned element, as one conjugation orbit
-            class_of[self.conjugate(unassigned, every)] = len(reps)
-            reps.append(unassigned)
-            while unassigned < n and class_of[unassigned] >= 0:
-                unassigned += 1
+        f, q = self.field, self.q
+        add, neg = np.array(f.add_table), np.array(f.neg_table)
+        a, b, c, d = self.entries
+        trace = add[a, d]
+        key = np.minimum(trace, neg[trace])         # the trace up to sign
+        if q % 2:
+            # unipotent: the square class of -b (c where b = 0) of the trace-2 sign
+            two = add[1, 1]
+            x = np.where(b != 0, b, neg[c])         # that quantity at trace -2
+            x = np.where(trace == two, neg[x], x)
+            nonsquare = ~np.isin(np.arange(q), list(f.squares()))
+            key[(key == min(two, neg[two])) & nonsquare[x]] = q + 1
+        key[self.identity] = q
+        _, reps, class_of = np.unique(key, return_index=True, return_inverse=True)
+        reps = reps.tolist()                        # each class's least member
         # deterministic order: by (element order, smallest member index)
         orders = [len(self.powers(rep)) for rep in reps]
         keyed = sorted(range(len(reps)), key=lambda c: (orders[c], reps[c]))
@@ -406,10 +414,12 @@ class PSL2:
 
 @lru_cache(maxsize=None)
 def build_group(q: int) -> PSL2:
-    """Construct PSL(2,q) with a full multiplication table when affordable."""
+    """PSL(2,q) with its products built: the full table when affordable, else the arrays."""
     group = PSL2(q)
     if group.table_fits():
         group.mult_table()
+    else:
+        group._arith()
     return group
 
 

@@ -213,6 +213,9 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     ["scheme", "--q", "7", "--unfused"],
     ["certify", "--q", "13", "--classes", "7", "--base-clique", "sylow"],
     ["analyze", "--q", str(2 * MAX_Q)],
+    ["graph", "--q", "13", "--classes", "7", "--out", "/nonexistent/g.json"],
+    ["analyze", "--q", "5", "--out", "/nonexistent/r.json"],
+    ["graph", "--q", "13", "--classes", "7", "--dimacs", "/nonexistent/x.dimacs"],
 ])
 def test_bad_input_is_one_error_line(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagsync import psl2
-from diagsync.gf import MAX_Q
+from diagsync.gf import MAX_Q, factor_prime_power
 from diagsync.graphs import InvalidClassSet, resolve_classes
 from diagsync.psl2 import (
     PSL2,
@@ -143,6 +143,44 @@ def test_conjugation_orbits_are_the_classes(q):
     assert [(v, psl2.mask_of(orbit)) for v, orbit in found] == classes
 
 
+def _orbit_walk(g):
+    """Oracle: the classes as conjugation orbits, one per class, each from the
+    least element not yet in an orbit; returns (reps, class of every element)."""
+    every = np.arange(g.order)
+    class_of = np.full(g.order, -1)
+    reps = []
+    while (class_of < 0).any():
+        rep = int(np.argmax(class_of < 0))
+        class_of[g.conjugate(rep, every)] = len(reps)
+        reps.append(rep)
+    return reps, class_of
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 33) if factor_prime_power(q)] + [64, 81])
+def test_trace_keys_give_the_conjugation_orbits(q):
+    g = PSL2(q)
+    reps, walked = _orbit_walk(g)
+    classes = g.conjugacy_classes()
+    assert len(classes) == ((q + 5) // 2 if q % 2 else q + 1)
+    # the same reps, and each orbit lies in the class of its rep
+    assert sorted(c.rep for c in classes) == reps
+    class_of = g.class_of_array()
+    assert (class_of[reps][walked] == class_of).all()
+    every = np.arange(g.order)
+    for c in classes:
+        centralizer = np.count_nonzero(g.mul_pairs(c.rep, every) == g.mul_pairs(every, c.rep))
+        assert c.size * centralizer == g.order
+
+
+def test_classes_take_no_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classes computed from products")
+
+    monkeypatch.setattr(PSL2, "mul_pairs", refuse)
+    monkeypatch.setattr(PSL2, "conjugate", refuse)
+    assert len(PSL2(9).conjugacy_classes()) == 7
+
+
 def _class_data_digest(g) -> str:
     data = {
         "classes": [[c.id, c.label, c.element_order, c.rep, c.size, hex(c.members),
@@ -156,7 +194,7 @@ def _class_data_digest(g) -> str:
 
 
 # sha256 of the canonical JSON of the classes, the fusion orbits and the element
-# orders, every prime power 4 <= q <= 49, table-free
+# orders, every prime power 4 <= q <= 49 and q = 53, 59, 61, 64, table-free
 GOLDEN_CLASS_DATA = {
     4: "e7ee1e6c6754e734f36fbcdbf7304ea84ad03ba1d1d6fad836f3ae0b57a5627a",
     5: "478bf67463b030e1e662a1964c0fc18451add14b6fd6b52c4de6a99e406599b9",
@@ -179,6 +217,10 @@ GOLDEN_CLASS_DATA = {
     43: "485a66827678a7491f5df8786458d5a9260d8af9f7b24422d41bb9ec0342d799",
     47: "e6783b5ef2c291e2b7a826c0c9bc20c93ffe3b5f7ac8492e9a8a0aa452eb9011",
     49: "751744c944b7bcb4d9f85ec0802893d746283bfe1aa4832aa156b51ffffef119",
+    53: "9eef00ac7c0a64fd3bbcb2d733ca948b851fc0ef1e6fa5d90f6585d79fdf90dc",
+    59: "1256f62b7d9fc6518265fba0b62f252f39809f6c05f79decbef9929822c3a2f7",
+    61: "114d6c500baa2890bce9b6e4327e00430af0ad1c5b25b26b2adb5c3db688f65d",
+    64: "020c388cdae529cc05b9947d3e1d89e84ed9a49480b1f70cd07de0bbd2ad16c9",
 }
 
 
