@@ -7,39 +7,17 @@ elimination", Math. Comp. 1968): every entry it produces is a minor of the
 input, so each division in it is exact and no entry grows past the size of
 a determinant.  `rref` scales each row by the least common multiple of its
 denominators, eliminates, and divides by the one common pivot value at the
-end.  Sizes here are tiny (at most a few dozen rows).
+end; `nullspace` reads integer kernel vectors from the same pass.  Sizes
+here are tiny (at most a few dozen rows).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
 def eliminate(m: list[list[int]], width: int | None = None
@@ -94,62 +72,43 @@ def integer_row(row) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel (columns as vectors)."""
+def nullspace(m: Matrix) -> list[list[int]]:
+    """Integer basis of the right kernel (columns as vectors): for each free
+    column, the primitive vector that is positive there and zero at the
+    other free columns."""
     cols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    red, pivots, det = eliminate([integer_row(row) for row in m])
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = det
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
-        basis.append(v)
+        content = gcd(*v)
+        basis.append([x // content for x in v])
     return basis
 
 
-def solve_in_span(basis: list[Vector], targets: list[Vector]) -> Matrix:
-    """Coefficients X with  span-basis * X = targets  (columns), exact.
-
-    basis: list of m independent vectors of length n; targets: list of k
-    vectors of length n, each lying in the span.  Returns the m x k matrix X.
-    """
-    nrows = len(basis[0])
-    m, k = len(basis), len(targets)
-    aug = [[basis[j][i] for j in range(m)] + [targets[t][i] for t in range(k)]
-           for i in range(nrows)]
-    red, pivots = rref(aug)
-    if len(pivots) != m or any(p >= m for p in pivots):
-        raise ValueError("targets are not in the span of the basis")
-    x = [[Fraction(0)] * k for _ in range(m)]
-    for r, pc in enumerate(pivots):
-        for t in range(k):
-            x[pc][t] = red[r][m + t]
-    # consistency: rows below the pivots must vanish
-    for r in range(len(pivots), len(red)):
-        if any(red[r][m + t] for t in range(k)) and not any(red[r][:m]):
-            raise ValueError("targets are not in the span of the basis")
-    return x
-
-
-def charpoly(m: Matrix) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M), coefficients low to high."""
+def charpoly(m: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(xI - M) of an integer matrix,
+    coefficients low to high, by Faddeev-LeVerrier: M_1 = M, c_(n-k) =
+    -tr(M_k) / k, M_(k+1) = M (M_k + c_(n-k) I).  The coefficients are
+    integers, so each division is exact."""
     n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = identity(n)
+    coeffs = [0] * n + [1]
+    mk = [row[:] for row in m]
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        trace = sum((mk[i][i] for i in range(n)), Fraction(0))
-        c = -trace / k
+        c = -sum(mk[r][r] for r in range(n)) // k
         coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
+        if k < n:
+            for r in range(n):
+                mk[r][r] += c
+            cols = list(zip(*mk))
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in m]
     return coeffs
 
 
-def integer_roots(coeffs: list[Fraction], bound: int) -> tuple[list[int], int]:
+def integer_roots(poly: list[int], bound: int) -> tuple[list[int], int]:
     """Integer roots (with multiplicity) of a monic integer polynomial whose
     roots all lie in [-bound, bound].
 
@@ -157,8 +116,6 @@ def integer_roots(coeffs: list[Fraction], bound: int) -> tuple[list[int], int]:
     the factor left after dividing out all integer roots.  Candidates are
     tried in the order 0, 1, -1, 2, -2, ..., bound, -bound.
     """
-    poly = [int(c) for c in coeffs]
-    assert all(c == ci for c, ci in zip(coeffs, poly)), "polynomial not integral"
     roots: list[int] = []
     for x in (s * m for m in range(bound + 1) for s in (1, -1)):
         while len(poly) > 1 and _poly_eval(poly, x) == 0:

@@ -8,7 +8,9 @@ order (a, b, c, d) has the smaller integer encoding than its negative; for
 even q the pair is a singleton.  The dense index of an element is its rank
 in the lexicographic order of these 4-tuples, so indices are reproducible
 and appear as-is in exported certificates.  One lookup maps the entries of
-either sign of a matrix to its index.
+either sign of a matrix to its index.  Products come from vectorized field
+arithmetic; for small q the full multiplication table is built from the
+generators' rows alone, every other row a gather of a known one.
 
 The conjugacy classes come from one array pass that keys every element by
 its trace up to sign, with a key of its own for the identity.  This is
@@ -17,11 +19,12 @@ fixed by its trace and does not split in SL, as its torus centralizer has
 surjective determinant; the unipotent class splits in SL at odd q, by the
 square class of -b (of c where b = 0) at trace 2.  Element orders and the
 power-map (rational) fusion of the classes both come from powers(), one walk
-per representative.  This module owns the one label rule for classes and
-fusion orbits: the element order, with letters A, B, ..., Z, AA, ... when
-several classes share it, and the bare order for an orbit that holds every
-class of its order.  The fusion orbits are the relations of the fused
-scheme, and ``label_sort_key`` puts the labels of one order in class order.
+per representative that the fusion reads again rather than repeats.  This
+module owns the one label rule for classes and fusion orbits: the element
+order, with letters A, B, ..., Z, AA, ... when several classes share it, and
+the bare order for an orbit that holds every class of its order.  The fusion
+orbits are the relations of the fused scheme, and ``label_sort_key`` puts
+the labels of one order in class order.
 
 The vertex maps beyond inner conjugation and inversion are in
 ``outer_maps``, and ``orbits`` splits a vertex set into the orbits of a
@@ -203,12 +206,38 @@ class PSL2:
         return self.order <= TABLE_LIMIT
 
     def mult_table(self) -> np.ndarray:
-        """Full N x N multiplication table (built lazily; small q only)."""
+        """Full N x N multiplication table, row x holding the products x*y
+        (built lazily; small q only).
+
+        Only the generators' rows come from field arithmetic.  The others
+        are gathers, filled breadth-first from the identity's row: (x g) y =
+        x (g y), so row(x g) = row(x)[row(g)], one gather per generator per
+        layer.  Right multiplication by g is injective, so the children of
+        one generator are distinct.
+        """
         if self._table is None:
             if not self.table_fits():
                 raise ValueError(f"group of order {self.order} exceeds table limit")
-            every = np.arange(self.order)
-            self._table = self.mul_outer(every, every)
+            gens = self.generators()
+            gen_rows = self.mul_outer(gens, np.arange(self.order))
+            table = np.empty_like(gen_rows, shape=(self.order, self.order))
+            table[self.identity] = np.arange(self.order)
+            seen = np.zeros(self.order, dtype=bool)
+            seen[self.identity] = True
+            frontier = np.array([self.identity])
+            while len(frontier):
+                layer = []
+                for g, row in zip(gens, gen_rows):
+                    children = table[frontier, g]
+                    fresh = ~seen[children]
+                    children = children[fresh]
+                    seen[children] = True
+                    table[children] = table[frontier[fresh]][:, row]
+                    layer.append(children)
+                frontier = np.concatenate(layer)
+            if not seen.all():
+                raise ValueError(f"the generators reach {seen.sum()} of {self.order} elements")
+            self._table = table
         return self._table
 
     def _arith(self) -> tuple:
@@ -304,15 +333,15 @@ class PSL2:
         _, reps, class_of = np.unique(key, return_index=True, return_inverse=True)
         reps = reps.tolist()                        # each class's least member
         # deterministic order: by (element order, smallest member index)
-        orders = [len(self.powers(rep)) for rep in reps]
-        keyed = sorted(range(len(reps)), key=lambda c: (orders[c], reps[c]))
+        walks = [self.powers(rep) for rep in reps]
+        keyed = sorted(range(len(reps)), key=lambda c: (len(walks[c]), reps[c]))
         class_of = np.argsort(keyed).astype(np.int32)[class_of]     # old id -> new id
         class_of.flags.writeable = False
         classes: list[ConjugacyClass] = []
         for new_id, old_id in enumerate(keyed):
             members = class_of == new_id
             classes.append(ConjugacyClass(
-                id=new_id, label="", element_order=orders[old_id], rep=reps[old_id],
+                id=new_id, label="", element_order=len(walks[old_id]), rep=reps[old_id],
                 size=int(members.sum()), members=mask_of(members)))
         # labels: order, plus letters A..Z, AA, AB, ... when several classes
         # share the order
@@ -329,10 +358,11 @@ class PSL2:
         for c in classes:
             c.inverse_class = int(class_of[self.inv(c.rep)])
         self._classes = classes
-        self._compute_fusion()
+        self._compute_fusion([walks[old_id] for old_id in keyed])
 
-    def _compute_fusion(self) -> None:
-        """The fused class of c is {class of rep^k : gcd(k, n) = 1}, n = |rep|.
+    def _compute_fusion(self, walks: list[list[int]]) -> None:
+        """The fused class of c is {class of rep^k : gcd(k, n) = 1}, n = |rep|,
+        read from walks[c], the powers of c's rep that gave its order.
 
         It is labelled by the element order when it holds every class of that
         order, and otherwise by its one class's label: power maps fuse all
@@ -346,7 +376,7 @@ class PSL2:
             if c.fusion_orbit >= 0:
                 continue
             n = c.element_order
-            powers = self._class_of[self.powers(c.rep)]
+            powers = self._class_of[walks[c.id]]
             ids = tuple(sorted({int(powers[k]) for k in range(n) if gcd(k, n) == 1}))
             label = str(n) if len(ids) == per_order[n] else c.label
             mask = 0

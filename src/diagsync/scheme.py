@@ -10,17 +10,23 @@ orbits (``PSL2.fusion_orbits``) for the fusion, one ``FusionOrbit`` per class
 for the group scheme.  Their order and labels are the group's, so the one
 label rule lives in ``psl2``.
 
-Eigenmatrices are computed exactly: the intersection matrices of the scheme
-generate a commutative semisimple algebra; splitting their common eigenspaces
-over Q via integer characteristic-polynomial roots yields the rows of P, then
-multiplicities and the dual eigenmatrix Q follow from the orthogonality
-relations.  No floating point is involved anywhere.
+Eigenmatrices are computed exactly, on Python integers: the intersection
+matrices B_i of the scheme generate a commutative semisimple algebra.  The
+roots of each B_i's characteristic polynomial (Faddeev-LeVerrier, exact
+integer divisions) must all be integers, and each common eigenspace, held as
+an integer basis V, splits by the kernels of (B_i - mu I) V over those roots.
+The one-dimensional spaces left are the rows of P, whose entries are the
+integer eigenvalues; the multiplicities and the dual eigenmatrix Q follow
+from the orthogonality relations.  No floating point is involved anywhere,
+and Fractions only in Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -42,7 +48,7 @@ class IrrationalEigenvalue(Exception):
 
 @dataclass
 class EigenData:
-    P: list[list[Fraction]]           # rows: eigenspaces, columns: relations
+    P: list[list[int]]                # rows: eigenspaces, columns: relations
     Q: list[list[Fraction]]           # rows: relations, columns: eigenspaces
     multiplicities: list[int]
 
@@ -181,35 +187,37 @@ def rational_fusion_scheme(group: PSL2) -> AssociationScheme:
 def _eigen_data(scheme: AssociationScheme) -> EigenData:
     n = len(scheme.relations)
     sizes = scheme.sizes()
-    mats = []
-    for i in range(n):
-        mats.append([[Fraction(scheme.p[i][j][k]) for k in range(n)] for j in range(n)])
-    spaces: list[list[list[Fraction]]] = [[
-        [Fraction(int(r == c)) for r in range(n)] for c in range(n)]]
-    # columns of the identity as the initial basis of the full space
+    mats = scheme.p         # B_i = mats[i]: B_i u = u_i u for each row u of P
+    # common eigenspaces as integer bases, from the columns of the identity
+    spaces = [[[int(r == c) for r in range(n)] for c in range(n)]]
     for i in range(1, n):
+        if all(len(basis) == 1 for basis in spaces):
+            break
         # no eigenvalue of a matrix exceeds its largest absolute row sum,
-        # and the entries of mats[i] are the counts p[i][j][k] >= 0
-        bound = max(map(sum, scheme.p[i]))
+        # and the entries of B_i are the counts p[i][j][k] >= 0
+        roots, remaining = linalg.integer_roots(linalg.charpoly(mats[i]),
+                                                max(map(sum, mats[i])))
+        if remaining:
+            raise IrrationalEigenvalue(
+                f"relation {scheme.relations[i].label}: characteristic polynomial "
+                f"has an irrational factor of degree {remaining}")
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
-            targets = [linalg.mat_vec(mats[i], v) for v in basis]
-            x = linalg.solve_in_span(basis, targets)
-            poly = linalg.charpoly(x)
-            roots, remaining = linalg.integer_roots(poly, bound)
-            if remaining:
-                raise IrrationalEigenvalue(
-                    f"relation {scheme.relations[i].label}: characteristic polynomial "
-                    f"has an irrational factor of degree {remaining}")
+            images = [_apply(mats[i], v) for v in basis]
             total = 0
             for root in sorted(set(roots)):
-                shifted = [[x[r][c] - (root if r == c else 0) for c in range(len(x))]
-                           for r in range(len(x))]
-                kernel = linalg.nullspace(shifted)
-                sub = [_combine(basis, kvec) for kvec in kernel]
+                # the columns (B_i - root I) v, v in the basis; a kernel vector
+                # c gives the eigenvector sum_v c_v v
+                shifted = [[w[r] - root * v[r] for w, v in zip(images, basis)]
+                           for r in range(n)]
+                sub = []
+                for c in linalg.nullspace(shifted):
+                    v = [sum(map(mul, c, col)) for col in zip(*basis)]
+                    content = gcd(*v)
+                    sub.append([x // content for x in v])
                 if sub:
                     new_spaces.append(sub)
                     total += len(sub)
@@ -219,46 +227,44 @@ def _eigen_data(scheme: AssociationScheme) -> EigenData:
     if any(len(b) != 1 for b in spaces):
         raise IrrationalEigenvalue("common eigenspaces did not split to dimension one")
     rows = []
-    for basis in spaces:
-        v = basis[0]
+    for (v,) in spaces:
         if v[0] == 0:
             raise IrrationalEigenvalue("eigenvector with vanishing identity coordinate")
-        rows.append([x / v[0] for x in v])
-    # verify the eigen equations exactly: M_i u = u_i * u
+        if any(x % v[0] for x in v):
+            raise IrrationalEigenvalue("eigenvector verification failed")
+        rows.append([x // v[0] for x in v])
+    # verify the eigen equations exactly: B_i u = u_i * u
     for u in rows:
         for i in range(n):
-            if linalg.mat_vec(mats[i], u) != [u[i] * x for x in u]:
+            if _apply(mats[i], u) != [u[i] * x for x in u]:
                 raise IrrationalEigenvalue("eigenvector verification failed")
-    principal = [Fraction(s) for s in sizes]
-    rows.sort(key=lambda u: (u != principal, u))
+    rows.sort(key=lambda u: (u != sizes, u))
     omega = scheme.omega
+    # sums of u_j^2 / k_j scaled by the common multiple L of the sizes k_j;
+    # u_0 = 1 keeps each sum at L or more, so every multiplicity is positive
+    scale = lcm(*sizes)
+    weights = [scale // k for k in sizes]
     mults = []
     for u in rows:
-        denom = sum(u[j] * u[j] / sizes[j] for j in range(n))
-        m = Fraction(omega) / denom
-        if m.denominator != 1 or m <= 0:
-            raise IrrationalEigenvalue(f"non-integral multiplicity {m}")
-        mults.append(int(m))
+        norm = sum(w * x * x for w, x in zip(weights, u))
+        if omega * scale % norm:
+            raise IrrationalEigenvalue(
+                f"non-integral multiplicity {Fraction(omega * scale, norm)}")
+        mults.append(omega * scale // norm)
     if sum(mults) != omega:
         raise IrrationalEigenvalue("multiplicities do not sum to the vertex count")
-    q = [[mults[i] * rows[i][j] / sizes[j] for i in range(n)] for j in range(n)]
-    # P * Q = omega * I
+    # P * Q = omega * I with Q[j][b] = m_b u_b[j] / k_j, times L
     for a in range(n):
         for b in range(n):
-            val = sum(rows[a][j] * q[j][b] for j in range(n))
-            if val != (omega if a == b else 0):
+            val = mults[b] * sum(w * x * y for w, x, y in zip(weights, rows[a], rows[b]))
+            if val != (omega * scale if a == b else 0):
                 raise IrrationalEigenvalue("P*Q != omega*I")
+    q = [[Fraction(mults[b] * rows[b][j], sizes[j]) for b in range(n)] for j in range(n)]
     return EigenData(P=rows, Q=q, multiplicities=mults)
 
 
-def _combine(basis: list[list[Fraction]], coeffs: list[Fraction]) -> list[Fraction]:
-    n = len(basis[0])
-    out = [Fraction(0)] * n
-    for c, vec in zip(coeffs, basis):
-        if c:
-            for r in range(n):
-                out[r] += c * vec[r]
-    return out
+def _apply(mat: list[list[int]], v: list[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in mat]
 
 
 # -- distributions and transforms ------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,8 +71,15 @@ def test_rref_matches_fraction_gauss_jordan(m):
 @given(matrices().filter(lambda m: m and m[0]))
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_fraction_gauss_jordan(m):
+    # integer vectors: each is primitive and positive at its free column, and
+    # divided by its entry there it is the oracle's vector
     basis = nullspace(m)
-    assert basis == oracle_nullspace(m)
+    _, pivots = oracle_rref(m)
+    free = [c for c in range(len(m[0])) if c not in pivots]
+    assert len(basis) == len(free)
+    assert all(v[fc] > 0 and gcd(*v) == 1 for v, fc in zip(basis, free))
+    assert [[Fraction(x, v[fc]) for x in v] for v, fc in zip(basis, free)] == \
+        oracle_nullspace(m)
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
 

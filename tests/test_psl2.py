@@ -422,9 +422,28 @@ def test_inverses_match_scalar_mul(q):
 def test_blocked_table_equals_scalar_products(q):
     oracle = scalar_group(q)
     table = build_group(q).mult_table()
-    assert (table.size > psl2._BLOCK) == (q in (8, 9))     # built in several blocks
     expected = [[oracle.mul(x, y) for y in range(oracle.order)] for x in range(oracle.order)]
     assert table.tolist() == expected
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 17])
+def test_table_equals_table_free_products(q):
+    # every q with a table: the gathered rows against field arithmetic
+    table = build_group(q).mult_table()
+    oracle = scalar_group(q)
+    every = np.arange(oracle.order)
+    assert table.shape == (oracle.order, oracle.order)
+    for start, block in oracle.product_blocks(every, every):
+        assert (table[start:start + len(block)] == block).all()
+    assert oracle._table is None
+
+
+def test_table_from_a_non_generating_list_is_refused():
+    g = PSL2(7)
+    g.generators = lambda: [int(g.lookup(1, 1, 0, 1))]     # a unipotent of order 7
+    with pytest.raises(ValueError, match="reach 7 of 168"):
+        g.mult_table()
+    assert g._table is None
 
 
 def test_mul_outer_blocks_match_row_by_row():

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -197,6 +199,63 @@ def test_fused_relations_are_the_fusion_orbits(q):
     assert s.relations == g.fusion_orbits()
     orbit_of_class = np.array([c.fusion_orbit for c in g.conjugacy_classes()])
     assert (s._rel_of == orbit_of_class[g.class_of_array()]).all()
+
+
+# sha256 of json.dumps(payload()) of the fused scheme, every prime power
+# 4 <= q <= 49, computed with the Fraction eigen split that preceded the
+# integer one
+SCHEME_DIGESTS = {
+    4: "fcc0c55cc14a9cbeb3039c2f6bb06baefade1aa9afceeddf902c8249fbdad1ec",
+    5: "fcc0c55cc14a9cbeb3039c2f6bb06baefade1aa9afceeddf902c8249fbdad1ec",
+    7: "0f22e36b5493d7a4b97dfb1f1fc75af065332cfe3e644b0b2396dc2d25b8c902",
+    8: "e7dd6058bf4486fcb42f218d540cf9c90099e4a7bee623588a69d4a76bdfbb94",
+    9: "8de76de4b920736b1708c621e2d7e553ff64003401a8a8806bcf1472cedf2afd",
+    11: "27ec6c79d7b80abb4326fb24da9ab0df991dd6aa3be51914f4c182f11590c93a",
+    13: "88f49495c982d1bdaf13da60b8b15baf7e00b567e4c39f3c63a5c5394213f0b8",
+    16: "f9753084a46d84a5b7cab6f6ca05c0bc1accdb1b32b90f52e79f9a7248f029d7",
+    17: "2ef2aeca29b03b2f7020616824ec77cfbe4c2f07d31f4a9c8f3d5f03ea1a33b4",
+    19: "aeadf67eaf0603d76e6e8d1d78d679e9d6b5264cb9c0635151455594c478ebb5",
+    23: "b9beb0eb79341aae9553b0047f7a411d9fc691bb4c0916243109f56044a0244d",
+    25: "fd114d5e40e995a9472ac2e18f8ca080385c70d8fedf6f3357f8b7892b702db8",
+    27: "391fefcebef96e384a11b909dd7726d00fd394d0c27b7f6a07d765f6c750e14c",
+    29: "4e7bb73189fd439119ab9829554e075fbb0b06fa4acc0207086353aae6ea5374",
+    31: "d0757857f69585d4af032205e5114b672ce9aadacc336a374b8b60cc21f0a096",
+    32: "a2642f1898c2b67c87b776ef5a4f6718ecfe4812b96671c5502aac0b1114375b",
+    37: "d3f7b8ca6f5076bc2842c01748f659506e7d175471b34225487420055e560a8f",
+    41: "2c10c6d6137ced7212757677a6d2b6c3a7168d785f8f8714ddce0f264a2733f6",
+    43: "bc8a43756c7c4ce37c7b56a3daaeb4b3f9fe1e63cb63612ba35d25287a6e996f",
+    47: "299899f220d247ee53058dfd134957eef0614b388b87810a1d687df8a2065b1d",
+    49: "ecf6c28bd813e93accf326b21961c3058e5c3b60a8a7e23a678d896922e16ca3",
+}
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_fused_scheme_payload_is_golden(q):
+    payload = json.dumps(rational_fusion_scheme(PSL2(q)).payload())
+    assert hashlib.sha256(payload.encode()).hexdigest() == SCHEME_DIGESTS[q]
+
+
+# the relation that the group scheme's diagnostic names, and the degree of the
+# irrational factor of that relation's characteristic polynomial
+UNFUSED_DIAGNOSTICS = {4: ("5A", 2), 5: ("5A", 2), 8: ("7A", 3), 9: ("5A", 2),
+                       13: ("7A", 3), 16: ("5A", 6), 17: ("8A", 2), 25: ("12A", 2),
+                       29: ("5A", 6)}
+
+
+@pytest.mark.parametrize("q", sorted(UNFUSED_DIAGNOSTICS))
+def test_unfused_diagnostic_names_the_first_irrational_relation(q):
+    s = group_scheme(build_group(q))
+    label, degree = UNFUSED_DIAGNOSTICS[q]
+    assert s.eigen is None and s.eigen_diagnostic == (
+        f"relation {label}: characteristic polynomial has an irrational factor "
+        f"of degree {degree}")
+    # floating-point oracle: the relations before it have integer eigenvalues
+    # only, and it has `degree` others
+    named = s.labels().index(label)
+    for i in range(1, named + 1):
+        values = np.linalg.eigvals(np.array(s.p[i], dtype=float))
+        off = np.abs(values - np.round(values.real)) > 1e-6
+        assert off.sum() == (degree if i == named else 0)
 
 
 @pytest.mark.parametrize("q", [4, 5, 8, 9, 13, 16])
