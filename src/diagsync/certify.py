@@ -10,7 +10,8 @@ independent set of the target size that hits every row exactly once?  Its
 proven infeasibility refutes that size.
 
 Rows come in right-translation families {S t : t in T}, one per conjugate
-shape S of C, and are held as one array of sorted vertex rows.  S t = S t'
+shape S of C, and are held as one array of sorted vertex rows, like every
+element set outside the two bit-parallel searches (see ``psl2``).  S t = S t'
 exactly when t' lies in the coset H t of the right stabilizer H of S, so a
 family keeps the t that are least in their cosets: an exact dedup with no
 hashing.  Two families are equal or disjoint, and S is a row of an earlier
@@ -33,8 +34,7 @@ v's.  Removing vertices subtracts one bincount over their vertex-row
 incidence from the row counts.  Every vertex lies in the same number of rows,
 so the incidence is one stable argsort of the vertex array, reshaped to a row
 of row indices per vertex.  Each branch is undone by restoring the snapshot
-taken at its node.  Row bitmasks (``TranslateRowSystem.rows``) are built only
-on request; the solver reads none.
+taken at its node.
 
 Branching is orbital (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
 branching", Math. Programming 2011).  Conjugation by any group element maps
@@ -45,7 +45,7 @@ count, after forcing every row left with one alive vertex.  While Gamma is
 nontrivial it takes the row's lowest alive vertex v and branches two ways:
 choose v, which shrinks Gamma to the elements that also commute with v, or
 delete v's Gamma-orbit.  That is sound because every deleted set is
-Gamma-invariant: a kill mask is fixed by whatever fixes its chosen vertex,
+Gamma-invariant: a kill set is fixed by whatever fixes its chosen vertex,
 and a deleted orbit is an orbit of a group that contains the current Gamma.
 The alive vertices are therefore Gamma-invariant, and an element of Gamma
 carrying a solution through the orbit onto v gives one that chooses v.
@@ -57,12 +57,11 @@ every row exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .graphs import ClassUnionGraph
-from .psl2 import PSL2, mask_from, mask_of, outer_maps
+from .psl2 import PSL2, outer_maps
 from .search import Budget, verify_clique, verify_coclique
 
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
@@ -72,25 +71,13 @@ BRACKET = "BUDGET_BRACKET"
 _BLOCK = 1 << 16
 
 
-@dataclass
+@dataclass(eq=False)
 class TranslateRowSystem:
     graph: ClassUnionGraph
     base_clique: tuple[int, ...]
-    verts: np.ndarray                    # (rows, row size): sorted vertices per row
+    rows: np.ndarray                     # (rows, row size): sorted vertices per row
     generator_note: str
     edges_covered: bool
-
-    @cached_property
-    def rows(self) -> list[int]:             # a bitmask per row, built on first use
-        n = self.graph.vertex_count
-        step = max(1, _BLOCK // n)
-        rows = []
-        for start in range(0, len(self.verts), step):
-            block = self.verts[start:start + step]
-            flags = np.zeros((len(block), n), dtype=bool)
-            np.put_along_axis(flags, block, True, axis=1)
-            rows += map(mask_of, flags)
-        return rows
 
     @property
     def row_size(self) -> int:
@@ -100,7 +87,7 @@ class TranslateRowSystem:
         return {
             "graph": self.graph.descriptor(),
             "base_clique": list(self.base_clique),
-            "rows": len(self.verts),
+            "rows": len(self.rows),
             "row_size": self.row_size,
             "edges_covered": self.edges_covered,
             "generators": self.generator_note,
@@ -143,7 +130,7 @@ def _automorphism_perms(graph: ClassUnionGraph) -> tuple[np.ndarray, str]:
     note = "two-sided translations, inversion"
     conn = graph.connection_elements()
     for name, perm in outer_maps(group):
-        if mask_from(perm[conn].tolist()) == graph.connection:
+        if graph.connection[perm[conn]].all():       # a bijection into the set is onto it
             perms.append(perm)
             note += ", " + name
     perms.append(group.inverses())
@@ -206,7 +193,7 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
         shapes.append(frontier)
 
     # right translates of every conjugate shape, one family per new shape
-    conn = graph.connection_flags()
+    conn = graph.connection
     families, through_identity = [], []
     known: set[bytes] = set()            # the rows through the identity
     shapes = np.concatenate(shapes)
@@ -242,7 +229,7 @@ def solve_cover_ilp(system: TranslateRowSystem, target_size: int,
     if status == FEASIBLE:
         # independent re-verification of the returned transversal
         hits = np.bincount(solver.incidence[list(witness)].ravel(),
-                           minlength=len(system.verts))
+                           minlength=len(system.rows))
         if (len(witness) != target_size or not verify_coclique(system.graph, witness)
                 or (hits != 1).any()):
             raise AssertionError("solver returned an invalid exact-hit witness")
@@ -268,19 +255,19 @@ class _CoverSolver:
         self.group = system.graph.group
         self.meter = meter
         self.n = self.group.order
-        self.verts = system.verts
+        self.rows = system.rows
         # the rows through each vertex, ascending: every vertex lies in the
         # same number of rows, since each family is closed under right translation
-        n_rows, k = system.verts.shape
+        n_rows, k = system.rows.shape
         width = n_rows * k // self.n
-        if (np.bincount(system.verts.ravel(), minlength=self.n) != width).any():
+        if (np.bincount(system.rows.ravel(), minlength=self.n) != width).any():
             raise AssertionError("rows do not meet every vertex equally often")
-        order = np.argsort(system.verts.ravel(), kind="stable")
+        order = np.argsort(system.rows.ravel(), kind="stable")
         self.incidence = (order // k).reshape(self.n, width)
         # what choosing the identity removes: its rows, which hold it, and its
         # neighbours; right translation by v carries it to what choosing v removes
         self.kill0 = np.union1d(system.graph.connection_elements(),
-                                system.verts[self.incidence[self.group.identity]])
+                                system.rows[self.incidence[self.group.identity]])
         self.closed = k + 1                  # a done row's count, above every open one
         self.alive = np.ones(self.n, dtype=bool)
         self.row_alive = np.full(n_rows, k, dtype=np.int32)
@@ -313,7 +300,7 @@ class _CoverSolver:
         return ri, int(self.row_alive[ri])
 
     def alive_in(self, ri: int) -> np.ndarray:     # ascending
-        return self.verts[ri][self.alive[self.verts[ri]]]
+        return self.rows[ri][self.alive[self.rows[ri]]]
 
     def propagate(self) -> bool:
         """Choose the last alive vertex of every row left with one; False on a dead row."""

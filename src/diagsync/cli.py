@@ -22,7 +22,7 @@ from .pipeline import (
     verify_report,
     write_report,
 )
-from .psl2 import build_group, dihedral_subgroup, mask_elements, sylow_subgroup
+from .psl2 import build_group, dihedral_subgroup, sylow_subgroup
 from .scheme import NonSymmetricScheme, group_scheme, rational_fusion_scheme
 from .search import Budget, algebraic_clique_seeds, find_clique_of_size, max_clique, max_coclique
 from .witnesses import (
@@ -196,10 +196,10 @@ def _dispatch(args) -> int:
     if cmd == "certify":
         graph = build_graph(group, args.classes)
         base = None
-        if args.base_clique == "sylow":
-            base = mask_elements(sylow_subgroup(group, group.field.p))
-        elif args.base_clique == "dihedral":
-            base = mask_elements(dihedral_subgroup(group, group.field.p))
+        if args.base_clique != "from-search":
+            make = sylow_subgroup if args.base_clique == "sylow" else dihedral_subgroup
+            sub = make(group, group.field.p)
+            base = None if sub is None else sub.tolist()
         else:
             seeds = algebraic_clique_seeds(graph)
             if seeds:

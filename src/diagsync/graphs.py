@@ -3,27 +3,31 @@
 A graph here is determined by a set I of class labels (fused orbit labels
 such as "13", or unfused class labels such as "7A"): vertices are the group
 elements, and u ~ v iff u*v^-1 lies in the union of the selected classes.
-Adjacency is answered from the connection-set bitmap; a neighbour bitmap is
-computed on each call, for the DIMACS export and the tests' oracles.
+A graph holds one element set, its connection set, as a read-only boolean
+array over the elements, built once per class set and kept on the group;
+adjacency, the degree and a vertex's neighbourhood (a boolean vertex array
+computed on each call, for the DIMACS export and the tests' oracles) are
+read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .psl2 import PSL2, label_sort_key, mask_array, mask_elements, mask_of
+from .psl2 import PSL2, label_sort_key
 
 
 class InvalidClassSet(ValueError):
     pass
 
 
-def resolve_classes(group: PSL2, labels) -> tuple[tuple[str, ...], int, tuple[int, ...]]:
+def resolve_classes(group: PSL2, labels) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
     """Normalize a collection of class/orbit labels.
 
-    Returns (sorted fused-or-class labels, connection mask, unfused class ids).
+    Returns (sorted fused-or-class labels, connection set as a boolean vertex
+    array, unfused class ids).
     Fused labels expand to their member classes; the result must be
     inverse-closed and exclude the identity.
     """
@@ -49,12 +53,19 @@ def resolve_classes(group: PSL2, labels) -> tuple[tuple[str, ...], int, tuple[in
     for c in ids:
         if classes[c].inverse_class not in ids:
             raise InvalidClassSet(f"class set not inverse-closed at {classes[c].label}")
-    mask = 0
-    for c in ids:
-        mask |= classes[c].members
+    key = tuple(sorted(ids))
+    # one read-only connection array per class set, kept on the group
+    memo = getattr(group, "_connections", None)
+    if memo is None:
+        memo = group._connections = {}
+    if key not in memo:
+        chosen = np.zeros(len(classes), dtype=bool)
+        chosen[list(ids)] = True
+        memo[key] = chosen[group.class_of_array()]
+        memo[key].flags.writeable = False
     canonical = sorted({_canonical_label(group, c, ids) for c in ids},
                        key=label_sort_key)
-    return tuple(canonical), mask, tuple(sorted(ids))
+    return tuple(canonical), memo[key], key
 
 
 def _canonical_label(group: PSL2, class_id: int, chosen: set[int]) -> str:
@@ -64,13 +75,12 @@ def _canonical_label(group: PSL2, class_id: int, chosen: set[int]) -> str:
     return group.conjugacy_classes()[class_id].label
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassUnionGraph:
     group: PSL2
     class_labels: tuple[str, ...]
-    connection: int
+    connection: np.ndarray               # the connection set, boolean over the elements
     class_ids: tuple[int, ...]
-    _conn_elements: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -82,27 +92,19 @@ class ClassUnionGraph:
 
     @property
     def degree(self) -> int:
-        return self.connection.bit_count()
+        return int(np.count_nonzero(self.connection))
 
     def adjacent(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return bool((self.connection >> self.group.mul(u, self.group.inv(v))) & 1)
-
-    def connection_flags(self) -> np.ndarray:
-        """The connection set as a boolean vertex array."""
-        return mask_array(self.connection, self.group.order)
+        return bool(self.connection[self.group.mul(u, self.group.inv(v))])
 
     def connection_elements(self) -> np.ndarray:
-        if self._conn_elements is None:
-            self._conn_elements = np.flatnonzero(self.connection_flags())
-        return self._conn_elements
+        return np.flatnonzero(self.connection)
 
-    def neighbors(self, v: int) -> int:
-        """Neighborhood of v as a bitmask: {s*v : s in connection set}."""
-        flags = np.zeros(self.group.order, dtype=bool)
-        flags[self.group.mul_pairs(self.connection_elements(), v)] = True
-        return mask_of(flags)
+    def neighbors(self, v: int) -> np.ndarray:
+        """Neighborhood of v as a boolean vertex array: the u with u*v^-1 in the
+        connection set, by one gather."""
+        return self.connection[self.group.mul_pairs(np.arange(self.group.order),
+                                                    self.group.inv(v))]
 
     def descriptor(self) -> dict:
         return {"q": self.q, "classes": list(self.class_labels),
@@ -136,7 +138,7 @@ def export_dimacs(graph: ClassUnionGraph) -> bytes:
     lines = [f"c class-union Cayley graph on PSL(2,{graph.q}), classes "
              + ",".join(graph.class_labels)]
     edges = [(u + 1, v + 1) for u in range(n)
-             for v in mask_elements(graph.neighbors(u) >> (u + 1) << (u + 1))]  # v > u
+             for v in (np.flatnonzero(graph.neighbors(u)[u + 1:]) + u + 1).tolist()]  # v > u
     lines.append(f"p edge {n} {len(edges)}")
     lines.extend(f"e {u} {v}" for u, v in edges)
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -22,13 +22,15 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .certify import (BRACKET, FEASIBLE, PROVEN_INFEASIBLE, generate_translate_rows,
                       solve_cover_ilp)
 from .feasibility import putative_table
 from .gf import MAX_Q, factor_prime_power
 from .graphs import build_graph, complement_graph
-from .psl2 import TABLE_LIMIT, PSL2, build_group, is_subgroup, mask_from
+from .psl2 import TABLE_LIMIT, PSL2, build_group, is_subgroup
 from .scheme import rational_fusion_scheme
 from .search import (
     Budget,
@@ -191,6 +193,21 @@ def settle_row(gv: GraphVerdict, cert: dict, facts: FactBase):
     else:
         return
     gv.certificates.append(cert)
+
+
+def group_table(group: PSL2) -> tuple:
+    """The group's feasibility table: the rows analyze settles and verify
+    replays.  It depends only on the group, so it is cached on it, like its
+    subgroup library and fused scheme."""
+    rows = getattr(group, "_putative_table", None)
+    if rows is None:
+        rows = group._putative_table = tuple(putative_table(rational_fusion_scheme(group)))
+    return rows
+
+
+def _row_key(row) -> tuple:
+    """A table row's or graph row's class sets and targets."""
+    return row.clique_classes, row.coclique_classes, row.omega_target, row.alpha_target
 
 
 # -- certificate cache ----------------------------------------------------------------
@@ -362,11 +379,8 @@ class Analyzer:
         return False
 
     def feasibility_stage(self) -> list[GraphVerdict]:
-        scheme = self.scheme        # the report shows it beside the table
-        # the table depends only on the group: cached on it, like its subgroup library
-        rows = getattr(self.group, "_putative_table", None)
-        if rows is None:
-            rows = self.group._putative_table = tuple(putative_table(scheme))
+        self.scheme                 # the report shows it beside the table
+        rows = group_table(self.group)
         self.verdict.graphs = [GraphVerdict(row.clique_classes, row.coclique_classes,
                                             row.omega_target, row.alpha_target)
                                for row in rows]
@@ -515,7 +529,9 @@ def write_report(report: dict, path: str):
 def verify_report(report: dict) -> tuple[bool, list[str]]:
     """Re-verify every certificate in a report and replay each row's status
     from the certificates that pass, by the analyzer's own settle_row and
-    FactBase.infer; returns (ok, problems)."""
+    FactBase.infer; returns (ok, problems).  A report with rows, or one that
+    claims YES, must hold the group's own feasibility table: the same class
+    sets and targets, in the same order."""
     if not (isinstance(report, dict) and isinstance(report.get("meta"), dict)
             and isinstance(report.get("verdict"), dict)
             and all(isinstance(report.get(key), list) for key in ("graphs", "witnesses"))):
@@ -529,13 +545,20 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         return False, [f"q {q!r} is not a prime power from 4 to {MAX_Q}"]
     problems: list[str] = []
     group = build_group(q)
-    rows = report["graphs"]
-    if rows and not group.table_fits():
-        return False, [f"graph rows for a group past the table limit {TABLE_LIMIT}"]
+    rows, verdict = report["graphs"], report["verdict"].get("separating")
+    tabled = bool(rows) or verdict == YES      # then the rows must be the group's table
+    if tabled and not group.table_fits():
+        return False, [f"graph rows or YES for a group past the table limit {TABLE_LIMIT}"]
     # the labels come from the group, never from the report's scheme section
     facts = FactBase(tuple(o.label for o in group.fusion_orbits()[1:]) if rows else ())
     replayed = [_checked(lambda: _replay_row(group, gv, facts, problems), problems)
                 for gv in rows]
+    # the rows are the group's own table, so no YES rests on a deleted row
+    if tabled:
+        table = group_table(group)
+        if len(rows) != len(table) or any(pair and _row_key(pair[1]) != _row_key(want)
+                                          for pair, want in zip(replayed, table)):
+            problems.append("graph rows differ from the group's feasibility table")
     replayed = [pair for pair in replayed if pair]     # a malformed row is a problem
     facts.infer([row for _, row in replayed])
     for claimed, row in replayed:
@@ -549,9 +572,9 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         negative |= kind in ("exact_factorisation", "sharply_transitive")
         if not _checked(lambda: _verify_witness(group, wit, problems), problems):
             problems.append(f"witness {kind}: verification failed")
-    if report["verdict"].get("separating") == NO and not negative:
+    if verdict == NO and not negative:
         problems.append("verdict NO without a negative witness")
-    if report["verdict"].get("separating") == YES and any(
+    if verdict == YES and any(
             row.status == UNRESOLVED == claimed for claimed, row in replayed):
         problems.append("verdict YES with unresolved graphs")
     return (not problems), problems
@@ -584,14 +607,14 @@ def _checked(check, problems: list[str]):
     return False
 
 
-def _elements(payload: dict, name: str, group) -> list[int]:
+def _elements(payload: dict, name: str, group) -> np.ndarray:
     """payload[name], checked to hold distinct elements of the group, as
-    search._pairwise checks a clique."""
+    search._pairwise checks a clique, as an ascending element array."""
     value = payload[name]
     if not (isinstance(value, list) and len(set(
             x for x in value if isinstance(x, int) and 0 <= x < group.order)) == len(value)):
         raise ValueError(f"{name!r} is not a list of distinct group elements")
-    return value
+    return np.sort(np.array(value, dtype=np.intp))
 
 
 def _check_digest(cert: dict, problems: list[str]) -> bool:
@@ -634,14 +657,14 @@ def _verify_witness(group, wit, problems) -> bool:
         return False
     kind = wit.get("kind")
     if kind == "exact_factorisation":
-        fac = verify_exact_factorisation(group, mask_from(_elements(wit, "A", group)),
-                                         mask_from(_elements(wit, "B", group)))
+        fac = verify_exact_factorisation(group, _elements(wit, "A", group),
+                                         _elements(wit, "B", group))
         return fac.verified
     if kind == "sharply_transitive":
-        sub = mask_from(_elements(wit, "subgroup", group))
+        sub = _elements(wit, "subgroup", group)
         # a proper nontrivial subgroup: the regular action proves nothing
-        if not (is_subgroup(group, sub) and 1 < sub.bit_count() < group.order
-                and wit["degree"] == group.order // sub.bit_count()):
+        if not (is_subgroup(group, sub) and 1 < len(sub) < group.order
+                and wit["degree"] == group.order // len(sub)):
             return False
         _, images = coset_action(group, sub)
         ok, _ = verify_sharply_transitive(

@@ -29,6 +29,11 @@ the labels of one order in class order.
 The vertex maps beyond inner conjugation and inversion are in
 ``outer_maps``, and ``orbits`` splits a vertex set into the orbits of a
 group of vertex maps.
+
+An element set is a numpy array: a subgroup is its ascending array of element
+indices, a vertex set a boolean array over the elements.  Python-int bitsets
+live only inside the two bit-parallel searches (``search._bb_max_clique`` and
+``witnesses.find_sharply_transitive_set``), and ``mask_elements`` walks their bits.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ class ConjugacyClass:
     element_order: int
     rep: int
     size: int
-    members: int  # bitmask over element indices
     inverse_class: int = -1
     fusion_orbit: int = -1
 
@@ -67,7 +71,6 @@ class FusionOrbit:
     element_order: int
     class_ids: tuple[int, ...]
     size: int
-    members: int
 
 
 def label_sort_key(label: str):
@@ -337,12 +340,10 @@ class PSL2:
         keyed = sorted(range(len(reps)), key=lambda c: (len(walks[c]), reps[c]))
         class_of = np.argsort(keyed).astype(np.int32)[class_of]     # old id -> new id
         class_of.flags.writeable = False
-        classes: list[ConjugacyClass] = []
-        for new_id, old_id in enumerate(keyed):
-            members = class_of == new_id
-            classes.append(ConjugacyClass(
-                id=new_id, label="", element_order=len(walks[old_id]), rep=reps[old_id],
-                size=int(members.sum()), members=mask_of(members)))
+        sizes = np.bincount(class_of).tolist()
+        classes = [ConjugacyClass(id=new_id, label="", element_order=len(walks[old_id]),
+                                  rep=reps[old_id], size=sizes[new_id])
+                   for new_id, old_id in enumerate(keyed)]
         # labels: order, plus letters A..Z, AA, AB, ... when several classes
         # share the order
         by_order: dict[int, list[ConjugacyClass]] = {}
@@ -379,12 +380,10 @@ class PSL2:
             powers = self._class_of[walks[c.id]]
             ids = tuple(sorted({int(powers[k]) for k in range(n) if gcd(k, n) == 1}))
             label = str(n) if len(ids) == per_order[n] else c.label
-            mask = 0
             for i in ids:
-                mask |= classes[i].members
                 classes[i].fusion_orbit = len(orbits)
             orbits.append(FusionOrbit(len(orbits), label, n, ids,
-                                      sum(classes[i].size for i in ids), mask))
+                                      sum(classes[i].size for i in ids)))
         self._fusion = orbits
 
     def fusion_orbits(self) -> list[FusionOrbit]:
@@ -432,9 +431,9 @@ class PSL2:
         image[w == 0] = q
         return image
 
-    def point_stabilizer(self, pt_idx: int) -> int:
-        """Bitmask of the stabilizer of a projective point."""
-        return mask_of(self.act_points(pt_idx) == pt_idx)
+    def point_stabilizer(self, pt_idx: int) -> np.ndarray:
+        """The stabilizer of a projective point."""
+        return np.flatnonzero(self.act_points(pt_idx) == pt_idx)
 
     # -- misc -----------------------------------------------------------------
 
@@ -455,31 +454,14 @@ def build_group(q: int) -> PSL2:
 
 # -- subgroup machinery --------------------------------------------------------
 
-def mask_from(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def mask_elements(mask: int) -> list[int]:
+    """The set bits of an int bitset, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def mask_of(flags: np.ndarray) -> int:
-    """A boolean array as a mask: bit i is entry i (the inverse of mask_array)."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def mask_array(mask: int, n: int) -> np.ndarray:
-    """A mask over n elements as a boolean array: entry i is bit i."""
-    data = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(data, count=n, bitorder="little").view(bool)
 
 
 # -- vertex maps that fix the identity -------------------------------------------
@@ -525,8 +507,8 @@ def orbits(maps: np.ndarray, members: np.ndarray) -> list[tuple[int, np.ndarray]
     return out
 
 
-def closure(group: PSL2, gens, limit: int | None = None) -> int:
-    """Subgroup generated by gens, as a bitmask.  Aborts past limit."""
+def closure(group: PSL2, gens, limit: int | None = None) -> np.ndarray:
+    """Subgroup generated by gens.  Aborts past limit."""
     gens = np.asarray(list(gens), dtype=np.intp)
     seen = np.zeros(group.order, dtype=bool)
     seen[group.identity] = True
@@ -539,30 +521,30 @@ def closure(group: PSL2, gens, limit: int | None = None) -> int:
         count += len(frontier)
         if limit is not None and count > limit:
             raise ValueError("closure exceeded limit")
-    return mask_of(seen)
+    return np.flatnonzero(seen)
 
 
-def is_subgroup(group: PSL2, mask: int) -> bool:
-    """Whether the mask holds the identity, every inverse and every product."""
+def is_subgroup(group: PSL2, els: np.ndarray) -> bool:
+    """Whether the element array holds the identity, every inverse and every product."""
     n = group.order
-    if mask >> n:
+    if ((els < 0) | (els >= n)).any():
         return False
-    member = mask_array(mask, n)
+    member = np.zeros(n, dtype=bool)
+    member[els] = True
     if not member[group.identity]:
         return False
-    els = np.flatnonzero(member)
     if not member[group.inverses()[els]].all():
         return False
     return all(member[block].all() for _, block in group.product_blocks(els, els))
 
 
-def cyclic_subgroup(group: PSL2, g: int) -> int:
-    return mask_from(group.powers(g))
+def cyclic_subgroup(group: PSL2, g: int) -> np.ndarray:
+    return np.sort(np.array(group.powers(g), dtype=np.intp))
 
 
-def unipotent_subgroup(group: PSL2) -> int:
+def unipotent_subgroup(group: PSL2) -> np.ndarray:
     """The subgroup {[[1,b],[0,1]]}, a Sylow p-subgroup of order q."""
-    return mask_from(group.lookup(1, np.arange(group.q), 0, 1).tolist())
+    return np.sort(group.lookup(1, np.arange(group.q), 0, 1).astype(np.intp))
 
 
 def element_of_order(group: PSL2, n: int) -> int | None:
@@ -579,7 +561,7 @@ def torus_orders(group: PSL2) -> tuple[int, int]:
     return (q - 1) // k, (q + 1) // k
 
 
-def dihedral_subgroup(group: PSL2, n: int) -> int | None:
+def dihedral_subgroup(group: PSL2, n: int) -> np.ndarray | None:
     """A subgroup <h, j> with h of order n and j an involution inverting h."""
     h = element_of_order(group, n)
     if h is None:
@@ -594,7 +576,7 @@ def _inverting_involutions(group: PSL2, h: int) -> np.ndarray:
     return js[group.conjugate(h, js) == group.inv(h)]
 
 
-def sylow_subgroup(group: PSL2, r: int) -> int | None:
+def sylow_subgroup(group: PSL2, r: int) -> np.ndarray | None:
     """A Sylow r-subgroup, or None when r does not divide |T|."""
     n = group.order
     if n % r:
@@ -629,15 +611,15 @@ def sylow_subgroup(group: PSL2, r: int) -> int | None:
     return None
 
 
-def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> int | None:
+def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> np.ndarray | None:
     for j in _inverting_involutions(group, h).tolist():
         sub = closure(group, [h, j], limit=4 * target)
-        if sub.bit_count() == target:
+        if len(sub) == target:
             return sub
     return None
 
 
-def alternating_type_subgroup(group: PSL2, kind: str) -> int | None:
+def alternating_type_subgroup(group: PSL2, kind: str) -> np.ndarray | None:
     """Search a subgroup isomorphic to A4, S4 or A5 via (2,3,k) generation."""
     target_k, size = {"A4": (3, 12), "S4": (4, 24), "A5": (5, 60)}[kind]
     orders = np.array(group.orders())
@@ -649,12 +631,12 @@ def alternating_type_subgroup(group: PSL2, kind: str) -> int | None:
                 sub = closure(group, [j, g], limit=2 * size)
             except ValueError:
                 continue
-            if sub.bit_count() == size:
+            if len(sub) == size:
                 return sub
     return None
 
 
-def borel_subgroup(group: PSL2) -> int:
+def borel_subgroup(group: PSL2) -> np.ndarray:
     """Stabilizer of the point at infinity: upper triangular matrices mod sign."""
     return group.point_stabilizer(group.q)
 
@@ -662,43 +644,51 @@ def borel_subgroup(group: PSL2) -> int:
 def stabilizer_torus_element(group: PSL2) -> int:
     """An element generating the cyclic top of the Borel subgroup."""
     m1, _ = torus_orders(group)
-    borel = borel_subgroup(group)
-    for i in mask_elements(borel):
-        if group.element_order(i) == m1:
+    orders = group.orders()
+    for i in borel_subgroup(group).tolist():
+        if orders[i] == m1:
             return i
     raise AssertionError("Borel subgroup lacks a full torus element")
 
 
-def subgroup_library(group: PSL2) -> tuple[int, ...]:
+def distinct_sets(sets) -> list[np.ndarray]:
+    """The distinct element arrays among sets, None skipped, in the order of
+    their elements listed largest first: the order of the ints with those
+    bits set."""
+    unique = {s.tobytes(): s for s in sets if s is not None}
+    return sorted(unique.values(), key=lambda s: s[::-1].tolist())
+
+
+def subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
     """The subgroups behind the factorisation witnesses and the clique seeds.
 
     The Borel subgroup, the unipotent subgroup extended by each power of a
     torus element of the Borel, one Sylow subgroup per prime, one cyclic
     subgroup per element order, one dihedral subgroup per element order > 2
-    and A4, S4, A5 where they exist; largest first, ties by mask.  Cached on
-    the group.
+    and A4, S4, A5 where they exist; largest first, ties in distinct_sets
+    order.  Cached on the group.
     """
     cached = getattr(group, "_subgroup_library", None)
     if cached is not None:
         return cached
-    subs = {borel_subgroup(group)}
+    subs = [borel_subgroup(group)]
     torus = group.powers(stabilizer_torus_element(group))
     m1 = len(torus)
-    uni = mask_elements(unipotent_subgroup(group))
+    uni = unipotent_subgroup(group).tolist()
     for k in range(1, m1 + 1):
         if m1 % k == 0:
-            subs.add(closure(group, uni + [torus[m1 // k % m1]]))
+            subs.append(closure(group, uni + [torus[m1 // k % m1]]))
     n = group.order
     for r in range(2, n + 1):
         if n % r == 0:      # r is prime: every smaller prime is divided out
-            subs.add(sylow_subgroup(group, r))
+            subs.append(sylow_subgroup(group, r))
             while n % r == 0:
                 n //= r
     for m in sorted(set(group.orders()) - {1}):
-        subs.add(cyclic_subgroup(group, element_of_order(group, m)))
+        subs.append(cyclic_subgroup(group, element_of_order(group, m)))
         if m > 2:
-            subs.add(dihedral_subgroup(group, m))
-    subs.update(alternating_type_subgroup(group, kind) for kind in ("A4", "S4", "A5"))
-    subs.discard(None)
-    group._subgroup_library = tuple(sorted(subs, key=lambda mask: (-mask.bit_count(), mask)))
+            subs.append(dihedral_subgroup(group, m))
+    subs += [alternating_type_subgroup(group, kind) for kind in ("A4", "S4", "A5")]
+    # a stable sort: sets of one size keep their distinct_sets order
+    group._subgroup_library = tuple(sorted(distinct_sets(subs), key=len, reverse=True))
     return group._subgroup_library

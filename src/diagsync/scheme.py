@@ -162,7 +162,7 @@ def _build_scheme(group: PSL2, rels: list[FusionOrbit],
 
 def group_scheme(group: PSL2) -> AssociationScheme:
     """Scheme of all conjugacy classes; refuses when a class is not real."""
-    rels = [FusionOrbit(c.id, c.label, c.element_order, (c.id,), c.size, c.members)
+    rels = [FusionOrbit(c.id, c.label, c.element_order, (c.id,), c.size)
             for c in group.conjugacy_classes()]
     return _build_scheme(group, rels, require_eigen=False)
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import (PSL2, cyclic_subgroup, mask_array, mask_elements, orbits,
-                   subgroup_library)
+from .psl2 import PSL2, cyclic_subgroup, distinct_sets, mask_elements, orbits, subgroup_library
 
 
 @dataclass
@@ -94,7 +93,7 @@ def _local_adjacency(graph: ClassUnionGraph, verts: np.ndarray) -> np.ndarray:
     """adj[i, j]: verts[i] ~ verts[j], that is verts[i] * verts[j]^-1 lies in
     the connection set; one product gather, false on the diagonal."""
     group = graph.group
-    return graph.connection_flags()[group.mul_outer(verts, group.inverses()[verts])]
+    return graph.connection[group.mul_outer(verts, group.inverses()[verts])]
 
 
 def _pairwise(graph: ClassUnionGraph, vertices, adjacent: bool) -> bool:
@@ -121,69 +120,74 @@ def verify_coclique(graph: ClassUnionGraph, vertices) -> bool:
 # -- algebraic seeds --------------------------------------------------------------
 
 
-def _seed_subgroups(group: PSL2) -> list[int]:
-    """The subgroup library and every cyclic subgroup, by mask; cached on the group."""
+def _seed_subgroups(group: PSL2) -> list[np.ndarray]:
+    """The subgroup library and every cyclic subgroup in psl2.distinct_sets
+    order; cached on the group."""
     cached = getattr(group, "_seed_subgroups", None)
     if cached is None:
-        cyclic = {cyclic_subgroup(group, g) for g in range(group.order) if g != group.identity}
-        cached = group._seed_subgroups = sorted(cyclic.union(subgroup_library(group)))
+        cyclic = [cyclic_subgroup(group, g) for g in range(group.order) if g != group.identity]
+        cached = group._seed_subgroups = distinct_sets(cyclic + list(subgroup_library(group)))
     return cached
 
 
 def _union_classes(group: PSL2) -> dict[int, tuple[int, int]]:
     """(rep, g) with H = g^-1 rep g for each seed subgroup H large enough for a
-    coset-union search, rep the first of its conjugacy class in seed order;
-    cached on the group."""
+    coset-union search, rep the first of its conjugacy class in seed order,
+    subgroups by their index in seed order; cached on the group."""
     if getattr(group, "_union_classes", None) is None:
         group._union_classes, found = {}, {}    # found: each conjugate of a rep: (rep, g)
         every = np.arange(group.order)
-        for mask in _seed_subgroups(group):
-            h = np.array(mask_elements(mask))
+        for i, h in enumerate(_seed_subgroups(group)):
             if len(h) >= 7 and group.order // len(h) <= 120:
                 if h.tobytes() not in found:      # row g: sorted g^-1 H g, least g first
                     conj = np.sort(group.conjugate(h, every[:, None]), axis=1).astype(h.dtype)
-                    found.update((conj[g].tobytes(), (mask, g)) for g in every[::-1].tolist())
-                group._union_classes[mask] = found[h.tobytes()]
+                    found.update((conj[g].tobytes(), (i, g)) for g in every[::-1].tolist())
+                group._union_classes[i] = found[h.tobytes()]
     return group._union_classes
 
 
 def algebraic_clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     """Verified cliques from subgroups and unions of subgroup cosets, largest first.
 
-    Memoized per connection set on the group, like its subgroup library.
+    Memoized per class set on the group, like its subgroup library.
     """
     memo = getattr(graph.group, "_clique_seeds", None)
     if memo is None:
         memo = graph.group._clique_seeds = {}
-    seeds = memo.get(graph.connection)
+    seeds = memo.get(graph.class_ids)
     if seeds is None:
-        seeds = memo[graph.connection] = _clique_seeds(graph)
+        seeds = memo[graph.class_ids] = _clique_seeds(graph)
     return seeds
 
 
 def _clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     group = graph.group
-    outside = ~(graph.connection | 1 << group.identity)
-    subgroup_cliques = [mask for mask in _seed_subgroups(group) if not mask & outside]
-    seeds = [tuple(mask_elements(mask)) for mask in subgroup_cliques]
+    subgroups = _seed_subgroups(group)
+    # the subgroups inside the connection set and the identity, in one gather
+    allowed = graph.connection.copy()
+    allowed[group.identity] = True
+    starts = np.cumsum([0] + [len(h) for h in subgroups[:-1]])
+    cliques = np.flatnonzero(np.logical_and.reduceat(allowed[np.concatenate(subgroups)],
+                                                     starts)).tolist()
+    seeds = [tuple(subgroups[i].tolist()) for i in cliques]
     # coset-union extension on the larger subgroup cliques, searched once per
     # class: conjugation by g carries the representative's union to H's
     classes, unions = _union_classes(group), {}     # unions[H]: (union, exhaustive)
-    for mask in filter(classes.__contains__, subgroup_cliques):
-        rep, g = classes[mask]
-        if mask == rep or not unions[rep][1]:      # a class's first, or its search stopped
-            unions[mask] = _best_coset_union(graph, mask_elements(mask))
-            union = unions[mask][0]
+    for i in filter(classes.__contains__, cliques):
+        rep, g = classes[i]
+        if i == rep or not unions[rep][1]:      # a class's first, or its search stopped
+            unions[i] = _best_coset_union(graph, subgroups[i])
+            union = unions[i][0]
         elif union := unions[rep][0]:
             union = tuple(sorted(group.conjugate(np.array(union), g).tolist()))
             union = union if verify_clique(graph, union) else None
-        if union and len(union) > mask.bit_count():
+        if union and len(union) > len(subgroups[i]):
             seeds.append(union)
     seeds.sort(key=len, reverse=True)
     return tuple(seeds)
 
 
-def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
+def _best_coset_union(graph: ClassUnionGraph, h: np.ndarray):
     """Largest union of right cosets of H that forms a clique (exact, small),
     or None, and whether the search was exhaustive.
 
@@ -194,7 +198,7 @@ def _best_coset_union(graph: ClassUnionGraph, h: list[int]):
     """
     group = graph.group
     n = group.order
-    conn = graph.connection_flags()
+    conn = graph.connection
     inv = group.inverses()
     left = group.mul_rows(h)                  # left[i, x] = h_i * x: column x is Hx
     reps = np.flatnonzero(left.min(axis=0) == np.arange(n))
@@ -289,7 +293,7 @@ def _bb_max_clique(adj: np.ndarray, lower: int, meter: _Meter,
         expand(0, 0, full)
     except _Hit:
         state["complete"] = False     # state already holds the hit
-    members = np.sort(order[np.flatnonzero(mask_array(state["mask"], n))])
+    members = np.sort(order[mask_elements(state["mask"])])
     return state["best"], members, state["complete"]
 
 
@@ -342,7 +346,7 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
     """
     group = graph.group
     classes, class_of = group.conjugacy_classes(), group.class_of_array()
-    conn = graph.connection_flags()
+    conn = graph.connection
     every, inv = np.arange(group.order), group.inverses()
     tasks = []
     excluded = np.zeros(group.order, dtype=bool)

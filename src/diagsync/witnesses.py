@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .psl2 import (
-    PSL2,
-    alternating_type_subgroup,
-    is_subgroup,
-    mask_array,
-    mask_elements,
-    mask_from,
-    subgroup_library,
-)
+from .psl2 import PSL2, alternating_type_subgroup, is_subgroup, mask_elements, subgroup_library
 
 MAX_CONJUGATES = 40      # random conjugates of B tried per pair before moving on
 
@@ -81,18 +73,16 @@ class SpreadingWitness:
 # -- exact factorisations -----------------------------------------------------------
 
 
-def verify_exact_factorisation(group: PSL2, a_mask: int, b_mask: int) -> ExactFactorisation:
-    """Exhaustive verification of T = AB with trivial intersection."""
-    idbit = 1 << group.identity
+def verify_exact_factorisation(group: PSL2, a: np.ndarray, b: np.ndarray) -> ExactFactorisation:
+    """Exhaustive verification of T = AB with trivial intersection, A and B
+    ascending element arrays."""
     checks = {}
-    checks["a_subgroup"] = is_subgroup(group, a_mask)
-    checks["b_subgroup"] = is_subgroup(group, b_mask)
-    a = mask_elements(a_mask)
-    b = mask_elements(b_mask)
+    checks["a_subgroup"] = is_subgroup(group, a)
+    checks["b_subgroup"] = is_subgroup(group, b)
     checks["nontrivial_proper"] = (1 < len(a) < group.order and
                                    1 < len(b) < group.order)
     checks["order_product"] = len(a) * len(b) == group.order
-    checks["trivial_intersection"] = (a_mask & b_mask) == idbit
+    checks["trivial_intersection"] = np.intersect1d(a, b).tolist() == [group.identity]
     if all(checks.values()):
         hit = np.zeros(group.order, dtype=bool)
         for _, block in group.product_blocks(a, b):
@@ -101,7 +91,7 @@ def verify_exact_factorisation(group: PSL2, a_mask: int, b_mask: int) -> ExactFa
     else:
         checks["product_bijection"] = False
     ok = all(checks.values())
-    return ExactFactorisation(group.q, tuple(a), tuple(b), ok, checks)
+    return ExactFactorisation(group.q, tuple(a.tolist()), tuple(b.tolist()), ok, checks)
 
 
 def find_exact_factorisation(group: PSL2):
@@ -109,43 +99,41 @@ def find_exact_factorisation(group: PSL2):
 
     Returns a verified factorisation, or None within budget.
     """
-    idbit = 1 << group.identity
     cands = subgroup_library(group)
-    orders = {mask: mask.bit_count() for mask in cands}
     rng = random.Random(group.q)
-    for a_mask in cands:
-        na = orders[a_mask]
+    for a in cands:
+        na = len(a)
         if na <= 1 or na >= group.order:
             continue
         if group.order % na:
             continue
         need = group.order // na
-        for b_mask in cands:
-            if orders[b_mask] != need or need <= 1:
+        in_a = np.zeros(group.order, dtype=bool)
+        in_a[a] = True
+        for b in cands:
+            if len(b) != need or need <= 1:
                 continue
-            b = np.array(mask_elements(b_mask))
-            trial = b_mask
+            trial = b
             for attempt in range(MAX_CONJUGATES):
-                if (a_mask & trial) == idbit:
-                    fac = verify_exact_factorisation(group, a_mask, trial)
+                if np.count_nonzero(in_a[trial]) == 1:      # both hold the identity
+                    fac = verify_exact_factorisation(group, a, trial)
                     if fac.verified:
                         return fac
                     break
                 g = rng.randrange(group.order)
-                trial = mask_from(group.conjugate(b, g).tolist())
+                trial = np.sort(group.conjugate(b, g))
     return None
 
 
 # -- sharply transitive sets ----------------------------------------------------------
 
 
-def coset_action(group: PSL2, subgroup_mask: int):
+def coset_action(group: PSL2, h: np.ndarray):
     """Right-coset action of the group on H\\T; returns (reps, images).
 
     images[g] is the tuple of coset indices (H x)^g = H (x g).
     """
     n = group.order
-    h = np.flatnonzero(mask_array(subgroup_mask, n))
     coset_of = np.full(n, -1)
     reps: list[int] = []
     for x in range(n):
@@ -173,13 +161,15 @@ def verify_sharply_transitive(images: list[tuple[int, ...]], degree: int):
     return True, "ok"
 
 
-def find_sharply_transitive_set(group: PSL2, subgroup_mask: int):
-    """Search a sharply transitive set for the right-coset action of T.
+def find_sharply_transitive_set(group: PSL2, subgroup: np.ndarray):
+    """Search a sharply transitive set for the right-coset action of T on the
+    cosets of a subgroup.
 
     Pins the identity (right translation preserves sharpness) and extends by
-    pairwise everywhere-disagreeing fixed-point-free elements.
+    pairwise everywhere-disagreeing fixed-point-free elements, the
+    candidates held as int bitsets.
     """
-    reps, images = coset_action(group, subgroup_mask)
+    reps, images = coset_action(group, subgroup)
     degree = len(reps)
     fpf = [g for g in range(group.order)
            if g != group.identity and all(images[g][c] != c for c in range(degree))]
@@ -212,14 +202,14 @@ def find_sharply_transitive_set(group: PSL2, subgroup_mask: int):
         ok, _ = verify_sharply_transitive([images[g] for g in elements], degree)
         if ok:
             return SharplyTransitiveWitness(
-                group.q, degree, elements, tuple(mask_elements(subgroup_mask)), True)
+                group.q, degree, elements, tuple(subgroup.tolist()), True)
     return None
 
 
 def index_six_subgroup(group: PSL2):
     """An index-6 subgroup when one exists (the alternating-five subgroup)."""
     a5 = alternating_type_subgroup(group, "A5")
-    if a5 and group.order // a5.bit_count() == 6:
+    if a5 is not None and group.order // len(a5) == 6:
         return a5
     return None
 
@@ -227,15 +217,14 @@ def index_six_subgroup(group: PSL2):
 # -- the non-spreading multiset --------------------------------------------------------
 
 
-def squares_of_stabilizer(group: PSL2, stab_mask: int) -> int:
+def squares_of_stabilizer(group: PSL2, stab: np.ndarray) -> np.ndarray:
     """The set {t^2 : t in the stabilizer}; verified to be an index-2 subgroup."""
     if group.q % 4 != 1:
         raise WitnessError("square-set construction requires q = 1 mod 4")
-    stab = np.flatnonzero(mask_array(stab_mask, group.order))
-    sq = mask_from(group.mul_pairs(stab, stab).tolist())
+    sq = np.unique(group.mul_pairs(stab, stab)).astype(np.intp)
     if not is_subgroup(group, sq):
         raise WitnessError("squares of the stabilizer do not form a subgroup")
-    if 2 * sq.bit_count() != stab_mask.bit_count():
+    if 2 * len(sq) != len(stab):
         raise WitnessError("squares of the stabilizer do not have index 2")
     return sq
 
@@ -252,13 +241,13 @@ def coset_halving_check(group: PSL2):
     n = group.order
     t1 = group.point_stabilizer(q)      # infinity
     t2 = group.point_stabilizer(0)
-    sq = squares_of_stabilizer(group, t1)
-    h1 = np.flatnonzero(mask_array(t1, n))
-    h1_square = mask_array(sq, n)[h1]
-    h2_inv = group.inverses()[np.flatnonzero(mask_array(t2, n))]
+    square = np.zeros(n, dtype=bool)
+    square[squares_of_stabilizer(group, t1)] = True
+    h1_square = square[t1]
+    h2_inv = group.inverses()[t2]
     counts = np.zeros(n, dtype=np.int64)
     counts_sq = np.zeros(n, dtype=np.int64)
-    for _, block in group.product_blocks(h2_inv, h1):     # t = h2^-1 h1
+    for _, block in group.product_blocks(h2_inv, t1):     # t = h2^-1 h1
         counts += np.bincount(block.ravel(), minlength=n)
         counts_sq += np.bincount(block[:, h1_square].ravel(), minlength=n)
     big = (q - 1) // 2
@@ -283,19 +272,19 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> Sp
     q, n = group.q, group.order
     if not 0 <= stabilizer_point <= q:
         raise WitnessError(f"{stabilizer_point} is not a projective point")
-    if not all(0 <= x < n for x in squares):
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in squares):
         raise WitnessError("a square is not a group element")
     stab = group.point_stabilizer(stabilizer_point)
-    sq = mask_from(squares)
-    if sq & ~stab or 2 * sq.bit_count() != stab.bit_count() or not is_subgroup(group, sq):
-        raise WitnessError("the squares are not an index-2 subgroup of the stabilizer")
+    sq = np.unique(np.array(squares, dtype=np.intp))
     weights = np.ones(n, dtype=np.int8)
-    weights[mask_array(stab, n)] = 0
-    weights[mask_array(sq, n)] = 2
+    weights[stab] = 0
+    if (weights[sq] != 0).any() or 2 * len(sq) != len(stab) or not is_subgroup(group, sq):
+        raise WitnessError("the squares are not an index-2 subgroup of the stabilizer")
+    weights[sq] = 2
     total = int(weights.sum())
     if total != n:
         raise WitnessError("multiset size differs from the vertex count")
-    lam = stab.bit_count()
+    lam = len(stab)
     images = 0
     for pt in range(q + 1):
         image = group.act_points(pt)
@@ -320,14 +309,13 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> Sp
         raise WitnessError(f"found {images} distinct images, expected {expected_images}")
     # spot-check random two-sided images against the deduplicated enumeration
     rng = random.Random(0)
-    stab_elems = np.flatnonzero(mask_array(stab, n))
     inverses = group.inverses()
     for _ in range(20):
         x, y = rng.randrange(n), rng.randrange(n)
-        s = int(weights[group.mul_pairs(group.mul_pairs(inverses[x], stab_elems), y)].sum())
+        s = int(weights[group.mul_pairs(group.mul_pairs(inverses[x], stab), y)].sum())
         if s != lam:
             raise WitnessError(f"random image sum {s} != lambda {lam}")
-    return SpreadingWitness(q, lam, total, stabilizer_point, tuple(mask_elements(sq)),
+    return SpreadingWitness(q, lam, total, stabilizer_point, tuple(sq.tolist()),
                             images, True)
 
 
@@ -338,4 +326,4 @@ def spreading_witness(group: PSL2) -> SpreadingWitness:
     if not ok:
         raise WitnessError(f"stabilizer-coset halving fails at t={bad_t}")
     sq = squares_of_stabilizer(group, group.point_stabilizer(q))
-    return verify_spreading_multiset(group, q, mask_elements(sq))
+    return verify_spreading_multiset(group, q, sq.tolist())

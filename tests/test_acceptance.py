@@ -19,7 +19,7 @@ from diagsync.cli import main as cli_main
 from diagsync.feasibility import putative_table
 from diagsync.graphs import build_graph, complement_graph
 from diagsync.pipeline import Analyzer, PipelineConfig, analyze, verify_report
-from diagsync.psl2 import build_group, mask_elements, mask_from, sylow_subgroup
+from diagsync.psl2 import build_group, sylow_subgroup
 from diagsync.scheme import design_orthogonal, rational_fusion_scheme
 from diagsync.search import (
     Budget,
@@ -30,6 +30,7 @@ from diagsync.search import (
     verify_coclique,
 )
 from diagsync.witnesses import spreading_witness
+from masks import mask_from, mask_of
 from scheme_matrices import adjacency_matrices
 
 
@@ -197,12 +198,12 @@ def test_criterion_6_cover_program_q13(an13, cache_dir):
     t0 = time.time()
     g = an13.group
     graph = build_graph(g, ["13"])
-    base = mask_elements(sylow_subgroup(g, 13))
+    base = sylow_subgroup(g, 13).tolist()
     system = generate_translate_rows(graph, base)
     assert len(system.rows) == 1176 and system.edges_covered
     # the 84 right cosets of the base are rows and partition G
     cosets = {mask_from(g.mul(h, t) for h in base) for t in range(g.order)}
-    assert len(cosets) == 84 and cosets <= set(system.rows)
+    assert len(cosets) == 84 and cosets <= set(map(mask_from, system.rows))
     assert sum(m.bit_count() for m in cosets) == g.order
     assert reduce(or_, cosets) == (1 << g.order) - 1
     # proven optimum <= 83: the partition caps packings at 84 and size 84 is
@@ -375,7 +376,7 @@ def _random_greedy(graph, rng):
         v = rng.randrange(n)
         if (allowed >> v) & 1:
             out.append(v)
-            allowed &= graph.neighbors(v)
+            allowed &= mask_of(graph.neighbors(v))
         if not allowed:
             break
     return out
@@ -388,7 +389,7 @@ def test_criterion_11c_equality_pairs_meet_once():
     g = build_group(5)
     scheme = rational_fusion_scheme(g)
     graph = build_graph(g, ["5"])
-    base = mask_elements(sylow_subgroup(g, 5))
+    base = sylow_subgroup(g, 5).tolist()
     system = generate_translate_rows(graph, base)
     res = solve_cover_ilp(system, 12, budget=Budget(max_seconds=120))
     assert res.status == "FEASIBLE"

@@ -12,18 +12,23 @@ from diagsync.certify import PROVEN_INFEASIBLE, generate_translate_rows, solve_c
 from diagsync.gf import factor_prime_power
 from diagsync.graphs import ClassUnionGraph, build_graph
 from diagsync.pipeline import Analyzer, PipelineConfig
-from diagsync.psl2 import (PSL2, build_group, mask_elements, mask_from, outer_maps,
-                           sylow_subgroup)
+from diagsync.psl2 import PSL2, build_group, outer_maps, sylow_subgroup
 from diagsync.scheme import rational_fusion_scheme
 from diagsync.search import Budget, algebraic_clique_seeds, verify_clique, verify_coclique
+from masks import mask_elements, mask_from, mask_of
 
 
 @pytest.fixture(scope="module")
 def sys13():
     g = build_group(13)
     graph = build_graph(g, ["13"])
-    base = mask_elements(sylow_subgroup(g, 13))
+    base = sylow_subgroup(g, 13).tolist()
     return generate_translate_rows(graph, base)
+
+
+def _row_masks(system) -> list[int]:
+    """The rows as bitmasks, in row order."""
+    return [mask_from(row) for row in system.rows]
 
 
 def _families(system) -> list[list[int]]:
@@ -36,7 +41,7 @@ def _families(system) -> list[list[int]]:
     group = system.graph.group
     inv = group.inverses()
     families: dict[tuple, list[int]] = {}
-    for mask in system.rows:
+    for mask in _row_masks(system):
         verts = mask_elements(mask)
         quotients = group.mul_rows(verts)[:, inv[verts]]    # u * v^-1
         key = min(tuple(sorted(col)) for col in quotients.T.tolist())
@@ -58,13 +63,14 @@ def test_row_generation_structure(sys13):
     families = _families(sys13)
     assert len(families) == 14 and all(len(family) == 84 for family in families)
     assert sys13.edges_covered
-    assert all(mask.bit_count() == 13 for mask in sys13.rows)
+    rows = _row_masks(sys13)
+    assert all(mask.bit_count() == 13 for mask in rows)
     base_mask = 0
     for v in sys13.base_clique:
         base_mask |= 1 << v
-    assert base_mask in sys13.rows
+    assert base_mask in rows
     # rows pairwise distinct
-    assert len(set(sys13.rows)) == len(sys13.rows)
+    assert len(set(rows)) == len(rows)
 
 
 def test_row_generation_rejects_non_clique():
@@ -92,22 +98,23 @@ def test_choosing_a_vertex_removes_its_neighbours_and_rows(sys13):
     # v, its neighbour mask and the bitmasks of the rows through it
     graph = sys13.graph
     n = graph.vertex_count
+    rows = _row_masks(sys13)
     for v in [graph.group.identity, 0, n - 1] + random.Random(13).sample(range(n), 8):
         solver = certify._CoverSolver(sys13, Budget().start())
         solver.choose(v)
-        through = [ri for ri, mask in enumerate(sys13.rows) if mask >> v & 1]
-        kill = reduce(or_, (sys13.rows[ri] for ri in through), 1 << v | graph.neighbors(v))
+        through = [ri for ri, mask in enumerate(rows) if mask >> v & 1]
+        kill = reduce(or_, (rows[ri] for ri in through), 1 << v | mask_of(graph.neighbors(v)))
         assert mask_from(np.flatnonzero(~solver.alive).tolist()) == kill
         # the rows through v are done, every other row counts its alive vertices
         assert np.flatnonzero(solver.row_alive == solver.closed).tolist() == through
         assert all(solver.row_alive[ri] == (mask & ~kill).bit_count()
-                   for ri, mask in enumerate(sys13.rows) if ri not in through)
+                   for ri, mask in enumerate(rows) if ri not in through)
 
 
 def test_solver_reads_no_neighbour_mask_and_no_row_bitmask(monkeypatch):
     g = build_group(13)
     system = generate_translate_rows(build_graph(g, ["13"]),
-                                     mask_elements(sylow_subgroup(g, 13)))
+                                     sylow_subgroup(g, 13).tolist())
 
     def refuse(self, v):
         raise AssertionError("the solver read a neighbour mask")
@@ -115,7 +122,7 @@ def test_solver_reads_no_neighbour_mask_and_no_row_bitmask(monkeypatch):
     res = solve_cover_ilp(system, 84, budget=Budget(max_nodes=10 ** 8, max_seconds=600))
     assert res.status == PROVEN_INFEASIBLE and res.nodes == 367
     assert res.system["rows"] == 1176
-    assert "rows" not in vars(system)     # the bitmasks were never built
+    assert system.rows.shape == (1176, 13)     # the rows are one vertex array
 
 
 def test_q17_g_2_4_17_proven_infeasible():
@@ -134,7 +141,7 @@ def test_exactly_one_feasible_small_case():
     # graph meets every coset of every Sylow-5 subgroup exactly once
     g = build_group(5)
     graph = build_graph(g, ["5"])
-    base = mask_elements(sylow_subgroup(g, 5))
+    base = sylow_subgroup(g, 5).tolist()
     system = generate_translate_rows(graph, base)
     assert len(_partitions_of_g(system)) == 6          # one per Sylow 5-subgroup
     res = solve_cover_ilp(system, 12,
@@ -195,7 +202,7 @@ def reference_rows(graph, clique):
     """
     group = graph.group
     n = group.order
-    conn = set(mask_elements(graph.connection))
+    conn = set(graph.connection_elements().tolist())
     base = tuple(sorted(clique))
     gens = group.generators()
     outer = [reference_frobenius_perm(group)]
@@ -236,8 +243,8 @@ def reference_rows(graph, clique):
     return rows, edges_covered, len(shapes)
 
 
-def _coset(group, sub_mask, a):
-    return [group.mul(h, a) for h in mask_elements(sub_mask)]
+def _coset(group, sub, a):
+    return [group.mul(h, a) for h in sub.tolist()]
 
 
 def _spy_translates(monkeypatch) -> list:
@@ -257,13 +264,13 @@ def test_rows_match_reference(q, labels, base_kind, monkeypatch):
     g = build_group(q)
     graph = build_graph(g, labels)
     if base_kind == "sylow":
-        base = mask_elements(sylow_subgroup(g, g.field.p))
+        base = sylow_subgroup(g, g.field.p).tolist()
     else:
         base = list(algebraic_clique_seeds(graph)[0])
     calls = _spy_translates(monkeypatch)
     system = generate_translate_rows(graph, base)
     rows, edges_covered, shapes = reference_rows(graph, base)
-    assert system.rows == rows
+    assert _row_masks(system) == rows
     assert system.edges_covered == edges_covered
     assert len(calls) <= shapes
     # q=8 exercises the field automorphism, odd q the diagonal outer map
@@ -277,7 +284,7 @@ def test_rows_match_reference_on_every_fused_union():
         if seeds:
             system = generate_translate_rows(graph, seeds[0])
             rows, edges_covered, _ = reference_rows(graph, seeds[0])
-            assert system.rows == rows and system.edges_covered == edges_covered
+            assert _row_masks(system) == rows and system.edges_covered == edges_covered
             covered[edges_covered] += 1
     # both outcomes of the coverage test by the rows through the identity occur
     assert covered == {True: 19, False: 13}
@@ -288,11 +295,12 @@ def test_incidence_lists_the_rows_through_each_vertex(sys13):
     n = sys13.graph.vertex_count
     # every vertex lies in 1176 * 13 / 1092 rows
     assert solver.incidence.shape == (n, 14)
+    rows = _row_masks(sys13)
     for v in (0, sys13.graph.group.identity, n - 1):
         assert solver.incidence[v].tolist() == [
-            ri for ri, mask in enumerate(sys13.rows) if mask >> v & 1]
+            ri for ri, mask in enumerate(rows) if mask >> v & 1]
     # a system that is not closed under right translation is refused
-    cut = certify.TranslateRowSystem(sys13.graph, sys13.base_clique, sys13.verts[1:],
+    cut = certify.TranslateRowSystem(sys13.graph, sys13.base_clique, sys13.rows[1:],
                                      sys13.generator_note, sys13.edges_covered)
     with pytest.raises(AssertionError):
         certify._CoverSolver(cut, Budget().start())
@@ -304,14 +312,14 @@ def test_family_reuse_fires_on_a_coset_base(monkeypatch):
     g = build_group(7)
     graph = build_graph(g, ["7"])
     sylow = sylow_subgroup(g, 7)
-    a = next(x for x in range(g.order) if not (sylow >> x) & 1)
+    a = next(x for x in range(g.order) if x not in sylow)
     base = _coset(g, sylow, a)
     calls = _spy_translates(monkeypatch)
     system = generate_translate_rows(graph, base)
     rows, _, shapes = reference_rows(graph, base)
     # one family per Sylow 7-subgroup, each its 24 right cosets
     assert len(calls) == 8 < shapes
-    assert system.rows == rows and len(rows) == 8 * 24
+    assert _row_masks(system) == rows and len(rows) == 8 * 24
     assert len(_families(system)) == 8
 
 
@@ -319,11 +327,11 @@ def test_rows_without_multiplication_table():
     # a group built without its table computes product rows from field
     # arithmetic; the rows must be the same
     fresh = PSL2(7)
-    base = mask_elements(sylow_subgroup(fresh, 7))
+    base = sylow_subgroup(fresh, 7).tolist()
     system = generate_translate_rows(build_graph(fresh, ["7"]), base)
     tabled = generate_translate_rows(build_graph(build_group(7), ["7"]), base)
     assert fresh._table is None
-    assert system.rows == tabled.rows
+    assert np.array_equal(system.rows, tabled.rows)
     assert system.edges_covered and len(system.rows) == 8 * 24
 
 
@@ -334,17 +342,17 @@ def test_q9_unfused_class_rows_are_cliques():
     base = algebraic_clique_seeds(graph)[0]
     system = generate_translate_rows(graph, base)
     assert "diagonal outer" not in system.generator_note
-    assert system.rows
-    assert all(verify_clique(graph, mask_elements(mask)) for mask in system.rows)
+    assert len(system.rows)
+    assert all(verify_clique(graph, row.tolist()) for row in system.rows)
 
 
 def test_q9_seed_rows_are_cliques():
     g = build_group(9)
     graph = build_graph(g, ["5"])
     system = generate_translate_rows(graph, algebraic_clique_seeds(graph)[0])
-    assert system.rows
-    assert all(mask.bit_count() == system.row_size
-               and verify_clique(graph, mask_elements(mask)) for mask in system.rows)
+    assert len(system.rows)
+    assert all(len(row) == system.row_size
+               and verify_clique(graph, row.tolist()) for row in system.rows)
 
 
 # -- differential check of the exact-hit solver -------------------------------------
@@ -360,7 +368,7 @@ def reference_exactly_one(system, target, meter):
     graph = system.graph
     group = graph.group
     n = group.order
-    rows = system.rows
+    rows = _row_masks(system)
     n_rows = len(rows)
     alive = (1 << n) - 1
     row_alive = [r.bit_count() for r in rows]
@@ -384,7 +392,7 @@ def reference_exactly_one(system, target, meter):
     def choose(v):
         chosen.append(v)
         trail.append(("chosen",))
-        kill = graph.neighbors(v)
+        kill = mask_of(graph.neighbors(v))
         for ri in vrows[v]:
             assert not row_done[ri]
             row_done[ri] = True
@@ -464,7 +472,7 @@ def reference_exactly_one(system, target, meter):
 def _sylow_system(q, labels):
     g = build_group(q)
     graph = build_graph(g, labels)
-    return generate_translate_rows(graph, mask_elements(sylow_subgroup(g, g.field.p)))
+    return generate_translate_rows(graph, sylow_subgroup(g, g.field.p).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -484,7 +492,7 @@ def _exact_hit(system, witness) -> bool:
     chosen = mask_from(witness)
     return (len(set(witness)) == len(witness)
             and verify_coclique(system.graph, list(witness))
-            and all((mask & chosen).bit_count() == 1 for mask in system.rows))
+            and all((mask & chosen).bit_count() == 1 for mask in _row_masks(system)))
 
 
 def _differential(system, target, nodes=10 ** 6):
@@ -504,7 +512,7 @@ def _differential(system, target, nodes=10 ** 6):
 def test_invalid_witness_is_rejected(monkeypatch):
     system = _sylow_system(5, ["5"])
     good = solve_cover_ilp(system, 12).witness
-    dependent = (mask_elements(system.graph.neighbors(good[1]))[0],) + good[1:]
+    dependent = (int(np.flatnonzero(system.graph.neighbors(good[1]))[0]),) + good[1:]
     # the A4 witness also meets every row of G[2,5] once, but there its
     # involutions make edges that no row covers
     wider = _sylow_system(5, ["2", "5"])

@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from diagsync.certify import generate_translate_rows, solve_cover_ilp
@@ -12,7 +14,7 @@ from diagsync.graphs import (
     complement_graph,
     export_dimacs,
 )
-from diagsync.psl2 import PSL2, build_group, mask_elements, sylow_subgroup
+from diagsync.psl2 import PSL2, build_group, sylow_subgroup
 
 
 def test_build_graph_q13_order13():
@@ -22,9 +24,10 @@ def test_build_graph_q13_order13():
     assert gr.vertex_count == 1092
     # neighbors of the identity are exactly the elements of order 13
     nbrs = gr.neighbors(g.identity)
+    assert nbrs.dtype == bool and nbrs.shape == (g.order,)
     count = 0
     for i in range(g.order):
-        if (nbrs >> i) & 1:
+        if nbrs[i]:
             assert g.element_order(i) == 13
             count += 1
     assert count == 168
@@ -93,7 +96,7 @@ def test_dropped_group_is_freed_without_a_cycle_collection():
         group = PSL2(5)
         graph = build_graph(group, ["5"])
         graph.neighbors(group.identity)
-        system = generate_translate_rows(graph, mask_elements(sylow_subgroup(group, 5)))
+        system = generate_translate_rows(graph, sylow_subgroup(group, 5).tolist())
         assert solve_cover_ilp(system, 12).status == "FEASIBLE"
         ref = weakref.ref(group)
         del group, graph, system
@@ -109,7 +112,7 @@ def test_regularity():
     rng = random.Random(13)
     for _ in range(10):
         v = rng.randrange(g.order)
-        assert gr.neighbors(v).bit_count() == gr.degree
+        assert np.count_nonzero(gr.neighbors(v)) == gr.degree
 
 
 def test_export_dimacs_q13():
@@ -122,6 +125,19 @@ def test_export_dimacs_q13():
     assert len(lines) == 2 + 91728
     # deterministic byte-exact re-export
     assert data == export_dimacs(build_graph(g, ["13"]))
+
+
+# sha256 of the export, recorded while neighbourhoods were int bitmasks
+DIMACS_DIGESTS = {
+    (7, "7"): "80c0f6b1e0cc9d57b0790f7c53864d0252468e1f469689984b6353a9c88f9358",
+    (13, "13"): "41d4907ee044274bf32f2344c526ef63fa873b5447776ae2fb82aa12c6827e13",
+}
+
+
+@pytest.mark.parametrize("q,label", sorted(DIMACS_DIGESTS))
+def test_export_dimacs_is_pinned(q, label):
+    data = export_dimacs(build_graph(build_group(q), [label]))
+    assert hashlib.sha256(data).hexdigest() == DIMACS_DIGESTS[q, label]
 
 
 def test_dimacs_small_graph_roundtrip():

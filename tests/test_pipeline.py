@@ -3,12 +3,13 @@ import json
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from diagsync import cli, pipeline, search, witnesses
 from diagsync.certify import generate_translate_rows, solve_cover_ilp
 from diagsync.graphs import build_graph
-from diagsync.psl2 import (borel_subgroup, build_group, dihedral_subgroup, mask_elements,
+from diagsync.psl2 import (borel_subgroup, build_group, dihedral_subgroup,
                            sylow_subgroup)
 from diagsync.pipeline import (
     Analyzer,
@@ -92,8 +93,7 @@ def _move_a_square(wit):
     # swap one square for the least non-square element of the stabilizer
     group = build_group(wit["q"])
     stab = group.point_stabilizer(wit["stabilizer_point"])
-    other = next(x for x in range(group.order)
-                 if (stab >> x) & 1 and x not in wit["squares"])
+    other = next(x for x in stab.tolist() if x not in wit["squares"])
     wit["squares"] = sorted(wit["squares"][1:] + [other])
 
 
@@ -371,11 +371,71 @@ def test_verify_rejects_a_plain_coclique_certificate(budgeted13):
     assert not ok and "certificate of unknown kind 'coclique'" in problems
 
 
-def test_verify_builds_no_scheme(budgeted13, monkeypatch):
+def test_verify_builds_no_scheme(monkeypatch):
+    # a NO report has no rows, so verify reads no feasibility table
+    _, report = analyze(5, PipelineConfig())
+    assert report["verdict"]["separating"] == NO and not report["graphs"]
+    group = build_group(5)
+    for name in ("_putative_table", "_fusion_scheme"):
+        monkeypatch.delattr(group, name, raising=False)
+
     def refuse(group):
         raise AssertionError("verify_report built the fused scheme")
     monkeypatch.setattr(pipeline, "rational_fusion_scheme", refuse)
-    assert verify_report(budgeted13) == (True, [])
+    assert verify_report(report) == (True, [])
+
+
+@pytest.fixture(scope="module")
+def open13():
+    """A q=13 report at 100 nodes: UNKNOWN, three rows left open."""
+    return analyze(13, _budgeted(None, budget_nodes=100))[1]
+
+
+def _claim_yes(report, keep_row=lambda gv: True, keep_witness=lambda wit: True):
+    """The report with the rows and witnesses the filters keep, claiming YES."""
+    bad = copy.deepcopy(report)
+    bad["graphs"] = [gv for gv in bad["graphs"] if keep_row(gv)]
+    bad["witnesses"] = [wit for wit in bad["witnesses"] if keep_witness(wit)]
+    bad["verdict"].update(separating=YES, synchronising=YES, exit_code=0)
+    return bad
+
+
+TABLE_MISMATCH = "graph rows differ from the group's feasibility table"
+
+
+def test_verify_rejects_yes_with_its_open_rows_deleted(open13):
+    assert open13["verdict"]["separating"] == "UNKNOWN"
+    assert [gv["status"] for gv in open13["graphs"]].count(UNRESOLVED) == 3
+    assert verify_report(open13) == (True, [])
+    bad = _claim_yes(open13, keep_row=lambda gv: gv["status"] != UNRESOLVED)
+    assert verify_report(bad) == (False, [TABLE_MISMATCH])
+
+
+def test_verify_rejects_yes_with_no_rows(open13):
+    assert verify_report(_claim_yes(open13, keep_row=lambda gv: False)) == (
+        False, [TABLE_MISMATCH])
+
+
+def test_verify_rejects_yes_on_a_no_report_without_its_witness():
+    # PSL(2,5) has an exact factorisation: the paper's q=5 is not synchronising
+    _, report = analyze(5, PipelineConfig())
+    assert report["witnesses"][0]["kind"] == "exact_factorisation"
+    bad = _claim_yes(report, keep_witness=lambda wit: wit["kind"] != "exact_factorisation")
+    assert verify_report(bad) == (False, [TABLE_MISMATCH])
+
+
+def test_verify_rejects_yes_past_the_table_limit():
+    _, report = analyze(19, PipelineConfig())
+    assert not build_group(19).table_fits() and not report["graphs"]
+    ok, problems = verify_report(_claim_yes(report, keep_witness=lambda wit: False))
+    assert not ok and "table limit" in problems[0]
+
+
+def test_verify_rejects_reordered_or_retargeted_rows(open13):
+    rows = open13["graphs"]
+    for graphs in (rows[::-1], rows[:1] * len(rows),
+                   [dict(rows[0], omega_target=rows[0]["omega_target"] - 1)] + rows[1:]):
+        assert TABLE_MISMATCH in verify_report(dict(open13, graphs=graphs))[1]
 
 
 @pytest.mark.parametrize("kind, field", [("exact_hit", "target"),
@@ -392,7 +452,7 @@ def test_verify_names_a_missing_field(budgeted13, tmp_path, capsys, kind, field)
     assert out["ok"] is False and f"missing field {field!r}" in out["problems"]
 
 
-def test_verify_requires_the_certificate_that_settles_each_row(budgeted13):
+def test_verify_requires_the_certificate_that_settles_each_row(budgeted13, report17):
     statuses = Counter(gv["status"] for gv in budgeted13["graphs"])
     assert statuses == {"SEPARATING_BY_CSP": 8}
     # every certificate of every settled row deleted
@@ -409,7 +469,9 @@ def test_verify_requires_the_certificate_that_settles_each_row(budgeted13):
     assert gv.status == "SEPARATING_BY_NONEXISTENCE"
     [decision] = gv.certificates
     assert decision["status"] == "NONE" and decision["nodes"] == 2
-    report17 = pipeline.emit_report(analyzer, analyzer.verdict)
+    # the whole table's report carries that row and its decision
+    [row] = [gv for gv in report17["graphs"] if gv["clique_classes"] == ["2", "3"]]
+    assert row["status"] == "SEPARATING_BY_NONEXISTENCE" and decision in row["certificates"]
     assert verify_report(report17) == (True, [])
     # only the settling certificate deleted, one row of each kind
     for report, status, kind in ((budgeted13, "SEPARATING_BY_CSP", "exact_hit"),
@@ -584,7 +646,7 @@ def test_verify_rechecks_a_feasible_covering_witness():
     # PSL(2,5) = A4 * C5: an A4 meets every coset of every Sylow 5-subgroup once
     group = build_group(5)
     graph = build_graph(group, ["5"])
-    system = generate_translate_rows(graph, mask_elements(sylow_subgroup(group, 5)))
+    system = generate_translate_rows(graph, sylow_subgroup(group, 5).tolist())
     cert = solve_cover_ilp(system, 12).payload()
     assert cert["status"] == "FEASIBLE"
     gv = {"clique_classes": ["5"]}
@@ -668,9 +730,9 @@ def test_a_cached_witness_adds_no_trust(tmp_path):
     # and a dihedral subgroup of order 14, whose product is not the group
     group = build_group(13)
     a, b = borel_subgroup(group), dihedral_subgroup(group, 7)
-    assert a.bit_count() * b.bit_count() == group.order and a & b != 1 << group.identity
-    forged = sealed({"kind": "exact_factorisation", "q": 13, "A": mask_elements(a),
-                     "B": mask_elements(b), "verified": True, "checks": {}})
+    assert len(a) * len(b) == group.order and len(np.intersect1d(a, b)) > 1
+    forged = sealed({"kind": "exact_factorisation", "q": 13, "A": a.tolist(),
+                     "B": b.tolist(), "verified": True, "checks": {}})
     Cache(str(tmp_path)).put(_witness_key("exact_factorisation", 13),
                              sealed({"status": "FOUND", "witness": forged}))
     verdict, report = analyze(13, PipelineConfig(cache_dir=str(tmp_path)))
@@ -759,7 +821,7 @@ def test_a_covering_entry_of_another_format_is_a_miss(tmp_path, monkeypatch):
     _count_calls(monkeypatch, calls)
     group = build_group(5)
     labels = ("5",)
-    base = mask_elements(sylow_subgroup(group, 5))
+    base = sylow_subgroup(group, 5).tolist()
     # a final entry as the 0.2.0 format kept it, with a node count of the
     # solver before orbital branching; it claims that no transversal exists,
     # though an A4 is one

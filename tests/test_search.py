@@ -14,15 +14,12 @@ from diagsync.psl2 import (
     build_group,
     cyclic_subgroup,
     dihedral_subgroup,
-    mask_elements,
-    mask_array,
-    mask_from,
-    mask_of,
     stabilizer_torus_element,
     sylow_subgroup,
     unipotent_subgroup,
 )
 from diagsync.scheme import rational_fusion_scheme
+from masks import mask_array, mask_elements, mask_from, mask_of
 from diagsync.search import (
     Budget,
     EXHAUSTED,
@@ -68,7 +65,7 @@ def test_max_clique_small_graphs_exact(g13):
 def _brute_force_max_clique(graph) -> int:
     """Plain Bron-Kerbosch with pivoting: an oracle independent of the solver."""
     n = graph.vertex_count
-    adj = [graph.neighbors(v) for v in range(n)]
+    adj = [mask_of(graph.neighbors(v)) for v in range(n)]
     best = 0
 
     def bk(r, p, x):
@@ -178,7 +175,7 @@ def reference_best_coset_union(graph, h):
     whether its search was exhaustive.
     """
     group = graph.group
-    conn = graph.connection
+    conn = mask_of(graph.connection)
     reps, seen = [], set()
     for x in range(group.order):
         if x not in seen:
@@ -241,11 +238,11 @@ def reference_clique_seeds(graph):
     """The seeds with a coset-union search on every large subgroup clique,
     none carried over by conjugation."""
     group = graph.group
-    allowed = graph.connection | 1 << group.identity
-    cliques = [m for m in search._seed_subgroups(group) if not m & ~allowed]
+    allowed = mask_of(graph.connection) | 1 << group.identity
+    cliques = [m for m in map(mask_from, search._seed_subgroups(group)) if not m & ~allowed]
     seeds = [tuple(mask_elements(m)) for m in cliques]
     for mask in cliques:
-        h = mask_elements(mask)
+        h = np.array(mask_elements(mask))
         if len(h) >= 7 and group.order // len(h) <= 120:
             union, _ = search._best_coset_union(graph, h)
             if union and len(union) > len(h):
@@ -278,9 +275,9 @@ def test_seeds_searched_once_per_subgroup_class_match_a_search_per_member(q):
     # onto the member: H = g^-1 rep g
     group = build_group(q)
     order = search._seed_subgroups(group)
-    for mask, (rep, g) in search._union_classes(group).items():
-        assert order.index(rep) <= order.index(mask)
-        assert mask_from(group.conjugate(np.array(mask_elements(rep)), g).tolist()) == mask
+    for i, (rep, g) in search._union_classes(group).items():
+        assert rep <= i
+        assert np.array_equal(np.sort(group.conjugate(order[rep], g)), order[i])
     # later seeds do differ somewhere, so the conjugation path is exercised
     assert carried
 
@@ -297,9 +294,10 @@ def test_a_stopped_class_search_is_repeated_per_member(g13, monkeypatch):
         return real(graph, h)[0], False
     monkeypatch.setattr(search, "_best_coset_union", stopped)
     seeds = search._clique_seeds(graph)
-    sylow13 = [m for m in search._union_classes(g13) if m.bit_count() == 13]
+    sylow13 = [search._seed_subgroups(g13)[i] for i in search._union_classes(g13)]
+    sylow13 = [h for h in sylow13 if len(h) == 13]
     assert len(sylow13) == 14
-    assert {tuple(mask_elements(m)) for m in sylow13} <= set(searched)
+    assert {tuple(h.tolist()) for h in sylow13} <= set(searched)
     assert seeds == tuple(reference_clique_seeds(graph))
 
 
@@ -380,29 +378,28 @@ def reference_candidate_subgroups(group):
     for g in range(group.order):
         if g == group.identity:
             continue
-        mask = cyclic_subgroup(group, g)
+        mask = mask_from(cyclic_subgroup(group, g))
         if mask not in seen_cyclic:
             seen_cyclic.add(mask)
             subs.add(mask)
     for m in sorted({group.element_order(g) for g in range(group.order)} - {1, 2}):
         d = dihedral_subgroup(group, m)
-        if d:
-            subs.add(d)
+        if d is not None:
+            subs.add(mask_from(d))
     n = group.order
     r = 2
     while r <= n:
         if n % r == 0:
             s = sylow_subgroup(group, r)
-            if s:
-                subs.add(s)
+            if s is not None:
+                subs.add(mask_from(s))
             while n % r == 0:
                 n //= r
         r += 1
-    borel = borel_subgroup(group)
-    subs.add(borel)
+    subs.add(mask_from(borel_subgroup(group)))
     torus = stabilizer_torus_element(group)
     m1 = group.element_order(torus)
-    uni = mask_elements(unipotent_subgroup(group))
+    uni = unipotent_subgroup(group).tolist()
     for k in range(1, m1 + 1):
         if m1 % k == 0:
             step = _pow_elt(group, torus, m1 // k)
@@ -424,17 +421,18 @@ def reference_candidate_subgroups(group):
             subs.add(m)
     for kind in ("A4", "S4", "A5"):
         a = alternating_type_subgroup(group, kind)
-        if a:
-            subs.add(a)
+        if a is not None:
+            subs.add(mask_from(a))
     return sorted(subs)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17])
 def test_seed_subgroups_are_the_old_library(q):
+    # the same sets, in the order of the ints with their bits set
     group = build_group(q)
     seeds = search._seed_subgroups(group)
-    assert set(seeds) == set(reference_candidate_subgroups(group))
-    assert seeds == sorted(seeds)
+    assert [mask_from(h) for h in seeds] == reference_candidate_subgroups(group)
+    assert all(np.array_equal(h, np.sort(h)) for h in seeds)
     assert search._seed_subgroups(group) is seeds
 
 
@@ -552,7 +550,7 @@ def reference_localize(graph, cand_mask):
     adj = []
     for v in verts:
         local = 0
-        for u in mask_elements(graph.neighbors(v) & cand_mask):
+        for u in mask_elements(mask_of(graph.neighbors(v)) & cand_mask):
             local |= 1 << index[u]
         adj.append(local)
     return verts, adj
@@ -567,7 +565,8 @@ def test_localize_matches_neighbour_masks(q, labels):
     graph = build_graph(build_group(q), labels)
     n = graph.vertex_count
     rng = random.Random(q)
-    masks = [0, 1 << (n - 1), graph.neighbors(0), graph.neighbors(0) & graph.neighbors(5)]
+    nbrs = [mask_of(graph.neighbors(v)) for v in (0, 5)]
+    masks = [0, 1 << (n - 1), nbrs[0], nbrs[0] & nbrs[1]]
     masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
     masks += [sum(1 << v for v in rng.sample(range(n), min(n, 150))) for _ in range(2)]
     for cand in masks:
@@ -599,15 +598,15 @@ def reference_pinned_tasks(graph, floor_size):
     tasks, excluded = [], 0
     for rep in search._class_reps_in_connection(graph):
         cls = classes[group.class_of(rep)]
-        pair = graph.neighbors(group.identity) & graph.neighbors(rep)
+        pair = mask_of(graph.neighbors(group.identity)) & mask_of(graph.neighbors(rep))
         pair &= ~(1 << group.identity | 1 << rep | excluded)
-        excluded |= cls.members | classes[cls.inverse_class].members
+        excluded |= mask_of(np.isin(group.class_of_array(), [cls.id, cls.inverse_class]))
         if pair.bit_count() + 2 <= floor_size:
             continue
         cent = [g for g in range(group.order) if group.mul(g, rep) == group.mul(rep, g)]
         processed = 0
         for v, orbit in reference_orbits(group.conjugate(every, np.array(cent)[:, None]), pair):
-            tasks.append((rep, v, pair & ~processed & graph.neighbors(v)))
+            tasks.append((rep, v, pair & ~processed & mask_of(graph.neighbors(v))))
             processed |= orbit
     return tasks
 
@@ -674,12 +673,11 @@ def test_task_setup_makes_no_per_vertex_mask_loops(g13, monkeypatch):
     tasks = len(search._pinned_tasks(graph, 0))
     assert tasks >= 50
     calls = []
-    for name in ("mask_elements", "mask_from"):
-        real = getattr(psl2, name)
-        for module in (psl2, graphs, search):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name,
-                                    lambda *a, real=real: calls.append(1) or real(*a))
+    real = psl2.mask_elements
+    for module in (psl2, graphs, search):
+        if getattr(module, "mask_elements", None) is real:
+            monkeypatch.setattr(module, "mask_elements",
+                                lambda *a: calls.append(1) or real(*a))
     cert = max_clique(graph, Budget(max_seconds=300))
     assert cert.exhaustive and cert.size == 9
     assert len(calls) <= 2 * tasks, (len(calls), tasks)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from diagsync import witnesses
@@ -11,8 +12,6 @@ from diagsync.psl2 import (
     cyclic_subgroup,
     dihedral_subgroup,
     is_subgroup,
-    mask_elements,
-    mask_from,
     stabilizer_torus_element,
     subgroup_library,
     sylow_subgroup,
@@ -31,6 +30,7 @@ from diagsync.witnesses import (
     verify_sharply_transitive,
     verify_spreading_multiset,
 )
+from masks import mask_from
 
 
 @pytest.mark.parametrize("q,orders", [(7, {24, 21}), (8, {56}), (11, {55, 60}), (29, {60, 203})])
@@ -48,8 +48,8 @@ def test_factorisation_none_for_q9():
 
 def test_verify_factorisation_rejects_degenerate():
     g = build_group(7)
-    whole = (1 << g.order) - 1
-    ident = 1 << g.identity
+    whole = np.arange(g.order)
+    ident = np.array([g.identity])
     fac = verify_exact_factorisation(g, whole, ident)
     assert not fac.verified
     assert not fac.checks["nontrivial_proper"]
@@ -59,8 +59,7 @@ def test_verify_factorisation_product_bijection():
     g = build_group(7)
     fac = find_exact_factorisation(g)
     assert fac.checks["product_bijection"]
-    redo = verify_exact_factorisation(g, mask_from(fac.a_elements),
-                                      mask_from(fac.b_elements))
+    redo = verify_exact_factorisation(g, np.array(fac.a_elements), np.array(fac.b_elements))
     assert redo.verified
 
 
@@ -98,7 +97,7 @@ def test_sharply_transitive_rejections():
 def test_sharply_transitive_in_group_q9():
     g = build_group(9)
     sub = index_six_subgroup(g)
-    assert sub is not None and sub.bit_count() == 60
+    assert sub is not None and len(sub) == 60
     wit = find_sharply_transitive_set(g, sub)
     assert wit is not None and wit.verified and wit.degree == 6
     _, images = coset_action(g, sub)
@@ -111,8 +110,8 @@ def test_squares_of_stabilizer(q, size):
     g = build_group(q)
     stab = g.point_stabilizer(g.q)
     sq = squares_of_stabilizer(g, stab)
-    assert sq.bit_count() == size
-    assert stab.bit_count() == 2 * size
+    assert len(sq) == size
+    assert len(stab) == 2 * size
 
 
 def test_squares_rejected_for_wrong_residue():
@@ -143,7 +142,7 @@ def test_spreading_witness_small(q, lam):
 def test_sylow_counts_sanity():
     g = build_group(13)
     syl = sylow_subgroup(g, 13)
-    members = mask_elements(syl)
+    members = syl.tolist()
     assert len(members) == 13
     assert all(g.element_order(x) in (1, 13) for x in members)
 
@@ -170,36 +169,36 @@ def reference_candidate_factors(group):
         return out
 
     out = set()
-    out.add(borel_subgroup(group))
-    out.add(unipotent_subgroup(group))
+    out.add(mask_from(borel_subgroup(group)))
+    out.add(mask_from(unipotent_subgroup(group)))
     torus = stabilizer_torus_element(group)
     m1 = group.element_order(torus)
-    uni = mask_elements(unipotent_subgroup(group))
+    uni = unipotent_subgroup(group).tolist()
     for k in range(1, m1 + 1):
         if m1 % k:
             continue
         step = _pow(group, torus, m1 // k)
-        out.add(closure(group, uni + [step]))
+        out.add(mask_from(closure(group, uni + [step])))
     n = group.order
     r = 2
     while r <= n:
         if n % r == 0:
             s = sylow_subgroup(group, r)
-            if s:
-                out.add(s)
+            if s is not None:
+                out.add(mask_from(s))
             while n % r == 0:
                 n //= r
         r += 1
     for m in sorted({group.element_order(g) for g in range(group.order)} - {1}):
-        out.add(cyclic_subgroup(group, _first_of_order(group, m)))
+        out.add(mask_from(cyclic_subgroup(group, _first_of_order(group, m))))
         if m > 2:
             d = dihedral_subgroup(group, m)
-            if d:
-                out.add(d)
+            if d is not None:
+                out.add(mask_from(d))
     for kind in ("A4", "S4", "A5"):
         a = alternating_type_subgroup(group, kind)
-        if a:
-            out.add(a)
+        if a is not None:
+            out.add(mask_from(a))
     return sorted(out, key=lambda mask: -mask.bit_count())
 
 
@@ -207,11 +206,13 @@ def reference_candidate_factors(group):
 def test_subgroup_library_is_the_old_factor_list(q):
     group = build_group(q)
     library = subgroup_library(group)
-    assert set(library) == set(reference_candidate_factors(group))
-    # largest first, ties in ascending mask order; cached on the group
-    assert list(library) == sorted(library, key=lambda mask: (-mask.bit_count(), mask))
+    masks = [mask_from(h) for h in library]
+    # the same sets; largest first, ties in the order of the ints with their
+    # bits set; cached on the group
+    assert sorted(masks) == sorted(reference_candidate_factors(group))
+    assert masks == sorted(masks, key=lambda mask: (-mask.bit_count(), mask))
     assert subgroup_library(group) is library
-    assert all(is_subgroup(group, mask) for mask in library)
+    assert all(is_subgroup(group, h) for h in library)
 
 
 # -- the vectorized checks: rejections and pinned payloads -------------------------------
@@ -221,13 +222,13 @@ def test_is_subgroup_rejections():
     g = build_group(7)
     borel = borel_subgroup(g)
     assert is_subgroup(g, borel)
-    assert not is_subgroup(g, borel & ~(1 << g.identity))         # no identity
+    assert not is_subgroup(g, np.setdiff1d(borel, [g.identity]))         # no identity
     three = next(x for x in range(g.order) if g.element_order(x) == 3)
-    assert not is_subgroup(g, (1 << g.identity) | (1 << three))   # no inverse
+    assert not is_subgroup(g, np.array([g.identity, three]))             # no inverse
     four = next(x for x in range(g.order) if g.element_order(x) == 4)
-    mask = (1 << g.identity) | (1 << four) | (1 << g.inv(four))
-    assert not is_subgroup(g, mask)                              # g^2 missing
-    assert not is_subgroup(g, cyclic_subgroup(g, four) | 1 << g.order)   # past the group
+    assert not is_subgroup(g, np.array([g.identity, four, g.inv(four)]))  # g^2 missing
+    assert not is_subgroup(g, np.append(cyclic_subgroup(g, four), g.order))   # past the group
+    assert not is_subgroup(g, np.append(cyclic_subgroup(g, four), -1))
 
 
 def test_is_subgroup_without_table():
@@ -235,8 +236,8 @@ def test_is_subgroup_without_table():
     assert g._table is None
     borel = borel_subgroup(g)
     assert is_subgroup(g, borel)
-    dropped = next(x for x in mask_elements(borel) if x != g.identity)
-    assert not is_subgroup(g, borel & ~(1 << dropped))
+    dropped = next(x for x in borel.tolist() if x != g.identity)
+    assert not is_subgroup(g, np.setdiff1d(borel, [dropped]))
 
 
 def test_factorisation_rejects_colliding_products(monkeypatch):
@@ -245,13 +246,12 @@ def test_factorisation_rejects_colliding_products(monkeypatch):
     g = build_group(7)
     fac = find_exact_factorisation(g)
     big, small = sorted((fac.a_elements, fac.b_elements), key=len, reverse=True)
-    a_mask = mask_from(big)
-    outside = [x for x in range(g.order) if not (a_mask >> x) & 1]
+    outside = [x for x in range(g.order) if x not in big]
     z, a = outside[0], big[-1]
     b = [g.identity, z, g.mul(a, z)]            # a * z == 1 * (a z)
     b += [x for x in outside if x not in b][:len(small) - len(b)]
     monkeypatch.setattr(witnesses, "is_subgroup", lambda group, mask: True)
-    bad = verify_exact_factorisation(g, a_mask, mask_from(b))
+    bad = verify_exact_factorisation(g, np.array(big), np.sort(b))
     assert not bad.verified
     assert not bad.checks["product_bijection"]
     assert all(v for k, v in bad.checks.items() if k != "product_bijection")
@@ -259,15 +259,15 @@ def test_factorisation_rejects_colliding_products(monkeypatch):
 
 def _moved_square(g):
     stab = g.point_stabilizer(g.q)
-    sq = mask_elements(squares_of_stabilizer(g, stab))
-    other = next(x for x in mask_elements(stab) if x not in sq)
+    sq = squares_of_stabilizer(g, stab).tolist()
+    other = next(x for x in stab.tolist() if x not in sq)
     return sq[:-1] + [other]
 
 
 @pytest.mark.parametrize("q", [5, 13, 29])
 def test_multiset_check_accepts_the_squares(q):
     g = build_group(q)
-    sq = mask_elements(squares_of_stabilizer(g, g.point_stabilizer(q)))
+    sq = squares_of_stabilizer(g, g.point_stabilizer(q)).tolist()
     wit = verify_spreading_multiset(g, q, sq)
     assert wit.payload() == spreading_witness(g).payload()
     assert wit.distinct_images == (q + 1) ** 2
@@ -299,7 +299,7 @@ def test_multiset_check_rejects_the_other_coset(q):
     g = build_group(q)
     stab = g.point_stabilizer(q)
     sq = squares_of_stabilizer(g, stab)
-    coset = mask_elements(stab & ~sq)
+    coset = np.setdiff1d(stab, sq).tolist()
     with pytest.raises(WitnessError) as err:
         verify_spreading_multiset(g, q, coset)
     assert str(err.value) == "the squares are not an index-2 subgroup of the stabilizer"
@@ -307,7 +307,7 @@ def test_multiset_check_rejects_the_other_coset(q):
 
 def test_multiset_check_rejects_bad_inputs():
     g = build_group(13)
-    sq = mask_elements(squares_of_stabilizer(g, g.point_stabilizer(13)))
+    sq = squares_of_stabilizer(g, g.point_stabilizer(13)).tolist()
     with pytest.raises(WitnessError, match="index-2 subgroup"):
         verify_spreading_multiset(g, 0, sq)                # another point
     with pytest.raises(WitnessError, match="index-2 subgroup"):
@@ -337,7 +337,7 @@ def test_witness_payloads_are_pinned(q):
     found = [find_exact_factorisation(g)]
     if found[0] is None:
         six = index_six_subgroup(g)
-        found = [find_sharply_transitive_set(g, six)] if six else []
+        found = [find_sharply_transitive_set(g, six)] if six is not None else []
     if q % 4 == 1:
         found.append(spreading_witness(g))
     assert [certificate_digest(w.payload()) for w in found] == PINNED_DIGESTS[q]
