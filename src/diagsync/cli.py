@@ -230,7 +230,7 @@ def _dispatch(args) -> int:
             return 0
         if args.kind == "sharp":
             sub = index_six_subgroup(group)
-            wit = find_sharply_transitive_set(group, sub) if sub else None
+            wit = find_sharply_transitive_set(group, sub) if sub is not None else None
             if wit is None:
                 _emit({"q": args.q, "found": False}, args)
                 return 2

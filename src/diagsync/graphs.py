@@ -101,10 +101,10 @@ class ClassUnionGraph:
         return np.flatnonzero(self.connection)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Neighborhood of v as a boolean vertex array: the u with u*v^-1 in the
-        connection set, by one gather."""
-        return self.connection[self.group.mul_pairs(np.arange(self.group.order),
-                                                    self.group.inv(v))]
+        """Neighborhood of v as a boolean vertex array: {s*v : s in connection set}."""
+        flags = np.zeros(self.group.order, dtype=bool)
+        flags[self.group.mul_pairs(self.connection_elements(), v)] = True
+        return flags
 
     def descriptor(self) -> dict:
         return {"q": self.q, "classes": list(self.class_labels),

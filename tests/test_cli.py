@@ -83,6 +83,10 @@ def test_witness_subcommand(capsys):
     code, out = run_cli(capsys, "witness", "--q", "13", "--kind", "spreading")
     data = json.loads(out)
     assert code == 0 and data["lambda"] == 78
+    # PSL(2,9) has an A5 of index 6, so a sharply transitive set exists
+    code, out = run_cli(capsys, "witness", "--q", "9", "--kind", "sharp")
+    data = json.loads(out)
+    assert code == 0 and data["degree"] == 6 and len(data["subgroup"]) == 60
 
 
 def test_certify_exact_hit_feasible(capsys):
