@@ -16,11 +16,14 @@ exactly when t' lies in the coset H t of the right stabilizer H of S, so a
 family keeps the t that are least in their cosets: an exact dedup with no
 hashing.  Two families are equal or disjoint, and S is a row of an earlier
 family exactly when S s^-1 (s in S) is one of its rows through the identity;
-such a shape adds no rows and is skipped.  Every new row is re-verified pair
-by pair against the connection set, one gather per block of rows.  Since the
-rows are closed under right translation, an edge {u, v} lies in a row exactly
-when u v^-1 lies in a row through the identity, so the rows through the
-identity decide whether the rows cover every edge.
+such a shape adds no rows and is skipped.  Each new family is re-verified
+from its rows through the identity: those are checked pair by pair against
+the connection set, and every row r must give one of them as r r0^-1, r0
+its first vertex.  Then r = (r r0^-1) r0 is a right translate of a checked
+clique, and right translation preserves adjacency, (u t)(v t)^-1 = u v^-1,
+so r is a clique too.  For the same reason an edge {u, v} lies in a row
+exactly when u v^-1 lies in a row through the identity, so the rows through
+the identity decide whether the rows cover every edge.
 
 The solver is a propagation-based exact branch-and-bound over binary choices
 (no floating point).  The row system is closed under right translation, which
@@ -67,8 +70,6 @@ from .search import Budget, verify_clique, verify_coclique
 PROVEN_INFEASIBLE = "PROVEN_INFEASIBLE"
 FEASIBLE = "FEASIBLE"
 BRACKET = "BUDGET_BRACKET"
-# entries per temporary block of row generation
-_BLOCK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -150,23 +151,32 @@ def _right_translates(group: PSL2, shape: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys[:, first].T)
 
 
-def _recheck_cliques(group: PSL2, family: np.ndarray, conn: np.ndarray) -> None:
-    """Check u * v^-1 against the connection set for every ordered pair of every row."""
+def _recheck_cliques(group: PSL2, family: np.ndarray, ident: np.ndarray,
+                     conn: np.ndarray) -> None:
+    """Check u * v^-1 against the connection set for every ordered pair of
+    every row through the identity, and that every row r of the family gives
+    one of those rows as r * r[0]^-1."""
     k = family.shape[1]
     inv = group.inverses()
-    step = max(1, _BLOCK // (k * k))
-    for start in range(0, len(family), step):
-        block = family[start:start + step]
-        quotients = group.mul_pairs(block[:, :, None], inv[block][:, None, :])
-        if (np.count_nonzero(conn[quotients], axis=(1, 2)) != k * (k - 1)).any():
-            raise AssertionError("translate image failed clique re-verification")
+    quotients = group.mul_pairs(ident[:, :, None], inv[ident][:, None, :])
+    rebased = np.sort(group.mul_pairs(family, inv[family[:, :1]]), axis=1)
+    if ((np.count_nonzero(conn[quotients], axis=(1, 2)) != k * (k - 1)).any()
+            or not np.isin(_row_keys(rebased), _row_keys(ident)).all()):
+        raise AssertionError("translate image failed clique re-verification")
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, equal exactly when the rows are equal."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSystem:
     """Distinct images of a verified clique under translations and outer maps.
 
     One family of right translates per conjugate shape that is not yet a
-    row, every new row re-checked pairwise; see the module docstring.
+    row, each re-checked from its rows through the identity; see the module
+    docstring.
     """
     group = graph.group
     base = tuple(sorted(clique))
@@ -202,8 +212,8 @@ def generate_translate_rows(graph: ClassUnionGraph, clique) -> TranslateRowSyste
         if key.tobytes() in known:
             continue
         family = _right_translates(group, shape)
-        _recheck_cliques(group, family, conn)
         ident = family[(family == group.identity).any(axis=1)]
+        _recheck_cliques(group, family, ident, conn)
         known.update(row.tobytes() for row in ident)
         families.append(family)
         through_identity.append(ident)

@@ -109,7 +109,7 @@ class PSL2:
         self.identity = int(self.lookup(1, 0, 0, 1))
         self._table: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
-        self._orders: list[int] | None = None
+        self._orders: np.ndarray | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._fusion: list[FusionOrbit] | None = None
         self._arith_arrays: tuple | None = None
@@ -195,13 +195,14 @@ class PSL2:
         return out
 
     def element_order(self, i: int) -> int:
-        return self.orders()[i]
+        return int(self.orders()[i])
 
-    def orders(self) -> list[int]:
-        """The order of every element, read from its class."""
+    def orders(self) -> np.ndarray:
+        """The order of every element, read from its class (read-only)."""
         if self._orders is None:
             order_of_class = np.array([c.element_order for c in self.conjugacy_classes()])
-            self._orders = order_of_class[self._class_of].tolist()
+            self._orders = order_of_class[self._class_of]
+            self._orders.flags.writeable = False
         return self._orders
 
     def table_fits(self) -> bool:
@@ -548,10 +549,9 @@ def unipotent_subgroup(group: PSL2) -> np.ndarray:
 
 
 def element_of_order(group: PSL2, n: int) -> int | None:
-    for i, o in enumerate(group.orders()):
-        if o == n:
-            return i
-    return None
+    """The least element of order n, or None."""
+    hits = np.flatnonzero(group.orders() == n)
+    return int(hits[0]) if len(hits) else None
 
 
 def torus_orders(group: PSL2) -> tuple[int, int]:
@@ -561,19 +561,33 @@ def torus_orders(group: PSL2) -> tuple[int, int]:
     return (q - 1) // k, (q + 1) // k
 
 
+def _with_involution(group: PSL2, cyclic: np.ndarray, j: int) -> np.ndarray:
+    """The subgroup <C, j> = C u C j, ascending, for an involution j that
+    normalizes the cyclic subgroup C."""
+    return np.union1d(cyclic, group.mul_pairs(cyclic, j).astype(np.intp))
+
+
 def dihedral_subgroup(group: PSL2, n: int) -> np.ndarray | None:
-    """A subgroup <h, j> with h of order n and j an involution inverting h."""
+    """The subgroup <h, j> for h the least element of order n and j the least
+    involution inverting h.
+
+    j normalizes C = <h>, so <h, j> = C u C j, built without a closure walk:
+    for n > 2, j lies outside the abelian C and <h, j> is dihedral of order 2n.
+    """
     h = element_of_order(group, n)
-    if h is None:
-        return None
+    return None if h is None else _dihedral(group, h, cyclic_subgroup(group, h))
+
+
+def _dihedral(group: PSL2, h: int, cyclic: np.ndarray) -> np.ndarray | None:
+    """<h, j> for the cyclic subgroup C = <h> and the least involution j inverting h."""
     js = _inverting_involutions(group, h)
-    return closure(group, [h, int(js[0])], limit=4 * n) if len(js) else None
+    return _with_involution(group, cyclic, int(js[0])) if len(js) else None
 
 
 def _inverting_involutions(group: PSL2, h: int) -> np.ndarray:
-    """The involutions j with j^-1 h j = h^-1, ascending."""
-    js = np.flatnonzero(np.array(group.orders()) == 2)
-    return js[group.conjugate(h, js) == group.inv(h)]
+    """The involutions j with j^-1 h j = h^-1, ascending: those with (j h)^2 = e."""
+    js = np.flatnonzero(group.orders() == 2)
+    return js[group.orders()[group.mul_pairs(js, h)] <= 2]
 
 
 def sylow_subgroup(group: PSL2, r: int) -> np.ndarray | None:
@@ -612,27 +626,59 @@ def sylow_subgroup(group: PSL2, r: int) -> np.ndarray | None:
 
 
 def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> np.ndarray | None:
+    """The first <h, j> of the target order, j running over the involutions
+    inverting h, each built as C u C j like a dihedral subgroup."""
+    cyclic = cyclic_subgroup(group, h)
     for j in _inverting_involutions(group, h).tolist():
-        sub = closure(group, [h, j], limit=4 * target)
+        sub = _with_involution(group, cyclic, j)
         if len(sub) == target:
             return sub
     return None
 
 
+def _von_dyck_window(group: PSL2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first 60 involutions, every element of order 3, and the orders of
+    the products of those involutions with the first 200 elements of order
+    3, one row per involution; cached on the group for the three kinds."""
+    window = getattr(group, "_von_dyck_window", None)
+    if window is None:
+        orders = group.orders()
+        js = np.flatnonzero(orders == 2)[:60]
+        gs = np.flatnonzero(orders == 3)
+        window = group._von_dyck_window = (js, gs, orders[group.mul_outer(js, gs[:200])])
+    return window
+
+
 def alternating_type_subgroup(group: PSL2, kind: str) -> np.ndarray | None:
-    """Search a subgroup isomorphic to A4, S4 or A5 via (2,3,k) generation."""
+    """A subgroup isomorphic to A4, S4 or A5, or None.
+
+    An involution j and an element g of order 3 whose product has order k =
+    3, 4 or 5 satisfy the relations of the von Dyck group D(2,3,k), which is
+    A4, S4 or A5, so <j, g> is a quotient of it with elements of orders 2, 3
+    and k: the whole group, as A5 is simple, the proper quotients C3 and 1
+    of A4 have no involution, and those of S4 (S3, C2, 1) no element of
+    order 4.  The closure of each such pair, with its size test, builds and
+    checks it.  The pairs are walked in (j, g) order over the first 60
+    involutions and the first 200 elements of order 3; when that window has
+    none, the first involution is tried against every element of order 3.
+    That finds the subgroup wherever it exists: PSL(2,q) has one class of
+    involutions, so some conjugate of the subgroup contains the first one.
+    """
     target_k, size = {"A4": (3, 12), "S4": (4, 24), "A5": (5, 60)}[kind]
-    orders = np.array(group.orders())
-    involutions = np.flatnonzero(orders == 2)[:60]
-    threes = np.flatnonzero(orders == 3)[:200]
-    for j in involutions.tolist():
-        for g in threes[orders[group.mul_pairs(j, threes)] == target_k].tolist():
-            try:
-                sub = closure(group, [j, g], limit=2 * size)
-            except ValueError:
-                continue
-            if len(sub) == size:
-                return sub
+    js, gs, product_orders = _von_dyck_window(group)
+    rows, cols = np.nonzero(product_orders == target_k)
+    if len(rows):
+        pairs = zip(js[rows].tolist(), gs[cols].tolist())
+    else:
+        row = group.orders()[group.mul_pairs(js[0], gs)]
+        pairs = ((int(js[0]), g) for g in gs[row == target_k].tolist())
+    for j, g in pairs:
+        try:
+            sub = closure(group, [j, g], limit=2 * size)
+        except ValueError:
+            continue
+        if len(sub) == size:
+            return sub
     return None
 
 
@@ -644,11 +690,11 @@ def borel_subgroup(group: PSL2) -> np.ndarray:
 def stabilizer_torus_element(group: PSL2) -> int:
     """An element generating the cyclic top of the Borel subgroup."""
     m1, _ = torus_orders(group)
-    orders = group.orders()
-    for i in borel_subgroup(group).tolist():
-        if orders[i] == m1:
-            return i
-    raise AssertionError("Borel subgroup lacks a full torus element")
+    borel = borel_subgroup(group)
+    full = borel[group.orders()[borel] == m1]
+    if not len(full):
+        raise AssertionError("Borel subgroup lacks a full torus element")
+    return int(full[0])
 
 
 def distinct_sets(sets) -> list[np.ndarray]:
@@ -667,6 +713,13 @@ def subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
     subgroup per element order, one dihedral subgroup per element order > 2
     and A4, S4, A5 where they exist; largest first, ties in distinct_sets
     order.  Cached on the group.
+
+    Each is built from its known structure (Dickson's list of the subgroups
+    of PSL(2,q)) rather than by a closure walk, except A4, S4 and A5: the
+    unipotent subgroup U is normal in the Borel, so U extended by a torus
+    power s is the product set U <s>, one outer product; each dihedral
+    subgroup, the 2-Sylow subgroup at odd q among them, is C u C j for a
+    cyclic C and an involution j inverting its generator.
     """
     cached = getattr(group, "_subgroup_library", None)
     if cached is not None:
@@ -674,20 +727,21 @@ def subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
     subs = [borel_subgroup(group)]
     torus = group.powers(stabilizer_torus_element(group))
     m1 = len(torus)
-    uni = unipotent_subgroup(group).tolist()
+    uni = unipotent_subgroup(group)
     for k in range(1, m1 + 1):
         if m1 % k == 0:
-            subs.append(closure(group, uni + [torus[m1 // k % m1]]))
+            # <U, t^(m1/k)> = U <t^(m1/k)>, of order q k
+            subs.append(np.sort(group.mul_outer(uni, torus[::m1 // k]).ravel()).astype(np.intp))
     n = group.order
     for r in range(2, n + 1):
         if n % r == 0:      # r is prime: every smaller prime is divided out
             subs.append(sylow_subgroup(group, r))
             while n % r == 0:
                 n //= r
-    for m in sorted(set(group.orders()) - {1}):
-        subs.append(cyclic_subgroup(group, element_of_order(group, m)))
-        if m > 2:
-            subs.append(dihedral_subgroup(group, m))
+    for m in np.unique(group.orders())[1:].tolist():       # the orders > 1
+        h = element_of_order(group, m)
+        cyclic = cyclic_subgroup(group, h)
+        subs += [cyclic, _dihedral(group, h, cyclic) if m > 2 else None]
     subs += [alternating_type_subgroup(group, kind) for kind in ("A4", "S4", "A5")]
     # a stable sort: sets of one size keep their distinct_sets order
     group._subgroup_library = tuple(sorted(distinct_sets(subs), key=len, reverse=True))

@@ -81,6 +81,47 @@ def test_row_generation_rejects_non_clique():
         generate_translate_rows(graph, [g.identity, involution])
 
 
+def _spoil(graph, row, keep_identity) -> list[int]:
+    """The row with one vertex other than the identity replaced, so that it
+    is no clique; the identity stays in the row when keep_identity is set."""
+    g = graph.group
+    others = [v for v in row if v != g.identity]
+    kept = [g.identity] * (keep_identity and g.identity in row) + others[1:]
+    w = next(w for w in range(g.order) if w != g.identity and w not in row
+             and not verify_clique(graph, sorted(kept + [w])))
+    return sorted(kept + [w])
+
+
+@pytest.mark.parametrize("where", ["identity-row", "other-row", "whole-family"])
+def test_corrupted_translate_row_is_rejected(where, monkeypatch):
+    # the first family gets a row that is no clique: a row through the
+    # identity fails its pairwise re-check, any other row is no right
+    # translate of a row through the identity, and the translates of a shape
+    # that is no clique fail the pairwise re-check of the rows through the
+    # identity however consistent they are
+    g = build_group(13)
+    graph = build_graph(g, ["13"])
+    real = certify._right_translates
+    first = []
+
+    def corrupted(group, shape):
+        if first:
+            return real(group, shape)
+        first.append(shape)
+        if where == "whole-family":
+            return real(group, np.array(_spoil(graph, shape.tolist(), True), dtype=shape.dtype))
+        family = real(group, shape).copy()
+        through_identity = where == "identity-row"
+        r = next(i for i, row in enumerate(family.tolist())
+                 if (g.identity in row) == through_identity)
+        family[r] = _spoil(graph, family[r].tolist(), through_identity)
+        return family
+
+    monkeypatch.setattr(certify, "_right_translates", corrupted)
+    with pytest.raises(AssertionError, match="translate image failed clique re-verification"):
+        generate_translate_rows(graph, sylow_subgroup(g, 13).tolist())
+
+
 def test_partitions_partition(sys13):
     # the cosets of each Sylow 13-subgroup partition G
     assert len(_partitions_of_g(sys13)) == 14

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -20,6 +21,7 @@ from diagsync.psl2 import (
     dihedral_subgroup,
     is_subgroup,
     label_sort_key,
+    subgroup_library,
     sylow_subgroup,
     unipotent_subgroup,
 )
@@ -192,7 +194,7 @@ def _class_data_digest(g) -> str:
                      c.inverse_class, c.fusion_orbit] for c in g.conjugacy_classes()],
         "fusion": [[o.id, o.label, o.element_order, list(o.class_ids), o.size,
                     hex(_members(g, *o.class_ids))] for o in g.fusion_orbits()],
-        "orders": g.orders(),
+        "orders": g.orders().tolist(),
     }
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -359,6 +361,63 @@ def test_closure_and_cyclic():
     for i in range(0, g.order, 37):
         sub = cyclic_subgroup(g, i)
         assert len(sub) == g.element_order(i)
+
+
+# sha256 of every subgroup_library array's dtype and bytes, in library order,
+# every prime power 4 <= q <= 49: computed with the closure-walk constructions
+GOLDEN_LIBRARY = {
+    4: "3fdaf7fed8d95338fe6f28f4dfe2ce1a28086488a719f32e23e92d2ca0836dae",
+    5: "934d999f3ef726a48923523be1ff0bbb6f53bc0c0f94cf4d2ff3309a3a472a48",
+    7: "6dbe0230d323287afd1c676908193f9dfb5d0614925ee443b6e080e7c98252fb",
+    8: "140c715cff9211899f48150ac2e8637feb4cea409d78318b28e9f8d1289e0097",
+    9: "60586bc7162825e9490b11664979d46401abb347560c5df5bd03f8afce20fb45",
+    11: "c9fbaa71106a382da272461ae3168f8bffb77b0a8c976aa39f2fa9721882a650",
+    13: "cad9a6b52ed72974c4d9a1b8b1109aa3c554afb1a0202d9f5fd37ae2363904da",
+    16: "dd18a5ffe19d405fadc9298b2c971dcaaac239587d24cf90bec781d489a16919",
+    17: "b2c337c329bd8f3da973d80623decdaae4a3c120e5f6847a576aefca61c38e91",
+    19: "2dc361c9cdbb94ff1eae34c03d087130088c7d2cac0ec1f5dc5fb3850cbbcf56",
+    23: "1c02f8f96cd2be1144088d498069eb2dd0b05ecca3cc2e86345a6c1085e04b65",
+    25: "a0c212aa113e8a7335c6b16c0784ee07248ed2b0df3e3719de6c01d4b734fb2a",
+    27: "b94ada22033613c156b5a52fd9cefb83722c3787a1d9e871cd7cb7a6be4f589b",
+    29: "f1574e7d9c50162ac5980c8b7eca355739396d4d2569824477ccce6abc3097b0",
+    31: "d0ab9269a48f357ddf5772da0f48ba1736531db199d3c753692807cd583e58c2",
+    32: "6a47bba79146832d7583184b41b7c32799dbc85af6d123483d0cca3ad8af0a17",
+    37: "6af3edb03874ebcf3650399cebe54b5109d15fbe3439c8cdcf660d2b9511db50",
+    41: "fcae5c72c6be72d1605872371c03bcb24a156da9ad9b51f1ee8cf2c605e4ef1b",
+    43: "2d1c4ea301b30927e08ea426eaa840583b7c965704af4b241b968a2d9227ced8",
+    47: "d9bc84f07b947131936a44406aa26e357eb15105f510e584d4226334d73a4382",
+    49: "f0a8e5594cc5ee9a154693d31bdab913ba6c478addd1c805785c258de685bee7",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_LIBRARY))
+def test_subgroup_library_is_golden(q):
+    digest = hashlib.sha256()
+    for sub in subgroup_library(build_group(q)):
+        digest.update(str(sub.dtype).encode())
+        digest.update(sub.tobytes())
+    assert digest.hexdigest() == GOLDEN_LIBRARY[q]
+
+
+# Dickson's theorem: PSL(2,q) contains A4 unless q = 2^e with e odd, S4 iff
+# q = +-1 mod 8, and A5 iff q = 0 or +-1 mod 5.  The element orders of each
+# kind: {order: count}.
+DICKSON = {
+    "A4": (lambda q: q % 2 == 1 or q % 3 == 1, {1: 1, 2: 3, 3: 8}),
+    "S4": (lambda q: q % 8 in (1, 7), {1: 1, 2: 9, 3: 8, 4: 6}),
+    "A5": (lambda q: q % 5 in (0, 1, 4), {1: 1, 2: 15, 3: 20, 5: 24}),
+}
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 65) if factor_prime_power(q)])
+def test_alternating_types_follow_dickson(q):
+    g = PSL2(q)
+    for kind, (exists, order_counts) in DICKSON.items():
+        sub = alternating_type_subgroup(g, kind)
+        assert (sub is not None) == exists(q), kind
+        if sub is not None:
+            assert Counter(g.element_order(x) for x in sub.tolist()) == order_counts
+            assert is_subgroup(g, sub)
 
 
 @pytest.mark.parametrize("q", [7, 8, 13, 16])
