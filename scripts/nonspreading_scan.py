@@ -3,6 +3,13 @@
 For each q the stabilizer-square subgroup is constructed, the coset-halving
 identity is checked over every group element, and the weight-2/weight-1
 multiset is verified against all (q+1)^2 distinct stabilizer translates.
+The translates of a point's stabilizer are the fibres of that point's image
+under the action, so both checks are counts over those fibres; twenty seeded
+products check that multiplication agrees with the action.
+
+    python scripts/nonspreading_scan.py [LIMIT]
+
+Scans every q up to LIMIT, 49 by default.
 """
 
 import sys

@@ -526,7 +526,22 @@ def closure(group: PSL2, gens, limit: int | None = None) -> np.ndarray:
 
 
 def is_subgroup(group: PSL2, els: np.ndarray) -> bool:
-    """Whether the element array holds the identity, every inverse and every product."""
+    """Whether the element array holds the identity, every inverse and every product.
+
+    Decided by a generated closure, not by all |H|^2 products.  The least
+    element g not yet generated becomes a new generator, with its repeated
+    squares g^2, g^4, ... up to the first one generated already, so a cyclic
+    part takes about log of its order layers rather than its order.  The
+    generated set grows by right multiplication: the old set, closed under
+    the old generators, times the new ones only, then each new frontier
+    times every generator.  In a finite group that walk from the identity
+    reaches exactly the subgroup the generators make.  Every generator is a
+    product of members, so one outside the set, or a product outside it,
+    shows the set is not closed; once no element is missing and nothing
+    escaped, the set is the subgroup it generates.  Each g at least doubles
+    the generated subgroup, and each generated element is multiplied by
+    every generator once.
+    """
     n = group.order
     if ((els < 0) | (els >= n)).any():
         return False
@@ -536,7 +551,24 @@ def is_subgroup(group: PSL2, els: np.ndarray) -> bool:
         return False
     if not member[group.inverses()[els]].all():
         return False
-    return all(member[block].all() for _, block in group.product_blocks(els, els))
+    seen = np.zeros(n, dtype=bool)
+    seen[group.identity] = True
+    gens: list[int] = []
+    while (missing := np.flatnonzero(member & ~seen)).size:
+        new = [int(missing[0])]
+        while not seen[power := int(group.mul_pairs(new[-1], new[-1]))] and power not in new:
+            if not member[power]:
+                return False
+            new.append(power)
+        gens += new
+        products = group.mul_outer(np.flatnonzero(seen), new).ravel()
+        while products.size:
+            if not member[products].all():
+                return False
+            frontier = np.unique(products[~seen[products]])
+            seen[frontier] = True
+            products = group.mul_outer(frontier, gens).ravel()
+    return True
 
 
 def cyclic_subgroup(group: PSL2, g: int) -> np.ndarray:

@@ -171,17 +171,13 @@ def find_sharply_transitive_set(group: PSL2, subgroup: np.ndarray):
     """
     reps, images = coset_action(group, subgroup)
     degree = len(reps)
-    fpf = [g for g in range(group.order)
-           if g != group.identity and all(images[g][c] != c for c in range(degree))]
-    # discordance masks among candidates
-    index = {g: i for i, g in enumerate(fpf)}
-    masks = [0] * len(fpf)
-    for i, g in enumerate(fpf):
-        for j in range(i + 1, len(fpf)):
-            h = fpf[j]
-            if all(x != y for x, y in zip(images[g], images[h])):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    perms = np.array(images)
+    fpf = np.flatnonzero((perms != np.arange(degree)).all(axis=1)).tolist()
+    # discordance masks among candidates, one packed bitset row each
+    moving = perms[fpf]
+    discord = (moving[:, None] != moving[None]).all(axis=2)
+    masks = [int.from_bytes(row, "little")
+             for row in np.packbits(discord, axis=1, bitorder="little")]
     chosen: list[int] = []
 
     def extend(cand: int) -> bool:
@@ -233,23 +229,19 @@ def coset_halving_check(group: PSL2):
     """For two point stabilizers T1, T2: |T1^2 meet T2 t| == |T1 meet T2 t| / 2.
 
     Exhaustive over all t; also checks the two intersection-size value sets.
+    T1 is the stabilizer of infinity and T2 that of 0.  Under the right
+    action T2 t = {g : 0 g = 0 t}, the fibre of the image of 0 at t, so
+    |T1 meet T2 t| counts the members of T1 that send 0 where t does: one
+    bincount over T1 and one over its squares, read back at every t.
     Returns (ok, counterexample_t or None, details).
     """
     q = group.q
     if q % 4 != 1:
         raise WitnessError("check requires q = 1 mod 4")
-    n = group.order
     t1 = group.point_stabilizer(q)      # infinity
-    t2 = group.point_stabilizer(0)
-    square = np.zeros(n, dtype=bool)
-    square[squares_of_stabilizer(group, t1)] = True
-    h1_square = square[t1]
-    h2_inv = group.inverses()[t2]
-    counts = np.zeros(n, dtype=np.int64)
-    counts_sq = np.zeros(n, dtype=np.int64)
-    for _, block in group.product_blocks(h2_inv, t1):     # t = h2^-1 h1
-        counts += np.bincount(block.ravel(), minlength=n)
-        counts_sq += np.bincount(block[:, h1_square].ravel(), minlength=n)
+    image0 = group.act_points(0)
+    counts = np.bincount(image0[t1], minlength=q + 1)[image0]
+    counts_sq = np.bincount(image0[squares_of_stabilizer(group, t1)], minlength=q + 1)[image0]
     big = (q - 1) // 2
     bad = np.flatnonzero((2 * counts_sq != counts) | ((counts != 0) & (counts != big)))
     if len(bad):
@@ -264,17 +256,24 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> Sp
     The multiset has weight 2 on squares, which must be an index-2 subgroup of
     the stabilizer of stabilizer_point, and weight 1 outside that stabilizer.
     Every right translate of every point stabilizer must meet it in lambda,
-    the stabilizer order: for each point the stabilizer times one element per
-    coset must partition the group, and each coset's weights must sum to
-    lambda.  Twenty two-sided translates x^-1 S y are spot-checked on top:
-    each is a right translate of x^-1 S x, another point's stabilizer.
+    the stabilizer order.  Under the right action S_p y = {g : p g = p y},
+    so the right translates of the stabilizer of p are the fibres of the
+    image of p: one bincount over image * 3 + weight gives each fibre's size,
+    which must be lambda for the translates to partition the group, and its
+    weight sum, which must be lambda too.  A failing translate is named by
+    its least element, the least of all failing ones.  Twenty seeded
+    two-sided translates x^-1 S y are spot-checked on top: each is a right
+    translate of x^-1 S x, another point's stabilizer.  For the same y the
+    product S y must be the fibre at y, so multiplication still meets the
+    action.
     """
     q, n = group.q, group.order
     if not 0 <= stabilizer_point <= q:
         raise WitnessError(f"{stabilizer_point} is not a projective point")
     if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in squares):
         raise WitnessError("a square is not a group element")
-    stab = group.point_stabilizer(stabilizer_point)
+    stab_image = group.act_points(stabilizer_point)
+    stab = np.flatnonzero(stab_image == stabilizer_point)
     sq = np.unique(np.array(squares, dtype=np.intp))
     weights = np.ones(n, dtype=np.int8)
     weights[stab] = 0
@@ -288,26 +287,21 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> Sp
     images = 0
     for pt in range(q + 1):
         image = group.act_points(pt)
-        # the least element of each right coset of the stabilizer of pt; point
-        # labels are at most gf.MAX_Q = 128, and numpy sorts uint8 by radix
-        reps = np.sort(np.unique(image.astype(np.uint8), return_index=True)[1])
-        cover = np.zeros(n, dtype=np.int64)
-        sums = np.zeros(len(reps), dtype=np.int64)
-        for _, block in group.product_blocks(np.flatnonzero(image == pt), reps):
-            cover += np.bincount(block.ravel(), minlength=n)
-            sums += weights[block].sum(axis=0)
-        if (cover != 1).any():
+        counts = np.bincount(image * 3 + weights, minlength=3 * (q + 1)).reshape(q + 1, 3)
+        sizes = counts.sum(axis=1)
+        sums = counts[:, 1] + 2 * counts[:, 2]
+        if ((sizes != 0) & (sizes != lam)).any():
             raise WitnessError(f"stabilizer translates do not partition the group at point {pt}")
-        bad = np.flatnonzero(sums != lam)
-        if len(bad):
-            k = bad[0]
+        bad = (sizes != 0) & (sums != lam)
+        if bad.any():
+            rep = int(bad[image].argmax())
             raise WitnessError(
-                f"image sum {sums[k]} != lambda {lam} at point {pt}, rep {reps[k]}")
-        images += len(reps)
+                f"image sum {sums[image[rep]]} != lambda {lam} at point {pt}, rep {rep}")
+        images += int(np.count_nonzero(sizes))
     expected_images = (q + 1) ** 2
     if images != expected_images:
         raise WitnessError(f"found {images} distinct images, expected {expected_images}")
-    # spot-check random two-sided images against the deduplicated enumeration
+    # spot-check random two-sided images against the fibre counts
     rng = random.Random(0)
     inverses = group.inverses()
     for _ in range(20):
@@ -315,6 +309,9 @@ def verify_spreading_multiset(group: PSL2, stabilizer_point: int, squares) -> Sp
         s = int(weights[group.mul_pairs(group.mul_pairs(inverses[x], stab), y)].sum())
         if s != lam:
             raise WitnessError(f"random image sum {s} != lambda {lam}")
+        translate = np.sort(group.mul_pairs(stab, y))
+        if not np.array_equal(translate, np.flatnonzero(stab_image == stab_image[y])):
+            raise WitnessError(f"the stabilizer translate by {y} is not a fibre of the action")
     return SpreadingWitness(q, lam, total, stabilizer_point, tuple(sq.tolist()),
                             images, True)
 

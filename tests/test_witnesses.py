@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -349,3 +351,151 @@ def test_spreading_witness_q37():
     wit = spreading_witness(g)
     assert wit.verified and wit.lam == 666
     assert wit.distinct_images == 38 ** 2
+
+
+# -- the linear checks against the product-based ones they replaced ---------------------
+
+
+def quadratic_is_subgroup(group, els):
+    """The subgroup test before the generated closure: all |H|^2 products."""
+    n = group.order
+    if ((els < 0) | (els >= n)).any():
+        return False
+    member = np.zeros(n, dtype=bool)
+    member[els] = True
+    if not member[group.identity] or not member[group.inverses()[els]].all():
+        return False
+    return all(member[block].all() for _, block in group.product_blocks(els, els))
+
+
+def product_coset_halving_check(group):
+    """The coset-halving check as |T1|^2 products h2^-1 h1."""
+    q, n = group.q, group.order
+    t1 = group.point_stabilizer(q)
+    t2 = group.point_stabilizer(0)
+    sq = np.unique(group.mul_pairs(t1, t1))
+    assert quadratic_is_subgroup(group, sq) and 2 * len(sq) == len(t1)
+    square = np.zeros(n, dtype=bool)
+    square[sq] = True
+    counts = np.zeros(n, dtype=np.int64)
+    counts_sq = np.zeros(n, dtype=np.int64)
+    for _, block in group.product_blocks(group.inverses()[t2], t1):
+        counts += np.bincount(block.ravel(), minlength=n)
+        counts_sq += np.bincount(block[:, square[t1]].ravel(), minlength=n)
+    big = (q - 1) // 2
+    bad = np.flatnonzero((2 * counts_sq != counts) | ((counts != 0) & (counts != big)))
+    if len(bad):
+        t = int(bad[0])
+        return False, t, {"count": int(counts[t]), "squares": int(counts_sq[t])}
+    return True, None, {"value_set": [0, big], "square_value_set": [0, big // 2]}
+
+
+def product_spreading_multiset(group, stabilizer_point, squares, subgroup=quadratic_is_subgroup):
+    """The multiset check as stabilizer x coset-representative products."""
+    q, n = group.q, group.order
+    if not 0 <= stabilizer_point <= q:
+        raise WitnessError(f"{stabilizer_point} is not a projective point")
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in squares):
+        raise WitnessError("a square is not a group element")
+    stab = group.point_stabilizer(stabilizer_point)
+    sq = np.unique(np.array(squares, dtype=np.intp))
+    weights = np.ones(n, dtype=np.int8)
+    weights[stab] = 0
+    if (weights[sq] != 0).any() or 2 * len(sq) != len(stab) or not subgroup(group, sq):
+        raise WitnessError("the squares are not an index-2 subgroup of the stabilizer")
+    weights[sq] = 2
+    total = int(weights.sum())
+    if total != n:
+        raise WitnessError("multiset size differs from the vertex count")
+    lam = len(stab)
+    images = 0
+    for pt in range(q + 1):
+        image = group.act_points(pt)
+        reps = np.sort(np.unique(image, return_index=True)[1])
+        cover = np.zeros(n, dtype=np.int64)
+        sums = np.zeros(len(reps), dtype=np.int64)
+        for _, block in group.product_blocks(np.flatnonzero(image == pt), reps):
+            cover += np.bincount(block.ravel(), minlength=n)
+            sums += weights[block].sum(axis=0)
+        if (cover != 1).any():
+            raise WitnessError(f"stabilizer translates do not partition the group at point {pt}")
+        bad = np.flatnonzero(sums != lam)
+        if len(bad):
+            k = bad[0]
+            raise WitnessError(
+                f"image sum {sums[k]} != lambda {lam} at point {pt}, rep {reps[k]}")
+        images += len(reps)
+    if images != (q + 1) ** 2:
+        raise WitnessError(f"found {images} distinct images, expected {(q + 1) ** 2}")
+    rng = random.Random(0)
+    inverses = group.inverses()
+    for _ in range(20):
+        x, y = rng.randrange(n), rng.randrange(n)
+        s = int(weights[group.mul_pairs(group.mul_pairs(inverses[x], stab), y)].sum())
+        if s != lam:
+            raise WitnessError(f"random image sum {s} != lambda {lam}")
+    return witnesses.SpreadingWitness(q, lam, total, stabilizer_point, tuple(sq.tolist()),
+                                      images, True)
+
+
+def _outcome(check, *args):
+    """A check's result, or the type and text of the error it raised."""
+    try:
+        return check(*args)
+    except WitnessError as exc:
+        return "WitnessError", str(exc)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 29])
+def test_multiset_checks_match_the_product_oracles(q, monkeypatch):
+    g = build_group(q)
+    stab = g.point_stabilizer(q)
+    sq = squares_of_stabilizer(g, stab)
+    inputs = {"squares": sq.tolist(), "moved square": _moved_square(g),
+              "other coset": np.setdiff1d(stab, sq).tolist(), "truncated": sq.tolist()[:-1]}
+    assert coset_halving_check(g) == product_coset_halving_check(g)
+    for name, squares in inputs.items():
+        assert (_outcome(verify_spreading_multiset, g, q, squares)
+                == _outcome(product_spreading_multiset, g, q, squares)), name
+    # with the subgroup test passed, the translate sums decide alone
+    monkeypatch.setattr(witnesses, "is_subgroup", lambda group, mask: True)
+    for name, squares in inputs.items():
+        assert (_outcome(verify_spreading_multiset, g, q, squares)
+                == _outcome(product_spreading_multiset, g, q, squares,
+                            lambda group, mask: True)), name
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 16, 29])
+def test_is_subgroup_matches_the_quadratic_oracle(q):
+    g = build_group(q)
+    rng = np.random.default_rng(q)
+    for h in subgroup_library(g):
+        outside = np.setdiff1d(np.arange(g.order), h)
+        trials = [h, np.delete(h, rng.integers(len(h)))]
+        if len(outside):
+            trials.append(np.sort(np.append(h, rng.choice(outside))))
+        for els in trials:
+            assert is_subgroup(g, els) == quadratic_is_subgroup(g, els), (len(h), len(els))
+
+
+def test_multiset_check_ties_multiplication_to_the_fibres(monkeypatch):
+    # the first seeded translate S y of the spot checks comes out as S z,
+    # another fibre; the translate sums and two-sided checks never form S y
+    g = PSL2(13)
+    stab = g.point_stabilizer(13)
+    sq = squares_of_stabilizer(g, stab).tolist()
+    rng = random.Random(0)
+    x, y = rng.randrange(g.order), rng.randrange(g.order)
+    assert x != g.identity
+    image = g.act_points(13)
+    z = int(np.argmax(image != image[y]))
+    mul_pairs = g.mul_pairs
+
+    def skewed(i, j):
+        if np.ndim(j) == 0 and j == y and np.array_equal(i, stab):
+            j = z
+        return mul_pairs(i, j)
+
+    monkeypatch.setattr(g, "mul_pairs", skewed)
+    with pytest.raises(WitnessError, match="not a fibre of the action"):
+        verify_spreading_multiset(g, 13, sq)
