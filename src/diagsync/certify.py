@@ -11,7 +11,7 @@ proven infeasibility refutes that size.
 
 Rows come in right-translation families {S t : t in T}, one per conjugate
 shape S of C, and are held as one array of sorted vertex rows, like every
-element set outside the two bit-parallel searches (see ``psl2``).  S t = S t'
+element set outside the one bit-parallel search (see ``psl2``).  S t = S t'
 exactly when t' lies in the coset H t of the right stabilizer H of S, so a
 family keeps the t that are least in their cosets: an exact dedup with no
 hashing.  Two families are equal or disjoint, and S is a row of an earlier

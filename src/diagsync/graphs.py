@@ -4,10 +4,10 @@ A graph here is determined by a set I of class labels (fused orbit labels
 such as "13", or unfused class labels such as "7A"): vertices are the group
 elements, and u ~ v iff u*v^-1 lies in the union of the selected classes.
 A graph holds one element set, its connection set, as a read-only boolean
-array over the elements, built once per class set and kept on the group;
-adjacency, the degree and a vertex's neighbourhood (a boolean vertex array
-computed on each call, for the DIMACS export and the tests' oracles) are
-read from it.
+array over the elements, built once per class set and kept in the group's
+store; adjacency, the degree and a vertex's neighbourhood (a boolean vertex
+array computed on each call, for the DIMACS export and the tests' oracles)
+are read from it.
 """
 
 from __future__ import annotations
@@ -54,18 +54,16 @@ def resolve_classes(group: PSL2, labels) -> tuple[tuple[str, ...], np.ndarray, t
         if classes[c].inverse_class not in ids:
             raise InvalidClassSet(f"class set not inverse-closed at {classes[c].label}")
     key = tuple(sorted(ids))
-    # one read-only connection array per class set, kept on the group
-    memo = getattr(group, "_connections", None)
-    if memo is None:
-        memo = group._connections = {}
-    if key not in memo:
+
+    def connection(group):
         chosen = np.zeros(len(classes), dtype=bool)
         chosen[list(ids)] = True
-        memo[key] = chosen[group.class_of_array()]
-        memo[key].flags.writeable = False
+        flags = chosen[group.class_of_array()]
+        flags.flags.writeable = False
+        return flags
     canonical = sorted({_canonical_label(group, c, ids) for c in ids},
                        key=label_sort_key)
-    return tuple(canonical), memo[key], key
+    return tuple(canonical), group.derived(("connection", key), connection), key
 
 
 def _canonical_label(group: PSL2, class_id: int, chosen: set[int]) -> str:

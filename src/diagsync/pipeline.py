@@ -197,12 +197,10 @@ def settle_row(gv: GraphVerdict, cert: dict, facts: FactBase):
 
 def group_table(group: PSL2) -> tuple:
     """The group's feasibility table: the rows analyze settles and verify
-    replays.  It depends only on the group, so it is cached on it, like its
-    subgroup library and fused scheme."""
-    rows = getattr(group, "_putative_table", None)
-    if rows is None:
-        rows = group._putative_table = tuple(putative_table(rational_fusion_scheme(group)))
-    return rows
+    replays.  It depends only on the group, so it is kept in the group's
+    store, like its subgroup library and fused scheme."""
+    return group.derived("feasibility_table",
+                         lambda group: tuple(putative_table(rational_fusion_scheme(group))))
 
 
 def _row_key(row) -> tuple:
@@ -279,24 +277,12 @@ class Analyzer:
         self.config = config or PipelineConfig()
         self.cache = Cache(self.config.cache_dir)
         self.group: PSL2 = build_group(q)
-        self._scheme = None
-        self._facts = None
-        self._table_rows = ()
+        # set by feasibility_stage: the witness stage may settle the verdict
+        # without them, and large q (no multiplication table) never reach it
+        self.scheme = None
+        self.table_rows: tuple = ()
+        self.facts: FactBase | None = None
         self.verdict = GroupVerdict(q)
-
-    @property
-    def scheme(self):
-        # built lazily: the witness stage may settle the verdict without it,
-        # and large q (no multiplication table) never reach the scheme stages
-        if self._scheme is None:
-            self._scheme = rational_fusion_scheme(self.group)
-        return self._scheme
-
-    @property
-    def facts(self) -> "FactBase":
-        if self._facts is None:
-            self._facts = FactBase(tuple(o.label for o in self.group.fusion_orbits()[1:]))
-        return self._facts
 
     # ---- cached heavy operations -------------------------------------------------
 
@@ -379,12 +365,12 @@ class Analyzer:
         return False
 
     def feasibility_stage(self) -> list[GraphVerdict]:
-        self.scheme                 # the report shows it beside the table
-        rows = group_table(self.group)
+        self.scheme = rational_fusion_scheme(self.group)    # the report shows it
+        self.table_rows = group_table(self.group)
+        self.facts = FactBase(tuple(o.label for o in self.group.fusion_orbits()[1:]))
         self.verdict.graphs = [GraphVerdict(row.clique_classes, row.coclique_classes,
                                             row.omega_target, row.alpha_target)
-                               for row in rows]
-        self._table_rows = rows
+                               for row in self.table_rows]
         return self.verdict.graphs
 
     def _realize(self, gv: GraphVerdict, side: str, hit):
@@ -489,7 +475,7 @@ def analyze(q: int, config: PipelineConfig | None = None) -> tuple[GroupVerdict,
 
 
 def emit_report(analyzer: Analyzer, verdict: GroupVerdict) -> dict:
-    scheme = analyzer._scheme
+    scheme = analyzer.scheme
     rendered = scheme.payload() if scheme else dict.fromkeys(
         ("relations", "sizes", "multiplicities", "P", "Q"))
     labels = rendered["relations"]
@@ -503,7 +489,7 @@ def emit_report(analyzer: Analyzer, verdict: GroupVerdict) -> dict:
             "version": __version__,
         },
         "scheme": rendered,
-        "feasibility": [row.payload(labels) for row in analyzer._table_rows],
+        "feasibility": [row.payload(labels) for row in analyzer.table_rows],
         "graphs": [gv.payload() for gv in verdict.graphs],
         "witnesses": verdict.witnesses,
         "verdict": {
@@ -667,8 +653,8 @@ def _verify_witness(group, wit, problems) -> bool:
                 and wit["degree"] == group.order // len(sub)):
             return False
         _, images = coset_action(group, sub)
-        ok, _ = verify_sharply_transitive(
-            [images[g] for g in _elements(wit, "elements", group)], wit["degree"])
+        ok, _ = verify_sharply_transitive(images[_elements(wit, "elements", group)],
+                                          wit["degree"])
         return ok
     if kind == "non_spreading_multiset":
         # re-check the report's own multiset, not a freshly built one

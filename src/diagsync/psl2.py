@@ -32,8 +32,9 @@ group of vertex maps.
 
 An element set is a numpy array: a subgroup is its ascending array of element
 indices, a vertex set a boolean array over the elements.  Python-int bitsets
-live only inside the two bit-parallel searches (``search._bb_max_clique`` and
-``witnesses.find_sharply_transitive_set``), and ``mask_elements`` walks their bits.
+live only inside the one bit-parallel search, ``search._bb_max_clique``.
+What is derived from the group alone, here and in other modules, is kept in
+the group's one store, ``PSL2.derived``.
 """
 
 from __future__ import annotations
@@ -90,6 +91,32 @@ def _letters(k: int) -> str:
     return out
 
 
+def _fusion(classes: list[ConjugacyClass], class_of: np.ndarray,
+            walks: list[list[int]]) -> list[FusionOrbit]:
+    """The fused class of c is {class of rep^k : gcd(k, n) = 1}, n = |rep|,
+    read from walks[c], the powers of c's rep that gave its order.
+
+    It is labelled by the element order when it holds every class of that
+    order, and otherwise by its one class's label: power maps fuse all
+    classes of each order except the two unipotent classes when q is an
+    even power of an odd prime.
+    """
+    per_order = Counter(c.element_order for c in classes)
+    orbits: list[FusionOrbit] = []
+    for c in classes:
+        if c.fusion_orbit >= 0:
+            continue
+        n = c.element_order
+        powers = class_of[walks[c.id]]
+        ids = tuple(sorted({int(powers[k]) for k in range(n) if gcd(k, n) == 1}))
+        label = str(n) if len(ids) == per_order[n] else c.label
+        for i in ids:
+            classes[i].fusion_orbit = len(orbits)
+        orbits.append(FusionOrbit(len(orbits), label, n, ids,
+                                  sum(classes[i].size for i in ids)))
+    return orbits
+
+
 class PSL2:
     """The group T = PSL(2,q) with the natural projective-line action."""
 
@@ -108,11 +135,22 @@ class PSL2:
         self._pack = self._build_pack()
         self.identity = int(self.lookup(1, 0, 0, 1))
         self._table: np.ndarray | None = None
-        self._inverses: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
-        self._classes: list[ConjugacyClass] | None = None
-        self._fusion: list[FusionOrbit] | None = None
-        self._arith_arrays: tuple | None = None
+        self._store: dict = {}
+
+    def derived(self, key, build):
+        """The value build(self) gives for key, built on the first call and
+        kept for the group's lifetime: the one memo of everything derived
+        from the group alone.
+
+        A kept value holds no reference back to the group, so reference
+        counting alone frees a discarded group and its table; build may read
+        the group, but what it returns may not point at it.
+        """
+        try:
+            return self._store[key]
+        except KeyError:
+            value = self._store[key] = build(self)
+            return value
 
     # -- construction --------------------------------------------------------
 
@@ -179,11 +217,12 @@ class PSL2:
 
     def inverses(self) -> np.ndarray:
         """Index of the inverse of every element: [[a, b], [c, d]] -> [[d, -b], [-c, a]]."""
-        if self._inverses is None:
-            a, b, c, d = self.entries
-            neg = np.array(self.field.neg_table)
-            self._inverses = self.lookup(d, neg[b], neg[c], a)
-        return self._inverses
+        return self.derived("inverses", PSL2._inverse_array)
+
+    def _inverse_array(self) -> np.ndarray:
+        a, b, c, d = self.entries
+        neg = np.array(self.field.neg_table)
+        return self.lookup(d, neg[b], neg[c], a)
 
     def powers(self, g: int) -> list[int]:
         """[e, g, g^2, ..., g^(n-1)] for g of order n."""
@@ -199,11 +238,13 @@ class PSL2:
 
     def orders(self) -> np.ndarray:
         """The order of every element, read from its class (read-only)."""
-        if self._orders is None:
-            order_of_class = np.array([c.element_order for c in self.conjugacy_classes()])
-            self._orders = order_of_class[self._class_of]
-            self._orders.flags.writeable = False
-        return self._orders
+        return self.derived("orders", PSL2._order_array)
+
+    def _order_array(self) -> np.ndarray:
+        orders = np.array([c.element_order for c in self.conjugacy_classes()])
+        orders = orders[self.class_of_array()]
+        orders.flags.writeable = False
+        return orders
 
     def table_fits(self) -> bool:
         """Whether the full multiplication table is affordable at this order."""
@@ -252,18 +293,19 @@ class PSL2:
         left factor and of its columns (a, c), (b, d) as a right factor add
         up to the dot-table index of each entry of a product.
         """
-        if self._arith_arrays is None:
-            f, q = self.field, self.q
-            narrow = np.min_scalar_type(q - 1)
-            add = np.array(f.add_table, dtype=narrow)
-            mul = np.array(f.mul_table, dtype=narrow)
-            dot = add[mul[:, None, :, None], mul[None, :, None, :]].ravel()
-            a, b, c, d = self.entries
-            left = ((a * q + b) * q * q, (c * q + d) * q * q)
-            right = (a * q + c, b * q + d)
-            finv = np.array(f.inv_table, dtype=np.int32)
-            self._arith_arrays = (dot, left, right, finv)
-        return self._arith_arrays
+        return self.derived("arith", PSL2._arith_arrays)
+
+    def _arith_arrays(self) -> tuple:
+        f, q = self.field, self.q
+        narrow = np.min_scalar_type(q - 1)
+        add = np.array(f.add_table, dtype=narrow)
+        mul = np.array(f.mul_table, dtype=narrow)
+        dot = add[mul[:, None, :, None], mul[None, :, None, :]].ravel()
+        a, b, c, d = self.entries
+        left = ((a * q + b) * q * q, (c * q + d) * q * q)
+        right = (a * q + c, b * q + d)
+        finv = np.array(f.inv_table, dtype=np.int32)
+        return dot, left, right, finv
 
     def mul_pairs(self, i, j) -> np.ndarray:
         """Products i[k] * j[k] over two broadcast index arrays.
@@ -316,11 +358,10 @@ class PSL2:
         return self.lookup(*np.array(mats).T).tolist()
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        return self.derived("classes", PSL2._compute_classes)[0]
 
-    def _compute_classes(self) -> None:
+    def _compute_classes(self) -> tuple:
+        """(the classes, the class id of every element, the fusion orbits)."""
         f, q = self.field, self.q
         add, neg = np.array(f.add_table), np.array(f.neg_table)
         a, b, c, d = self.entries
@@ -356,50 +397,19 @@ class PSL2:
             else:
                 for k, c in enumerate(group):
                     c.label = f"{order_val}{_letters(k)}"
-        self._class_of = class_of
         for c in classes:
             c.inverse_class = int(class_of[self.inv(c.rep)])
-        self._classes = classes
-        self._compute_fusion([walks[old_id] for old_id in keyed])
-
-    def _compute_fusion(self, walks: list[list[int]]) -> None:
-        """The fused class of c is {class of rep^k : gcd(k, n) = 1}, n = |rep|,
-        read from walks[c], the powers of c's rep that gave its order.
-
-        It is labelled by the element order when it holds every class of that
-        order, and otherwise by its one class's label: power maps fuse all
-        classes of each order except the two unipotent classes when q is an
-        even power of an odd prime.
-        """
-        classes = self._classes
-        per_order = Counter(c.element_order for c in classes)
-        orbits: list[FusionOrbit] = []
-        for c in classes:
-            if c.fusion_orbit >= 0:
-                continue
-            n = c.element_order
-            powers = self._class_of[walks[c.id]]
-            ids = tuple(sorted({int(powers[k]) for k in range(n) if gcd(k, n) == 1}))
-            label = str(n) if len(ids) == per_order[n] else c.label
-            for i in ids:
-                classes[i].fusion_orbit = len(orbits)
-            orbits.append(FusionOrbit(len(orbits), label, n, ids,
-                                      sum(classes[i].size for i in ids)))
-        self._fusion = orbits
+        return classes, class_of, _fusion(classes, class_of, [walks[old_id] for old_id in keyed])
 
     def fusion_orbits(self) -> list[FusionOrbit]:
-        if self._fusion is None:
-            self._compute_classes()
-        return self._fusion
+        return self.derived("classes", PSL2._compute_classes)[2]
 
     def class_of(self, i: int) -> int:
         return int(self.class_of_array()[i])
 
     def class_of_array(self) -> np.ndarray:
         """The class id of every element (read-only)."""
-        if self._classes is None:
-            self._compute_classes()
-        return self._class_of
+        return self.derived("classes", PSL2._compute_classes)[1]
 
     # -- projective line -------------------------------------------------------
 
@@ -453,18 +463,6 @@ def build_group(q: int) -> PSL2:
     return group
 
 
-# -- subgroup machinery --------------------------------------------------------
-
-def mask_elements(mask: int) -> list[int]:
-    """The set bits of an int bitset, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # -- vertex maps that fix the identity -------------------------------------------
 
 def outer_maps(group: PSL2) -> list[tuple[str, np.ndarray]]:
@@ -507,6 +505,8 @@ def orbits(maps: np.ndarray, members: np.ndarray) -> list[tuple[int, np.ndarray]
         remaining &= ~orbit
     return out
 
+
+# -- subgroup machinery --------------------------------------------------------
 
 def closure(group: PSL2, gens, limit: int | None = None) -> np.ndarray:
     """Subgroup generated by gens.  Aborts past limit."""
@@ -671,14 +671,13 @@ def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> np.ndar
 def _von_dyck_window(group: PSL2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first 60 involutions, every element of order 3, and the orders of
     the products of those involutions with the first 200 elements of order
-    3, one row per involution; cached on the group for the three kinds."""
-    window = getattr(group, "_von_dyck_window", None)
-    if window is None:
+    3, one row per involution; kept in the group's store for the three kinds."""
+    def build(group):
         orders = group.orders()
         js = np.flatnonzero(orders == 2)[:60]
         gs = np.flatnonzero(orders == 3)
-        window = group._von_dyck_window = (js, gs, orders[group.mul_outer(js, gs[:200])])
-    return window
+        return js, gs, orders[group.mul_outer(js, gs[:200])]
+    return group.derived("von_dyck_window", build)
 
 
 def alternating_type_subgroup(group: PSL2, kind: str) -> np.ndarray | None:
@@ -744,7 +743,7 @@ def subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
     torus element of the Borel, one Sylow subgroup per prime, one cyclic
     subgroup per element order, one dihedral subgroup per element order > 2
     and A4, S4, A5 where they exist; largest first, ties in distinct_sets
-    order.  Cached on the group.
+    order.  Kept in the group's store.
 
     Each is built from its known structure (Dickson's list of the subgroups
     of PSL(2,q)) rather than by a closure walk, except A4, S4 and A5: the
@@ -753,9 +752,10 @@ def subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
     subgroup, the 2-Sylow subgroup at odd q among them, is C u C j for a
     cyclic C and an involution j inverting its generator.
     """
-    cached = getattr(group, "_subgroup_library", None)
-    if cached is not None:
-        return cached
+    return group.derived("subgroup_library", _subgroup_library)
+
+
+def _subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
     subs = [borel_subgroup(group)]
     torus = group.powers(stabilizer_torus_element(group))
     m1 = len(torus)
@@ -776,5 +776,4 @@ def subgroup_library(group: PSL2) -> tuple[np.ndarray, ...]:
         subs += [cyclic, _dihedral(group, h, cyclic) if m > 2 else None]
     subs += [alternating_type_subgroup(group, kind) for kind in ("A4", "S4", "A5")]
     # a stable sort: sets of one size keep their distinct_sets order
-    group._subgroup_library = tuple(sorted(distinct_sets(subs), key=len, reverse=True))
-    return group._subgroup_library
+    return tuple(sorted(distinct_sets(subs), key=len, reverse=True))

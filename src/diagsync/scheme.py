@@ -170,14 +170,11 @@ def group_scheme(group: PSL2) -> AssociationScheme:
 def rational_fusion_scheme(group: PSL2) -> AssociationScheme:
     """Fusion along power-map orbits; always symmetric with rational eigenvalues.
 
-    Built once per group, as nothing changes a built scheme.  The group keeps
-    it without its group field: a reference cycle would hold a discarded
-    group, and its multiplication table, until the cycle collector runs.
+    Built once per group, as nothing changes a built scheme.  The group's
+    store keeps it without its group field, which each call fills in.
     """
-    kept = getattr(group, "_fusion_scheme", None)
-    if kept is None:
-        scheme = _build_scheme(group, group.fusion_orbits(), require_eigen=True)
-        kept = group._fusion_scheme = replace(scheme, group=None)
+    kept = group.derived("fusion_scheme", lambda group: replace(
+        _build_scheme(group, group.fusion_orbits(), require_eigen=True), group=None))
     return replace(kept, group=group)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import PSL2, cyclic_subgroup, distinct_sets, mask_elements, orbits, subgroup_library
+from .psl2 import PSL2, cyclic_subgroup, distinct_sets, orbits, subgroup_library
 
 
 @dataclass
@@ -122,42 +122,36 @@ def verify_coclique(graph: ClassUnionGraph, vertices) -> bool:
 
 def _seed_subgroups(group: PSL2) -> list[np.ndarray]:
     """The subgroup library and every cyclic subgroup in psl2.distinct_sets
-    order; cached on the group."""
-    cached = getattr(group, "_seed_subgroups", None)
-    if cached is None:
-        cyclic = [cyclic_subgroup(group, g) for g in range(group.order) if g != group.identity]
-        cached = group._seed_subgroups = distinct_sets(cyclic + list(subgroup_library(group)))
-    return cached
+    order; kept in the group's store."""
+    return group.derived("seed_subgroups", lambda group: distinct_sets(
+        [cyclic_subgroup(group, g) for g in range(group.order) if g != group.identity]
+        + list(subgroup_library(group))))
 
 
 def _union_classes(group: PSL2) -> dict[int, tuple[int, int]]:
     """(rep, g) with H = g^-1 rep g for each seed subgroup H large enough for a
     coset-union search, rep the first of its conjugacy class in seed order,
-    subgroups by their index in seed order; cached on the group."""
-    if getattr(group, "_union_classes", None) is None:
-        group._union_classes, found = {}, {}    # found: each conjugate of a rep: (rep, g)
+    subgroups by their index in seed order; kept in the group's store."""
+    def build(group):
+        classes, found = {}, {}     # found: each conjugate of a rep: (rep, g)
         every = np.arange(group.order)
         for i, h in enumerate(_seed_subgroups(group)):
             if len(h) >= 7 and group.order // len(h) <= 120:
-                if h.tobytes() not in found:      # row g: sorted g^-1 H g, least g first
+                if h.tobytes() not in found:  # row g: sorted g^-1 H g, least g first
                     conj = np.sort(group.conjugate(h, every[:, None]), axis=1).astype(h.dtype)
                     found.update((conj[g].tobytes(), (i, g)) for g in every[::-1].tolist())
-                group._union_classes[i] = found[h.tobytes()]
-    return group._union_classes
+                classes[i] = found[h.tobytes()]
+        return classes
+    return group.derived("union_classes", build)
 
 
 def algebraic_clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     """Verified cliques from subgroups and unions of subgroup cosets, largest first.
 
-    Memoized per class set on the group, like its subgroup library.
+    Kept per class set in the group's store, like its subgroup library.
     """
-    memo = getattr(graph.group, "_clique_seeds", None)
-    if memo is None:
-        memo = graph.group._clique_seeds = {}
-    seeds = memo.get(graph.class_ids)
-    if seeds is None:
-        seeds = memo[graph.class_ids] = _clique_seeds(graph)
-    return seeds
+    return graph.group.derived(("clique_seeds", graph.class_ids),
+                               lambda group: _clique_seeds(graph))
 
 
 def _clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
@@ -172,7 +166,8 @@ def _clique_seeds(graph: ClassUnionGraph) -> tuple[tuple[int, ...], ...]:
     seeds = [tuple(subgroups[i].tolist()) for i in cliques]
     # coset-union extension on the larger subgroup cliques, searched once per
     # class: conjugation by g carries the representative's union to H's
-    classes, unions = _union_classes(group), {}     # unions[H]: (union, exhaustive)
+    classes = _union_classes(group)
+    unions = {}                                 # unions[H]: (union, exhaustive)
     for i in filter(classes.__contains__, cliques):
         rep, g = classes[i]
         if i == rep or not unions[rep][1]:      # a class's first, or its search stopped
@@ -222,6 +217,16 @@ def _best_coset_union(graph: ClassUnionGraph, h: np.ndarray):
 
 class _Hit(Exception):
     pass
+
+
+def mask_elements(mask: int) -> list[int]:
+    """The set bits of an int bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _bb_max_clique(adj: np.ndarray, lower: int, meter: _Meter,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .psl2 import PSL2, alternating_type_subgroup, is_subgroup, mask_elements, subgroup_library
+from .psl2 import PSL2, alternating_type_subgroup, is_subgroup, subgroup_library
 
 MAX_CONJUGATES = 40      # random conjugates of B tried per pair before moving on
 
@@ -97,7 +97,8 @@ def verify_exact_factorisation(group: PSL2, a: np.ndarray, b: np.ndarray) -> Exa
 def find_exact_factorisation(group: PSL2):
     """Targeted search over the subgroup library, largest first.
 
-    Returns a verified factorisation, or None within budget.
+    Returns a verified factorisation, or None when no pair of library
+    subgroups and tried conjugates factorises the group.
     """
     cands = subgroup_library(group)
     rng = random.Random(group.q)
@@ -131,33 +132,38 @@ def find_exact_factorisation(group: PSL2):
 def coset_action(group: PSL2, h: np.ndarray):
     """Right-coset action of the group on H\\T; returns (reps, images).
 
-    images[g] is the tuple of coset indices (H x)^g = H (x g).
+    The walk numbers each coset H x at its least element x, one product
+    array of |H| entries per coset, so reps come out ascending and coset i
+    is H reps[i].  images[g, i] is the index of the coset (H reps[i])^g =
+    H (reps[i] g), one gather over degree rows of products: an array of one
+    row per element.  No product array of |H| rows is built, as a large
+    subgroup of a large group would not fit in memory.
     """
-    n = group.order
-    coset_of = np.full(n, -1)
-    reps: list[int] = []
-    for x in range(n):
+    coset_of = np.full(group.order, -1)
+    reps = []
+    for x in range(group.order):
         if coset_of[x] < 0:
             coset_of[group.mul_pairs(h, x)] = len(reps)
             reps.append(x)
-    images = coset_of[group.mul_rows(reps)].T.tolist()
-    return reps, [tuple(row) for row in images]
+    reps = np.array(reps, dtype=np.intp)
+    return reps, coset_of[group.mul_rows(reps)].T
 
 
-def verify_sharply_transitive(images: list[tuple[int, ...]], degree: int):
-    """Check a set of permutation images for sharp transitivity.
+def verify_sharply_transitive(images, degree: int):
+    """Check a set of permutation images, one row each, for sharp transitivity.
 
-    Returns (ok, reason).  Cardinality mismatch and a sharpness violation are
-    reported distinctly.
+    Returns (ok, reason).  Cardinality mismatch, duplicate images and a
+    sharpness violation are reported distinctly.  Two members agree on a
+    point exactly when that point's column repeats a value, so one
+    comparison of each sorted column with its next entry decides sharpness.
     """
+    images = np.asarray(images)
     if len(images) != degree:
         return False, f"cardinality {len(images)} != degree {degree}"
-    if len(set(images)) != len(images):
+    if len(np.unique(images, axis=0)) != len(images):
         return False, "duplicate permutation images"
-    for i, b1 in enumerate(images):
-        for b2 in images[i + 1:]:
-            if any(x == y for x, y in zip(b1, b2)):
-                return False, "sharpness violated: two members agree on a point"
+    if (np.diff(np.sort(images, axis=0), axis=0) == 0).any():
+        return False, "sharpness violated: two members agree on a point"
     return True, "ok"
 
 
@@ -166,36 +172,34 @@ def find_sharply_transitive_set(group: PSL2, subgroup: np.ndarray):
     cosets of a subgroup.
 
     Pins the identity (right translation preserves sharpness) and extends by
-    pairwise everywhere-disagreeing fixed-point-free elements, the
-    candidates held as int bitsets.
+    pairwise everywhere-disagreeing fixed-point-free elements, lowest first,
+    the candidates held as a boolean array over them.
     """
     reps, images = coset_action(group, subgroup)
     degree = len(reps)
-    perms = np.array(images)
-    fpf = np.flatnonzero((perms != np.arange(degree)).all(axis=1)).tolist()
-    # discordance masks among candidates, one packed bitset row each
-    moving = perms[fpf]
+    fpf = np.flatnonzero((images != np.arange(degree)).all(axis=1)).tolist()
+    moving = images[fpf]
     discord = (moving[:, None] != moving[None]).all(axis=2)
-    masks = [int.from_bytes(row, "little")
-             for row in np.packbits(discord, axis=1, bitorder="little")]
     chosen: list[int] = []
 
-    def extend(cand: int) -> bool:
+    def extend(cand: np.ndarray) -> bool:
         if len(chosen) == degree - 1:
             return True
-        if cand.bit_count() < degree - 1 - len(chosen):
+        if np.count_nonzero(cand) < degree - 1 - len(chosen):
             return False
-        for i in mask_elements(cand):
+        for i in np.flatnonzero(cand).tolist():
             chosen.append(fpf[i])
             # members are interchangeable: only extend with higher indices
-            if extend(cand & masks[i] >> (i + 1) << (i + 1)):
+            later = cand & discord[i]
+            later[:i + 1] = False
+            if extend(later):
                 return True
             chosen.pop()
         return False
 
-    if extend((1 << len(fpf)) - 1):
+    if extend(np.ones(len(fpf), dtype=bool)):
         elements = tuple([group.identity] + chosen)
-        ok, _ = verify_sharply_transitive([images[g] for g in elements], degree)
+        ok, _ = verify_sharply_transitive(images[list(elements)], degree)
         if ok:
             return SharplyTransitiveWitness(
                 group.q, degree, elements, tuple(subgroup.tolist()), True)

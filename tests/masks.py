@@ -6,7 +6,7 @@ the bitmasks that the oracles compare and combine with | and &.
 
 import numpy as np
 
-from diagsync.psl2 import mask_elements  # noqa: F401  (the tests import it from here)
+from diagsync.search import mask_elements  # noqa: F401  (the tests import it from here)
 
 
 def mask_from(indices) -> int:

@@ -164,7 +164,7 @@ def test_feasibility_stage_q13_rows():
     analyzer = Analyzer(13, PipelineConfig())
     rows = analyzer.feasibility_stage()
     assert len(rows) == 8
-    novel = [r for r in analyzer._table_rows if r.novel]
+    novel = [r for r in analyzer.table_rows if r.novel]
     assert len(novel) == 6
     analyzer.realization_stage()
     stars = {tuple(gv.clique_classes): set(gv.stars) for gv in rows}
@@ -376,8 +376,10 @@ def test_verify_builds_no_scheme(monkeypatch):
     _, report = analyze(5, PipelineConfig())
     assert report["verdict"]["separating"] == NO and not report["graphs"]
     group = build_group(5)
-    for name in ("_putative_table", "_fusion_scheme"):
-        monkeypatch.delattr(group, name, raising=False)
+    pipeline.group_table(group)
+    for key in ("feasibility_table", "fusion_scheme"):
+        assert key in group._store
+        monkeypatch.delitem(group._store, key)
 
     def refuse(group):
         raise AssertionError("verify_report built the fused scheme")
@@ -663,7 +665,9 @@ def test_verify_rechecks_a_feasible_covering_witness():
 
 def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
     group = build_group(13)
-    monkeypatch.delattr(group, "_putative_table", raising=False)
+    pipeline.group_table(group)
+    assert "feasibility_table" in group._store
+    monkeypatch.delitem(group._store, "feasibility_table")
     tables = []
     real = pipeline.putative_table
     monkeypatch.setattr(pipeline, "putative_table",
@@ -671,10 +675,10 @@ def test_warm_analyze_reuses_the_feasibility_table(tmp_path, monkeypatch):
     cfg = _budgeted(tmp_path, budget_nodes=100)
     _, cold = analyze(13, cfg)
     assert len(tables) == 1
-    memo = group._putative_table
+    memo = group._store["feasibility_table"]
     assert isinstance(memo, tuple) and len(memo) == len(cold["feasibility"])
     _, warm = analyze(13, cfg)
-    assert len(tables) == 1 and group._putative_table is memo
+    assert len(tables) == 1 and group._store["feasibility_table"] is memo
     assert warm["feasibility"] == cold["feasibility"]
     assert cold == warm
 

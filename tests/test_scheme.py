@@ -8,7 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diagsync import psl2, search
 from diagsync.gf import factor_prime_power
+from diagsync.graphs import build_graph
+from diagsync.pipeline import group_table
 from diagsync.psl2 import PSL2, FusionOrbit, build_group, sylow_subgroup
 from diagsync.scheme import (
     FusionNotAScheme,
@@ -150,12 +153,31 @@ def test_fusion_scheme_is_built_once_and_frees_its_group():
     group.mult_table()
     first, again = rational_fusion_scheme(group), rational_fusion_scheme(group)
     assert first.group is again.group is group and first.relations is again.relations
-    # the kept scheme holds no reference back to the group, so reference
+    # every entry of the group's store, each kept from its first call
+    graph = build_graph(group, ["7"])
+    fills = {
+        "classes": group.conjugacy_classes,
+        "inverses": group.inverses,
+        "orders": group.orders,
+        "arith": group._arith,
+        "subgroup_library": lambda: psl2.subgroup_library(group),
+        "von_dyck_window": lambda: psl2._von_dyck_window(group),
+        "seed_subgroups": lambda: search._seed_subgroups(group),
+        "union_classes": lambda: search._union_classes(group),
+        ("connection", graph.class_ids): lambda: build_graph(group, ["7"]).connection,
+        ("clique_seeds", graph.class_ids): lambda: search.algebraic_clique_seeds(graph),
+        "fusion_scheme": lambda: rational_fusion_scheme(group).relations,
+        "feasibility_table": lambda: group_table(group),
+    }
+    kept = {key: fill() for key, fill in fills.items()}
+    assert all(fill() is kept[key] for key, fill in fills.items())
+    assert set(group._store) == set(fills)
+    # no kept value holds a reference back to the group, so reference
     # counting alone frees a discarded group and its table
     ref = weakref.ref(group)
     gc.disable()
     try:
-        del group, first, again
+        del group, first, again, graph, fills, kept
         assert ref() is None
     finally:
         gc.enable()

@@ -667,17 +667,13 @@ def test_verify_by_gather_matches_scalar_oracle(q, labels):
 
 def test_task_setup_makes_no_per_vertex_mask_loops(g13, monkeypatch):
     # the bit-loop codec serves only cold paths: here one orbit mask per task
-    from diagsync import graphs, psl2
     graph = build_graph(g13, ["7"])
-    algebraic_clique_seeds(graph)           # memoized on the group before counting
+    algebraic_clique_seeds(graph)           # kept in the group's store before counting
     tasks = len(search._pinned_tasks(graph, 0))
     assert tasks >= 50
     calls = []
-    real = psl2.mask_elements
-    for module in (psl2, graphs, search):
-        if getattr(module, "mask_elements", None) is real:
-            monkeypatch.setattr(module, "mask_elements",
-                                lambda *a: calls.append(1) or real(*a))
+    real = search.mask_elements
+    monkeypatch.setattr(search, "mask_elements", lambda *a: calls.append(1) or real(*a))
     cert = max_clique(graph, Budget(max_seconds=300))
     assert cert.exhaustive and cert.size == 9
     assert len(calls) <= 2 * tasks, (len(calls), tasks)

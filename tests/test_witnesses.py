@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diagsync import witnesses
-from diagsync.pipeline import certificate_digest
+from diagsync.pipeline import _verify_witness, certificate_digest, sealed
 from diagsync.psl2 import (
     PSL2,
     alternating_type_subgroup,
@@ -105,6 +105,89 @@ def test_sharply_transitive_in_group_q9():
     _, images = coset_action(g, sub)
     ok, why = verify_sharply_transitive([images[e] for e in wit.elements], 6)
     assert ok, why
+
+
+def reference_coset_action(group, h):
+    """The coset action read from every product h*x, images as tuples: the
+    reference for coset_action.  Column x of the products is the coset H x,
+    so its minimum is the coset's least element, and the reps are the
+    elements equal to their column's minimum."""
+    least = group.mul_rows(h).min(axis=0)
+    reps = np.flatnonzero(least == np.arange(group.order))
+    images = np.searchsorted(reps, least)[group.mul_rows(reps)].T
+    return reps.tolist(), [tuple(row) for row in images.tolist()]
+
+
+def reference_sharply_transitive(images, degree):
+    """Member against member: the scalar reference for
+    verify_sharply_transitive."""
+    if len(images) != degree:
+        return False, f"cardinality {len(images)} != degree {degree}"
+    if len(set(images)) != len(images):
+        return False, "duplicate permutation images"
+    for i, b1 in enumerate(images):
+        for b2 in images[i + 1:]:
+            if any(x == y for x, y in zip(b1, b2)):
+                return False, "sharpness violated: two members agree on a point"
+    return True, "ok"
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_coset_action_matches_the_coset_walk(q):
+    # every library subgroup, with the table and on field arithmetic
+    for group in (build_group(q), PSL2(q)):
+        for h in subgroup_library(group):
+            reps, images = coset_action(group, h)
+            want_reps, want_images = reference_coset_action(group, h)
+            assert reps.tolist() == want_reps
+            assert list(map(tuple, images.tolist())) == want_images
+
+
+def test_sharp_witness_on_a_large_subgroup_builds_degree_rows(monkeypatch):
+    # the cyclic subgroup of order q+1 acts regularly on the projective
+    # line, the cosets of the Borel subgroup; without the table the action
+    # asks for one row of products per coset, never one per subgroup element
+    q = 16
+    group = PSL2(q)
+    borel = borel_subgroup(group)
+    degree = group.order // len(borel)
+    cyclic = cyclic_subgroup(group, int(np.flatnonzero(group.orders() == q + 1)[0]))
+    mul_rows = group.mul_rows
+
+    def bounded(idx):
+        assert len(idx) <= degree, f"{len(idx)} product rows for degree {degree}"
+        return mul_rows(idx)
+
+    monkeypatch.setattr(group, "mul_rows", bounded)
+    payload = witnesses.SharplyTransitiveWitness(
+        q, degree, tuple(cyclic.tolist()), tuple(borel.tolist()), True).payload()
+    problems = []
+    assert _verify_witness(group, sealed(payload), problems) and not problems
+    short = sealed({**payload, "elements": payload["elements"][:-1]})
+    assert not _verify_witness(group, short, problems) and not problems
+
+
+def test_sharp_check_matches_the_pairwise_oracle():
+    rng = random.Random(5)
+    g = build_group(9)
+    _, images = coset_action(g, index_six_subgroup(g))
+    wit = find_sharply_transitive_set(g, index_six_subgroup(g))
+    sets = [[tuple(images[e]) for e in wit.elements]]
+    for _ in range(300):
+        degree = rng.randrange(1, 6)
+        perms = [tuple(rng.sample(range(degree), degree))
+                 for _ in range(degree + rng.choice((-1, 0, 0, 0, 1)))]
+        sets.append(perms)
+        if len(perms) > 1:
+            sets.append(perms[:-1] + [perms[0]])            # a duplicate
+    sets += [[tuple(images[e]) for e in rng.sample(range(g.order), 6)] for _ in range(100)]
+    verdicts = set()
+    for perms in sets:
+        degree = len(perms[0]) if perms else 0
+        got = verify_sharply_transitive(perms, degree)
+        assert got == reference_sharply_transitive(perms, degree), perms
+        verdicts.add(got[1].split()[0])
+    assert verdicts == {"ok", "cardinality", "duplicate", "sharpness"}
 
 
 @pytest.mark.parametrize("q,size", [(13, 39), (17, 68), (5, 5)])
