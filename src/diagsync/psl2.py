@@ -27,8 +27,8 @@ orbits are the relations of the fused scheme, and ``label_sort_key`` puts
 the labels of one order in class order.
 
 The vertex maps beyond inner conjugation and inversion are in
-``outer_maps``, and ``orbits`` splits a vertex set into the orbits of a
-group of vertex maps.
+``outer_maps``; an orbit under conjugation, such as a centralizer's orbit
+of a vertex, is one ``PSL2.conjugate`` gather.
 
 An element set is a numpy array: a subgroup is its ascending array of element
 indices, a vertex set a boolean array over the elements.  Python-int bitsets
@@ -486,26 +486,6 @@ def outer_maps(group: PSL2) -> list[tuple[str, np.ndarray]]:
     return maps
 
 
-def orbits(maps: np.ndarray, members: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The orbits of a group of vertex maps on a vertex set, least vertex first.
-
-    Row k of maps is the k-th element of the group as a map on vertices.
-    The rows are the whole group, so the orbit of v is the column maps[:, v].
-    The set and each orbit are boolean vertex arrays.  Returns (least vertex,
-    orbit) pairs, each orbit cut to the set.
-    """
-    out = []
-    remaining = members.copy()
-    while remaining.any():
-        v = int(remaining.argmax())
-        orbit = np.zeros_like(members)
-        orbit[maps[:, v]] = True
-        orbit &= members
-        out.append((v, orbit))
-        remaining &= ~orbit
-    return out
-
-
 # -- subgroup machinery --------------------------------------------------------
 
 def closure(group: PSL2, gens, limit: int | None = None) -> np.ndarray:
@@ -593,79 +573,58 @@ def torus_orders(group: PSL2) -> tuple[int, int]:
     return (q - 1) // k, (q + 1) // k
 
 
-def _with_involution(group: PSL2, cyclic: np.ndarray, j: int) -> np.ndarray:
-    """The subgroup <C, j> = C u C j, ascending, for an involution j that
-    normalizes the cyclic subgroup C."""
-    return np.union1d(cyclic, group.mul_pairs(cyclic, j).astype(np.intp))
-
-
 def dihedral_subgroup(group: PSL2, n: int) -> np.ndarray | None:
-    """The subgroup <h, j> for h the least element of order n and j the least
-    involution inverting h.
-
-    j normalizes C = <h>, so <h, j> = C u C j, built without a closure walk:
-    for n > 2, j lies outside the abelian C and <h, j> is dihedral of order 2n.
-    """
+    """<h, j> for h the least element of order n, as built by _dihedral: of
+    order 2n, dihedral for n > 2 and the Klein four-group for n = 2; None
+    when h is not conjugate to its inverse (n = p at q = 3 mod 4)."""
     h = element_of_order(group, n)
     return None if h is None else _dihedral(group, h, cyclic_subgroup(group, h))
 
 
 def _dihedral(group: PSL2, h: int, cyclic: np.ndarray) -> np.ndarray | None:
-    """<h, j> for the cyclic subgroup C = <h> and the least involution j inverting h."""
-    js = _inverting_involutions(group, h)
-    return _with_involution(group, cyclic, int(js[0])) if len(js) else None
+    """<h, j> = C u C j for the cyclic subgroup C = <h> and j the least
+    involution with j h of order 2, or None when there is none.
+
+    (j h)^2 = e says j inverts h, so j normalizes C and C u C j is the
+    subgroup, built without a closure walk; j h of order 2 also rules out
+    j = h.  For |h| > 2 no involution of C inverts h, so j lies outside C;
+    for an involution h, j commutes with h.  Either way the order is 2|h|.
+    """
+    orders = group.orders()
+    js = np.flatnonzero(orders == 2)
+    js = js[orders[group.mul_pairs(js, h)] == 2]
+    if not len(js):
+        return None
+    return np.union1d(cyclic, group.mul_pairs(cyclic, js[0]).astype(np.intp))
 
 
-def _inverting_involutions(group: PSL2, h: int) -> np.ndarray:
-    """The involutions j with j^-1 h j = h^-1, ascending: those with (j h)^2 = e."""
-    js = np.flatnonzero(group.orders() == 2)
-    return js[group.orders()[group.mul_pairs(js, h)] <= 2]
+def _part(n: int, r: int) -> int:
+    """The r-part of n: the largest power of r dividing it."""
+    part = 1
+    while n % (part * r) == 0:
+        part *= r
+    return part
 
 
 def sylow_subgroup(group: PSL2, r: int) -> np.ndarray | None:
-    """A Sylow r-subgroup, or None when r does not divide |T|."""
+    """A Sylow r-subgroup, or None when r does not divide |T|.
+
+    For r = p it is the unipotent subgroup.  Otherwise r divides q - 1 or
+    q + 1, and the torus of order m with the larger r-part holds a cyclic
+    subgroup C = <h> of that r-part, h a power of the least element of order
+    m.  For odd r, C is the Sylow subgroup; for r = 2 at odd q the 2-part of
+    |T| is twice that of C, and the Sylow subgroup is the dihedral C u C j
+    of _dihedral (the Klein four-group when |C| = 2).
+    """
     n = group.order
     if n % r:
         return None
-    p = group.field.p
-    if r == p:
+    if r == group.field.p:
         return unipotent_subgroup(group)
-    rpart = 1
-    while n % (rpart * r) == 0:
-        rpart *= r
-    m1, m2 = torus_orders(group)
-    for m in (m1, m2):
-        tr = 1
-        while m % (tr * r) == 0:
-            tr *= r
-        if tr == rpart:
-            h = group.powers(element_of_order(group, m))[m // tr]
-            return cyclic_subgroup(group, h)
-    # 2-part split between a torus and the inverting involution
-    assert r == 2
-    for m in (m1, m2) if m1 % 2 == 0 or m2 % 2 == 0 else ():
-        if m % 2:
-            continue
-        tr = 1
-        while m % (tr * 2) == 0:
-            tr *= 2
-        if tr * 2 == rpart:
-            h = group.powers(element_of_order(group, m))[m // tr]
-            sub = _extend_by_inverting_involution(group, h, rpart)
-            if sub is not None:
-                return sub
-    return None
-
-
-def _extend_by_inverting_involution(group: PSL2, h: int, target: int) -> np.ndarray | None:
-    """The first <h, j> of the target order, j running over the involutions
-    inverting h, each built as C u C j like a dihedral subgroup."""
+    m = max(torus_orders(group), key=lambda m: _part(m, r))
+    h = group.powers(element_of_order(group, m))[m // _part(m, r)]
     cyclic = cyclic_subgroup(group, h)
-    for j in _inverting_involutions(group, h).tolist():
-        sub = _with_involution(group, cyclic, j)
-        if len(sub) == target:
-            return sub
-    return None
+    return cyclic if len(cyclic) == _part(n, r) else _dihedral(group, h, cyclic)
 
 
 def _von_dyck_window(group: PSL2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

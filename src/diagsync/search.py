@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import ClassUnionGraph, complement_graph
-from .psl2 import PSL2, cyclic_subgroup, distinct_sets, orbits, subgroup_library
+from .psl2 import PSL2, cyclic_subgroup, distinct_sets, subgroup_library
 
 
 @dataclass
@@ -348,6 +348,9 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
     least-ranked class vertex is the representative).  Level three applies
     the same idea to orbits of the centralizer of rep: conjugation by it
     fixes both the identity vertex and rep, so one vertex per orbit is tried.
+    Each task takes the least candidate v still left, with the candidates
+    left that are adjacent to v; then v's orbit, one conjugate(v, centralizer)
+    gather, leaves the candidates.
     """
     group = graph.group
     classes, class_of = group.conjugacy_classes(), group.class_of_array()
@@ -363,11 +366,11 @@ def _pinned_tasks(graph: ClassUnionGraph, floor_size: int):
         excluded |= (class_of == cid) | (class_of == classes[cid].inverse_class)
         if np.count_nonzero(pair) + 2 <= floor_size:
             continue
-        processed = np.zeros(group.order, dtype=bool)
-        cent = np.flatnonzero(group.mul_pairs(every, rep) == group.mul_pairs(rep, every))
-        for v, orbit in orbits(group.conjugate(every, cent[:, None]), pair):
-            tasks.append((rep, v, pair & ~processed & conn[group.mul_pairs(every, inv[v])]))
-            processed |= orbit
+        cent = every[group.conjugate(rep, every) == rep]
+        while pair.any():
+            v = int(pair.argmax())
+            tasks.append((rep, v, pair & conn[group.mul_pairs(every, inv[v])]))
+            pair[group.conjugate(v, cent)] = False
     return tasks
 
 

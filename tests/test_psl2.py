@@ -136,15 +136,6 @@ def test_class_closure_under_conjugation():
             assert g.class_of(g.mul(g.mul(g.inv(x), c.rep), x)) == c.id
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
-def test_conjugation_orbits_are_the_classes(q):
-    g = build_group(q)
-    every = np.arange(g.order)
-    classes = sorted((c.rep, _members(g, c.id)) for c in g.conjugacy_classes())
-    found = psl2.orbits(g.conjugate(every, every[:, None]), np.ones(g.order, dtype=bool))
-    assert [(v, mask_of(orbit)) for v, orbit in found] == classes
-
-
 def _orbit_walk(g):
     """Oracle: the classes as conjugation orbits, one per class, each from the
     least element not yet in an orbit; returns (reps, class of every element)."""
@@ -352,6 +343,39 @@ def test_sylow2_q7():
     syl2 = sylow_subgroup(g, 2)
     assert syl2 is not None and len(syl2) == 8
     assert is_subgroup(g, syl2)
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 65) if factor_prime_power(q)])
+def test_sylow_subgroups_have_the_r_part_order(q):
+    g = PSL2(q)
+    n, rest = g.order, g.order
+    for r in range(2, n + 1):
+        if rest % r:
+            continue
+        while rest % r == 0:
+            rest //= r
+        sub = sylow_subgroup(g, r)
+        rpart = 1
+        while n % (rpart * r) == 0:
+            rpart *= r
+        assert len(sub) == rpart and is_subgroup(g, sub), r
+        if r == 2 and q % 2:        # dihedral or Klein four, not cyclic
+            assert np.count_nonzero(g.orders()[sub] == 2) > 1
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13])
+def test_dihedral_subgroup_has_order_twice_n(q):
+    g = build_group(q)
+    for n in np.unique(g.orders())[1:].tolist():
+        h = int(np.flatnonzero(g.orders() == n)[0])
+        sub = dihedral_subgroup(g, n)
+        # an involution inverts h exactly when h is conjugate to h^-1, which
+        # fails only for the elements of order p at q = 3 mod 4
+        if g.class_of(h) != g.class_of(g.inv(h)):
+            assert sub is None and (q, n) == (7, 7)
+            continue
+        assert sub is not None and len(sub) == 2 * n and is_subgroup(g, sub), n
+        assert h in sub
 
 
 def test_closure_and_cyclic():
